@@ -32,13 +32,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import BaseCode, CouplingScheme
-from .probability import joint_prob, spreading_prob_exact
+from .probability import joint_prob, lift_prob_exact, spreading_prob_exact
 from .walks import (CandidateSet, WalkCandidate, dependency_degree,
                     enumerate_cycles, is_active_lift, is_active_partition)
 from . import bounds
 from .moser_tardos import (PIPELINE_STAGE1_CAP_FACTOR, FALLBACK_CAP,
-                           construct_two_stage, default_cap, run_joint,
-                           run_stage_partition)
+                           _edge_index, _joint_framework,
+                           _partition_framework, construct_two_stage,
+                           default_cap, run_joint, run_stage_partition)
 
 MODES = ("partition-only", "joint", "two-stage")
 
@@ -285,8 +286,6 @@ def estimate_baseline(config: ExperimentConfig) -> BaselineReport:
         for c in oset:
             flat.append((label, c, _candidate_prob(c, config)))
 
-    from .moser_tardos import (_joint_framework, _partition_framework,
-                               _edge_index)
     base = config.base
     index = _edge_index(base)
     n_edges = len(base.edges)
@@ -443,7 +442,6 @@ def _precomputed_caps(config: ExperimentConfig,
     cap1 = default_cap(elim, spread_probs)
     if cap1 == FALLBACK_CAP:
         cap1 = PIPELINE_STAGE1_CAP_FACTOR * max(1, len(elim))
-    from .probability import lift_prob_exact
     lift_probs = [lift_prob_exact(c, scheme.lifting_degree) for c in elim]
     cap2 = default_cap(elim, lift_probs)
     return cap1, cap2

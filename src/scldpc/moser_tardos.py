@@ -38,7 +38,7 @@ import numpy as np
 from .model import (Assignment, BaseCode, CodeInstance, CouplingScheme,
                     Edge)
 from .probability import (joint_prob, lift_prob_exact, spreading_prob_exact)
-from .walks import CandidateSet, WalkCandidate
+from .walks import CandidateSet, WalkCandidate, is_active_partition
 from . import bounds
 
 FALLBACK_CAP = 10 ** 6
@@ -373,7 +373,6 @@ def run_stage_lift(base: BaseCode, scheme: CouplingScheme,
     Only partition-active targets become events; with no survivors the
     result is a plain uniform draw with zero resamples.
     """
-    from .walks import is_active_partition
     cset, cands = _normalize_targets(base, targets)
     z = scheme.lifting_degree
     survivors = tuple(c for c in cands if is_active_partition(c, partition))

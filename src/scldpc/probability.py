@@ -7,7 +7,11 @@ spreading, mod Z for lifting).  Both probabilities are computed exactly as
 rationals:
 
 * spreading: convolve the per-edge distributions of coeff * value and read
-  off the mass at zero;
+  off the mass at zero.  The convolution runs on integer weights over the
+  common denominator D of the probabilities (mass at zero = count / D**n
+  for n edges) and is memoised per (sorted nonzero coefficients, pattern,
+  probs), so repeated candidates and schemes that differ only in L or Z
+  cost one lookup;
 * lifting: the coefficient form c . L mod Z is uniform on the subgroup
   d * Z_Z where d = gcd(coefficients, Z), so the mass at zero is
   gcd(c_1, ..., c_n, Z) / Z.
@@ -22,6 +26,7 @@ is reproduced (and unit-tested) against the generic convolution.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,21 +38,27 @@ from .model import CouplingScheme
 from .walks import WalkCandidate
 
 
-def _zero_mass_of_sum(terms: Sequence[tuple[int, ...]],
-                      scheme: CouplingScheme) -> Fraction:
+@functools.lru_cache(maxsize=1024)
+def _zero_mass_of_sum(coeffs: tuple[int, ...], pattern: tuple[int, ...],
+                      probs: tuple[Fraction, ...]) -> Fraction:
     """P[sum of coeff*value = 0] for independent pattern-distributed values.
 
-    ``terms`` lists the nonzero coefficients, one per independent edge.
+    ``coeffs`` lists the nonzero coefficients, one per independent edge.
+    Each prob is an integer weight over the common denominator D, so the
+    convolution counts in integers and the mass at zero is count / D**n.
     """
-    dist: dict[int, Fraction] = {0: Fraction(1)}
-    for coef in terms:
-        nxt: dict[int, Fraction] = {}
-        for s, p in dist.items():
-            for a, q in zip(scheme.pattern, scheme.probs):
+    denom = math.lcm(*(p.denominator for p in probs))
+    weights = [(a, p.numerator * (denom // p.denominator))
+               for a, p in zip(pattern, probs)]
+    dist: dict[int, int] = {0: 1}
+    for coef in coeffs:
+        nxt: dict[int, int] = {}
+        for s, w in dist.items():
+            for a, q in weights:
                 key = s + coef * a
-                nxt[key] = nxt.get(key, Fraction(0)) + p * q
+                nxt[key] = nxt.get(key, 0) + w * q
         dist = nxt
-    return dist.get(0, Fraction(0))
+    return Fraction(dist.get(0, 0), denom ** len(coeffs))
 
 
 def spreading_prob_exact(cand: WalkCandidate,
@@ -55,7 +66,10 @@ def spreading_prob_exact(cand: WalkCandidate,
     """Exact probability that the walk survives random edge spreading."""
     if not cand.coeffs:
         raise ValueError("candidate has no edges")
-    return _zero_mass_of_sum([c for _, c in cand.coeffs if c != 0], scheme)
+    # Convolution commutes, so the sorted nonzero coefficients are an exact
+    # cache key; L and Z do not enter, so schemes differing only there share.
+    coeffs = tuple(sorted(c for _, c in cand.coeffs if c != 0))
+    return _zero_mass_of_sum(coeffs, scheme.pattern, scheme.probs)
 
 
 def spreading_prob_c4_uniform(memory: int) -> Fraction:

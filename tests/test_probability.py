@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scldpc import (BaseCode, CouplingScheme, HarmfulStructure,
                     enumerate_cycles, joint_prob, lift_prob_bound,
@@ -34,6 +36,25 @@ def _bruteforce_spreading(cand: WalkCandidate,
                 w *= weight[v]
             total += w
     return total
+
+
+def _fraction_convolution(terms, scheme: CouplingScheme) -> Fraction:
+    """Oracle: the Fraction-valued convolution the integer kernel replaced."""
+    dist: dict[int, Fraction] = {0: Fraction(1)}
+    for coef in terms:
+        nxt: dict[int, Fraction] = {}
+        for s, p in dist.items():
+            for a, q in zip(scheme.pattern, scheme.probs):
+                key = s + coef * a
+                nxt[key] = nxt.get(key, Fraction(0)) + p * q
+        dist = nxt
+    return dist.get(0, Fraction(0))
+
+
+def _form(coeffs) -> WalkCandidate:
+    """A candidate carrying an arbitrary signed form, one edge per entry."""
+    return WalkCandidate((0, 0, 1, 1),
+                         tuple(((0, k), c) for k, c in enumerate(coeffs)))
 
 
 def _bruteforce_lift(cand: WalkCandidate, z: int) -> Fraction:
@@ -88,6 +109,65 @@ def test_unavoidable_walk_has_probability_one():
     w = WalkCandidate.from_nodes((0, 0, 1, 1, 0, 2, 1, 0, 0, 1, 1, 2), base)
     assert spreading_prob_exact(w, CouplingScheme.uniform(3)) == 1
     assert lift_prob_exact(w, 64) == 1
+
+
+@st.composite
+def _schemes(draw) -> CouplingScheme:
+    pattern = sorted(draw(st.sets(st.integers(0, 6), min_size=1,
+                                  max_size=4)))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(pattern),
+                            max_size=len(pattern)))
+    probs = tuple(Fraction(w, sum(weights)) for w in weights)
+    return CouplingScheme(tuple(pattern), probs, pattern[-1] + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scheme=_schemes(),
+       coeffs=st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)),
+                       min_size=1, max_size=8))
+def test_spreading_prob_matches_fraction_convolution(scheme, coeffs):
+    assert spreading_prob_exact(_form(coeffs), scheme) == \
+        _fraction_convolution(coeffs, scheme)
+
+
+def test_spreading_cache_key_includes_probs():
+    c = _form((1, -1, 1, -1))
+    skewed = CouplingScheme((0, 2), (Fraction(1, 4), Fraction(3, 4)), 3)
+    even = CouplingScheme((0, 2), (Fraction(1, 2), Fraction(1, 2)), 3)
+    assert spreading_prob_exact(c, skewed) == Fraction(118, 256)
+    assert spreading_prob_exact(c, even) == Fraction(3, 8)
+
+
+def test_spreading_prob_ignores_length_and_lifting():
+    c = enumerate_cycles(BaseCode(3, 3), 6, "simple")[0]
+    ref = spreading_prob_exact(c, CouplingScheme.uniform(2))
+    for length, z in ((3, 1), (7, 1), (3, 34), (11, 5)):
+        scheme = CouplingScheme.uniform(2, coupling_length=length,
+                                        lifting_degree=z)
+        assert spreading_prob_exact(c, scheme) == ref
+
+
+def test_spreading_prob_invariant_under_coefficient_order():
+    scheme = CouplingScheme((0, 1, 3), (Fraction(1, 2), Fraction(1, 3),
+                                        Fraction(1, 6)), 4)
+    coeffs = (2, -1, 3, -1, -3)
+    ref = _fraction_convolution(coeffs, scheme)
+    for perm in itertools.permutations(coeffs):
+        assert spreading_prob_exact(_form(perm), scheme) == ref
+
+
+def test_spreading_prob_drops_zero_coefficients():
+    scheme = CouplingScheme.uniform(3)
+    assert spreading_prob_exact(_form((0, 0, 0)), scheme) == Fraction(1)
+    assert spreading_prob_exact(_form((1, 0, -1, 0)), scheme) == \
+        spreading_prob_exact(_form((1, -1)), scheme)
+
+
+def test_c4_closed_form_matches_kernel_to_memory_25():
+    c = _c4(BaseCode(2, 2))
+    for m in range(26):
+        assert spreading_prob_c4_uniform(m) == \
+            spreading_prob_exact(c, CouplingScheme.uniform(m))
 
 
 def test_asymptotic_decay_rate():
