@@ -8,11 +8,25 @@ Layout (MacKay's convention, column count first):
     <M row degrees>
     N lines: 1-indexed row neighbors of each column, zero-padded
     M lines: 1-indexed column neighbors of each row, zero-padded
+
+Blank lines are ignored.  ``parse_alist`` reads the text one line at a time
+and validates each line as it is read, so beyond the returned matrix it
+holds only the current line.  It checks every degree, padding width and
+index, that the row lists agree with the column lists, that the header's
+maximum degrees are the maxima of the degree lists (so that export of the
+parsed matrix gives the text back), and that nothing follows the last row
+list.
 """
 
 from __future__ import annotations
 
+import re
+from typing import Iterator, Optional
+
 from .model import SparseBinaryMatrix
+
+# A run of characters between two of the line boundaries str.splitlines uses.
+_LINE = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]+")
 
 
 def export_alist(h: SparseBinaryMatrix) -> str:
@@ -35,37 +49,60 @@ def export_alist(h: SparseBinaryMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _lines(text: str) -> Iterator[str]:
+    """Non-blank lines of ``text`` as ``str.splitlines`` cuts them, lazily."""
+    for match in _LINE.finditer(text):
+        line = match.group()
+        if not line.isspace():
+            yield line
+
+
 def parse_alist(text: str) -> SparseBinaryMatrix:
-    rows_of_ints = [[int(tok) for tok in line.split()]
-                    for line in text.splitlines() if line.strip()]
-    if len(rows_of_ints) < 4:
+    n_lines = sum(1 for _ in _lines(text))
+    lines = ([int(tok) for tok in line.split()] for line in _lines(text))
+    if n_lines < 4:
         raise ValueError("truncated alist: missing header")
-    (ncols, nrows), (dmax_col, dmax_row) = rows_of_ints[0], rows_of_ints[1]
-    col_deg, row_deg = rows_of_ints[2], rows_of_ints[3]
+    (ncols, nrows), (dmax_col, dmax_row) = next(lines), next(lines)
+    col_deg, row_deg = next(lines), next(lines)
     if len(col_deg) != ncols or len(row_deg) != nrows:
         raise ValueError("alist degree list length mismatch")
-    if len(rows_of_ints) < 4 + ncols + nrows:
+    if n_lines < 4 + ncols + nrows:
         raise ValueError("truncated alist: missing neighbor lists")
 
     col_rows = []
     for j in range(ncols):
-        entries = [v - 1 for v in rows_of_ints[4 + j] if v != 0]
+        line = next(lines)
+        entries = [v - 1 for v in line if v != 0]
         if len(entries) != col_deg[j]:
             raise ValueError(f"column {j}: degree does not match entries")
-        if len(rows_of_ints[4 + j]) != dmax_col:
+        if len(line) != dmax_col:
             raise ValueError(f"column {j}: line not padded to max degree")
-        col_rows.append(sorted(entries))
-    # Row lists are redundant given the column lists; parse and cross-check.
-    row_lists = []
+        col_rows.append(tuple(sorted(entries)))
+    try:
+        h: Optional[SparseBinaryMatrix] = SparseBinaryMatrix(
+            nrows, ncols, col_rows)
+    except ValueError as err:
+        h, col_error = None, err
+    # Row lists are redundant given the column lists; cross-check each.  A
+    # bad column index or a disagreement is raised only after every row
+    # line's degree and padding passed, so a given defect always yields the
+    # same message.
+    agree = h is not None
     for i in range(nrows):
-        line = rows_of_ints[4 + ncols + i]
-        entries = sorted(v - 1 for v in line if v != 0)
+        line = next(lines)
+        entries = tuple(sorted(v - 1 for v in line if v != 0))
         if len(entries) != row_deg[i]:
             raise ValueError(f"row {i}: degree does not match entries")
         if len(line) != dmax_row:
             raise ValueError(f"row {i}: line not padded to max degree")
-        row_lists.append(tuple(entries))
-    h = SparseBinaryMatrix(nrows, ncols, col_rows)
-    if list(h.row_cols) != row_lists:
+        agree = agree and entries == h.row_cols[i]
+    if h is None:
+        raise col_error
+    if not agree:
         raise ValueError("alist row/column neighbor lists disagree")
+    if dmax_col != max(col_deg) or dmax_row != max(row_deg):
+        raise ValueError("alist header maximum degree does not match "
+                         "the degree lists")
+    if n_lines > 4 + ncols + nrows:
+        raise ValueError("trailing content after alist neighbor lists")
     return h

@@ -24,9 +24,12 @@ def girth(h: SparseBinaryMatrix) -> float:
     """
     n_rows, n_cols = h.nrows, h.ncols
     n = n_rows + n_cols
+    # Check nodes are 0..n_rows-1, variable nodes n_rows..n-1; the column
+    # tuples already list check ids and are shared, not copied.
+    var_ids = list(range(n_rows, n))
     adj: list[tuple[int, ...]] = [
-        tuple(n_rows + j for j in cols) for cols in h.row_cols
-    ] + [tuple(r for r in col) for col in h.col_rows]
+        tuple([var_ids[j] for j in cols]) for cols in h.row_cols
+    ] + list(h.col_rows)
 
     best = math.inf
     dist = [-1] * n

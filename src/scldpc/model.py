@@ -318,6 +318,9 @@ def assemble_qc(instance: CodeInstance) -> SparseBinaryMatrix:
 
     Every protograph one of base edge (i, j) becomes sigma^{L(i,j)}:
     lifted row R*Z + ((c + x) mod Z), column C*Z + c for c in [0, Z).
+    Columns are built directly: the block rows of one protograph column are
+    distinct, so once its (block row R*Z, shift x) pairs are sorted, each of
+    its Z lifted columns comes out sorted without a per-column sort.
     """
     base, scheme = instance.base, instance.scheme
     m = scheme.memory
@@ -325,13 +328,13 @@ def assemble_qc(instance: CodeInstance) -> SparseBinaryMatrix:
     z = scheme.lifting_degree
     nrows = base.gamma * (length + m) * z
     ncols = base.kappa * length * z
-    entries = []
+    col_rows: list[tuple[int, ...]] = []
     for r in range(length):
-        for (i, j) in base.edges:
-            k = instance.partition.values[i][j]
-            x = instance.lift.values[i][j]
-            big_r = ((r + k) * base.gamma + i) * z
-            big_c = (r * base.kappa + j) * z
-            for c in range(z):
-                entries.append((big_r + (c + x) % z, big_c + c))
-    return SparseBinaryMatrix.from_entries(nrows, ncols, entries)
+        for j in range(base.kappa):
+            blocks = sorted(
+                (((r + instance.partition.values[i][j]) * base.gamma + i) * z,
+                 instance.lift.values[i][j])
+                for i in range(base.gamma) if base.mask[i][j])
+            col_rows.extend(tuple(big_r + (c + x) % z for big_r, x in blocks)
+                            for c in range(z))
+    return SparseBinaryMatrix(nrows, ncols, col_rows)

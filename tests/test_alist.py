@@ -81,3 +81,65 @@ def test_parse_rejects_out_of_range_index():
     lines[4] = "3"  # row index beyond nrows
     with pytest.raises(ValueError):
         parse_alist("\n".join(lines))
+
+
+def _two_by_three_lines() -> list[str]:
+    # Rows (1,1,0) and (0,1,1), as in test_known_text_layout.
+    h = SparseBinaryMatrix.from_entries(2, 3, [(0, 0), (0, 1), (1, 1),
+                                               (1, 2)])
+    return export_alist(h).splitlines()
+
+
+@pytest.mark.parametrize("lines_kept, message", [
+    (5, "missing neighbor lists"),      # inside the column lines
+    (8, "missing neighbor lists"),      # inside the row lines
+])
+def test_parse_rejects_truncated_neighbor_lists(lines_kept, message):
+    lines = _two_by_three_lines()
+    with pytest.raises(ValueError, match=message):
+        parse_alist("\n".join(lines[:lines_kept]))
+
+
+def test_parse_rejects_row_line_defects():
+    lines = _two_by_three_lines()
+    bad_padding = lines[:7] + ["1 2 0"] + lines[8:]
+    with pytest.raises(ValueError, match="row 0: line not padded"):
+        parse_alist("\n".join(bad_padding))
+    out_of_range = lines[:8] + ["2 4"]  # column 4 of a 3-column matrix
+    with pytest.raises(ValueError, match="disagree"):
+        parse_alist("\n".join(out_of_range))
+
+
+def test_parse_rejects_trailing_content():
+    lines = _two_by_three_lines()
+    for extra in (["1 2"], ["", "7"], ["x"]):
+        with pytest.raises(ValueError, match="trailing content"):
+            parse_alist("\n".join(lines + extra))
+    # Trailing blank lines are not content.
+    assert parse_alist("\n".join(lines + ["", "  "])).nnz == 4
+
+
+@pytest.mark.parametrize("side", ["column", "row"])
+def test_parse_rejects_header_max_degree_above_actual(side):
+    # Declare a maximum degree one above the real one and pad every line
+    # of that side to it: each line is self-consistent, but exporting the
+    # parsed matrix would not give this text back.
+    lines = _two_by_three_lines()
+    dmax_col, dmax_row = map(int, lines[1].split())
+    if side == "column":
+        lines[1] = f"{dmax_col + 1} {dmax_row}"
+        span = range(4, 7)
+    else:
+        lines[1] = f"{dmax_col} {dmax_row + 1}"
+        span = range(7, 9)
+    for k in span:
+        lines[k] += " 0"
+    with pytest.raises(ValueError, match="maximum degree"):
+        parse_alist("\n".join(lines))
+
+
+def test_parse_accepts_any_line_break():
+    lines = _two_by_three_lines()
+    h = parse_alist("\n".join(lines))
+    for sep in ("\r\n", "\r", "\n\n", "\f"):
+        assert parse_alist(sep.join(lines)) == h

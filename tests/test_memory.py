@@ -1,0 +1,60 @@
+"""Allocation bounds for the two whole-matrix steps: QC assembly and alist
+parsing.
+
+Each step should allocate little beyond its result.  The measure is the
+peak of traced allocations during the call over the bytes still traced
+after it; tracemalloc counts Python allocations deterministically, so the
+ratio does not depend on the machine's load.  The instance is mid-size
+(3x7, m=2, L=6, Z=211: 5064 x 8862, nnz 26586), large enough that fixed
+costs do not dominate.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import pytest
+
+from scldpc import (Assignment, BaseCode, CodeInstance, CouplingScheme,
+                    assemble_qc, export_alist, parse_alist)
+
+
+def _instance() -> CodeInstance:
+    base = BaseCode(3, 7)
+    scheme = CouplingScheme.uniform(2, 6, 211)
+    partition = Assignment("partition", tuple(
+        tuple((i + 2 * j) % 3 for j in range(7)) for i in range(3)))
+    lift = Assignment("lift", tuple(
+        tuple((37 * i * j + 11 * i + 5 * j) % 211 for j in range(7))
+        for i in range(3)))
+    return CodeInstance(base, scheme, partition, lift)
+
+
+def _peak_over_retained(fn):
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        result = fn()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, (peak - before) / (after - before)
+
+
+@pytest.fixture(scope="module")
+def matrix():
+    return assemble_qc(_instance())
+
+
+def test_assemble_qc_allocates_little_beyond_its_result():
+    inst = _instance()
+    h, ratio = _peak_over_retained(lambda: assemble_qc(inst))
+    assert h.nnz == 3 * 7 * 6 * 211
+    assert ratio <= 2.0
+
+
+def test_parse_alist_allocates_little_beyond_its_result(matrix):
+    text = export_alist(matrix)
+    h, ratio = _peak_over_retained(lambda: parse_alist(text))
+    assert h == matrix
+    assert ratio <= 2.5

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scldpc import (Assignment, BaseCode, CodeInstance, CouplingScheme,
                     SparseBinaryMatrix, assemble_protograph, assemble_qc)
@@ -221,6 +223,52 @@ def test_zero_shift_gives_identity_blocks():
     dense = assemble_qc(inst).to_dense()
     assert np.array_equal(dense[:, :4], np.eye(4, dtype=np.uint8))
     assert np.array_equal(dense[:, 4:], np.eye(4, dtype=np.uint8))
+
+
+def _assemble_qc_entries(instance: CodeInstance) -> SparseBinaryMatrix:
+    """Reference assembly: collect every (row, column) entry, then sort."""
+    base, scheme = instance.base, instance.scheme
+    m = scheme.memory
+    length = scheme.coupling_length
+    z = scheme.lifting_degree
+    nrows = base.gamma * (length + m) * z
+    ncols = base.kappa * length * z
+    entries = []
+    for r in range(length):
+        for (i, j) in base.edges:
+            k = instance.partition.values[i][j]
+            x = instance.lift.values[i][j]
+            big_r = ((r + k) * base.gamma + i) * z
+            big_c = (r * base.kappa + j) * z
+            for c in range(z):
+                entries.append((big_r + (c + x) % z, big_c + c))
+    return SparseBinaryMatrix.from_entries(nrows, ncols, entries)
+
+
+@st.composite
+def _instances(draw) -> CodeInstance:
+    gamma = draw(st.integers(1, 4))
+    kappa = draw(st.integers(1, 6))
+    mask = draw(st.lists(st.lists(st.integers(0, 1), min_size=kappa,
+                                  max_size=kappa),
+                         min_size=gamma, max_size=gamma))
+    m = draw(st.integers(0, 3))
+    length = draw(st.integers(m + 1, m + 4))
+    z = draw(st.integers(1, 13))
+    base = BaseCode(gamma, kappa, mask=tuple(map(tuple, mask)))
+    partition = _grid(base, lambda i, j: draw(st.integers(0, m)))
+    lift = _lift_grid(base, lambda i, j: draw(st.integers(0, z - 1)))
+    return CodeInstance(base, CouplingScheme.uniform(m, length, z),
+                        partition, lift)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=_instances())
+def test_assemble_qc_matches_entry_assembly(inst):
+    h = assemble_qc(inst)
+    ref = _assemble_qc_entries(inst)
+    assert (h.nrows, h.ncols) == (ref.nrows, ref.ncols)
+    assert h.col_rows == ref.col_rows
 
 
 def test_instance_validates_lift_range():
