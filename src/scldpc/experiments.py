@@ -32,14 +32,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import BaseCode, CouplingScheme
-from .probability import joint_prob, lift_prob_exact, spreading_prob_exact
+from .probability import (draw, edge_index, forms, joint_prob,
+                          lift_prob_exact, spreading_prob_exact,
+                          stage_blocks, vanish)
 from .walks import (CandidateSet, WalkCandidate, dependency_degree,
                     enumerate_cycles, is_active_lift, is_active_partition)
 from . import bounds
-from .moser_tardos import (PIPELINE_STAGE1_CAP_FACTOR, FALLBACK_CAP,
-                           _edge_index, _joint_framework,
-                           _partition_framework, construct_two_stage,
-                           default_cap, run_joint, run_stage_partition)
+from .moser_tardos import (construct_two_stage, default_cap,
+                           pipeline_stage1_cap, run_joint,
+                           run_stage_partition)
 
 MODES = ("partition-only", "joint", "two-stage")
 
@@ -194,49 +195,36 @@ def _is_active(cand: WalkCandidate, config: ExperimentConfig,
             and is_active_lift(cand, lift, config.scheme.lifting_degree))
 
 
-def _stage_supports(cand: WalkCandidate,
-                    config: ExperimentConfig) -> tuple[set, set]:
-    """(spreading-stage support, lift-stage support) as edge sets."""
-    spread = set(cand.support)
-    if config.mode == "partition-only":
-        return spread, set()
-    return spread, set(cand.support_mod(config.scheme.lifting_degree))
+def _overlap_count(cand: WalkCandidate, elim: CandidateSet) -> int:
+    """Number of eliminate-events sharing at least one variable with cand.
+
+    The integer support decides in every mode: a coefficient nonzero mod Z
+    is nonzero, so a mod-Z support lies inside the integer support.
+    """
+    sharing: set[int] = set()
+    for e in cand.support:
+        sharing.update(elim.by_support.get(e, ()))
+    return len(sharing)
 
 
-def _overlap_count(cand: WalkCandidate, elim: CandidateSet,
-                   config: ExperimentConfig) -> int:
-    """Number of eliminate-events sharing at least one variable with cand."""
-    s_int, s_mod = _stage_supports(cand, config)
-    n = 0
-    for b in elim:
-        b_int, b_mod = _stage_supports(b, config)
-        if (s_int & b_int) or (s_mod & b_mod):
-            n += 1
-    return n
-
-
-def _elim_delta(elim: CandidateSet, config: ExperimentConfig
-                ) -> tuple[int, Optional[int]]:
-    """(observed, closed-form) dependency degree of the eliminate set under
-    the mode's variable sharing."""
-    if config.mode == "partition-only":
-        observed = dependency_degree(elim).delta_observed
-    else:
-        degs = []
-        cands = elim.candidates
-        sups = [_stage_supports(c, config) for c in cands]
-        for a in range(len(cands)):
-            d = 0
-            for b in range(len(cands)):
-                if a == b:
-                    continue
-                if (sups[a][0] & sups[b][0]) or (sups[a][1] & sups[b][1]):
-                    d += 1
-            degs.append(d)
-        observed = max(degs, default=0)
+def _elim_delta(elim: CandidateSet) -> tuple[int, Optional[int]]:
+    """(observed, closed-form) dependency degree of the eliminate set; the
+    integer supports decide in every mode, as in ``_overlap_count``."""
+    observed = dependency_degree(elim).delta_observed
     dims = bounds.c4_block_dims(elim)
     formula = None if dims is None else bounds.formula_delta_c4(*dims)
     return observed, formula
+
+
+def _null_check(hits: int, n: int, p: float) -> Optional[bool]:
+    """Two-sided 4 sigma test of hits/n against p; when sigma is 0 (p is 0
+    or 1) only hits == n p passes.  None without trials."""
+    if n == 0:
+        return None
+    sigma = math.sqrt(p * (1.0 - p) / n)
+    if sigma > 0:
+        return abs(hits / n - p) <= 4.0 * sigma
+    return hits == n * p
 
 
 def wilson_interval(hits: int, n: int, z: float = Z95) -> tuple[float, float]:
@@ -286,27 +274,16 @@ def estimate_baseline(config: ExperimentConfig) -> BaselineReport:
         for c in oset:
             flat.append((label, c, _candidate_prob(c, config)))
 
-    base = config.base
-    index = _edge_index(base)
-    n_edges = len(base.edges)
-    partition_only = config.mode == "partition-only"
-    framework = (_partition_framework(base, config.scheme) if partition_only
-                 else _joint_framework(base, config.scheme))
-    z = config.scheme.lifting_degree
-
+    index = edge_index(config.base.edges)
+    blocks = stage_blocks(config.scheme, "partition"
+                          if config.mode == "partition-only" else "joint")
+    cand_forms = [forms(c, index, blocks) for _, c, _ in flat]
     hits = [0] * len(flat)
     for _ in range(config.trials):
-        values = framework.sample_all(rng)
-        for k, (_, c, _) in enumerate(flat):
-            s = sum(coef * values[index[e]] for e, coef in c.coeffs)
-            if s != 0:
-                continue
-            if not partition_only:
-                t = sum(coef * values[n_edges + index[e]]
-                        for e, coef in c.coeffs)
-                if t % z != 0:
-                    continue
-            hits[k] += 1
+        values = draw(rng, blocks, len(index))
+        for k, fs in enumerate(cand_forms):
+            if vanish(fs, values):
+                hits[k] += 1
 
     rows = []
     n = config.trials
@@ -315,7 +292,7 @@ def estimate_baseline(config: ExperimentConfig) -> BaselineReport:
         sigma = math.sqrt(pf * (1.0 - pf) / n)
         freq = hits[k] / n
         zscore = 0.0 if sigma == 0 else (freq - pf) / sigma
-        ok = abs(zscore) <= 4.0 if sigma > 0 else hits[k] in (0, n)
+        ok = _null_check(hits[k], n, pf)
         rows.append(BaselineRow(c.key, label, p, hits[k], freq, zscore, ok))
     max_abs = max((abs(r.z_score) for r in rows), default=0.0)
     return BaselineReport(n, rows, max_abs, all(r.within_4sigma
@@ -438,13 +415,8 @@ def _precomputed_caps(config: ExperimentConfig,
     if config.mode == "joint":
         probs = [joint_prob(c, scheme).joint for c in elim]
         return default_cap(elim, probs), None
-    spread_probs = [spreading_prob_exact(c, scheme) for c in elim]
-    cap1 = default_cap(elim, spread_probs)
-    if cap1 == FALLBACK_CAP:
-        cap1 = PIPELINE_STAGE1_CAP_FACTOR * max(1, len(elim))
     lift_probs = [lift_prob_exact(c, scheme.lifting_degree) for c in elim]
-    cap2 = default_cap(elim, lift_probs)
-    return cap1, cap2
+    return pipeline_stage1_cap(elim, scheme), default_cap(elim, lift_probs)
 
 
 def estimate_mt_shift(config: ExperimentConfig) -> ExperimentStats:
@@ -456,7 +428,7 @@ def estimate_mt_shift(config: ExperimentConfig) -> ExperimentStats:
 
     elim_probs = [_candidate_prob(c, config) for c in elim]
     p_elim_max = max(elim_probs)
-    delta_observed, delta_formula = _elim_delta(elim, config)
+    delta_observed, delta_formula = _elim_delta(elim)
     if delta_formula is not None:
         delta_used, delta_source = delta_formula, "formula"
     else:
@@ -483,7 +455,7 @@ def estimate_mt_shift(config: ExperimentConfig) -> ExperimentStats:
                        if _is_active(c, config, partition, lift))
             p_hat = hits / n_ok if n_ok else 0.0
             lo, hi = wilson_interval(hits, n_ok)
-            n_e = _overlap_count(c, elim, config)
+            n_e = _overlap_count(c, elim)
             pf = float(p_omega)
             ratio = p_hat / pf if pf > 0 and n_ok else None
             r_up = hi / pf if pf > 0 and n_ok else None
@@ -494,14 +466,7 @@ def estimate_mt_shift(config: ExperimentConfig) -> ExperimentStats:
                         if asym_certified else None)
             if n_e == 0:
                 # No shared variables: distribution must not move at all.
-                sigma = math.sqrt(pf * (1 - pf) / n_ok) if n_ok else 0.0
-                if sigma > 0:
-                    passed = abs(p_hat - pf) <= 4.0 * sigma
-                elif n_ok:
-                    passed = hits in (0, n_ok) and pf in (0.0, 1.0)
-                else:
-                    passed = None
-                kind = "null-4sigma"
+                passed, kind = _null_check(hits, n_ok, pf), "null-4sigma"
             else:
                 applicable = [cap for cap in (cap_sym, cap_rel, cap_asym)
                               if cap is not None]

@@ -1,11 +1,12 @@
 """Resampling engine: kill target walks by redrawing the edges they use.
 
-Variable framework: one integer variable per masked base edge and stage
-(spreading value with the scheme's distribution, lift shift uniform on
-[0, Z)).  Each avoidable target walk becomes a bad event, a conjunction of
-one or two linear conditions over those variables (integer condition on
-spreading values, condition mod Z on shifts); the event's scope is the set
-of variables the surviving conditions actually mention.
+Variables: one integer per masked base edge and stage, laid out as the
+stage's blocks (``probability.stage_blocks``): spreading values with the
+scheme's distribution, lift shifts uniform on [0, Z), or both.  Each
+avoidable target walk becomes a bad event: its linear forms
+(``probability.forms``, one per block, over the integers for spreading
+values and mod Z for shifts) all vanish.  The event's scope is the set of
+variables its forms mention.
 
 The solver is the classic resample-until-clean procedure with the
 depth-first recursion order made explicit:
@@ -21,10 +22,9 @@ depth-first recursion order made explicit:
 the relevant subset (recorded in trace metadata), and "sharing scope"
 includes e itself.  Every run is a pure function of (inputs, seed).
 
-Tautological targets (constant-true conditions: all coefficients zero, a
-one-value pattern, or every coefficient divisible by Z) can never be
-resampled away and are rejected up front with an AdmissionError naming
-them.
+Tautological targets (no forms left: all coefficients zero, a one-value
+pattern, or every coefficient divisible by Z) can never be resampled away
+and are rejected up front with an AdmissionError naming them.
 """
 
 from __future__ import annotations
@@ -35,9 +35,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .model import (Assignment, BaseCode, CodeInstance, CouplingScheme,
-                    Edge)
-from .probability import (joint_prob, lift_prob_exact, spreading_prob_exact)
+from .model import Assignment, BaseCode, CodeInstance, CouplingScheme
+from .probability import (Block, Form, draw, edge_index, forms, joint_prob,
+                          lift_prob_exact, spreading_prob_exact, stage_blocks,
+                          vanish)
 from .walks import CandidateSet, WalkCandidate, is_active_partition
 from . import bounds
 
@@ -45,6 +46,8 @@ FALLBACK_CAP = 10 ** 6
 PIPELINE_STAGE1_CAP_FACTOR = 100
 
 SeedLike = Union[int, np.random.SeedSequence]
+# (stage blocks, variables per block): what run_mt draws.
+Framework = tuple[tuple[Block, ...], int]
 
 
 class AdmissionError(ValueError):
@@ -58,97 +61,12 @@ class AdmissionError(ValueError):
             f"resampled away): {', '.join(self.labels)}")
 
 
-class _Categorical:
-    """Exact sampler over integer values with rational probabilities."""
-
-    def __init__(self, values: Sequence[int], probs) -> None:
-        self.values = np.array(values, dtype=np.int64)
-        self.denom = math.lcm(*(p.denominator for p in probs))
-        weights = [int(p * self.denom) for p in probs]
-        self.cum = np.cumsum(np.array(weights, dtype=np.int64))
-
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        u = rng.integers(0, self.denom, size=n)
-        return self.values[np.searchsorted(self.cum, u, side="right")]
-
-
-class _Uniform:
-    def __init__(self, z: int) -> None:
-        self.z = z
-
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.integers(0, self.z, size=n)
-
-
-@dataclass(frozen=True)
-class Segment:
-    start: int
-    stop: int
-    sampler: object
-
-
-class VariableFramework:
-    """Named integer variables in contiguous segments, one sampler each."""
-
-    def __init__(self, names: Sequence[str],
-                 segments: Sequence[Segment]) -> None:
-        self.names = tuple(names)
-        self.segments = tuple(segments)
-        covered = sorted((s.start, s.stop) for s in segments)
-        pos = 0
-        for a, b in covered:
-            if a != pos or b < a:
-                raise ValueError("segments must tile the variable range")
-            pos = b
-        if pos != len(self.names):
-            raise ValueError("segments must cover every variable")
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def sample_all(self, rng: np.random.Generator) -> list[int]:
-        values = [0] * len(self.names)
-        for seg in self.segments:
-            drawn = seg.sampler.draw(rng, seg.stop - seg.start)
-            for k, v in enumerate(drawn, start=seg.start):
-                values[k] = int(v)
-        return values
-
-    def resample(self, rng: np.random.Generator, idxs: Sequence[int],
-                 values: list[int]) -> None:
-        for seg in self.segments:
-            mine = [k for k in idxs if seg.start <= k < seg.stop]
-            if not mine:
-                continue
-            drawn = seg.sampler.draw(rng, len(mine))
-            for k, v in zip(mine, drawn):
-                values[k] = int(v)
-
-
-@dataclass(frozen=True)
-class Condition:
-    var_idx: tuple[int, ...]
-    coeffs: tuple[int, ...]
-    modulus: Optional[int]
-
-    def holds(self, values: Sequence[int]) -> bool:
-        total = 0
-        for v, c in zip(self.var_idx, self.coeffs):
-            total += c * values[v]
-        if self.modulus is not None:
-            total %= self.modulus
-        return total == 0
-
-
 @dataclass(frozen=True)
 class Event:
     label: str
     order: tuple
-    conditions: tuple[Condition, ...]
+    forms: tuple[Form, ...]
     scope: tuple[int, ...]
-
-    def occurs(self, values: Sequence[int]) -> bool:
-        return all(c.holds(values) for c in self.conditions)
 
 
 @dataclass
@@ -162,19 +80,21 @@ class MTTrace:
     metadata: dict = field(default_factory=dict)
 
 
-def run_mt(framework: VariableFramework, events: Sequence[Event],
-           seed: SeedLike,
+def run_mt(framework: Framework, events: Sequence[Event], seed: SeedLike,
            max_resamples: Optional[int] = None) -> tuple[list[int], MTTrace]:
     """Resample until no event occurs (or the cap is hit).
 
-    None disables the cap; the stage runners always pass one.  Returns the
-    final variable values and the trace; ``terminated`` is False iff the
-    cap cut the run short, in which case the values are the partial state.
+    ``framework`` is (blocks, n): the stage layout and its variables per
+    block.  None disables the cap; the stage runners always pass one.
+    Returns the final variable values and the trace; ``terminated`` is
+    False iff the cap cut the run short, in which case the values are the
+    partial state.
     """
+    blocks, n_vars = framework
     events = sorted(events, key=lambda e: e.order)
     rng = np.random.default_rng(seed)
     n_ev = len(events)
-    values = framework.sample_all(rng)
+    values = draw(rng, blocks, n_vars)
 
     var_events: dict[int, list[int]] = {}
     for n, e in enumerate(events):
@@ -189,7 +109,8 @@ def run_mt(framework: VariableFramework, events: Sequence[Event],
             touching.update(var_events[v])
         neighbors.append(tuple(sorted(touching)))
 
-    occ = [e.occurs(values) for e in events]
+    event_forms = [e.forms for e in events]
+    occ = [vanish(f, values) for f in event_forms]
     per_event = [0] * n_ev
     total = 0
     wall = 0
@@ -200,11 +121,11 @@ def run_mt(framework: VariableFramework, events: Sequence[Event],
         nonlocal total
         if max_resamples is not None and total >= max_resamples:
             return False
-        framework.resample(rng, events[n].scope, values)
+        draw(rng, blocks, n_vars, values, events[n].scope)
         total += 1
         per_event[n] += 1
         for t in neighbors[n]:
-            occ[t] = events[t].occurs(values)
+            occ[t] = vanish(event_forms[t], values)
         return True
 
     while not capped:
@@ -228,7 +149,7 @@ def run_mt(framework: VariableFramework, events: Sequence[Event],
             stack.append(nxt)
 
     terminated = not capped
-    if terminated and any(e.occurs(values) for e in events):
+    if terminated and any(vanish(f, values) for f in event_forms):
         raise AssertionError("resampler stopped while an event still occurs")
     trace = MTTrace(
         total_resamples=total,
@@ -257,66 +178,25 @@ def _normalize_targets(base: BaseCode,
     return CandidateSet(base, cands), cands
 
 
-def _edge_index(base: BaseCode) -> dict[Edge, int]:
-    return {e: n for n, e in enumerate(base.edges)}
-
-
-def _partition_condition(cand: WalkCandidate, index: dict[Edge, int],
-                         pattern_size: int) -> Optional[Condition]:
-    terms = [(index[e], c) for e, c in cand.coeffs if c != 0]
-    if not terms or pattern_size == 1:
-        return None
-    return Condition(tuple(t[0] for t in terms),
-                     tuple(t[1] for t in terms), None)
-
-
-def _lift_condition(cand: WalkCandidate, index: dict[Edge, int], z: int,
-                    offset: int) -> Optional[Condition]:
-    terms = [(offset + index[e], c % z) for e, c in cand.coeffs
-             if c % z != 0]
-    if not terms:
-        return None
-    return Condition(tuple(t[0] for t in terms),
-                     tuple(t[1] for t in terms), z)
-
-
-def _build_events(cands: Sequence[WalkCandidate], conditions_of,
-                  stage: str) -> list[Event]:
+def _build_events(cands: Sequence[WalkCandidate], base: BaseCode,
+                  scheme: CouplingScheme,
+                  stage: str) -> tuple[Framework, list[Event]]:
+    """The stage's (blocks, n) layout for ``run_mt`` and one event per
+    target."""
+    blocks = stage_blocks(scheme, stage)
+    index = edge_index(base.edges)
     events = []
     rejected = []
     for cand in cands:
-        conds = [c for c in conditions_of(cand) if c is not None]
-        if not conds:
+        fs = forms(cand, index, blocks)
+        if not fs:
             rejected.append(cand.key)
             continue
-        scope = tuple(sorted({v for c in conds for v in c.var_idx}))
-        events.append(Event(cand.key, cand.sort_key, tuple(conds), scope))
+        scope = tuple(sorted({v for var_idx, _, _ in fs for v in var_idx}))
+        events.append(Event(cand.key, cand.sort_key, fs, scope))
     if rejected:
         raise AdmissionError(rejected, stage)
-    return events
-
-
-def _partition_framework(base: BaseCode,
-                         scheme: CouplingScheme) -> VariableFramework:
-    names = [f"P[{i},{j}]" for i, j in base.edges]
-    sampler = _Categorical(scheme.pattern, scheme.probs)
-    return VariableFramework(names, [Segment(0, len(names), sampler)])
-
-
-def _lift_framework(base: BaseCode, z: int) -> VariableFramework:
-    names = [f"L[{i},{j}]" for i, j in base.edges]
-    return VariableFramework(names, [Segment(0, len(names), _Uniform(z))])
-
-
-def _joint_framework(base: BaseCode,
-                     scheme: CouplingScheme) -> VariableFramework:
-    edges = base.edges
-    names = [f"P[{i},{j}]" for i, j in edges] + \
-            [f"L[{i},{j}]" for i, j in edges]
-    return VariableFramework(names, [
-        Segment(0, len(edges), _Categorical(scheme.pattern, scheme.probs)),
-        Segment(len(edges), 2 * len(edges), _Uniform(scheme.lifting_degree)),
-    ])
+    return (blocks, len(index)), events
 
 
 def default_cap(cset: CandidateSet, probs) -> int:
@@ -336,11 +216,21 @@ def default_cap(cset: CandidateSet, probs) -> int:
     return FALLBACK_CAP
 
 
+def pipeline_stage1_cap(cset: CandidateSet, scheme: CouplingScheme) -> int:
+    """Stage-1 cap of the two-stage pipeline: ``default_cap`` when the
+    partition stage is certified, PIPELINE_STAGE1_CAP_FACTOR x k otherwise."""
+    probs = [spreading_prob_exact(c, scheme) for c in cset]
+    cap = default_cap(cset, probs)
+    if cap == FALLBACK_CAP:
+        cap = PIPELINE_STAGE1_CAP_FACTOR * max(1, len(cset))
+    return cap
+
+
 def _grid_from_values(base: BaseCode, stage: str, values: Sequence[int],
-                      index: dict[Edge, int], offset: int = 0) -> Assignment:
+                      offset: int = 0) -> Assignment:
     grid: list[list[Optional[int]]] = [[None] * base.kappa
                                        for _ in range(base.gamma)]
-    for (i, j), n in index.items():
+    for n, (i, j) in enumerate(base.edges):
         grid[i][j] = values[offset + n]
     return Assignment(stage, tuple(tuple(row) for row in grid))
 
@@ -351,17 +241,12 @@ def run_stage_partition(base: BaseCode, scheme: CouplingScheme, targets,
                         ) -> tuple[Assignment, MTTrace]:
     """Draw spreading values until no target survives the integer condition."""
     cset, cands = _normalize_targets(base, targets)
-    index = _edge_index(base)
-    events = _build_events(
-        cands,
-        lambda c: [_partition_condition(c, index, len(scheme.pattern))],
-        "partition")
+    framework, events = _build_events(cands, base, scheme, "partition")
     if max_resamples is None:
         probs = [spreading_prob_exact(c, scheme) for c in cset]
         max_resamples = default_cap(cset, probs)
-    framework = _partition_framework(base, scheme)
     values, trace = run_mt(framework, events, seed, max_resamples)
-    return _grid_from_values(base, "partition", values, index), trace
+    return _grid_from_values(base, "partition", values), trace
 
 
 def run_stage_lift(base: BaseCode, scheme: CouplingScheme,
@@ -376,41 +261,29 @@ def run_stage_lift(base: BaseCode, scheme: CouplingScheme,
     cset, cands = _normalize_targets(base, targets)
     z = scheme.lifting_degree
     survivors = tuple(c for c in cands if is_active_partition(c, partition))
-    index = _edge_index(base)
-    events = _build_events(
-        survivors, lambda c: [_lift_condition(c, index, z, 0)], "lift")
+    framework, events = _build_events(survivors, base, scheme, "lift")
     if max_resamples is None and survivors:
         sset = CandidateSet(base, survivors)
         probs = [lift_prob_exact(c, z) for c in sset]
         max_resamples = default_cap(sset, probs)
-    framework = _lift_framework(base, z)
     values, trace = run_mt(framework, events, seed, max_resamples)
     trace.metadata["survivors"] = [c.key for c in survivors]
-    return _grid_from_values(base, "lift", values, index), trace
+    return _grid_from_values(base, "lift", values), trace
 
 
 def run_joint(base: BaseCode, scheme: CouplingScheme, targets,
               seed: SeedLike, max_resamples: Optional[int] = None
               ) -> tuple[CodeInstance, MTTrace]:
     """Resample spreading values and lift shifts together (one event per
-    target, conjunction of both conditions)."""
+    target, conjunction of both forms)."""
     cset, cands = _normalize_targets(base, targets)
-    index = _edge_index(base)
-    z = scheme.lifting_degree
-    n_edges = len(base.edges)
-
-    def conditions(c: WalkCandidate):
-        return [_partition_condition(c, index, len(scheme.pattern)),
-                _lift_condition(c, index, z, n_edges)]
-
-    events = _build_events(cands, conditions, "joint")
+    framework, events = _build_events(cands, base, scheme, "joint")
     if max_resamples is None:
         probs = [joint_prob(c, scheme) for c in cset]
         max_resamples = default_cap(cset, probs)
-    framework = _joint_framework(base, scheme)
     values, trace = run_mt(framework, events, seed, max_resamples)
-    partition = _grid_from_values(base, "partition", values, index)
-    lift = _grid_from_values(base, "lift", values, index, offset=n_edges)
+    partition = _grid_from_values(base, "partition", values)
+    lift = _grid_from_values(base, "lift", values, offset=len(base.edges))
     instance = CodeInstance(base, scheme, partition, lift,
                             seed=seed if isinstance(seed, int) else None)
     return instance, trace
@@ -448,11 +321,7 @@ def construct_two_stage(base: BaseCode, scheme: CouplingScheme, targets,
     cset, cands = _normalize_targets(base, targets)
     s1, s2 = derive_child_seeds(seed, 2)
     if stage1_max is None:
-        probs = [spreading_prob_exact(c, scheme) for c in cset]
-        cap = default_cap(cset, probs)
-        if cap == FALLBACK_CAP:
-            cap = PIPELINE_STAGE1_CAP_FACTOR * max(1, len(cset))
-        stage1_max = cap
+        stage1_max = pipeline_stage1_cap(cset, scheme)
     partition, trace1 = run_stage_partition(base, scheme, cands, s1,
                                             stage1_max)
     lift, trace2 = run_stage_lift(base, scheme, partition, cands, s2,

@@ -1,10 +1,25 @@
-"""Exact activation probabilities under independent random assignments.
+"""Product measure, linear-form events and exact activation probabilities.
 
 With every edge's spreading value drawn independently from the scheme's
 distribution and every lift shift uniform on [0, Z), a candidate walk is
 *active* when its signed coefficient sum hits zero (over the integers for
-spreading, mod Z for lifting).  Both probabilities are computed exactly as
-rationals:
+spreading, mod Z for lifting).
+
+One representation serves every sampler and evaluator in the package (the
+resampler, the baseline and shift harness, the Monte Carlo estimator):
+
+* a ``Sampler`` draws integer values with exact integer weights;
+  ``scheme_sampler`` is the spreading distribution and ``uniform(z)`` the
+  lift shifts;
+* a stage layout is an ordered tuple of blocks ``(sampler, modulus)``,
+  modulus 0 meaning over the integers: partition is (P,), lift is (L,),
+  joint is (P, L).  With n edges, block b owns variables b*n ... b*n+n-1,
+  one per edge;
+* ``forms`` turns a walk into its linear forms (variable indices,
+  coefficients, modulus), one per block, dropping the constant-true ones;
+  ``vanish`` evaluates them, and ``draw`` draws or redraws variables.
+
+Both probabilities are computed exactly as rationals:
 
 * spreading: convolve the per-edge distributions of coeff * value and read
   off the mass at zero.  The convolution runs on integer weights over the
@@ -28,14 +43,116 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import CouplingScheme
+from .model import CouplingScheme, Edge
 from .walks import WalkCandidate
+
+# (variable indices, coefficients, modulus); modulus 0 means over the integers.
+Form = tuple[tuple[int, ...], tuple[int, ...], int]
+
+
+def _int_weights(probs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(D, weights): each prob as an integer weight over the common
+    denominator D of all of them."""
+    denom = math.lcm(*(p.denominator for p in probs))
+    return denom, [p.numerator * (denom // p.denominator) for p in probs]
+
+
+class Sampler:
+    """Exact sampler: ``values[k]`` with probability weights[k] / sum."""
+
+    def __init__(self, values: Sequence[int], weights: Sequence[int]) -> None:
+        self.values = np.array(values, dtype=np.int64)
+        self.cum = np.cumsum(np.array(weights, dtype=np.int64))
+        self.total = int(self.cum[-1])
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        u = rng.integers(0, self.total, size=n)
+        return self.values[np.searchsorted(self.cum, u, side="right")]
+
+
+# (sampler, modulus): one variable per edge, drawn by the sampler.
+Block = tuple[Sampler, int]
+
+
+def scheme_sampler(scheme: CouplingScheme) -> Sampler:
+    return Sampler(scheme.pattern, _int_weights(scheme.probs)[1])
+
+
+def uniform(z: int) -> Sampler:
+    """Uniform on range(z); draws exactly what rng.integers(0, z) draws."""
+    return Sampler(range(z), [1] * z)
+
+
+def stage_blocks(scheme: CouplingScheme, stage: str) -> tuple[Block, ...]:
+    """The stage layout: partition (P,), lift (L,), joint (P, L)."""
+    z = scheme.lifting_degree
+    if stage == "partition":
+        return ((scheme_sampler(scheme), 0),)
+    if stage == "lift":
+        return ((uniform(z), z),)
+    return ((scheme_sampler(scheme), 0), (uniform(z), z))
+
+
+def edge_index(edges: Sequence[Edge]) -> dict[Edge, int]:
+    return {e: n for n, e in enumerate(edges)}
+
+
+def forms(cand: WalkCandidate, index: dict[Edge, int],
+          blocks: Sequence[Block]) -> tuple[Form, ...]:
+    """The walk's linear form in each block, constant-true ones dropped: a
+    one-value sampler (the coefficients of a closed walk sum to zero), or
+    every coefficient 0 mod the modulus."""
+    n = len(index)
+    out = []
+    for b, (sampler, modulus) in enumerate(blocks):
+        if len(sampler) == 1:
+            continue
+        terms = [(b * n + index[e], c % modulus if modulus else c)
+                 for e, c in cand.coeffs]
+        terms = [t for t in terms if t[1] != 0]
+        if terms:
+            out.append((tuple(t[0] for t in terms),
+                        tuple(t[1] for t in terms), modulus))
+    return tuple(out)
+
+
+def vanish(fs: Sequence[Form], values: Sequence[int]) -> bool:
+    """Does every form vanish (over the integers, or mod its modulus)?"""
+    for var_idx, coeffs, modulus in fs:
+        total = 0
+        for v, c in zip(var_idx, coeffs):
+            total += c * values[v]
+        if (total % modulus if modulus else total) != 0:
+            return False
+    return True
+
+
+def draw(rng: np.random.Generator, blocks: Sequence[Block], n: int,
+         values: Optional[list[int]] = None,
+         scope: Sequence[int] = ()) -> list[int]:
+    """Draw all n * len(blocks) variables, or, given ``values``, redraw the
+    sorted ``scope`` in place.  Either way each block with variables to
+    draw makes one sampler call, in block order."""
+    if values is None:
+        values = [0] * (n * len(blocks))
+        scope = range(len(values))
+    for b, (sampler, _) in enumerate(blocks):
+        lo, hi = bisect_left(scope, b * n), bisect_left(scope, (b + 1) * n)
+        if lo < hi:
+            drawn = sampler.draw(rng, hi - lo).tolist()
+            for k, v in zip(scope[lo:hi], drawn):
+                values[k] = v
+    return values
 
 
 @functools.lru_cache(maxsize=1024)
@@ -47,9 +164,8 @@ def _zero_mass_of_sum(coeffs: tuple[int, ...], pattern: tuple[int, ...],
     Each prob is an integer weight over the common denominator D, so the
     convolution counts in integers and the mass at zero is count / D**n.
     """
-    denom = math.lcm(*(p.denominator for p in probs))
-    weights = [(a, p.numerator * (denom // p.denominator))
-               for a, p in zip(pattern, probs)]
+    denom, int_weights = _int_weights(probs)
+    weights = list(zip(pattern, int_weights))
     dist: dict[int, int] = {0: 1}
     for coef in coeffs:
         nxt: dict[int, int] = {}
@@ -183,28 +299,11 @@ def mc_structure_prob(struct: HarmfulStructure, scheme: CouplingScheme,
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    edges = sorted({e for c in struct.cycles for e in c.edges})
-    index = {e: k for k, e in enumerate(edges)}
-    pattern = np.array(scheme.pattern, dtype=np.int64)
-    denom = math.lcm(*(p.denominator for p in scheme.probs))
-    weights = np.cumsum([int(p * denom) for p in scheme.probs])
-    z = scheme.lifting_degree
-    hits = 0
-    for _ in range(trials):
-        u = rng.integers(0, denom, size=len(edges))
-        spread_vals = pattern[np.searchsorted(weights, u, side="right")]
-        lift_vals = rng.integers(0, z, size=len(edges))
-        ok = True
-        for c in struct.cycles:
-            s_int = sum(coef * int(spread_vals[index[e]])
-                        for e, coef in c.coeffs)
-            s_mod = sum(coef * int(lift_vals[index[e]])
-                        for e, coef in c.coeffs)
-            if s_int != 0 or s_mod % z != 0:
-                ok = False
-                break
-        if ok:
-            hits += 1
+    index = edge_index(sorted({e for c in struct.cycles for e in c.edges}))
+    blocks = stage_blocks(scheme, "joint")
+    all_forms = [f for c in struct.cycles for f in forms(c, index, blocks)]
+    hits = sum(vanish(all_forms, draw(rng, blocks, len(index)))
+               for _ in range(trials))
     return hits / trials
 
 

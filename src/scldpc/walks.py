@@ -304,28 +304,28 @@ class CandidateSet:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def is_active_partition(cand: WalkCandidate, partition: Assignment) -> bool:
-    """Does the walk survive edge spreading (integer condition)?"""
+def _signed_sum(cand: WalkCandidate, assignment: Assignment,
+                name: str) -> int:
+    """sum_e coeff(e) * value(e) over every walk edge."""
     total = 0
     for (e, coef) in cand.coeffs:
-        v = partition.get(e)
+        v = assignment.get(e)
         if v is None:
-            raise ValueError(f"partition does not cover walk edge {e}")
+            raise ValueError(f"{name} does not cover walk edge {e}")
         total += coef * v
-    return total == 0
+    return total
+
+
+def is_active_partition(cand: WalkCandidate, partition: Assignment) -> bool:
+    """Does the walk survive edge spreading (integer condition)?"""
+    return _signed_sum(cand, partition, "partition") == 0
 
 
 def is_active_lift(cand: WalkCandidate, lift: Assignment, z: int) -> bool:
     """Does the walk survive lifting (condition modulo Z)?"""
     if z < 1:
         raise ValueError("lifting degree must be at least 1")
-    total = 0
-    for (e, coef) in cand.coeffs:
-        v = lift.get(e)
-        if v is None:
-            raise ValueError(f"lift does not cover walk edge {e}")
-        total += coef * v
-    return total % z == 0
+    return _signed_sum(cand, lift, "lift") % z == 0
 
 
 def harmful_weight(base: BaseCode,

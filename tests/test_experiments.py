@@ -1,16 +1,21 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scldpc import (BaseCode, CouplingScheme, ExperimentConfig,
+from scldpc import (BaseCode, CandidateSet, CouplingScheme, ExperimentConfig,
                     StructureSpec, enumerate_cycles, estimate_baseline,
                     estimate_mt_shift, spreading_prob_exact, sweep,
                     verify_theorem2, wilson_interval)
+from scldpc.experiments import (MODES, _elim_delta, _null_check,
+                                _overlap_count)
 
 
 def _config(**overrides) -> ExperimentConfig:
@@ -169,6 +174,109 @@ def test_disjoint_windows_get_null_check():
         assert o.check_kind == "null-4sigma"
         assert o.check_passed is True
     assert stats.all_checks_pass
+
+
+# ---------------------------------------------------------------------------
+# Null check and dependency counts
+# ---------------------------------------------------------------------------
+
+def test_null_check_with_zero_sigma_requires_exact_count():
+    assert _null_check(0, 50, 1.0) is False
+    assert _null_check(50, 50, 1.0) is True
+    assert _null_check(0, 50, 0.0) is True
+    assert _null_check(50, 50, 0.0) is False
+    assert _null_check(49, 50, 1.0) is False
+    assert _null_check(0, 0, 1.0) is None
+
+
+def test_null_check_four_sigma():
+    # p = 1/2, n = 100: sigma = 0.05, so |hits/n - 1/2| <= 0.2 passes.
+    assert _null_check(70, 100, 0.5) is True
+    assert _null_check(71, 100, 0.5) is False
+    assert _null_check(29, 100, 0.5) is False
+
+
+def test_memory_zero_baseline_rows_are_within():
+    # One-value pattern: every c6 is active with p = 1 and sigma = 0.
+    rep = estimate_baseline(_config(scheme=CouplingScheme.uniform(0),
+                                    trials=40))
+    assert all(r.p_omega == 1 and r.hits == 40 for r in rep.rows)
+    assert all(r.within_4sigma for r in rep.rows)
+    assert rep.all_within
+
+
+def _pairwise_stage_supports(cand, config):
+    """(spreading-stage support, lift-stage support) as edge sets."""
+    spread = set(cand.support)
+    if config.mode == "partition-only":
+        return spread, set()
+    return spread, set(cand.support_mod(config.scheme.lifting_degree))
+
+
+def _pairwise_overlap_count(cand, elim, config):
+    """Oracle: the pairwise count over both stages' supports."""
+    s_int, s_mod = _pairwise_stage_supports(cand, config)
+    n = 0
+    for b in elim:
+        b_int, b_mod = _pairwise_stage_supports(b, config)
+        if (s_int & b_int) or (s_mod & b_mod):
+            n += 1
+    return n
+
+
+def _pairwise_delta(elim, config):
+    """Oracle: the O(k^2) dependency degree over both stages' supports."""
+    cands = elim.candidates
+    sups = [_pairwise_stage_supports(c, config) for c in cands]
+    degs = []
+    for a in range(len(cands)):
+        d = 0
+        for b in range(len(cands)):
+            if a == b:
+                continue
+            if (sups[a][0] & sups[b][0]) or (sups[a][1] & sups[b][1]):
+                d += 1
+        degs.append(d)
+    return max(degs, default=0)
+
+
+@functools.lru_cache(maxsize=None)
+def _walks(gamma, kappa, kind):
+    base = BaseCode(gamma, kappa)
+    if kind == "c12-tbc-zero":
+        # Walks through an edge both ways, so with a zero coefficient.
+        return tuple(c for c in enumerate_cycles(base, 12, "tbc")
+                     if len(c.support) < len(c.edges))
+    two_g, mode = {"c4": (4, "simple"), "c6": (6, "simple"),
+                   "c8-tbc": (8, "tbc")}[kind]
+    return enumerate_cycles(base, two_g, mode).candidates
+
+
+@settings(max_examples=80, deadline=None)
+@given(gamma=st.integers(2, 3), kappa=st.integers(2, 4),
+       kind=st.sampled_from(("c4", "c6", "c8-tbc")), z=st.integers(1, 6),
+       mode=st.sampled_from(MODES), data=st.data())
+def test_dependency_counts_match_pairwise_oracle(gamma, kappa, kind, z,
+                                                 mode, data):
+    pool = _walks(gamma, kappa, kind)
+    if not pool:
+        return
+    picked = pool if data.draw(st.booleans()) else data.draw(
+        st.lists(st.sampled_from(pool), min_size=1, max_size=40,
+                 unique=True))
+    elim = CandidateSet(BaseCode(gamma, kappa), tuple(picked))
+    config = _config(gamma=gamma, kappa=kappa, mode=mode,
+                     scheme=CouplingScheme.uniform(1, lifting_degree=z))
+    assert _elim_delta(elim)[0] == _pairwise_delta(elim, config)
+    probes = sum((_walks(gamma, kappa, k) for k in ("c4", "c6", "c8-tbc")),
+                 ())
+    zero = _walks(gamma, kappa, "c12-tbc-zero")
+    if zero:
+        probes += tuple(data.draw(st.lists(st.sampled_from(zero),
+                                           max_size=30, unique=True)))
+    for cand in probes:
+        assert _overlap_count(cand, elim) == \
+            _pairwise_overlap_count(cand, elim, config)
 
 
 def test_two_stage_mode_runs():

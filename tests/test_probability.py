@@ -14,6 +14,8 @@ from scldpc import (BaseCode, CouplingScheme, HarmfulStructure,
                     lift_prob_exact, mc_structure_prob, probability_report,
                     spreading_prob_c4_uniform, spreading_prob_exact,
                     structure_joint_prob)
+from scldpc.probability import (draw, edge_index, forms, scheme_sampler,
+                                stage_blocks, uniform, vanish)
 from scldpc.walks import WalkCandidate
 
 
@@ -287,3 +289,100 @@ def test_probability_report_csv():
     assert float(doc["spread_float"]) == pytest.approx(0.375)
     # identical on repeat runs
     assert probability_report(cset, scheme) == text
+
+
+# ---------------------------------------------------------------------------
+# Sampler, stage layout, forms
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("z", [1, 2, 3, 17, 34, 211])
+def test_uniform_draws_are_rng_integers(z):
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    for n in (1, 7, 300):
+        assert uniform(z).draw(a, n).tolist() == \
+            b.integers(0, z, size=n).tolist()
+    assert a.integers(0, 2 ** 62) == b.integers(0, 2 ** 62)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scheme=_schemes(), seed=st.integers(0, 2 ** 32), n=st.integers(0, 40))
+def test_scheme_sampler_matches_cumulative_search(scheme, seed, n):
+    """Oracle: integer weights over the common denominator, one uniform
+    draw per value, values read off by binary search."""
+    denom = math.lcm(*(p.denominator for p in scheme.probs))
+    cum = np.cumsum([int(p * denom) for p in scheme.probs])
+    ref_rng = np.random.default_rng(seed)
+    u = ref_rng.integers(0, denom, size=n)
+    ref = np.array(scheme.pattern)[np.searchsorted(cum, u, side="right")]
+    assert scheme_sampler(scheme).draw(np.random.default_rng(seed),
+                                       n).tolist() == ref.tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(scheme=_schemes(), z=st.integers(1, 9), n=st.integers(1, 6),
+       stage=st.sampled_from(("partition", "lift", "joint")),
+       seed=st.integers(0, 2 ** 32), data=st.data())
+def test_redraw_goes_block_by_block(scheme, z, n, stage, seed, data):
+    """Oracle: per block, the scope's variables in that block, one sampler
+    call for the lot, skipped when there are none."""
+    scheme = CouplingScheme(scheme.pattern, scheme.probs,
+                            scheme.coupling_length, z)
+    blocks = stage_blocks(scheme, stage)
+    size = n * len(blocks)
+    scope = sorted(data.draw(st.sets(st.integers(0, size - 1))))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    values = draw(rng, blocks, n)
+    ref = [0] * size
+    for b, (sampler, _) in enumerate(blocks):
+        ref[b * n:(b + 1) * n] = sampler.draw(ref_rng, n).tolist()
+    assert values == ref
+    draw(rng, blocks, n, values, scope)
+    for b, (sampler, _) in enumerate(blocks):
+        mine = [k for k in scope if b * n <= k < (b + 1) * n]
+        if mine:
+            for k, v in zip(mine, sampler.draw(ref_rng, len(mine))):
+                ref[k] = int(v)
+    assert values == ref
+    assert rng.integers(0, 2 ** 62) == ref_rng.integers(0, 2 ** 62)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scheme=_schemes(), z=st.integers(1, 8),
+       coeffs=st.lists(st.integers(-3, 3), min_size=1, max_size=6),
+       stage=st.sampled_from(("partition", "lift", "joint")),
+       seed=st.integers(0, 2 ** 32))
+def test_vanish_is_the_signed_sum_condition(scheme, z, coeffs, stage, seed):
+    """Oracle: the integer sum of the P values is 0 and the sum of the L
+    values is 0 mod Z, over every edge of a closed walk (coefficients
+    summing to zero)."""
+    coeffs = coeffs + [-sum(coeffs)]
+    cand = _form(coeffs)
+    scheme = CouplingScheme(scheme.pattern, scheme.probs,
+                            scheme.coupling_length, z)
+    blocks = stage_blocks(scheme, stage)
+    n = len(coeffs)
+    values = draw(np.random.default_rng(seed), blocks, n)
+    fs = forms(cand, edge_index(cand.edges), blocks)
+    conds = []
+    for b, (_, modulus) in enumerate(blocks):
+        total = sum(c * values[b * n + k] for k, c in enumerate(coeffs))
+        conds.append(total % modulus == 0 if modulus else total == 0)
+    assert vanish(fs, values) == all(conds)
+    assert all(len(v) == len(c) and all(c) for v, c, _ in fs)
+
+
+def test_forms_drop_constant_true_blocks():
+    doubled = _form((2, -2, 2, -2))
+    index = edge_index(doubled.edges)
+    assert forms(doubled, index,
+                 stage_blocks(CouplingScheme.uniform(0, 1, 5), "joint")) == \
+        (((4, 5, 6, 7), (2, 3, 2, 3), 5),)
+    assert forms(doubled, index,
+                 stage_blocks(CouplingScheme.uniform(1, 2, 2), "joint")) == \
+        (((0, 1, 2, 3), (2, -2, 2, -2), 0),)
+    assert forms(doubled, index,
+                 stage_blocks(CouplingScheme.uniform(1, 2, 4), "lift")) == \
+        (((0, 1, 2, 3), (2, 2, 2, 2), 4),)
+    assert forms(doubled, index,
+                 stage_blocks(CouplingScheme.uniform(0, 1, 2), "joint")) == ()
+    assert vanish((), [])

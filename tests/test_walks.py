@@ -197,6 +197,16 @@ def test_lift_activity():
     assert is_active_lift(c, lift, 1)      # everything is 0 mod 1
 
 
+def test_activity_names_the_uncovered_stage():
+    c = enumerate_cycles(BaseCode(2, 2), 4, "simple")[0]
+    with pytest.raises(ValueError, match="^partition does not cover"):
+        is_active_partition(c, Assignment("partition", ((0, None), (0, 0))))
+    with pytest.raises(ValueError, match="^lift does not cover"):
+        is_active_lift(c, Assignment("lift", ((0, 1), (None, 0))), 3)
+    with pytest.raises(ValueError, match="lifting degree"):
+        is_active_lift(c, Assignment("lift", ((0, 1), (1, 0))), 0)
+
+
 # ---------------------------------------------------------------------------
 # Weights, dependencies, set operations
 # ---------------------------------------------------------------------------
