@@ -23,6 +23,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -32,15 +33,15 @@ from typing import Optional, Sequence
 
 from . import bounds as bounds_mod
 from .alist import export_alist, parse_alist
-from .experiments import (ExperimentConfig, StructureSpec, estimate_baseline,
-                          estimate_mt_shift, sweep, verify_theorem2)
+from .experiments import (MODES as EXPERIMENT_MODES, ExperimentConfig,
+                          estimate_baseline, estimate_mt_shift, sweep,
+                          verify_theorem2)
 from .graphs import girth
 from .model import BaseCode, CouplingScheme, assemble_qc
 from .moser_tardos import construct_two_stage, run_joint
-from .probability import (joint_prob, probability_report,
-                          spreading_prob_exact)
+from .probability import probability_report, stage_prob
 from .serialize import export_instance_json, import_instance_json
-from .walks import enumerate_cycles, is_active_lift, is_active_partition
+from .walks import MODES as WALK_MODES, enumerate_cycles, is_active
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -97,7 +98,7 @@ def _scheme_from(args: argparse.Namespace) -> CouplingScheme:
 def _walk_args(p: argparse.ArgumentParser, default_two_g: int = 4) -> None:
     p.add_argument("--two-g", type=int, default=default_two_g,
                    help="walk length (4 = four-cycles, 6 = six-cycles)")
-    p.add_argument("--walk-mode", choices=("simple", "tbc"),
+    p.add_argument("--walk-mode", choices=WALK_MODES,
                    default="simple", help="candidate universe")
 
 
@@ -116,15 +117,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         "walks": {"two_g": args.two_g, "mode": args.walk_mode,
                   "count": len(cset)},
     }
-    probs = [joint_prob(c, scheme).joint for c in cset]
-    unavoidable_regime = (scheme.memory == 0
-                          and scheme.lifting_degree == 1
-                          and len(cset) > 0)
-    if unavoidable_regime:
+    probs = [stage_prob(c, scheme, "joint") for c in cset]
+    certain = sum(1 for p in probs if p == 1)
+    if certain:
         doc["feasibility"] = {
             "feasible": False,
-            "reason": "memory 0 with lifting 1 leaves every candidate "
-                      "active with probability 1",
+            "reason": f"{certain} of {len(cset)} candidates active with "
+                      "probability 1 (cannot be resampled away)",
         }
     elif len(cset) > 0:
         rep = bounds_mod.theorem1_feasibility(cset, probs,
@@ -217,18 +216,6 @@ def _tool_version() -> str:
     return __version__
 
 
-def _trace_doc(trace) -> dict:
-    return {
-        "total_resamples": trace.total_resamples,
-        "per_event": dict(sorted(trace.per_event.items())),
-        "wall_iterations": trace.wall_iterations,
-        "terminated": trace.terminated,
-        "seed": trace.seed,
-        "max_resamples": trace.max_resamples,
-        "metadata": trace.metadata,
-    }
-
-
 def cmd_construct(args: argparse.Namespace) -> int:
     base = BaseCode(args.gamma, args.kappa)
     scheme = _scheme_from(args)
@@ -240,7 +227,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
         instance, trace = run_joint(base, scheme, targets, args.seed,
                                     args.max_resamples)
         ok = trace.terminated
-        doc: dict = {"construction": "joint", "trace": _trace_doc(trace)}
+        doc: dict = {"construction": "joint",
+                     "trace": dataclasses.asdict(trace)}
         total = trace.total_resamples
     else:
         instance, report = construct_two_stage(
@@ -249,8 +237,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
         ok = report.lift_trace.terminated
         doc = {
             "construction": "two-stage",
-            "stage1": _trace_doc(report.partition_trace),
-            "stage2": _trace_doc(report.lift_trace),
+            "stage1": dataclasses.asdict(report.partition_trace),
+            "stage2": dataclasses.asdict(report.lift_trace),
             "stage1_cleared": report.stage1_cleared,
             "survivors": list(report.survivor_keys),
         }
@@ -260,9 +248,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
     h = assemble_qc(instance)
     g = girth(h)
     active = [c.key for c in targets
-              if is_active_partition(c, instance.partition)
-              and is_active_lift(c, instance.lift,
-                                 scheme.lifting_degree)]
+              if is_active(c, instance.partition, instance.lift,
+                           scheme.lifting_degree)]
     doc.update({
         "tool_version": _tool_version(),
         "seed": args.seed,
@@ -311,8 +298,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     targets = enumerate_cycles(instance.base, args.two_g, args.walk_mode)
     z = instance.scheme.lifting_degree
     active = [c.key for c in targets
-              if is_active_partition(c, instance.partition)
-              and is_active_lift(c, instance.lift, z)]
+              if is_active(c, instance.partition, instance.lift, z)]
     h = assemble_qc(instance)
     g = girth(h)
     min_girth = args.min_girth if args.min_girth is not None \
@@ -559,8 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lifting", type=int, metavar="Z")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--mode",
-                   choices=("partition-only", "joint", "two-stage"))
+    p.add_argument("--mode", choices=EXPERIMENT_MODES)
     p.add_argument("--cap", type=int, default=None,
                    help="per-trial resample cap override")
     p.add_argument("--sweep", choices=("m", "Z", "gamma", "kappa"))

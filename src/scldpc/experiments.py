@@ -25,22 +25,20 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .model import BaseCode, CouplingScheme
-from .probability import (draw, edge_index, forms, joint_prob,
-                          lift_prob_exact, spreading_prob_exact,
-                          stage_blocks, vanish)
+from .probability import (draw, edge_index, forms, stage_blocks, stage_prob,
+                          vanish)
 from .walks import (CandidateSet, WalkCandidate, dependency_degree,
-                    enumerate_cycles, is_active_lift, is_active_partition)
+                    enumerate_cycles, is_active)
 from . import bounds
-from .moser_tardos import (construct_two_stage, default_cap,
-                           pipeline_stage1_cap, run_joint,
-                           run_stage_partition)
+from .moser_tardos import (construct_two_stage, pipeline_stage1_cap,
+                           run_joint, run_stage_partition, stage_cap)
 
 MODES = ("partition-only", "joint", "two-stage")
 
@@ -181,18 +179,10 @@ def _build_sets(config: ExperimentConfig
     return elim, observed
 
 
-def _candidate_prob(cand: WalkCandidate, config: ExperimentConfig) -> Fraction:
-    if config.mode == "partition-only":
-        return spreading_prob_exact(cand, config.scheme)
-    return joint_prob(cand, config.scheme).joint
-
-
-def _is_active(cand: WalkCandidate, config: ExperimentConfig,
-               partition, lift) -> bool:
-    if config.mode == "partition-only":
-        return is_active_partition(cand, partition)
-    return (is_active_partition(cand, partition)
-            and is_active_lift(cand, lift, config.scheme.lifting_degree))
+def _stage(config: ExperimentConfig) -> str:
+    """The stage whose draw the output follows: the partition alone, or
+    spreading and lift together."""
+    return "partition" if config.mode == "partition-only" else "joint"
 
 
 def _overlap_count(cand: WalkCandidate, elim: CandidateSet) -> int:
@@ -269,14 +259,14 @@ def estimate_baseline(config: ExperimentConfig) -> BaselineReport:
     _, observed = _build_sets(config)
     rng = np.random.default_rng(
         np.random.SeedSequence(config.seed, spawn_key=(STREAM_BASELINE,)))
+    stage = _stage(config)
     flat: list[tuple[str, WalkCandidate, Fraction]] = []
     for label, oset in observed:
         for c in oset:
-            flat.append((label, c, _candidate_prob(c, config)))
+            flat.append((label, c, stage_prob(c, config.scheme, stage)))
 
     index = edge_index(config.base.edges)
-    blocks = stage_blocks(config.scheme, "partition"
-                          if config.mode == "partition-only" else "joint")
+    blocks = stage_blocks(config.scheme, stage)
     cand_forms = [forms(c, index, blocks) for _, c, _ in flat]
     hits = [0] * len(flat)
     for _ in range(config.trials):
@@ -367,8 +357,10 @@ class ExperimentStats:
 
 
 def _run_trials(config: ExperimentConfig, elim: CandidateSet):
-    """Per-trial constructions; returns (per-observable hit counts aligned
-    with flat observables later, assignments consumer callback)."""
+    """One construction per trial.  Returns the (partition, lift) pair of
+    every trial that terminated (lift None in partition-only mode), the
+    number of trials that hit their cap, and the total resamples of every
+    terminated trial."""
     base = config.base
     scheme = config.scheme
     caps = _precomputed_caps(config, elim)
@@ -406,17 +398,14 @@ def _run_trials(config: ExperimentConfig, elim: CandidateSet):
 
 def _precomputed_caps(config: ExperimentConfig,
                       elim: CandidateSet) -> tuple[int, Optional[int]]:
-    scheme = config.scheme
+    """(first cap, lift cap); the two-stage lift cap is over the whole
+    eliminate set, not one trial's survivors."""
     if config.cap is not None:
         return config.cap, config.cap
-    if config.mode == "partition-only":
-        probs = [spreading_prob_exact(c, scheme) for c in elim]
-        return default_cap(elim, probs), None
-    if config.mode == "joint":
-        probs = [joint_prob(c, scheme).joint for c in elim]
-        return default_cap(elim, probs), None
-    lift_probs = [lift_prob_exact(c, scheme.lifting_degree) for c in elim]
-    return pipeline_stage1_cap(elim, scheme), default_cap(elim, lift_probs)
+    if config.mode == "two-stage":
+        return (pipeline_stage1_cap(elim, config.scheme),
+                stage_cap(elim, config.scheme, "lift"))
+    return stage_cap(elim, config.scheme, _stage(config)), None
 
 
 def estimate_mt_shift(config: ExperimentConfig) -> ExperimentStats:
@@ -426,7 +415,9 @@ def estimate_mt_shift(config: ExperimentConfig) -> ExperimentStats:
     results, failed, resample_counts = _run_trials(config, elim)
     n_ok = len(results)
 
-    elim_probs = [_candidate_prob(c, config) for c in elim]
+    stage = _stage(config)
+    z = config.scheme.lifting_degree
+    elim_probs = [stage_prob(c, config.scheme, stage) for c in elim]
     p_elim_max = max(elim_probs)
     delta_observed, delta_formula = _elim_delta(elim)
     if delta_formula is not None:
@@ -450,9 +441,9 @@ def estimate_mt_shift(config: ExperimentConfig) -> ExperimentStats:
         ratios = []
         uppers = []
         for c in oset:
-            p_omega = _candidate_prob(c, config)
+            p_omega = stage_prob(c, config.scheme, stage)
             hits = sum(1 for partition, lift in results
-                       if _is_active(c, config, partition, lift))
+                       if is_active(c, partition, lift, z))
             p_hat = hits / n_ok if n_ok else 0.0
             lo, hi = wilson_interval(hits, n_ok)
             n_e = _overlap_count(c, elim)
@@ -558,17 +549,14 @@ def verify_theorem2(config: ExperimentConfig) -> Theorem2Report:
     """Compare mean total resamples against the expected-cost bound with a
     one-sided 99% sampling allowance."""
     elim, _ = _build_sets(config)
-    _, failed, counts = _run_trials(config, elim)
-    elim_probs = [_candidate_prob(c, config) for c in elim]
+    _, _, counts = _run_trials(config, elim)
+    elim_probs = [stage_prob(c, config.scheme, _stage(config)) for c in elim]
     stats = _resample_stats(config, elim, elim_probs, counts)
     n = len(counts)
     allowance = (Z99_ONE_SIDED * stats.std / math.sqrt(n)) if n else 0.0
-    passed = None
-    if stats.bound is not None and n:
-        passed = stats.mean <= float(stats.bound) + allowance
     return Theorem2Report(stats.feasible, stats.branch, stats.bound, n,
                           stats.mean, stats.std, stats.max, allowance,
-                          passed)
+                          stats.bound_holds)
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .model import Assignment, BaseCode, CodeInstance, CouplingScheme
-from .probability import (Block, Form, draw, edge_index, forms, joint_prob,
-                          lift_prob_exact, spreading_prob_exact, stage_blocks,
-                          vanish)
+from .probability import (Block, Form, draw, edge_index, forms, stage_blocks,
+                          stage_prob, vanish)
 from .walks import CandidateSet, WalkCandidate, is_active_partition
 from . import bounds
 
@@ -167,15 +166,12 @@ def run_mt(framework: Framework, events: Sequence[Event], seed: SeedLike,
 # Stage plumbing
 # ---------------------------------------------------------------------------
 
-def _normalize_targets(base: BaseCode,
-                       targets) -> tuple[CandidateSet,
-                                         tuple[WalkCandidate, ...]]:
+def _normalize_targets(base: BaseCode, targets) -> CandidateSet:
     if isinstance(targets, CandidateSet):
         if targets.base != base:
             raise ValueError("target set was built over a different base")
-        return targets, targets.candidates
-    cands = tuple(sorted(set(targets), key=lambda c: c.sort_key))
-    return CandidateSet(base, cands), cands
+        return targets
+    return CandidateSet(base, tuple(set(targets)))
 
 
 def _build_events(cands: Sequence[WalkCandidate], base: BaseCode,
@@ -216,11 +212,16 @@ def default_cap(cset: CandidateSet, probs) -> int:
     return FALLBACK_CAP
 
 
+def stage_cap(cset: CandidateSet, scheme: CouplingScheme, stage: str) -> int:
+    """``default_cap`` over the targets' activation probabilities in the
+    stage (``probability.stage_prob``)."""
+    return default_cap(cset, [stage_prob(c, scheme, stage) for c in cset])
+
+
 def pipeline_stage1_cap(cset: CandidateSet, scheme: CouplingScheme) -> int:
     """Stage-1 cap of the two-stage pipeline: ``default_cap`` when the
     partition stage is certified, PIPELINE_STAGE1_CAP_FACTOR x k otherwise."""
-    probs = [spreading_prob_exact(c, scheme) for c in cset]
-    cap = default_cap(cset, probs)
+    cap = stage_cap(cset, scheme, "partition")
     if cap == FALLBACK_CAP:
         cap = PIPELINE_STAGE1_CAP_FACTOR * max(1, len(cset))
     return cap
@@ -240,11 +241,10 @@ def run_stage_partition(base: BaseCode, scheme: CouplingScheme, targets,
                         max_resamples: Optional[int] = None
                         ) -> tuple[Assignment, MTTrace]:
     """Draw spreading values until no target survives the integer condition."""
-    cset, cands = _normalize_targets(base, targets)
-    framework, events = _build_events(cands, base, scheme, "partition")
+    cset = _normalize_targets(base, targets)
+    framework, events = _build_events(cset, base, scheme, "partition")
     if max_resamples is None:
-        probs = [spreading_prob_exact(c, scheme) for c in cset]
-        max_resamples = default_cap(cset, probs)
+        max_resamples = stage_cap(cset, scheme, "partition")
     values, trace = run_mt(framework, events, seed, max_resamples)
     return _grid_from_values(base, "partition", values), trace
 
@@ -258,14 +258,12 @@ def run_stage_lift(base: BaseCode, scheme: CouplingScheme,
     Only partition-active targets become events; with no survivors the
     result is a plain uniform draw with zero resamples.
     """
-    cset, cands = _normalize_targets(base, targets)
-    z = scheme.lifting_degree
-    survivors = tuple(c for c in cands if is_active_partition(c, partition))
+    cset = _normalize_targets(base, targets)
+    survivors = tuple(c for c in cset if is_active_partition(c, partition))
     framework, events = _build_events(survivors, base, scheme, "lift")
     if max_resamples is None and survivors:
-        sset = CandidateSet(base, survivors)
-        probs = [lift_prob_exact(c, z) for c in sset]
-        max_resamples = default_cap(sset, probs)
+        max_resamples = stage_cap(CandidateSet(base, survivors), scheme,
+                                  "lift")
     values, trace = run_mt(framework, events, seed, max_resamples)
     trace.metadata["survivors"] = [c.key for c in survivors]
     return _grid_from_values(base, "lift", values), trace
@@ -276,11 +274,10 @@ def run_joint(base: BaseCode, scheme: CouplingScheme, targets,
               ) -> tuple[CodeInstance, MTTrace]:
     """Resample spreading values and lift shifts together (one event per
     target, conjunction of both forms)."""
-    cset, cands = _normalize_targets(base, targets)
-    framework, events = _build_events(cands, base, scheme, "joint")
+    cset = _normalize_targets(base, targets)
+    framework, events = _build_events(cset, base, scheme, "joint")
     if max_resamples is None:
-        probs = [joint_prob(c, scheme) for c in cset]
-        max_resamples = default_cap(cset, probs)
+        max_resamples = stage_cap(cset, scheme, "joint")
     values, trace = run_mt(framework, events, seed, max_resamples)
     partition = _grid_from_values(base, "partition", values)
     lift = _grid_from_values(base, "lift", values, offset=len(base.edges))
@@ -318,13 +315,13 @@ def construct_two_stage(base: BaseCode, scheme: CouplingScheme, targets,
     100 x k when no convergence certificate exists, and hitting it is not
     an error: whatever survives goes to the lift stage.
     """
-    cset, cands = _normalize_targets(base, targets)
+    cset = _normalize_targets(base, targets)
     s1, s2 = derive_child_seeds(seed, 2)
     if stage1_max is None:
         stage1_max = pipeline_stage1_cap(cset, scheme)
-    partition, trace1 = run_stage_partition(base, scheme, cands, s1,
+    partition, trace1 = run_stage_partition(base, scheme, cset, s1,
                                             stage1_max)
-    lift, trace2 = run_stage_lift(base, scheme, partition, cands, s2,
+    lift, trace2 = run_stage_lift(base, scheme, partition, cset, s2,
                                   stage2_max)
     instance = CodeInstance(base, scheme, partition, lift,
                             seed=seed if isinstance(seed, int) else None)

@@ -11,10 +11,11 @@ resampler, the baseline and shift harness, the Monte Carlo estimator):
 * a ``Sampler`` draws integer values with exact integer weights;
   ``scheme_sampler`` is the spreading distribution and ``uniform(z)`` the
   lift shifts;
-* a stage layout is an ordered tuple of blocks ``(sampler, modulus)``,
-  modulus 0 meaning over the integers: partition is (P,), lift is (L,),
-  joint is (P, L).  With n edges, block b owns variables b*n ... b*n+n-1,
-  one per edge;
+* a stage layout (``stage_blocks``) is an ordered tuple of blocks
+  ``(sampler, modulus)``, modulus 0 meaning over the integers: partition is
+  (P,), lift is (L,), joint is (P, L).  With n edges, block b owns
+  variables b*n ... b*n+n-1, one per edge.  ``stage_prob`` is a walk's
+  exact activation probability under the same stage's draw;
 * ``forms`` turns a walk into its linear forms (variable indices,
   coefficients, modulus), one per block, dropping the constant-true ones;
   ``vanish`` evaluates them, and ``draw`` draws or redraws variables.
@@ -100,7 +101,21 @@ def stage_blocks(scheme: CouplingScheme, stage: str) -> tuple[Block, ...]:
         return ((scheme_sampler(scheme), 0),)
     if stage == "lift":
         return ((uniform(z), z),)
-    return ((scheme_sampler(scheme), 0), (uniform(z), z))
+    if stage == "joint":
+        return ((scheme_sampler(scheme), 0), (uniform(z), z))
+    raise ValueError(f"unknown stage {stage!r}")
+
+
+def stage_prob(cand: WalkCandidate, scheme: CouplingScheme,
+               stage: str) -> Fraction:
+    """Exact probability that the walk is active after the stage's draw."""
+    if stage == "partition":
+        return spreading_prob_exact(cand, scheme)
+    if stage == "lift":
+        return lift_prob_exact(cand, scheme.lifting_degree)
+    if stage == "joint":
+        return joint_prob(cand, scheme).joint
+    raise ValueError(f"unknown stage {stage!r}")
 
 
 def edge_index(edges: Sequence[Edge]) -> dict[Edge, int]:

@@ -121,10 +121,6 @@ class WalkCandidate:
         """Edges with nonzero net coefficient (the activation variables)."""
         return tuple(e for e, c in self.coeffs if c != 0)
 
-    @cached_property
-    def coeff_map(self) -> dict[Edge, int]:
-        return dict(self.coeffs)
-
     @property
     def avoidable(self) -> bool:
         return bool(self.support)
@@ -326,6 +322,15 @@ def is_active_lift(cand: WalkCandidate, lift: Assignment, z: int) -> bool:
     if z < 1:
         raise ValueError("lifting degree must be at least 1")
     return _signed_sum(cand, lift, "lift") % z == 0
+
+
+def is_active(cand: WalkCandidate, partition: Assignment,
+              lift: Optional[Assignment] = None, z: int = 1) -> bool:
+    """Is the walk active in the output: does it survive the partition
+    and, when a lift is given, the lift too?"""
+    if not is_active_partition(cand, partition):
+        return False
+    return lift is None or is_active_lift(cand, lift, z)
 
 
 def harmful_weight(base: BaseCode,

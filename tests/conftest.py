@@ -1,0 +1,15 @@
+"""Make ``src`` importable in child processes too.
+
+``pythonpath = ["src"]`` in pyproject.toml puts the package on the test
+process's ``sys.path``; tests that start ``python -m scldpc`` need it on
+``PYTHONPATH`` as well when the package is not installed.
+"""
+
+from __future__ import annotations
+
+import os
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)

@@ -46,6 +46,22 @@ def test_bounds_flags_unavoidable_regime(capsys):
     assert "probability 1" in doc["feasibility"]["reason"]
 
 
+@pytest.mark.parametrize("argv, count", [
+    (["--gamma", "3", "--kappa", "3", "--pattern", "2", "--lifting", "1"],
+     "9 of 9"),
+    # Only the tbc 8-walks with coefficients +-2 are certain at Z=2.
+    (["--gamma", "2", "--kappa", "3", "--pattern", "0", "--lifting", "2",
+      "--two-g", "8", "--walk-mode", "tbc"], "3 of 6"),
+])
+def test_bounds_reports_certain_candidates(argv, count, capsys):
+    code = run_cli("bounds", *argv)
+    assert code == EXIT_OK
+    feas = json.loads(capsys.readouterr().out)["feasibility"]
+    assert feas["feasible"] is False
+    assert "probability 1" in feas["reason"]
+    assert count in feas["reason"]
+
+
 def test_bounds_missing_required_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("bounds", "--gamma", "3")

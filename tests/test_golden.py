@@ -1,10 +1,14 @@
-"""Golden outputs of the resampler, the experiment harness and the Monte
-Carlo estimator at fixed seeds.
+"""Golden outputs of the resampler, the experiment harness, the Monte
+Carlo estimator and the CLI at fixed seeds.
 
-Each case hashes everything a run returns (assignments, every MTTrace
-field, baseline hits, shift statistics, MC estimates).  The digests were
-recorded before the event representation was unified, so any change to
+Each library case hashes everything a run returns (assignments, every
+MTTrace field, baseline hits, shift statistics, MC estimates).  The digests
+were recorded before the event representation was unified, so any change to
 draw order, event order, scopes or evaluation shows up here as a mismatch.
+Each CLI case hashes the exit code and the bytes of every artifact the
+command writes (instance.json, code.alist, trace.json, report JSON); those
+digests were recorded before the stage rules (probability, cap, activity)
+moved to one owner each.
 To print the current digests: ``python tests/test_golden.py``.
 """
 
@@ -13,6 +17,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +27,7 @@ from scldpc import (Assignment, BaseCode, CouplingScheme, ExperimentConfig,
                     enumerate_cycles, estimate_baseline, estimate_mt_shift,
                     mc_structure_prob, run_joint, run_stage_lift,
                     run_stage_partition)
+from scldpc.cli import main
 
 
 def _digest(obj) -> str:
@@ -183,6 +190,102 @@ def test_golden_digest(name):
     assert _digest(CASES[name]()) == GOLDEN[name]
 
 
+# ---------------------------------------------------------------------------
+# CLI artifacts
+# ---------------------------------------------------------------------------
+
+def _cli_digest(out: Path, argv: list[str], artifacts: list[str]) -> str:
+    """sha256 over the exit code and the bytes of each written artifact."""
+    code = main(argv)
+    h = hashlib.sha256(str(code).encode())
+    for name in artifacts:
+        data = (out / name).read_bytes()
+        h.update(f"\n{name} {len(data)}\n".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+_CONSTRUCT_FILES = ["instance.json", "code.alist", "trace.json"]
+_EXPERIMENT = ["experiment", "--gamma", "3", "--kappa", "3", "--seed", "9"]
+
+
+def _construct(construction: str, scheme: list[str]):
+    def case(out: Path) -> str:
+        argv = ["construct", "--gamma", "3", "--kappa", "5", *scheme,
+                "--seed", "4", "--out-dir", str(out),
+                "--construction", construction]
+        return _cli_digest(out, argv, _CONSTRUCT_FILES)
+    return case
+
+
+def _bounds(out: Path) -> str:
+    argv = ["bounds", "--gamma", "3", "--kappa", "7", "--m", "1",
+            "--lifting", "34", "--out", str(out / "bounds.json")]
+    return _cli_digest(out, argv, ["bounds.json"])
+
+
+def _experiment(op: str, mode: str, *extra: str):
+    def case(out: Path) -> str:
+        argv = [*_EXPERIMENT, "--op", op, "--mode", mode, *extra,
+                "--out", str(out / "report.json")]
+        return _cli_digest(out, argv, ["report.json"])
+    return case
+
+
+CLI_CASES = {
+    "construct-two-stage": _construct("two-stage",
+                                      ["--m", "1", "--lifting", "13"]),
+    "construct-joint": _construct("joint", ["--m", "1", "--lifting", "13",
+                                            "--two-g", "6"]),
+    "bounds-3x7-m1-z34": _bounds,
+    "experiment-shift-partition-only": _experiment(
+        "shift", "partition-only", "--m", "2", "--trials", "40"),
+    "experiment-shift-joint": _experiment(
+        "shift", "joint", "--m", "1", "--lifting", "5", "--trials", "30"),
+    "experiment-shift-two-stage": _experiment(
+        "shift", "two-stage", "--m", "1", "--lifting", "7", "--trials", "20"),
+    "experiment-baseline-partition-only": _experiment(
+        "baseline", "partition-only", "--m", "2", "--trials", "100"),
+    "experiment-baseline-joint": _experiment(
+        "baseline", "joint", "--m", "1", "--lifting", "3", "--trials", "100"),
+    "experiment-theorem2-partition-only": _experiment(
+        "theorem2", "partition-only", "--m", "18", "--trials", "30"),
+    "experiment-theorem2-joint": _experiment(
+        "theorem2", "joint", "--m", "1", "--lifting", "13", "--trials", "30"),
+}
+
+GOLDEN_CLI = {
+    "bounds-3x7-m1-z34":
+        "dcac6e3f9f1838e0df199c4ba82b0d7ad19330be48502e6f772ada0a37011f97",
+    "construct-joint":
+        "9f1b78b3c240a53c724ffc834da7648637abfd4d759dcd23f34114d889ba9f70",
+    "construct-two-stage":
+        "aefcb1c7d28b33d9af2fac2e56f69a3cbba74bbaf1c7af059152704cb9c8c140",
+    "experiment-baseline-joint":
+        "57044272025cc2d65187681916d458c710712bf39fdcbbd13f0f5aa43e6f559d",
+    "experiment-baseline-partition-only":
+        "181b5a0e3a2efd3f09bb78e4a4bc03885e076c65c78db51ac1c7be0b7008dba3",
+    "experiment-shift-joint":
+        "c5d3edfeffa549191597e3a9b17ae198d4d9dc6c4a20c910fd452dda341db986",
+    "experiment-shift-partition-only":
+        "6758d6cc9786af75816b33447230238a386e927d0ce66e2831269335bb66a7de",
+    "experiment-shift-two-stage":
+        "8fbed5501dc0e22afb600a8f9ac9aa7e0d5d93f651d5aa841fea0ff48afb6f0f",
+    "experiment-theorem2-joint":
+        "c74debbce78b142952c77e6a9685d2a75fc25690b44b9741ae5793e1d70ae754",
+    "experiment-theorem2-partition-only":
+        "29c1ac8ccd729dde2c63ce4e6834a4717e82b949f4afe42a88c8a42894b8d9d6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_golden_cli_digest(name, tmp_path, capsys):
+    assert CLI_CASES[name](tmp_path) == GOLDEN_CLI[name]
+
+
 if __name__ == "__main__":
     for name in sorted(CASES):
         print(f'    "{name}": "{_digest(CASES[name]())}",')
+    for name in sorted(CLI_CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f'    "{name}":\n        "{CLI_CASES[name](Path(tmp))}",')

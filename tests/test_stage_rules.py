@@ -1,0 +1,185 @@
+"""Stage rules against the per-stage code they replaced.
+
+``probability.stage_prob``, ``moser_tardos.stage_cap``,
+``experiments._precomputed_caps`` and ``walks.is_active`` each replaced
+copies in the stage runners, the experiment harness and the CLI.  The old
+copies are kept below as oracles, on c4, c6 and tbc 8-walks (coefficients
++-2) under uniform, non-uniform and one-value patterns.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from scldpc import (Assignment, BaseCode, CandidateSet, CouplingScheme,
+                    ExperimentConfig, StructureSpec, default_cap,
+                    enumerate_cycles, is_active_lift, is_active_partition,
+                    joint_prob, lift_prob_exact, spreading_prob_exact)
+from scldpc import experiments, walks
+from scldpc.moser_tardos import pipeline_stage1_cap, stage_cap
+from scldpc.probability import stage_blocks, stage_prob
+from scldpc.walks import is_active
+
+SCHEMES = [
+    CouplingScheme.uniform(1, lifting_degree=5),
+    CouplingScheme.uniform(2, lifting_degree=4),
+    CouplingScheme((0, 2, 5), (Fraction(1, 2), Fraction(1, 3),
+                               Fraction(1, 6)), 6, 6),
+    CouplingScheme.uniform(0, lifting_degree=3),
+]
+# Caps: uncertified (the flat fallback), certified in some stages only
+# (joint but not lift at Z=29), and certified in every stage.
+CAP_SCHEMES = [
+    CouplingScheme.uniform(1, lifting_degree=5),
+    CouplingScheme.uniform(1, lifting_degree=29),
+    CouplingScheme.uniform(3, lifting_degree=61),
+    CouplingScheme((0, 2, 5), (Fraction(1, 2), Fraction(1, 3),
+                               Fraction(1, 6)), 6, 97),
+    CouplingScheme.uniform(30, lifting_degree=101),
+]
+
+
+def _walk_sets() -> list[CandidateSet]:
+    b34 = BaseCode(3, 4)
+    tbc = enumerate_cycles(BaseCode(3, 3), 8, "tbc")
+    assert any(abs(c) == 2 for cand in tbc for _, c in cand.coeffs)
+    return [enumerate_cycles(b34, 4), enumerate_cycles(b34, 6), tbc]
+
+
+def _old_stage_prob(cand, scheme, stage):
+    """The stage runners' inline probability lists."""
+    if stage == "partition":
+        return spreading_prob_exact(cand, scheme)
+    if stage == "lift":
+        return lift_prob_exact(cand, scheme.lifting_degree)
+    return joint_prob(cand, scheme).joint
+
+
+def _old_candidate_prob(cand, config):
+    """experiments._candidate_prob."""
+    if config.mode == "partition-only":
+        return spreading_prob_exact(cand, config.scheme)
+    return joint_prob(cand, config.scheme).joint
+
+
+def _old_precomputed_caps(config, elim):
+    """experiments._precomputed_caps before the stage rules had one owner."""
+    scheme = config.scheme
+    if config.cap is not None:
+        return config.cap, config.cap
+    if config.mode == "partition-only":
+        probs = [spreading_prob_exact(c, scheme) for c in elim]
+        return default_cap(elim, probs), None
+    if config.mode == "joint":
+        probs = [joint_prob(c, scheme).joint for c in elim]
+        return default_cap(elim, probs), None
+    lift_probs = [lift_prob_exact(c, scheme.lifting_degree) for c in elim]
+    return pipeline_stage1_cap(elim, scheme), default_cap(elim, lift_probs)
+
+
+def _old_is_active(cand, mode, partition, lift, z):
+    """experiments._is_active and the CLI's inline conjunction."""
+    if mode == "partition-only":
+        return is_active_partition(cand, partition)
+    return (is_active_partition(cand, partition)
+            and is_active_lift(cand, lift, z))
+
+
+def _config(scheme, mode, cap=None):
+    return ExperimentConfig(3, 4, scheme, mode, 1, 0, StructureSpec(4),
+                            (StructureSpec(6),), cap)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=range(len(SCHEMES)))
+def test_stage_prob_equals_old_per_stage_choice(scheme):
+    for cset in _walk_sets():
+        for cand in cset:
+            for stage in ("partition", "lift", "joint"):
+                assert stage_prob(cand, scheme, stage) == \
+                    _old_stage_prob(cand, scheme, stage)
+            for mode in experiments.MODES:
+                config = _config(scheme, mode)
+                assert stage_prob(cand, scheme,
+                                  experiments._stage(config)) == \
+                    _old_candidate_prob(cand, config)
+
+
+@pytest.mark.parametrize("scheme", CAP_SCHEMES, ids=range(len(CAP_SCHEMES)))
+def test_stage_cap_equals_default_cap_over_old_list(scheme):
+    for cset in _walk_sets():
+        for stage in ("partition", "lift", "joint"):
+            probs = [_old_stage_prob(c, scheme, stage) for c in cset]
+            assert stage_cap(cset, scheme, stage) == \
+                default_cap(cset, probs)
+
+
+@pytest.mark.parametrize("scheme", CAP_SCHEMES, ids=range(len(CAP_SCHEMES)))
+def test_precomputed_caps_equal_old_harness(scheme):
+    elim = enumerate_cycles(BaseCode(3, 4), 4)
+    for mode in experiments.MODES:
+        for cap in (None, 77):
+            config = _config(scheme, mode, cap)
+            assert experiments._precomputed_caps(config, elim) == \
+                _old_precomputed_caps(config, elim)
+
+
+def _grid(stage, base, rng, high):
+    return Assignment.from_dict(
+        stage, {e: int(rng.integers(0, high)) for e in base.edges},
+        base.gamma, base.kappa)
+
+
+@pytest.mark.parametrize("z", [1, 2, 3])
+def test_is_active_equals_old_conjunction(z):
+    rng = np.random.default_rng(z)
+    seen = set()
+    for cset in _walk_sets():
+        base = cset.base
+        for _ in range(40):
+            partition = _grid("partition", base, rng, 2)
+            lift = _grid("lift", base, rng, z)
+            for cand in cset:
+                both = is_active(cand, partition, lift, z)
+                assert both == _old_is_active(cand, "joint", partition,
+                                              lift, z)
+                alone = is_active(cand, partition)
+                assert alone == _old_is_active(cand, "partition-only",
+                                               partition, None, z)
+                seen.update([both, alone])
+    assert seen == {True, False}
+
+
+def test_is_active_checks_lift_only_after_an_active_partition(monkeypatch):
+    """Same calls, in the same order, as the old conjunction."""
+    calls = []
+    for name in ("is_active_partition", "is_active_lift"):
+        fn = getattr(walks, name)
+        monkeypatch.setattr(walks, name, lambda *a, _fn=fn, _n=name:
+                            calls.append(_n) or _fn(*a))
+    base = BaseCode(2, 2)
+    cand = enumerate_cycles(base, 4)[0]
+    zero = Assignment.from_dict("partition", {e: 0 for e in base.edges},
+                                2, 2)
+    spread = Assignment.from_dict(
+        "partition", {e: int(e == (0, 1)) for e in base.edges}, 2, 2)
+    assert is_active(cand, zero, zero, 3)
+    assert calls == ["is_active_partition", "is_active_lift"]
+    calls.clear()
+    assert not is_active(cand, spread, zero, 3)
+    assert calls == ["is_active_partition"]
+    calls.clear()
+    assert is_active(cand, zero)
+    assert calls == ["is_active_partition"]
+
+
+@pytest.mark.parametrize("stage", ["", "Joint", "two-stage", "partition "])
+def test_unknown_stage_is_rejected(stage):
+    scheme = CouplingScheme.uniform(1, lifting_degree=5)
+    cand = enumerate_cycles(BaseCode(2, 2), 4)[0]
+    with pytest.raises(ValueError, match="unknown stage"):
+        stage_blocks(scheme, stage)
+    with pytest.raises(ValueError, match="unknown stage"):
+        stage_prob(cand, scheme, stage)
