@@ -37,16 +37,17 @@ def export_alist(h: SparseBinaryMatrix) -> str:
     dmax_col = max(col_deg)
     dmax_row = max(row_deg)
 
-    def padded(idx: tuple[int, ...], width: int) -> str:
-        one_based = [v + 1 for v in idx] + [0] * (width - len(idx))
-        return " ".join(str(v) for v in one_based)
+    def section(lists: tuple[tuple[int, ...], ...], width: int) -> str:
+        """One zero-padded line of 1-based indices per list, joined."""
+        return "\n".join(" ".join([str(v + 1) for v in idx]
+                                  + ["0"] * (width - len(idx)))
+                         for idx in lists)
 
-    lines = [f"{h.ncols} {h.nrows}", f"{dmax_col} {dmax_row}"]
-    lines.append(" ".join(str(d) for d in col_deg))
-    lines.append(" ".join(str(d) for d in row_deg))
-    lines.extend(padded(c, dmax_col) for c in h.col_rows)
-    lines.extend(padded(r, dmax_row) for r in h.row_cols)
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"{h.ncols} {h.nrows}", f"{dmax_col} {dmax_row}",
+                      " ".join(map(str, col_deg)),
+                      " ".join(map(str, row_deg)),
+                      section(h.col_rows, dmax_col),
+                      section(h.row_cols, dmax_row), ""])
 
 
 def _lines(text: str) -> Iterator[str]:

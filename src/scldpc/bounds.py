@@ -25,20 +25,20 @@ The closed forms above are the uniform-weight specialization of a clique
 cover argument; the generic evaluator (`lemma2_evaluate`) reproduces them
 exactly on regular families and is kept as an independent cross-check.
 
-Exact rational arithmetic is used wherever the exponents stay manageable;
-float values always come from mpmath at 60 significant digits, so the
-double-precision results carry far better than 1e-12 relative error even
-when Delta^Delta overflows a plain float.
+Exact rational arithmetic is used wherever the exponents stay manageable,
+and each float is then that exact value rounded once (a value too large
+for a double reads as inf).  Past the exponent limit the float comes from
+``decimal`` at 60 significant digits in an exponent range wide enough that
+Delta^Delta neither overflows nor underflows before the final rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
 from typing import Optional, Sequence, Union
-
-import mpmath
 
 from .probability import ActivationProbability, spreading_prob_c4_uniform
 from .walks import (CandidateSet, dependency_degree, dependency_pairs,
@@ -47,7 +47,7 @@ from .walks import (CandidateSet, dependency_degree, dependency_pairs,
 # Fractions with numerators around n^n stay cheap up to this point; past it
 # the exact slot is left None and floats (still high-precision) take over.
 EXACT_EXPONENT_LIMIT = 8192
-_DPS = 60
+_WIDE = Context(prec=60, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 ProbLike = Union[Fraction, ActivationProbability]
 
@@ -59,10 +59,14 @@ def _as_prob(p: ProbLike) -> Fraction:
 
 
 def _pow_float(base_num: int, base_den: int, exponent: int) -> float:
-    """(base_num/base_den)^exponent as a double, via extended precision."""
-    with mpmath.workdps(_DPS):
-        v = mpmath.power(mpmath.mpf(base_num) / base_den, exponent)
-        return float(v)
+    """(base_num/base_den)^exponent as a double: the exact power rounded
+    once, or a 60-digit one past EXACT_EXPONENT_LIMIT."""
+    if exponent > EXACT_EXPONENT_LIMIT:
+        return float(_WIDE.power(_WIDE.divide(base_num, base_den), exponent))
+    try:
+        return float(Fraction(base_num, base_den) ** exponent)
+    except OverflowError:
+        return math.inf
 
 
 def threshold_branch_i(delta: int) -> tuple[Optional[Fraction], float]:
@@ -75,14 +79,11 @@ def threshold_branch_i(delta: int) -> tuple[Optional[Fraction], float]:
         raise ValueError("delta must be non-negative")
     if delta <= 1:
         return Fraction(1), 1.0
-    exact = None
     if delta <= EXACT_EXPONENT_LIMIT:
         exact = Fraction((delta - 1) ** (delta - 1), delta ** delta)
-    with mpmath.workdps(_DPS):
-        v = (mpmath.power(delta - 1, delta - 1)
-             / mpmath.power(delta, delta))
-        approx = float(v)
-    return exact, approx
+        return exact, float(exact)
+    return None, float(_WIDE.divide(_WIDE.power(delta - 1, delta - 1),
+                                    _WIDE.power(delta, delta)))
 
 
 def threshold_branch_ii(struct_size: int,
@@ -95,13 +96,12 @@ def threshold_branch_ii(struct_size: int,
     if w == 1:
         return None, None
     h = struct_size
-    exact = None
     if h <= EXACT_EXPONENT_LIMIT:
         exact = Fraction((h - 1) ** (h - 1), (w - 1) * h ** h)
-    with mpmath.workdps(_DPS):
-        v = mpmath.power(h - 1, h - 1) / ((w - 1) * mpmath.power(h, h))
-        approx = float(v)
-    return exact, approx
+        return exact, float(exact)
+    return None, float(_WIDE.divide(
+        _WIDE.power(h - 1, h - 1),
+        _WIDE.multiply(w - 1, _WIDE.power(h, h))))
 
 
 @dataclass(frozen=True)

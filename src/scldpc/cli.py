@@ -156,19 +156,22 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
     if args.gamma >= 2 and args.kappa >= 2 and args.two_g == 4 \
             and args.walk_mode == "simple":
-        c1 = bounds_mod.corollary1_check(args.gamma, args.kappa,
-                                         scheme.memory,
-                                         scheme.lifting_degree)
-        doc["uniform_c4_regime"] = {
-            "delta_formula": c1.delta,
-            "lhs": _frac(c1.lhs),
-            "lhs_float": float(c1.lhs),
-            "branch": c1.branch,
-            "unavoidable": c1.unavoidable,
-            "feasible": c1.feasible,
-            "min_Z_at_this_m": bounds_mod.corollary1_min_z(
-                args.gamma, args.kappa, scheme.memory),
-        }
+        # Corollary 1 holds only for spreading uniform over 0..memory.
+        full = CouplingScheme.uniform(scheme.memory)
+        if (scheme.pattern, scheme.probs) == (full.pattern, full.probs):
+            c1 = bounds_mod.corollary1_check(args.gamma, args.kappa,
+                                             scheme.memory,
+                                             scheme.lifting_degree)
+            doc["uniform_c4_regime"] = {
+                "delta_formula": c1.delta,
+                "lhs": _frac(c1.lhs),
+                "lhs_float": float(c1.lhs),
+                "branch": c1.branch,
+                "unavoidable": c1.unavoidable,
+                "feasible": c1.feasible,
+                "min_Z_at_this_m": bounds_mod.corollary1_min_z(
+                    args.gamma, args.kappa, scheme.memory),
+            }
         c4b = bounds_mod.corollary4_bound(args.gamma, args.kappa, 6)
         doc["shift_caps"] = {
             "six_cycle_drift": c4b.value,
@@ -179,7 +182,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             p_max = max(probs)
             if p_max < 1:
                 sym = bounds_mod.shift_bound_symmetric(
-                    p_max, max(1, c1.delta - 1), 0)
+                    p_max, max(1, c4b.delta - 1), 0)
                 doc["shift_caps"]["condition_lhs"] = sym.condition_lhs
                 doc["shift_caps"]["condition_held"] = sym.condition_held
     _emit(doc, args.out)

@@ -62,6 +62,21 @@ def test_bounds_reports_certain_candidates(argv, count, capsys):
     assert count in feas["reason"]
 
 
+@pytest.mark.parametrize("pattern, uniform", [
+    ("0,2", False),   # p_max 3/8, not corollary 1's 19/81
+    ("2", False),     # every candidate certain, not "avoidable"
+    ("0,1", True),    # the uniform full pattern, spelled as a pattern
+])
+def test_bounds_corollary1_only_for_uniform_full_pattern(pattern, uniform,
+                                                         capsys):
+    code = run_cli("bounds", "--gamma", "3", "--kappa", "3",
+                   "--pattern", pattern, "--lifting", "1")
+    assert code == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert ("uniform_c4_regime" in doc) is uniform
+    assert doc["shift_caps"]["six_cycle_exponent"] == 24
+
+
 def test_bounds_missing_required_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("bounds", "--gamma", "3")

@@ -1,5 +1,5 @@
-"""Allocation bounds for the two whole-matrix steps: QC assembly and alist
-parsing.
+"""Allocation bounds for the three whole-matrix steps: QC assembly and alist
+export and parsing.
 
 Each step should allocate little beyond its result.  The measure is the
 peak of traced allocations during the call over the bytes still traced
@@ -51,6 +51,13 @@ def test_assemble_qc_allocates_little_beyond_its_result():
     h, ratio = _peak_over_retained(lambda: assemble_qc(inst))
     assert h.nnz == 3 * 7 * 6 * 211
     assert ratio <= 2.0
+
+
+def test_export_alist_allocates_little_beyond_its_result(matrix):
+    matrix.row_cols  # the matrix builds and keeps these on first use
+    text, ratio = _peak_over_retained(lambda: export_alist(matrix))
+    assert text.count("\n") == 4 + matrix.ncols + matrix.nrows
+    assert ratio <= 3.5
 
 
 def test_parse_alist_allocates_little_beyond_its_result(matrix):
