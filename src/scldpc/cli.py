@@ -31,13 +31,13 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import bounds as bounds_mod
+from . import __version__, bounds as bounds_mod
 from .alist import export_alist, parse_alist
 from .experiments import (MODES as EXPERIMENT_MODES, ExperimentConfig,
                           estimate_baseline, estimate_mt_shift, sweep,
                           verify_theorem2)
 from .graphs import girth
-from .model import BaseCode, CouplingScheme, assemble_qc
+from .model import BaseCode, CodeInstance, CouplingScheme, assemble_qc
 from .moser_tardos import construct_two_stage, run_joint
 from .probability import probability_report, stage_prob
 from .serialize import export_instance_json, import_instance_json
@@ -53,12 +53,15 @@ def _frac(f: Optional[Fraction]) -> Optional[str]:
     return None if f is None else f"{f.numerator}/{f.denominator}"
 
 
-def _emit(doc: dict, out: Optional[str]) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+def _write(text: str, out: Optional[str]) -> None:
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(doc: dict, out: Optional[str]) -> None:
+    _write(json.dumps(doc, sort_keys=True, indent=1) + "\n", out)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -203,21 +206,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         text = probability_report(cset, scheme)
     else:
         text = cset.to_json_lines()
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # construct
 # ---------------------------------------------------------------------------
-
-def _tool_version() -> str:
-    from . import __version__
-    return __version__
-
 
 def cmd_construct(args: argparse.Namespace) -> int:
     base = BaseCode(args.gamma, args.kappa)
@@ -254,7 +249,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
               if is_active(c, instance.partition, instance.lift,
                            scheme.lifting_degree)]
     doc.update({
-        "tool_version": _tool_version(),
+        "tool_version": __version__,
         "seed": args.seed,
         "config": {
             "gamma": base.gamma, "kappa": base.kappa,
@@ -290,14 +285,17 @@ def cmd_construct(args: argparse.Namespace) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def _load_instance(path: str) -> CodeInstance:
+    """The instance at ``path``; an unreadable file is a ValueError too,
+    so ``main`` reports either as malformed input."""
     try:
-        text = Path(args.instance).read_text()
-        instance = import_instance_json(text)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return import_instance_json(Path(path).read_text())
+    except OSError as exc:
+        raise ValueError(exc) from None
 
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    instance = _load_instance(args.instance)
     targets = enumerate_cycles(instance.base, args.two_g, args.walk_mode)
     z = instance.scheme.lifting_degree
     active = [c.key for c in targets
@@ -373,6 +371,12 @@ def _shift_doc(stats) -> dict:
     }
 
 
+# (command-line flag, config key): each given flag overrides the config.
+_CONFIG_FLAGS = (("gamma", "gamma"), ("kappa", "kappa"), ("m", "m"),
+                 ("lifting", "Z"), ("trials", "trials"), ("seed", "seed"),
+                 ("mode", "mode"), ("cap", "cap"))
+
+
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         doc = json.loads(Path(args.config).read_text())
@@ -380,24 +384,12 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ValueError("experiment config must be a JSON object")
     else:
         doc = {}
-    if args.gamma is not None:
-        doc["gamma"] = args.gamma
-    if args.kappa is not None:
-        doc["kappa"] = args.kappa
-    if args.m is not None:
+    if args.m is not None:  # --m replaces the config's explicit scheme
         doc.pop("pattern", None)
         doc.pop("probs", None)
-        doc["m"] = args.m
-    if args.lifting is not None:
-        doc["Z"] = args.lifting
-    if args.trials is not None:
-        doc["trials"] = args.trials
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.mode is not None:
-        doc["mode"] = args.mode
-    if args.cap is not None:
-        doc["cap"] = args.cap
+    for flag, key in _CONFIG_FLAGS:
+        if getattr(args, flag) is not None:
+            doc[key] = getattr(args, flag)
     if "gamma" not in doc or "kappa" not in doc:
         raise ValueError("gamma and kappa are required (config or flags)")
     if "pattern" not in doc and "m" not in doc:
@@ -416,11 +408,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         if not args.sweep_values:
             print("error: --sweep requires --sweep-values", file=sys.stderr)
             return EXIT_USAGE
-        text = sweep(config, args.sweep, args.sweep_values)
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+        _write(sweep(config, args.sweep, args.sweep_values), args.out)
         return EXIT_OK
 
     if args.op == "baseline":
@@ -465,12 +453,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_export(args: argparse.Namespace) -> int:
-    try:
-        instance = import_instance_json(Path(args.instance).read_text())
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    h = assemble_qc(instance)
+    h = assemble_qc(_load_instance(args.instance))
     text = export_alist(h)
     Path(args.alist).write_text(text)
     back = parse_alist(text)

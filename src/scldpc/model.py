@@ -76,11 +76,13 @@ class SparseBinaryMatrix:
     @property
     def row_cols(self) -> tuple[tuple[int, ...], ...]:
         if self._row_cols is None:
-            rows: list[list[int]] = [[] for _ in range(self.nrows)]
+            rows: list = [[] for _ in range(self.nrows)]
             for j, col in enumerate(self.col_rows):
                 for r in col:
                     rows[r].append(j)
-            self._row_cols = tuple(tuple(r) for r in rows)
+            for r, cols in enumerate(rows):  # in place: no second copy
+                rows[r] = tuple(cols)
+            self._row_cols = tuple(rows)
         return self._row_cols
 
     @property
@@ -269,8 +271,7 @@ class CodeInstance:
         if self.partition.stage != "partition" or self.lift.stage != "lift":
             raise ValueError("assignments passed in the wrong order")
         _check_partition(self.base, self.scheme, self.partition)
-        if not self.lift.covers(self.base):
-            raise ValueError("lift assignment does not cover the base mask")
+        _check_cover(self.base, self.lift)
         z = self.scheme.lifting_degree
         for (i, j), v in self.lift.items():
             if not 0 <= v < z:
@@ -278,17 +279,20 @@ class CodeInstance:
                     f"lift shift {v} on edge ({i},{j}) outside [0,{z})")
 
 
+def _check_cover(base: BaseCode, a: Assignment) -> None:
+    """A value on every base edge and on no masked-out position."""
+    if not a.covers(base):
+        raise ValueError(f"{a.stage} assignment does not cover the base mask")
+    for (i, j), v in a.items():
+        if not base.mask[i][j]:
+            raise ValueError(f"{a.stage} value {v} on masked-out ({i},{j})")
+
+
 def _check_partition(base: BaseCode, scheme: CouplingScheme,
                      partition: Assignment) -> None:
-    if (len(partition.values) != base.gamma
-            or any(len(r) != base.kappa for r in partition.values)):
-        raise ValueError("partition grid shape does not match the base")
-    allowed = set(scheme.pattern)
-    for (i, j) in base.edges:
-        v = partition.values[i][j]
-        if v is None:
-            raise ValueError(f"partition misses base edge ({i},{j})")
-        if v not in allowed:
+    _check_cover(base, partition)
+    for (i, j), v in partition.items():
+        if v not in scheme.pattern:
             raise ValueError(
                 f"partition value {v} on edge ({i},{j}) not in pattern")
 

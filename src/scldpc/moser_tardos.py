@@ -8,8 +8,11 @@ avoidable target walk becomes a bad event: its linear forms
 values and mod Z for shifts) all vanish.  The event's scope is the set of
 variables its forms mention.
 
-The solver is the classic resample-until-clean procedure with the
-depth-first recursion order made explicit:
+Each run compiles its targets once (``compile_events``) into an
+``EventSystem``: the layout, and per event in canonical candidate order its
+label, forms, scope and dependency neighbourhood.  ``run_mt`` then only
+resamples.  The solver is the classic resample-until-clean procedure with
+the depth-first recursion order made explicit:
 
     while some bad event occurs:
         RESAMPLE(least occurring event)               # canonical order
@@ -38,15 +41,13 @@ import numpy as np
 from .model import Assignment, BaseCode, CodeInstance, CouplingScheme
 from .probability import (Block, Form, draw, edge_index, forms, stage_blocks,
                           stage_prob, vanish)
-from .walks import CandidateSet, WalkCandidate, is_active_partition
+from .walks import CandidateSet, is_active_partition
 from . import bounds
 
 FALLBACK_CAP = 10 ** 6
 PIPELINE_STAGE1_CAP_FACTOR = 100
 
 SeedLike = Union[int, np.random.SeedSequence]
-# (stage blocks, variables per block): what run_mt draws.
-Framework = tuple[tuple[Block, ...], int]
 
 
 class AdmissionError(ValueError):
@@ -61,11 +62,20 @@ class AdmissionError(ValueError):
 
 
 @dataclass(frozen=True)
-class Event:
-    label: str
-    order: tuple
-    forms: tuple[Form, ...]
-    scope: tuple[int, ...]
+class EventSystem:
+    """One stage's bad events, compiled for ``run_mt``.
+
+    ``blocks`` and ``n`` (variables per block) are the stage layout; the
+    per-event tuples run in canonical candidate order.  ``neighbors[e]``
+    lists, sorted, every event sharing a variable with e, e included.
+    """
+
+    blocks: tuple[Block, ...]
+    n: int
+    labels: tuple[str, ...]
+    forms: tuple[tuple[Form, ...], ...]
+    scopes: tuple[tuple[int, ...], ...]
+    neighbors: tuple[tuple[int, ...], ...]
 
 
 @dataclass
@@ -79,36 +89,42 @@ class MTTrace:
     metadata: dict = field(default_factory=dict)
 
 
-def run_mt(framework: Framework, events: Sequence[Event], seed: SeedLike,
+def compile_events(cset: CandidateSet, scheme: CouplingScheme,
+                   stage: str) -> EventSystem:
+    """One event per target, in the set's canonical order; raises
+    AdmissionError naming the targets with no forms in the stage."""
+    blocks = stage_blocks(scheme, stage)
+    index = edge_index(cset.base.edges)
+    event_forms = tuple(forms(c, index, blocks) for c in cset)
+    rejected = [c.key for c, fs in zip(cset, event_forms) if not fs]
+    if rejected:
+        raise AdmissionError(rejected, stage)
+    scopes = tuple(tuple(sorted({v for var_idx, _, _ in fs for v in var_idx}))
+                   for fs in event_forms)
+    var_events: dict[int, list[int]] = {}
+    for e, scope in enumerate(scopes):
+        for v in scope:
+            var_events.setdefault(v, []).append(e)
+    neighbors = tuple(tuple(sorted({t for v in scope for t in var_events[v]}))
+                      for scope in scopes)
+    return EventSystem(blocks, len(index), tuple(c.key for c in cset),
+                       event_forms, scopes, neighbors)
+
+
+def run_mt(system: EventSystem, seed: SeedLike,
            max_resamples: Optional[int] = None) -> tuple[list[int], MTTrace]:
     """Resample until no event occurs (or the cap is hit).
 
-    ``framework`` is (blocks, n): the stage layout and its variables per
-    block.  None disables the cap; the stage runners always pass one.
-    Returns the final variable values and the trace; ``terminated`` is
-    False iff the cap cut the run short, in which case the values are the
-    partial state.
+    None disables the cap; the stage runners always pass one.  Returns
+    the final variable values and the trace; ``terminated`` is False iff
+    the cap cut the run short, in which case the values are the partial
+    state.
     """
-    blocks, n_vars = framework
-    events = sorted(events, key=lambda e: e.order)
+    blocks, n_vars, event_forms = system.blocks, system.n, system.forms
+    scopes, neighbors = system.scopes, system.neighbors
     rng = np.random.default_rng(seed)
-    n_ev = len(events)
+    n_ev = len(event_forms)
     values = draw(rng, blocks, n_vars)
-
-    var_events: dict[int, list[int]] = {}
-    for n, e in enumerate(events):
-        if not e.scope:
-            raise ValueError(f"event {e.label} has empty scope")
-        for v in e.scope:
-            var_events.setdefault(v, []).append(n)
-    neighbors: list[tuple[int, ...]] = []
-    for n, e in enumerate(events):
-        touching: set[int] = set()
-        for v in e.scope:
-            touching.update(var_events[v])
-        neighbors.append(tuple(sorted(touching)))
-
-    event_forms = [e.forms for e in events]
     occ = [vanish(f, values) for f in event_forms]
     per_event = [0] * n_ev
     total = 0
@@ -120,7 +136,7 @@ def run_mt(framework: Framework, events: Sequence[Event], seed: SeedLike,
         nonlocal total
         if max_resamples is not None and total >= max_resamples:
             return False
-        draw(rng, blocks, n_vars, values, events[n].scope)
+        draw(rng, blocks, n_vars, values, scopes[n])
         total += 1
         per_event[n] += 1
         for t in neighbors[n]:
@@ -132,27 +148,22 @@ def run_mt(framework: Framework, events: Sequence[Event], seed: SeedLike,
         if start is None:
             break
         wall += 1
-        if not resample(start):
-            capped = True
-            break
+        capped = not resample(start)
         stack = [start]
         while stack and not capped:
-            top = stack[-1]
-            nxt = next((t for t in neighbors[top] if occ[t]), None)
+            nxt = next((t for t in neighbors[stack[-1]] if occ[t]), None)
             if nxt is None:
                 stack.pop()
-                continue
-            if not resample(nxt):
-                capped = True
-                break
-            stack.append(nxt)
+            else:
+                capped = not resample(nxt)
+                stack.append(nxt)
 
     terminated = not capped
     if terminated and any(vanish(f, values) for f in event_forms):
         raise AssertionError("resampler stopped while an event still occurs")
     trace = MTTrace(
         total_resamples=total,
-        per_event={events[n].label: per_event[n] for n in range(n_ev)},
+        per_event=dict(zip(system.labels, per_event)),
         wall_iterations=wall,
         terminated=terminated,
         seed=seed if isinstance(seed, int) else None,
@@ -172,27 +183,6 @@ def _normalize_targets(base: BaseCode, targets) -> CandidateSet:
             raise ValueError("target set was built over a different base")
         return targets
     return CandidateSet(base, tuple(set(targets)))
-
-
-def _build_events(cands: Sequence[WalkCandidate], base: BaseCode,
-                  scheme: CouplingScheme,
-                  stage: str) -> tuple[Framework, list[Event]]:
-    """The stage's (blocks, n) layout for ``run_mt`` and one event per
-    target."""
-    blocks = stage_blocks(scheme, stage)
-    index = edge_index(base.edges)
-    events = []
-    rejected = []
-    for cand in cands:
-        fs = forms(cand, index, blocks)
-        if not fs:
-            rejected.append(cand.key)
-            continue
-        scope = tuple(sorted({v for var_idx, _, _ in fs for v in var_idx}))
-        events.append(Event(cand.key, cand.sort_key, fs, scope))
-    if rejected:
-        raise AdmissionError(rejected, stage)
-    return (blocks, len(index)), events
 
 
 def default_cap(cset: CandidateSet, probs) -> int:
@@ -242,10 +232,10 @@ def run_stage_partition(base: BaseCode, scheme: CouplingScheme, targets,
                         ) -> tuple[Assignment, MTTrace]:
     """Draw spreading values until no target survives the integer condition."""
     cset = _normalize_targets(base, targets)
-    framework, events = _build_events(cset, base, scheme, "partition")
+    system = compile_events(cset, scheme, "partition")
     if max_resamples is None:
         max_resamples = stage_cap(cset, scheme, "partition")
-    values, trace = run_mt(framework, events, seed, max_resamples)
+    values, trace = run_mt(system, seed, max_resamples)
     return _grid_from_values(base, "partition", values), trace
 
 
@@ -259,13 +249,13 @@ def run_stage_lift(base: BaseCode, scheme: CouplingScheme,
     result is a plain uniform draw with zero resamples.
     """
     cset = _normalize_targets(base, targets)
-    survivors = tuple(c for c in cset if is_active_partition(c, partition))
-    framework, events = _build_events(survivors, base, scheme, "lift")
-    if max_resamples is None and survivors:
-        max_resamples = stage_cap(CandidateSet(base, survivors), scheme,
-                                  "lift")
-    values, trace = run_mt(framework, events, seed, max_resamples)
-    trace.metadata["survivors"] = [c.key for c in survivors]
+    survivors = CandidateSet(base, tuple(
+        c for c in cset if is_active_partition(c, partition)))
+    system = compile_events(survivors, scheme, "lift")
+    if max_resamples is None and len(survivors):
+        max_resamples = stage_cap(survivors, scheme, "lift")
+    values, trace = run_mt(system, seed, max_resamples)
+    trace.metadata["survivors"] = list(system.labels)
     return _grid_from_values(base, "lift", values), trace
 
 
@@ -275,10 +265,10 @@ def run_joint(base: BaseCode, scheme: CouplingScheme, targets,
     """Resample spreading values and lift shifts together (one event per
     target, conjunction of both forms)."""
     cset = _normalize_targets(base, targets)
-    framework, events = _build_events(cset, base, scheme, "joint")
+    system = compile_events(cset, scheme, "joint")
     if max_resamples is None:
         max_resamples = stage_cap(cset, scheme, "joint")
-    values, trace = run_mt(framework, events, seed, max_resamples)
+    values, trace = run_mt(system, seed, max_resamples)
     partition = _grid_from_values(base, "partition", values)
     lift = _grid_from_values(base, "lift", values, offset=len(base.edges))
     instance = CodeInstance(base, scheme, partition, lift,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Optional
 
 from . import __version__
 from .model import Assignment, BaseCode, CodeInstance, CouplingScheme
@@ -19,10 +18,6 @@ SCHEMA_VERSION = 1
 
 def _frac_str(p: Fraction) -> str:
     return f"{p.numerator}/{p.denominator}"
-
-
-def _grid(values) -> list[list[Optional[int]]]:
-    return [list(row) for row in values]
 
 
 def export_instance_json(instance: CodeInstance) -> str:
@@ -36,12 +31,26 @@ def export_instance_json(instance: CodeInstance) -> str:
         "probs": [_frac_str(p) for p in instance.scheme.probs],
         "L": instance.scheme.coupling_length,
         "Z": instance.scheme.lifting_degree,
-        "partition": _grid(instance.partition.values),
-        "lift": _grid(instance.lift.values),
+        "partition": [list(row) for row in instance.partition.values],
+        "lift": [list(row) for row in instance.lift.values],
         "seed": instance.seed,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ": "),
                       indent=1) + "\n"
+
+
+def _check_ints(name: str, value: object, depth: int,
+                holes: bool = False) -> None:
+    """``value`` must be an integer, or lists nested ``depth`` deep around
+    integers; null stands in for an integer when ``holes``."""
+    if depth:
+        if not isinstance(value, list):
+            raise ValueError(f"{name} must be a list, got {value!r}")
+        for v in value:
+            _check_ints(name, v, depth - 1, holes)
+    elif not (holes and value is None) and (
+            isinstance(value, bool) or not isinstance(value, int)):
+        raise ValueError(f"{name}: {value!r} is not an integer")
 
 
 def import_instance_json(text: str) -> CodeInstance:
@@ -59,11 +68,22 @@ def import_instance_json(text: str) -> CodeInstance:
     missing = [k for k in required if k not in doc]
     if missing:
         raise ValueError(f"missing fields: {', '.join(missing)}")
+    for name, depth in (("gamma", 0), ("kappa", 0), ("L", 0), ("Z", 0),
+                        ("pattern", 1), ("mask", 2), ("partition", 2),
+                        ("lift", 2), ("seed", 0)):
+        _check_ints(name, doc.get(name), depth,
+                    holes=name in ("partition", "lift", "seed"))
+    probs = doc["probs"]
+    if not isinstance(probs, list) or not all(isinstance(p, str)
+                                              for p in probs):
+        raise ValueError(f"probs must be a list of strings, got {probs!r}")
+    try:
+        probs = tuple(map(Fraction, probs))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"probs: {exc}") from None
     base = BaseCode(doc["gamma"], doc["kappa"],
                     tuple(tuple(row) for row in doc["mask"]))
-    scheme = CouplingScheme(tuple(doc["pattern"]),
-                            tuple(Fraction(p) for p in doc["probs"]),
-                            doc["L"], doc["Z"])
+    scheme = CouplingScheme(tuple(doc["pattern"]), probs, doc["L"], doc["Z"])
     partition = Assignment("partition",
                            tuple(tuple(row) for row in doc["partition"]))
     lift = Assignment("lift", tuple(tuple(row) for row in doc["lift"]))

@@ -36,6 +36,7 @@ all deterministic orderings in the package sort by ``(two_g, nodes)``.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -288,7 +289,6 @@ class CandidateSet:
         return CandidateSet(self.base, tuple(kept))
 
     def to_json_lines(self) -> str:
-        import json
         lines = []
         for c in self.candidates:
             lines.append(json.dumps({

@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from scldpc import (Assignment, BaseCode, CodeInstance, CouplingScheme,
+                    export_instance_json)
 from scldpc.cli import (EXIT_CAP_EXHAUSTED, EXIT_CHECK_FAILED, EXIT_OK,
                         EXIT_USAGE, main)
 
@@ -213,6 +215,37 @@ def test_verify_rejects_malformed_instance(tmp_path, capsys):
     bad.write_text('{"schema": 999}')
     code = run_cli("verify", str(bad))
     assert code == EXIT_USAGE
+
+
+def _instance_doc() -> dict:
+    """A valid 2x3 instance with (1, 1) masked out."""
+    base = BaseCode(2, 3, mask=((1, 1, 1), (1, 0, 1)))
+    partition = Assignment.from_dict(
+        "partition", {e: k % 2 for k, e in enumerate(base.edges)}, 2, 3)
+    lift = Assignment.from_dict(
+        "lift", {e: (3 * k) % 5 for k, e in enumerate(base.edges)}, 2, 3)
+    return json.loads(export_instance_json(CodeInstance(
+        base, CouplingScheme.uniform(1, 2, 5), partition, lift)))
+
+
+@pytest.mark.parametrize("name, cell, value", [
+    ("gamma", None, 2.0), ("Z", None, "5"), ("partition", (0, 0), 0.9),
+    ("lift", (0, 1), 3.7), ("partition", (1, 1), 7),
+])
+def test_verify_and_export_reject_malformed_fields(name, cell, value,
+                                                   tmp_path, capsys):
+    doc = _instance_doc()
+    if cell:
+        doc[name][cell[0]][cell[1]] = value
+    else:
+        doc[name] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run_cli("verify", str(bad)) == EXIT_USAGE
+    assert run_cli("export", str(bad), str(tmp_path / "bad.alist")) \
+        == EXIT_USAGE
+    assert capsys.readouterr().err.count("error: ") == 2
+    assert not (tmp_path / "bad.alist").exists()
 
 
 # ---------------------------------------------------------------------------

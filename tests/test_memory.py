@@ -1,5 +1,5 @@
-"""Allocation bounds for the three whole-matrix steps: QC assembly and alist
-export and parsing.
+"""Allocation bounds for the whole-matrix steps: QC assembly, the row
+lists, and alist export and parsing.
 
 Each step should allocate little beyond its result.  The measure is the
 peak of traced allocations during the call over the bytes still traced
@@ -11,6 +11,7 @@ costs do not dominate.
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
 
 import pytest
@@ -51,6 +52,16 @@ def test_assemble_qc_allocates_little_beyond_its_result():
     h, ratio = _peak_over_retained(lambda: assemble_qc(inst))
     assert h.nnz == 3 * 7 * 6 * 211
     assert ratio <= 2.0
+
+
+def test_row_cols_allocates_little_beyond_its_result():
+    h = assemble_qc(_instance())
+    # A full collection empties the tuple free lists; rows served from
+    # them would go untraced and make the ratio depend on earlier tests.
+    gc.collect()
+    rows, ratio = _peak_over_retained(lambda: h.row_cols)
+    assert sum(map(len, rows)) == h.nnz
+    assert ratio <= 1.5
 
 
 def test_export_alist_allocates_little_beyond_its_result(matrix):

@@ -5,12 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from scldpc import (AdmissionError, Assignment, BaseCode, CouplingScheme,
-                    assemble_qc, construct_two_stage, default_cap,
-                    derive_child_seeds, enumerate_cycles, girth, joint_prob,
-                    run_joint, run_stage_lift, run_stage_partition,
+from scldpc import (AdmissionError, Assignment, BaseCode, CandidateSet,
+                    CouplingScheme, assemble_qc, construct_two_stage,
+                    default_cap, dependency_pairs, derive_child_seeds,
+                    enumerate_cycles, girth, joint_prob, run_joint,
+                    run_stage_lift, run_stage_partition,
                     spreading_prob_exact)
+from scldpc.moser_tardos import compile_events
 from scldpc.walks import WalkCandidate, is_active_lift, is_active_partition
 
 
@@ -244,3 +248,68 @@ def test_default_cap_fallback_when_infeasible():
     probs = [spreading_prob_exact(c, scheme) for c in cset]
     from scldpc.moser_tardos import FALLBACK_CAP
     assert default_cap(cset, probs) == FALLBACK_CAP
+
+
+# ---------------------------------------------------------------------------
+# Compiled events: the graph the resampler walks is Theorem 1's
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _target_sets(draw) -> tuple[CandidateSet, CouplingScheme]:
+    """A random subset of the 4-, 6- or tbc 8-walks over a random masked
+    base, with a pattern of at least two values and a small Z >= 2 (an
+    even Z drops the +-2 terms of 8-walks from the lift scopes)."""
+    gamma = draw(st.integers(2, 3))
+    kappa = draw(st.integers(2, 4))
+    cell = st.sampled_from((1, 1, 0)) if draw(st.booleans()) else st.just(1)
+    mask = draw(st.lists(st.lists(cell, min_size=kappa, max_size=kappa),
+                         min_size=gamma, max_size=gamma))
+    base = BaseCode(gamma, kappa, mask=tuple(map(tuple, mask)))
+    two_g, mode = draw(st.sampled_from([(4, "simple"), (6, "simple"),
+                                        (8, "tbc")]))
+    cands = [c for c in enumerate_cycles(base, two_g, mode) if c.avoidable]
+    kept = draw(st.lists(st.booleans(), min_size=len(cands),
+                         max_size=len(cands)))
+    pattern = tuple(sorted(draw(st.sets(st.integers(0, 3), min_size=2))))
+    n = len(pattern)
+    scheme = CouplingScheme(pattern, tuple(Fraction(1, n) for _ in pattern),
+                            pattern[-1] + 1, draw(st.integers(2, 3)))
+    cset = CandidateSet(base, tuple(c for c, k in zip(cands, kept) if k))
+    return cset, scheme
+
+
+def _closed_neighbourhoods(n: int, pairs) -> tuple[tuple[int, ...], ...]:
+    sets = [{a} for a in range(n)]
+    for a, b in pairs:
+        sets[a].add(b)
+        sets[b].add(a)
+    return tuple(tuple(sorted(s)) for s in sets)
+
+
+# 2x4 8-walks at Z=2: events sharing only +-2 edges share no lift variable.
+_EVEN_Z_8_WALKS = (enumerate_cycles(BaseCode(2, 4), 8, "tbc"),
+                   CouplingScheme((0, 1), (Fraction(1, 2),) * 2, 2, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(targets=_target_sets())
+@example(targets=_EVEN_Z_8_WALKS)
+def test_compiled_neighbors_are_the_dependency_graph(targets):
+    cset, scheme = targets
+    labels = tuple(c.key for c in cset)
+    expected = _closed_neighbourhoods(len(cset), dependency_pairs(cset))
+    for stage in ("partition", "joint"):
+        system = compile_events(cset, scheme, stage)
+        assert system.labels == labels
+        assert system.neighbors == expected
+
+    z = scheme.lifting_degree
+    lift_set = CandidateSet(cset.base, tuple(c for c in cset
+                                             if c.support_mod(z)))
+    lift_pairs = [(a, b) for a, ca in enumerate(lift_set)
+                  for b, cb in enumerate(lift_set)
+                  if a < b and set(ca.support_mod(z)) & set(cb.support_mod(z))]
+    system = compile_events(lift_set, scheme, "lift")
+    assert system.labels == tuple(c.key for c in lift_set)
+    assert system.neighbors == _closed_neighbourhoods(len(lift_set),
+                                                      lift_pairs)

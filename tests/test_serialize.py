@@ -58,3 +58,52 @@ def test_rejects_garbage():
         import_instance_json("not json at all {")
     with pytest.raises(ValueError):
         import_instance_json("[1, 2, 3]")
+
+
+def _corrupt(path: str, value) -> str:
+    """The instance document with one field (or one cell, for a
+    ``name.row.col`` path) replaced by ``value``."""
+    doc = json.loads(export_instance_json(_instance()))
+    name, *cell = path.split(".")
+    if cell:
+        doc[name][int(cell[0])][int(cell[1])] = value
+    else:
+        doc[name] = value
+    return json.dumps(doc)
+
+
+# Each non-integer is named; the grid cases were read truncated (0.9 as 0,
+# 3.7 as 3) and the masked-out values accepted.
+MALFORMED = [
+    ("gamma", 2.0, "gamma"),
+    ("Z", "5", "Z"),
+    ("L", True, "L"),
+    ("pattern", [0, 2.0], "pattern"),
+    ("mask.0.1", 0.9, "mask"),
+    ("partition.0.0", 0.9, "partition"),
+    ("lift.0.1", 3.7, "lift"),
+    ("partition", "0,2", "partition"),
+    ("seed", 1.5, "seed"),
+    ("probs", [0.5, 0.5], "probs"),
+    ("probs", ["1/0", "1/1"], "probs"),
+    ("partition.1.1", 7, "masked-out"),
+    ("lift.1.1", 3, "masked-out"),
+]
+
+
+@pytest.mark.parametrize("path, value, named", MALFORMED)
+def test_rejects_malformed_fields(path, value, named):
+    with pytest.raises(ValueError, match=named):
+        import_instance_json(_corrupt(path, value))
+
+
+@pytest.mark.parametrize("stage", ["partition", "lift"])
+def test_instance_rejects_values_off_the_mask(stage):
+    inst = _instance()
+    grids = {"partition": inst.partition, "lift": inst.lift}
+    values = [list(row) for row in grids[stage].values]
+    values[1][1] = 0  # (1, 1) is masked out
+    grids[stage] = Assignment(stage, tuple(map(tuple, values)))
+    with pytest.raises(ValueError, match="masked-out"):
+        CodeInstance(inst.base, inst.scheme, grids["partition"],
+                     grids["lift"])
