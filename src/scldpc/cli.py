@@ -37,7 +37,8 @@ from .experiments import (MODES as EXPERIMENT_MODES, ExperimentConfig,
                           estimate_baseline, estimate_mt_shift, sweep,
                           verify_theorem2)
 from .graphs import girth
-from .model import BaseCode, CodeInstance, CouplingScheme, assemble_qc
+from .model import (BaseCode, CodeInstance, CouplingScheme, assemble_qc,
+                    frac_text)
 from .moser_tardos import construct_two_stage, run_joint
 from .probability import probability_report, stage_prob
 from .serialize import export_instance_json, import_instance_json
@@ -47,10 +48,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP_EXHAUSTED = 3
-
-
-def _frac(f: Optional[Fraction]) -> Optional[str]:
-    return None if f is None else f"{f.numerator}/{f.denominator}"
 
 
 def _write(text: str, out: Optional[str]) -> None:
@@ -135,16 +132,16 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             "k": rep.k,
             "delta_observed": rep.delta,
             "w_max": rep.w_max,
-            "p_max": _frac(rep.p_max),
+            "p_max": frac_text(rep.p_max),
             "p_max_float": float(rep.p_max),
-            "threshold_i": _frac(rep.thresholds.i_exact),
+            "threshold_i": frac_text(rep.thresholds.i_exact),
             "threshold_i_float": rep.thresholds.i_float,
-            "threshold_ii": _frac(rep.thresholds.ii_exact),
+            "threshold_ii": frac_text(rep.thresholds.ii_exact),
             "threshold_ii_float": rep.thresholds.ii_float,
             "branch": rep.branch,
             "feasible": rep.feasible,
             "avoidance_lb": rep.avoidance_lb,
-            "resample_bound": _frac(rep.resample_bound),
+            "resample_bound": frac_text(rep.resample_bound),
             "resample_bound_float":
                 None if rep.resample_bound is None
                 else float(rep.resample_bound),
@@ -167,7 +164,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                                              scheme.lifting_degree)
             doc["uniform_c4_regime"] = {
                 "delta_formula": c1.delta,
-                "lhs": _frac(c1.lhs),
+                "lhs": frac_text(c1.lhs),
                 "lhs_float": float(c1.lhs),
                 "branch": c1.branch,
                 "unavoidable": c1.unavoidable,
@@ -254,7 +251,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         "config": {
             "gamma": base.gamma, "kappa": base.kappa,
             "pattern": list(scheme.pattern),
-            "probs": [str(p) for p in scheme.probs],
+            "probs": [frac_text(p) for p in scheme.probs],
             "L": scheme.coupling_length, "Z": scheme.lifting_degree,
         },
         "targets": {"two_g": args.two_g, "mode": args.walk_mode,
@@ -324,51 +321,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # experiment
 # ---------------------------------------------------------------------------
 
-def _observable_doc(o) -> dict:
-    return {
-        "key": o.key, "class": o.cls,
-        "p_omega": _frac(o.p_omega), "p_omega_float": float(o.p_omega),
-        "hits": o.hits, "trials_ok": o.trials_ok, "p_hat": o.p_hat,
-        "ratio": o.ratio, "wilson_low": o.wilson_low,
-        "wilson_high": o.wilson_high, "ratio_upper": o.ratio_upper,
-        "n_overlap": o.n_overlap, "cap_symmetric": o.cap_symmetric,
-        "cap_relaxed": o.cap_relaxed, "cap_asymmetric": o.cap_asymmetric,
-        "check_kind": o.check_kind, "check_passed": o.check_passed,
-    }
-
-
-def _shift_doc(stats) -> dict:
-    return {
-        "config": stats.config.to_json(),
-        "trials_ok": stats.trials_ok,
-        "trials_failed": stats.trials_failed,
-        "eliminate_count": stats.eliminate_count,
-        "delta": {"observed": stats.delta_observed,
-                  "formula": stats.delta_formula,
-                  "used": stats.delta_used,
-                  "source": stats.delta_source},
-        "p_elim_max": _frac(stats.p_elim_max),
-        "p_elim_max_float": float(stats.p_elim_max),
-        "condition_lhs": stats.condition_lhs,
-        "condition_held": stats.condition_held,
-        "asym_certified": stats.asym_certified,
-        "observables": [_observable_doc(o) for o in stats.observables],
-        "classes": [{
-            "class": c.cls, "count": c.count, "mean_ratio": c.mean_ratio,
-            "max_ratio": c.max_ratio, "max_ratio_upper": c.max_ratio_upper,
-            "cap_corollary4": c.cap_corollary4,
-            "cap_universal_c6": c.cap_universal_c6,
-        } for c in stats.classes],
-        "resamples": {
-            "mean": stats.resamples.mean, "std": stats.resamples.std,
-            "max": stats.resamples.max, "total": stats.resamples.total,
-            "bound": _frac(stats.resamples.bound),
-            "feasible": stats.resamples.feasible,
-            "branch": stats.resamples.branch,
-            "bound_holds": stats.resamples.bound_holds,
-        },
-        "all_checks_pass": stats.all_checks_pass,
-    }
+def _report_doc(report, config: ExperimentConfig,
+                twins: Sequence[str]) -> dict:
+    """An experiment report document: the report dataclass's fields by
+    ``asdict``, with ``cls`` written as "class", each exact rational as
+    "num/den" text (plus a ``<name>_float`` twin for the fields named in
+    ``twins``), the ``delta_*`` fields nested under "delta", and the
+    resolved config."""
+    def fields(pairs) -> dict:
+        doc: dict = {}
+        for name, value in pairs:
+            if name in twins:
+                doc[f"{name}_float"] = None if value is None else float(value)
+            if isinstance(value, Fraction):
+                value = frac_text(value)
+            if name.startswith("delta_"):
+                doc.setdefault("delta", {})[name[len("delta_"):]] = value
+            else:
+                doc["class" if name == "cls" else name] = value
+        return doc
+    return {**dataclasses.asdict(report, dict_factory=fields),
+            "config": config.to_json()}
 
 
 # (command-line flag, config key): each given flag overrides the config.
@@ -413,38 +386,20 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
     if args.op == "baseline":
         rep = estimate_baseline(config)
-        doc = {
-            "config": config.to_json(),
-            "trials": rep.trials,
-            "observables": [{
-                "key": r.key, "class": r.cls, "p_omega": _frac(r.p_omega),
-                "p_omega_float": float(r.p_omega), "hits": r.hits,
-                "freq": r.freq, "z_score": r.z_score,
-                "within_4sigma": r.within_4sigma,
-            } for r in rep.rows],
-            "max_abs_z": rep.max_abs_z,
-            "all_within": rep.all_within,
-        }
+        doc = _report_doc(rep, config, ("p_omega",))
+        doc["observables"] = doc.pop("rows")
         _emit(doc, args.out)
         return EXIT_OK if rep.all_within else EXIT_CHECK_FAILED
 
     if args.op == "theorem2":
         t2 = verify_theorem2(config)
-        doc = {
-            "config": config.to_json(),
-            "feasible": t2.feasible, "branch": t2.branch,
-            "bound": _frac(t2.bound),
-            "bound_float": None if t2.bound is None else float(t2.bound),
-            "trials": t2.trials, "mean": t2.mean, "std": t2.std,
-            "max": t2.max, "allowance": t2.allowance, "passed": t2.passed,
-        }
-        _emit(doc, args.out)
+        _emit(_report_doc(t2, config, ("bound",)), args.out)
         if t2.passed is False:
             return EXIT_CHECK_FAILED
         return EXIT_OK
 
     stats = estimate_mt_shift(config)
-    _emit(_shift_doc(stats), args.out)
+    _emit(_report_doc(stats, config, ("p_elim_max", "p_omega")), args.out)
     return EXIT_OK if stats.all_checks_pass else EXIT_CHECK_FAILED
 
 

@@ -25,15 +25,16 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import BaseCode, CouplingScheme
+from .model import BaseCode, CouplingScheme, frac_text
 from .probability import (draw, edge_index, forms, stage_blocks, stage_prob,
                           vanish)
+from .serialize import check_ints
 from .walks import (CandidateSet, WalkCandidate, dependency_degree,
                     enumerate_cycles, is_active)
 from . import bounds
@@ -85,14 +86,16 @@ class StructureSpec:
         return cset
 
     def to_json(self) -> dict:
-        return {"two_g": self.two_g, "mode": self.mode,
-                "rows": None if self.rows is None else list(self.rows),
-                "cols": None if self.cols is None else list(self.cols)}
+        return asdict(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "StructureSpec":
         rows = doc.get("rows")
         cols = doc.get("cols")
+        check_ints("two_g", doc.get("two_g", 4), 0)
+        for name, value in (("rows", rows), ("cols", cols)):
+            if value is not None:
+                check_ints(name, value, 1)
         return cls(doc.get("two_g", 4), doc.get("mode", "simple"),
                    None if rows is None else tuple(rows),
                    None if cols is None else tuple(cols))
@@ -127,8 +130,7 @@ class ExperimentConfig:
         return {
             "gamma": self.gamma, "kappa": self.kappa,
             "pattern": list(self.scheme.pattern),
-            "probs": [f"{p.numerator}/{p.denominator}"
-                      for p in self.scheme.probs],
+            "probs": [frac_text(p) for p in self.scheme.probs],
             "L": self.scheme.coupling_length,
             "Z": self.scheme.lifting_degree,
             "mode": self.mode, "trials": self.trials, "seed": self.seed,
@@ -139,11 +141,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
+        """A non-integer field is a ValueError naming it; a null L or cap
+        takes its default."""
+        for name, depth in (("gamma", 0), ("kappa", 0), ("m", 0), ("L", 0),
+                            ("Z", 0), ("trials", 0), ("seed", 0),
+                            ("cap", 0), ("pattern", 1)):
+            if name in doc:
+                check_ints(name, doc[name], depth,
+                           holes=name in ("L", "cap"))
         if "pattern" in doc:
+            length = doc.get("L")
             scheme = CouplingScheme(
                 tuple(doc["pattern"]),
                 tuple(Fraction(p) for p in doc["probs"]),
-                doc.get("L", max(doc["pattern"]) + 1),
+                max(doc["pattern"]) + 1 if length is None else length,
                 doc.get("Z", 1))
         else:
             m = doc["m"]
@@ -622,15 +633,12 @@ def sweep(config: ExperimentConfig, param: str,
                 eliminate_count=stats.eliminate_count,
                 delta_observed=stats.delta_observed,
                 delta_used=stats.delta_used,
-                p_elim_max=(f"{stats.p_elim_max.numerator}/"
-                            f"{stats.p_elim_max.denominator}"),
+                p_elim_max=frac_text(stats.p_elim_max),
                 p_elim_max_float=repr(float(stats.p_elim_max)),
                 condition_held=stats.condition_held,
                 feasible=stats.resamples.feasible,
                 branch=stats.resamples.branch or "",
-                resample_bound=("" if stats.resamples.bound is None else
-                                f"{stats.resamples.bound.numerator}/"
-                                f"{stats.resamples.bound.denominator}"),
+                resample_bound=frac_text(stats.resamples.bound) or "",
                 resample_mean=repr(stats.resamples.mean),
                 resample_max=stats.resamples.max,
                 bound_holds=stats.resamples.bound_holds,

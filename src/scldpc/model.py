@@ -26,6 +26,7 @@ offset.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -126,7 +127,7 @@ class BaseCode:
                 self, "mask",
                 tuple(tuple(1 for _ in range(self.kappa))
                       for _ in range(self.gamma)))
-        mask = tuple(tuple(int(v) for v in row) for row in self.mask)
+        mask = tuple(tuple(map(operator.index, row)) for row in self.mask)
         if len(mask) != self.gamma or any(len(r) != self.kappa for r in mask):
             raise ValueError("mask shape does not match gamma x kappa")
         if any(v not in (0, 1) for row in mask for v in row):
@@ -154,6 +155,12 @@ def _as_fraction(x: object) -> Fraction:
     return Fraction(x)  # type: ignore[arg-type]
 
 
+def frac_text(p: Optional[Fraction]) -> Optional[str]:
+    """The "num/den" text of an exact rational, as every document writes
+    it (``_as_fraction`` reads it back); None stays None."""
+    return None if p is None else f"{p.numerator}/{p.denominator}"
+
+
 @dataclass(frozen=True)
 class CouplingScheme:
     """Spreading pattern + probabilities, chain length and lift degree.
@@ -170,7 +177,7 @@ class CouplingScheme:
     lifting_degree: int = 1
 
     def __post_init__(self) -> None:
-        pattern = tuple(int(a) for a in self.pattern)
+        pattern = tuple(map(operator.index, self.pattern))
         probs = tuple(_as_fraction(p) for p in self.probs)
         if not pattern:
             raise ValueError("empty spreading pattern")
@@ -221,7 +228,7 @@ class Assignment:
     def __post_init__(self) -> None:
         if self.stage not in ("partition", "lift"):
             raise ValueError(f"unknown stage {self.stage!r}")
-        vals = tuple(tuple(None if v is None else int(v) for v in row)
+        vals = tuple(tuple(v if v is None else operator.index(v) for v in row)
                      for row in self.values)
         object.__setattr__(self, "values", vals)
 
@@ -230,7 +237,7 @@ class Assignment:
                   gamma: int, kappa: int) -> "Assignment":
         grid = [[None] * kappa for _ in range(gamma)]
         for (i, j), v in mapping.items():
-            grid[i][j] = int(v)
+            grid[i][j] = v
         return cls(stage, tuple(tuple(row) for row in grid))
 
     def __getitem__(self, edge: Edge) -> int:

@@ -51,7 +51,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import CouplingScheme, Edge
+from .model import CouplingScheme, Edge, frac_text
 from .walks import WalkCandidate
 
 # (variable indices, coefficients, modulus); modulus 0 means over the integers.
@@ -332,12 +332,9 @@ def probability_report(cands: Sequence[WalkCandidate],
         capped = min(Fraction(1), p.lift_bound)
         lines.append(",".join([
             c.key, str(c.two_g),
-            f"{p.spread.numerator}/{p.spread.denominator}",
-            repr(float(p.spread)),
-            f"{p.lift.numerator}/{p.lift.denominator}",
-            repr(float(p.lift)),
-            f"{capped.numerator}/{capped.denominator}",
-            f"{p.joint.numerator}/{p.joint.denominator}",
-            repr(float(p.joint)),
+            frac_text(p.spread), repr(float(p.spread)),
+            frac_text(p.lift), repr(float(p.lift)),
+            frac_text(capped),
+            frac_text(p.joint), repr(float(p.joint)),
         ]))
     return "\n".join(lines) + "\n"

@@ -11,13 +11,10 @@ import json
 from fractions import Fraction
 
 from . import __version__
-from .model import Assignment, BaseCode, CodeInstance, CouplingScheme
+from .model import (Assignment, BaseCode, CodeInstance, CouplingScheme,
+                    frac_text)
 
 SCHEMA_VERSION = 1
-
-
-def _frac_str(p: Fraction) -> str:
-    return f"{p.numerator}/{p.denominator}"
 
 
 def export_instance_json(instance: CodeInstance) -> str:
@@ -28,7 +25,7 @@ def export_instance_json(instance: CodeInstance) -> str:
         "kappa": instance.base.kappa,
         "mask": [list(row) for row in instance.base.mask],
         "pattern": list(instance.scheme.pattern),
-        "probs": [_frac_str(p) for p in instance.scheme.probs],
+        "probs": [frac_text(p) for p in instance.scheme.probs],
         "L": instance.scheme.coupling_length,
         "Z": instance.scheme.lifting_degree,
         "partition": [list(row) for row in instance.partition.values],
@@ -39,7 +36,7 @@ def export_instance_json(instance: CodeInstance) -> str:
                       indent=1) + "\n"
 
 
-def _check_ints(name: str, value: object, depth: int,
+def check_ints(name: str, value: object, depth: int,
                 holes: bool = False) -> None:
     """``value`` must be an integer, or lists nested ``depth`` deep around
     integers; null stands in for an integer when ``holes``."""
@@ -47,7 +44,7 @@ def _check_ints(name: str, value: object, depth: int,
         if not isinstance(value, list):
             raise ValueError(f"{name} must be a list, got {value!r}")
         for v in value:
-            _check_ints(name, v, depth - 1, holes)
+            check_ints(name, v, depth - 1, holes)
     elif not (holes and value is None) and (
             isinstance(value, bool) or not isinstance(value, int)):
         raise ValueError(f"{name}: {value!r} is not an integer")
@@ -71,7 +68,7 @@ def import_instance_json(text: str) -> CodeInstance:
     for name, depth in (("gamma", 0), ("kappa", 0), ("L", 0), ("Z", 0),
                         ("pattern", 1), ("mask", 2), ("partition", 2),
                         ("lift", 2), ("seed", 0)):
-        _check_ints(name, doc.get(name), depth,
+        check_ints(name, doc.get(name), depth,
                     holes=name in ("partition", "lift", "seed"))
     probs = doc["probs"]
     if not isinstance(probs, list) or not all(isinstance(p, str)

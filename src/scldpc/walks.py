@@ -37,6 +37,7 @@ all deterministic orderings in the package sort by ``(two_g, nodes)``.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -84,7 +85,7 @@ class WalkCandidate:
     @classmethod
     def from_nodes(cls, nodes: Sequence[int],
                    base: Optional[BaseCode] = None) -> "WalkCandidate":
-        nodes = tuple(int(v) for v in nodes)
+        nodes = tuple(map(operator.index, nodes))
         two_g = len(nodes)
         if two_g < 4 or two_g % 2:
             raise ValueError("walk length must be an even number >= 4")

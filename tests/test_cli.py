@@ -210,6 +210,17 @@ def test_construct_cap_exhaustion_exits_3(tmp_path, capsys):
     assert trace["terminated"] is False
 
 
+def test_construct_writes_every_probability_as_num_den(tmp_path, capsys):
+    code = run_cli("construct", "--construction", "joint", "--gamma", "3",
+                   "--kappa", "4", "--pattern", "2", "--lifting", "13",
+                   "--seed", "1", "--out-dir", str(tmp_path))
+    capsys.readouterr()
+    assert code == EXIT_OK
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    inst = json.loads((tmp_path / "instance.json").read_text())
+    assert trace["config"]["probs"] == inst["probs"] == ["1/1"]
+
+
 def test_verify_rejects_malformed_instance(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema": 999}')
@@ -314,6 +325,23 @@ def test_experiment_sweep_csv(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [r["value"] for r in rows] == ["2", "3"]
     assert all(r["error"] == "" for r in rows)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gamma", 3.0), ("trials", 5.0), ("m", "1"), ("Z", 2.5), ("seed", None),
+    ("cap", 1.5), ("pattern", [0, 1.0]), ("eliminate", {"two_g": "4"}),
+    ("observe", [{"two_g": 6, "cols": [0, 1.5, 2]}]),
+])
+def test_experiment_config_rejects_non_integer_fields(field, value,
+                                                      tmp_path, capsys):
+    cfg = {"gamma": 3, "kappa": 3, "m": 1, "mode": "partition-only",
+           "trials": 5, "seed": 1}
+    cfg[field] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("experiment", "--config", str(path)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "is not an integer" in err
 
 
 def test_experiment_requires_shape_or_config(capsys):

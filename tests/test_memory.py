@@ -32,6 +32,10 @@ def _instance() -> CodeInstance:
 
 
 def _peak_over_retained(fn):
+    # A full collection empties the tuple and list free lists; objects
+    # served from them would go untraced and make the ratio depend on the
+    # tests that ran before in the same process.
+    gc.collect()
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
@@ -56,9 +60,6 @@ def test_assemble_qc_allocates_little_beyond_its_result():
 
 def test_row_cols_allocates_little_beyond_its_result():
     h = assemble_qc(_instance())
-    # A full collection empties the tuple free lists; rows served from
-    # them would go untraced and make the ratio depend on earlier tests.
-    gc.collect()
     rows, ratio = _peak_over_retained(lambda: h.row_cols)
     assert sum(map(len, rows)) == h.nnz
     assert ratio <= 1.5

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scldpc import (Assignment, BaseCode, CodeInstance, CouplingScheme,
-                    SparseBinaryMatrix, assemble_protograph, assemble_qc)
+                    SparseBinaryMatrix, WalkCandidate, assemble_protograph,
+                    assemble_qc)
 
 
 def _grid(base: BaseCode, fn) -> Assignment:
@@ -96,6 +97,28 @@ def test_scheme_validation():
         CouplingScheme.uniform(1, lifting_degree=0)
     with pytest.raises(TypeError):
         CouplingScheme((0, 1), (0.5, 0.5), 2, 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: BaseCode(1, 2, mask=((0.9, 1),)),
+    lambda: CouplingScheme((0, 1.7), ("1/2", "1/2"), 2),
+    lambda: Assignment("partition", ((0.9, 1),)),
+    lambda: Assignment.from_dict("lift", {(0, 0): 3.7}, 1, 1),
+    lambda: WalkCandidate.from_nodes((0.5, 0, 1, 1)),
+], ids=["mask", "pattern", "assignment", "from-dict", "walk-nodes"])
+def test_constructors_reject_non_integers(build):
+    # int() would truncate these silently (0.9 -> 0, 1.7 -> 1).
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_constructors_accept_numpy_integers():
+    one, zero = np.int64(1), np.uint8(0)
+    assert BaseCode(1, 2, mask=((one, zero),)).mask == ((1, 0),)
+    assert CouplingScheme((zero, one), ("1/2", "1/2"), 2).pattern == (0, 1)
+    assert Assignment("lift", ((one, None),)).values == ((1, None),)
+    assert WalkCandidate.from_nodes(np.arange(4)) == \
+        WalkCandidate.from_nodes((0, 1, 2, 3))
 
 
 # ---------------------------------------------------------------------------
