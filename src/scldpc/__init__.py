@@ -19,33 +19,28 @@ from .walks import (CandidateSet, WalkCandidate, dependency_degree,
                     dependency_pairs, enumerate_cycles, harmful_weight,
                     is_active_lift, is_active_partition)
 from .graphs import classify_absorbing_set, girth, tanner_has_4cycle
-from .probability import (ActivationProbability, HarmfulStructure,
-                          joint_prob, lift_prob_bound, lift_prob_exact,
-                          mc_structure_prob, probability_report,
-                          spreading_prob_c4_uniform, spreading_prob_exact,
-                          structure_joint_prob)
-from .bounds import (COROLLARY4_CAP, BoundReport, CliqueCover,
-                     Corollary1Report, Corollary4Bound, Lemma2Report,
-                     SymmetricShiftBound, Thresholds,
-                     build_base_edge_cover, build_pairwise_cover,
-                     c4_block_dims, corollary1_check, corollary1_min_m,
-                     corollary1_min_z, corollary4_bound, lemma2_evaluate,
-                     formula_delta_c4, shift_bound_asymmetric,
-                     shift_bound_symmetric, theorem1_feasibility,
-                     theorem1_thresholds, theorem2_resample_bound,
-                     threshold_branch_i, threshold_branch_ii, verify_cover)
-from .moser_tardos import (AdmissionError, MTTrace, TwoStageReport,
-                           construct_two_stage, default_cap,
-                           derive_child_seeds, run_joint,
-                           run_stage_lift, run_stage_partition)
-from .experiments import (Z95, Z99_ONE_SIDED, BaselineReport,
-                          ExperimentConfig, ExperimentStats, StructureSpec,
-                          Theorem2Report, estimate_baseline,
-                          estimate_mt_shift, sweep, verify_theorem2,
-                          wilson_interval)
+from .probability import (HarmfulStructure, joint_prob, lift_prob_bound,
+                          lift_prob_exact, mc_structure_prob,
+                          probability_report, spreading_prob_c4_uniform,
+                          spreading_prob_exact, structure_joint_prob)
+from .bounds import (COROLLARY4_CAP, build_base_edge_cover,
+                     build_pairwise_cover, c4_block_dims, corollary1_check,
+                     corollary1_min_m, corollary1_min_z, corollary4_bound,
+                     lemma2_evaluate, formula_delta_c4,
+                     shift_bound_asymmetric, shift_bound_symmetric,
+                     theorem1_feasibility, theorem1_thresholds,
+                     theorem2_resample_bound, threshold_branch_i,
+                     threshold_branch_ii, verify_cover)
+from .moser_tardos import (AdmissionError, construct_two_stage, default_cap,
+                           derive_child_seeds, run_joint, run_stage_lift,
+                           run_stage_partition)
+from .experiments import (Z99_ONE_SIDED, ExperimentConfig, StructureSpec,
+                          estimate_baseline, estimate_mt_shift, sweep,
+                          verify_theorem2, wilson_interval)
 
+# The README "Library" surface; report and result types stay in their
+# modules (e.g. ``scldpc.bounds.BoundReport``, ``scldpc.moser_tardos.MTTrace``).
 __all__ = [
-    "__version__",
     "Assignment", "BaseCode", "CodeInstance", "CouplingScheme",
     "SparseBinaryMatrix", "assemble_protograph", "assemble_qc",
     "export_alist", "parse_alist",
@@ -54,24 +49,20 @@ __all__ = [
     "dependency_pairs", "enumerate_cycles", "harmful_weight",
     "is_active_lift", "is_active_partition",
     "classify_absorbing_set", "girth", "tanner_has_4cycle",
-    "ActivationProbability", "HarmfulStructure", "joint_prob",
-    "lift_prob_bound", "lift_prob_exact", "mc_structure_prob",
-    "probability_report", "spreading_prob_c4_uniform",
+    "HarmfulStructure", "joint_prob", "lift_prob_bound", "lift_prob_exact",
+    "mc_structure_prob", "probability_report", "spreading_prob_c4_uniform",
     "spreading_prob_exact", "structure_joint_prob",
-    "COROLLARY4_CAP", "BoundReport", "CliqueCover", "Corollary1Report",
-    "Corollary4Bound", "Lemma2Report", "SymmetricShiftBound", "Thresholds",
-    "build_base_edge_cover", "build_pairwise_cover", "c4_block_dims",
-    "corollary1_check", "corollary1_min_m", "corollary1_min_z",
-    "corollary4_bound", "lemma2_evaluate", "formula_delta_c4",
-    "shift_bound_asymmetric", "shift_bound_symmetric",
+    "COROLLARY4_CAP", "build_base_edge_cover", "build_pairwise_cover",
+    "c4_block_dims", "corollary1_check", "corollary1_min_m",
+    "corollary1_min_z", "corollary4_bound", "lemma2_evaluate",
+    "formula_delta_c4", "shift_bound_asymmetric", "shift_bound_symmetric",
     "theorem1_feasibility", "theorem1_thresholds",
     "theorem2_resample_bound", "threshold_branch_i", "threshold_branch_ii",
     "verify_cover",
-    "AdmissionError", "MTTrace", "TwoStageReport", "construct_two_stage",
-    "default_cap", "derive_child_seeds", "run_joint", "run_stage_lift",
+    "AdmissionError", "construct_two_stage", "default_cap",
+    "derive_child_seeds", "run_joint", "run_stage_lift",
     "run_stage_partition",
-    "BaselineReport", "ExperimentConfig", "ExperimentStats",
-    "StructureSpec", "Theorem2Report", "estimate_baseline",
+    "ExperimentConfig", "StructureSpec", "estimate_baseline",
     "estimate_mt_shift", "sweep", "verify_theorem2", "wilson_interval",
-    "Z95", "Z99_ONE_SIDED",
+    "Z99_ONE_SIDED",
 ]

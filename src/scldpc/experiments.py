@@ -13,11 +13,13 @@ sharper (1 + e p)^{n_E} applies as well.  An observable sharing nothing
 with the targets (n_E = 0) must not drift at all, which is checked as a
 two-sided 4 sigma null instead of a one-sided cap.
 
-Everything here is a pure function of (config, seed): per-trial generators
-are derived as SeedSequence(seed, spawn_key=(STREAM_TRIALS + t,)), so
-results do not depend on execution order and single trials can be
-replayed.  Spawn keys below STREAM_TRIALS are reserved for infrastructure
-streams (the baseline sampler uses 0).
+Everything here is a pure function of (config, seed).  Randomness has one
+owner, ``probability`` (``rng``, ``seed_sequence``, ``seed_int``): trial t
+runs on the stream ``seed_sequence(seed, STREAM_TRIALS + t)``, i.e.
+SeedSequence(seed, spawn_key=(STREAM_TRIALS + t,)), so results do not
+depend on execution order and single trials can be replayed.  Spawn keys
+below STREAM_TRIALS are reserved for infrastructure streams (the baseline
+sampler uses 0; a sweep's cell c takes its seed from stream c).
 """
 
 from __future__ import annotations
@@ -29,12 +31,10 @@ from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .model import BaseCode, CouplingScheme, frac_text
-from .probability import (draw, edge_index, forms, stage_blocks, stage_prob,
-                          vanish)
-from .serialize import check_ints
+from .probability import (draw, edge_index, forms, rng, seed_int,
+                          seed_sequence, stage_blocks, stage_prob, vanish)
+from .serialize import check_ints, check_probs
 from .walks import (CandidateSet, WalkCandidate, dependency_degree,
                     enumerate_cycles, is_active)
 from . import bounds
@@ -89,7 +89,11 @@ class StructureSpec:
         return asdict(self)
 
     @classmethod
-    def from_json(cls, doc: dict) -> "StructureSpec":
+    def from_json(cls, doc: dict, name: str = "structure") -> "StructureSpec":
+        """A non-object ``doc`` or a non-integer field is a ValueError
+        naming it (``name`` is the config field holding ``doc``)."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"{name} must be an object, got {doc!r}")
         rows = doc.get("rows")
         cols = doc.get("cols")
         check_ints("two_g", doc.get("two_g", 4), 0)
@@ -141,8 +145,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
-        """A non-integer field is a ValueError naming it; a null L or cap
-        takes its default."""
+        """A malformed field (a non-integer, probabilities other than
+        "num/den" strings, a non-object structure) is a ValueError naming
+        it; a null L or cap takes its default."""
         for name, depth in (("gamma", 0), ("kappa", 0), ("m", 0), ("L", 0),
                             ("Z", 0), ("trials", 0), ("seed", 0),
                             ("cap", 0), ("pattern", 1)):
@@ -153,7 +158,7 @@ class ExperimentConfig:
             length = doc.get("L")
             scheme = CouplingScheme(
                 tuple(doc["pattern"]),
-                tuple(Fraction(p) for p in doc["probs"]),
+                check_probs("probs", doc.get("probs")),
                 max(doc["pattern"]) + 1 if length is None else length,
                 doc.get("Z", 1))
         else:
@@ -161,13 +166,16 @@ class ExperimentConfig:
             scheme = CouplingScheme.uniform(m, doc.get("L"),
                                             doc.get("Z", 1))
         observe = doc.get("observe", [{"two_g": 6}])
+        if not isinstance(observe, list):
+            raise ValueError(f"observe must be a list, got {observe!r}")
         return cls(
             gamma=doc["gamma"], kappa=doc["kappa"], scheme=scheme,
             mode=doc.get("mode", "two-stage"),
             trials=doc.get("trials", 1000), seed=doc.get("seed", 0),
-            eliminate=StructureSpec.from_json(doc.get("eliminate",
-                                                      {"two_g": 4})),
-            observe=tuple(StructureSpec.from_json(o) for o in observe),
+            eliminate=StructureSpec.from_json(
+                doc.get("eliminate", {"two_g": 4}), "eliminate"),
+            observe=tuple(StructureSpec.from_json(o, "observe")
+                          for o in observe),
             cap=doc.get("cap"),
         )
 
@@ -268,8 +276,7 @@ def estimate_baseline(config: ExperimentConfig) -> BaselineReport:
     """Sample the product measure directly and compare observed activation
     frequencies with the exact probabilities (4 sigma tolerance)."""
     _, observed = _build_sets(config)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(config.seed, spawn_key=(STREAM_BASELINE,)))
+    gen = rng(seed_sequence(config.seed, STREAM_BASELINE))
     stage = _stage(config)
     flat: list[tuple[str, WalkCandidate, Fraction]] = []
     for label, oset in observed:
@@ -281,7 +288,7 @@ def estimate_baseline(config: ExperimentConfig) -> BaselineReport:
     cand_forms = [forms(c, index, blocks) for _, c, _ in flat]
     hits = [0] * len(flat)
     for _ in range(config.trials):
-        values = draw(rng, blocks, len(index))
+        values = draw(gen, blocks, len(index))
         for k, fs in enumerate(cand_forms):
             if vanish(fs, values):
                 hits[k] += 1
@@ -379,8 +386,7 @@ def _run_trials(config: ExperimentConfig, elim: CandidateSet):
     failed = 0
     resample_counts: list[int] = []
     for t in range(config.trials):
-        seed_t = np.random.SeedSequence(config.seed,
-                                        spawn_key=(STREAM_TRIALS + t,))
+        seed_t = seed_sequence(config.seed, STREAM_TRIALS + t)
         if config.mode == "partition-only":
             assignment, trace = run_stage_partition(base, scheme, elim,
                                                     seed_t, caps[0])
@@ -586,8 +592,7 @@ SWEEP_COLUMNS = [
 
 def _cell_config(config: ExperimentConfig, param: str, value: int,
                  cell: int) -> ExperimentConfig:
-    seed = int(np.random.SeedSequence(
-        config.seed, spawn_key=(cell,)).generate_state(1, np.uint64)[0])
+    seed = seed_int(seed_sequence(config.seed, cell))
     if param == "m":
         scheme = CouplingScheme.uniform(
             value, lifting_degree=config.scheme.lifting_degree)

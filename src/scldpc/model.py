@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-import numpy as np
-
 Edge = tuple[int, int]
 
 
@@ -90,7 +88,9 @@ class SparseBinaryMatrix:
     def nnz(self) -> int:
         return sum(len(c) for c in self.col_rows)
 
-    def to_dense(self) -> np.ndarray:
+    def to_dense(self):
+        """The dense 0/1 matrix as a numpy uint8 array (a test helper)."""
+        import numpy as np
         out = np.zeros((self.nrows, self.ncols), dtype=np.uint8)
         for j, col in enumerate(self.col_rows):
             for r in col:

@@ -34,20 +34,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
-
-import numpy as np
+from typing import Optional, Sequence
 
 from .model import Assignment, BaseCode, CodeInstance, CouplingScheme
-from .probability import (Block, Form, draw, edge_index, forms, stage_blocks,
-                          stage_prob, vanish)
+from .probability import (Block, Form, SeedLike, draw, edge_index, forms, rng,
+                          seed_int, seed_sequence, stage_blocks, stage_prob,
+                          vanish)
 from .walks import CandidateSet, is_active_partition
 from . import bounds
 
 FALLBACK_CAP = 10 ** 6
 PIPELINE_STAGE1_CAP_FACTOR = 100
-
-SeedLike = Union[int, np.random.SeedSequence]
 
 
 class AdmissionError(ValueError):
@@ -122,9 +119,9 @@ def run_mt(system: EventSystem, seed: SeedLike,
     """
     blocks, n_vars, event_forms = system.blocks, system.n, system.forms
     scopes, neighbors = system.scopes, system.neighbors
-    rng = np.random.default_rng(seed)
+    gen = rng(seed)
     n_ev = len(event_forms)
-    values = draw(rng, blocks, n_vars)
+    values = draw(gen, blocks, n_vars)
     occ = [vanish(f, values) for f in event_forms]
     per_event = [0] * n_ev
     total = 0
@@ -136,7 +133,7 @@ def run_mt(system: EventSystem, seed: SeedLike,
         nonlocal total
         if max_resamples is not None and total >= max_resamples:
             return False
-        draw(rng, blocks, n_vars, values, scopes[n])
+        draw(gen, blocks, n_vars, values, scopes[n])
         total += 1
         per_event[n] += 1
         for t in neighbors[n]:
@@ -287,10 +284,7 @@ class TwoStageReport:
 def derive_child_seeds(seed: SeedLike, n: int) -> list[int]:
     """Independent integer seeds via SeedSequence spawning (documented
     mixing: children are hash-derived, collision-resistant, replayable)."""
-    ss = seed if isinstance(seed, np.random.SeedSequence) \
-        else np.random.SeedSequence(seed)
-    return [int(child.generate_state(1, np.uint64)[0])
-            for child in ss.spawn(n)]
+    return [seed_int(child) for child in seed_sequence(seed).spawn(n)]
 
 
 def construct_two_stage(base: BaseCode, scheme: CouplingScheme, targets,

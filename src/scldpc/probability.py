@@ -20,6 +20,12 @@ resampler, the baseline and shift harness, the Monte Carlo estimator):
   coefficients, modulus), one per block, dropping the constant-true ones;
   ``vanish`` evaluates them, and ``draw`` draws or redraws variables.
 
+This module is also the one owner of numpy and of the random stream:
+``rng`` builds the package's generator, ``seed_sequence`` its seed
+streams and ``seed_int`` the integer seeds derived from them.  numpy is
+imported by these functions and by ``Sampler``, so only code that draws or
+seeds loads it; the exact probabilities below never do.
+
 Both probabilities are computed exactly as rationals:
 
 * spreading: convolve the per-edge distributions of coeff * value and read
@@ -47,15 +53,41 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .model import CouplingScheme, Edge, frac_text
 from .walks import WalkCandidate
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # (variable indices, coefficients, modulus); modulus 0 means over the integers.
 Form = tuple[tuple[int, ...], tuple[int, ...], int]
+
+# An integer seed, or a numpy SeedSequence stream of one.
+SeedLike = Union[int, "np.random.SeedSequence"]
+
+
+def rng(seed: SeedLike) -> np.random.Generator:
+    """The package's random stream: numpy's default generator."""
+    import numpy as np
+    return np.random.default_rng(seed)
+
+
+def seed_sequence(seed: SeedLike, *spawn_key: int) -> np.random.SeedSequence:
+    """SeedSequence(seed, spawn_key=spawn_key), the independent stream
+    ``spawn_key`` of ``seed``; a SeedSequence without a key is returned as
+    it is."""
+    import numpy as np
+    if isinstance(seed, np.random.SeedSequence) and not spawn_key:
+        return seed
+    return np.random.SeedSequence(seed, spawn_key=spawn_key)
+
+
+def seed_int(seed: np.random.SeedSequence) -> int:
+    """One 64-bit integer seed drawn from the stream's entropy pool."""
+    import numpy as np
+    return int(seed.generate_state(1, np.uint64)[0])
 
 
 def _int_weights(probs: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -69,6 +101,7 @@ class Sampler:
     """Exact sampler: ``values[k]`` with probability weights[k] / sum."""
 
     def __init__(self, values: Sequence[int], weights: Sequence[int]) -> None:
+        import numpy as np
         self.values = np.array(values, dtype=np.int64)
         self.cum = np.cumsum(np.array(weights, dtype=np.int64))
         self.total = int(self.cum[-1])
@@ -78,7 +111,7 @@ class Sampler:
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         u = rng.integers(0, self.total, size=n)
-        return self.values[np.searchsorted(self.cum, u, side="right")]
+        return self.values[self.cum.searchsorted(u, side="right")]
 
 
 # (sampler, modulus): one variable per edge, drawn by the sampler.
@@ -313,11 +346,11 @@ def mc_structure_prob(struct: HarmfulStructure, scheme: CouplingScheme,
     """Monte Carlo estimate of P[every cycle active] for overlapping supports."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    gen = rng(seed)
     index = edge_index(sorted({e for c in struct.cycles for e in c.edges}))
     blocks = stage_blocks(scheme, "joint")
     all_forms = [f for c in struct.cycles for f in forms(c, index, blocks)]
-    hits = sum(vanish(all_forms, draw(rng, blocks, len(index)))
+    hits = sum(vanish(all_forms, draw(gen, blocks, len(index)))
                for _ in range(trials))
     return hits / trials
 

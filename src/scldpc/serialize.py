@@ -50,6 +50,18 @@ def check_ints(name: str, value: object, depth: int,
         raise ValueError(f"{name}: {value!r} is not an integer")
 
 
+def check_probs(name: str, value: object) -> tuple[Fraction, ...]:
+    """``value`` must be a list of "num/den" strings; returns the rationals."""
+    if not isinstance(value, list) or not all(isinstance(p, str)
+                                              for p in value):
+        raise ValueError(f'{name} must be a list of "num/den" strings, '
+                         f"got {value!r}")
+    try:
+        return tuple(map(Fraction, value))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def import_instance_json(text: str) -> CodeInstance:
     try:
         doc = json.loads(text)
@@ -70,14 +82,7 @@ def import_instance_json(text: str) -> CodeInstance:
                         ("lift", 2), ("seed", 0)):
         check_ints(name, doc.get(name), depth,
                     holes=name in ("partition", "lift", "seed"))
-    probs = doc["probs"]
-    if not isinstance(probs, list) or not all(isinstance(p, str)
-                                              for p in probs):
-        raise ValueError(f"probs must be a list of strings, got {probs!r}")
-    try:
-        probs = tuple(map(Fraction, probs))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"probs: {exc}") from None
+    probs = check_probs("probs", doc["probs"])
     base = BaseCode(doc["gamma"], doc["kappa"],
                     tuple(tuple(row) for row in doc["mask"]))
     scheme = CouplingScheme(tuple(doc["pattern"]), probs, doc["L"], doc["Z"])

@@ -344,6 +344,35 @@ def test_experiment_config_rejects_non_integer_fields(field, value,
     assert err.startswith("error: ") and "is not an integer" in err
 
 
+# Float probabilities used to run as binary-float rationals; a non-object
+# structure or a non-list observe died with a traceback and exit 1.
+@pytest.mark.parametrize("field, value", [
+    ("probs", [0.5, 0.5]), ("probs", ["1/2", 0.5]), ("probs", "1/2,1/2"),
+    ("probs", None), ("eliminate", 4), ("eliminate", [{"two_g": 4}]),
+    ("observe", [4]), ("observe", 4), ("observe", {"two_g": 6}),
+])
+def test_experiment_config_rejects_malformed_fields(field, value, tmp_path,
+                                                    capsys):
+    cfg = {"gamma": 3, "kappa": 3, "pattern": [0, 1], "probs": ["1/2", "1/2"],
+           "mode": "partition-only", "trials": 5, "seed": 1}
+    cfg[field] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("experiment", "--config", str(path)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}")
+
+
+def test_experiment_config_reads_num_den_probs(tmp_path, capsys):
+    cfg = {"gamma": 3, "kappa": 3, "pattern": [0, 1], "probs": ["1/3", "2/3"],
+           "mode": "partition-only", "trials": 5, "seed": 1}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("experiment", "--config", str(path)) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["probs"] == ["1/3", "2/3"]
+
+
 def test_experiment_requires_shape_or_config(capsys):
     code = run_cli("experiment", "--op", "shift")
     assert code == EXIT_USAGE
