@@ -38,9 +38,9 @@ import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .probability import ActivationProbability, spreading_prob_c4_uniform
+from .probability import spreading_prob_c4_uniform
 from .walks import (CandidateSet, dependency_degree, dependency_pairs,
                     harmful_weight)
 
@@ -48,15 +48,6 @@ from .walks import (CandidateSet, dependency_degree, dependency_pairs,
 # the exact slot is left None and floats (still high-precision) take over.
 EXACT_EXPONENT_LIMIT = 8192
 _WIDE = Context(prec=60, Emax=MAX_EMAX, Emin=MIN_EMIN)
-
-ProbLike = Union[Fraction, ActivationProbability]
-
-
-def _as_prob(p: ProbLike) -> Fraction:
-    if isinstance(p, ActivationProbability):
-        return p.joint
-    return Fraction(p)
-
 
 def _pow_float(base_num: int, base_den: int, exponent: int) -> float:
     """(base_num/base_den)^exponent as a double: the exact power rounded
@@ -216,7 +207,7 @@ class BoundReport:
     resample_bound: Optional[Fraction]
 
 
-def theorem1_feasibility(cset: CandidateSet, probs: Sequence[ProbLike],
+def theorem1_feasibility(cset: CandidateSet, probs: Sequence[Fraction],
                          delta_source: str = "formula") -> BoundReport:
     """Check max_i P_i against the two-branch threshold.
 
@@ -231,7 +222,7 @@ def theorem1_feasibility(cset: CandidateSet, probs: Sequence[ProbLike],
     bad = [c.key for c in cset if not c.avoidable]
     if bad:
         raise ValueError(f"unavoidable candidates present: {', '.join(bad)}")
-    p_values = [_as_prob(p) for p in probs]
+    p_values = [Fraction(p) for p in probs]
     sure = [cset[n].key for n, p in enumerate(p_values) if p >= 1]
     if sure:
         raise ValueError("candidates certain to activate under this scheme "
@@ -294,11 +285,6 @@ class Corollary1Report:
     branch: str
     unavoidable: bool
     feasible: bool
-
-    @property
-    def margin(self) -> Optional[Fraction]:
-        best = self.thresholds.best_exact
-        return None if best is None else best - self.lhs
 
 
 def corollary1_check(gamma: int, kappa: int, memory: int,
@@ -502,7 +488,7 @@ class Lemma2Report:
 
 
 def lemma2_evaluate(cover: CliqueCover, n_events: int,
-                    probs: Sequence[ProbLike]) -> Lemma2Report:
+                    probs: Sequence[Fraction]) -> Lemma2Report:
     """Evaluate the clique local-lemma conditions and conclusions exactly.
 
     Condition (1): every clique's weight sum stays below 1.  Condition (2):
@@ -517,7 +503,7 @@ def lemma2_evaluate(cover: CliqueCover, n_events: int,
     """
     if len(probs) != n_events:
         raise ValueError("one probability per event")
-    p_values = [_as_prob(p) for p in probs]
+    p_values = [Fraction(p) for p in probs]
     x = cover.x
     member_cliques: list[list[int]] = [[] for _ in range(n_events)]
     for v, clique in enumerate(cover.cliques):

@@ -37,12 +37,13 @@ from .experiments import (MODES as EXPERIMENT_MODES, ExperimentConfig,
                           estimate_baseline, estimate_mt_shift, sweep,
                           verify_theorem2)
 from .graphs import girth
-from .model import (BaseCode, CodeInstance, CouplingScheme, assemble_qc,
-                    frac_text)
+from .model import (BaseCode, CodeInstance, CouplingScheme,
+                    SparseBinaryMatrix, assemble_qc, frac_text)
 from .moser_tardos import construct_two_stage, run_joint
 from .probability import probability_report, stage_prob
-from .serialize import export_instance_json, import_instance_json
-from .walks import MODES as WALK_MODES, enumerate_cycles, is_active
+from .serialize import check_probs, export_instance_json, import_instance_json
+from .walks import (MODES as WALK_MODES, CandidateSet, enumerate_cycles,
+                    is_active)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -84,12 +85,11 @@ def _scheme_from(args: argparse.Namespace) -> CouplingScheme:
         if args.m is not None:
             raise ValueError("--m and --pattern are mutually exclusive")
         if args.probs:
-            probs = tuple(Fraction(t) for t in args.probs.split(","))
+            probs = check_probs("--probs", args.probs.split(","))
         else:
             n = len(args.pattern)
             probs = tuple(Fraction(1, n) for _ in range(n))
-        length = args.length or (max(args.pattern) + 1)
-        return CouplingScheme(args.pattern, probs, length, args.lifting)
+        return CouplingScheme(args.pattern, probs, args.length, args.lifting)
     if args.m is None:
         raise ValueError("either --m or --pattern is required")
     return CouplingScheme.uniform(args.m, args.length, args.lifting)
@@ -211,6 +211,17 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 # construct
 # ---------------------------------------------------------------------------
 
+def _audit(instance: CodeInstance, targets: CandidateSet
+           ) -> tuple[SparseBinaryMatrix, float, list[str]]:
+    """The instance's lifted matrix, its girth, and the keys of the
+    targets active in it."""
+    z = instance.scheme.lifting_degree
+    active = [c.key for c in targets
+              if is_active(c, instance.partition, instance.lift, z)]
+    h = assemble_qc(instance)
+    return h, girth(h), active
+
+
 def cmd_construct(args: argparse.Namespace) -> int:
     base = BaseCode(args.gamma, args.kappa)
     scheme = _scheme_from(args)
@@ -219,32 +230,23 @@ def cmd_construct(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.construction == "joint":
-        instance, trace = run_joint(base, scheme, targets, args.seed,
-                                    args.max_resamples)
-        ok = trace.terminated
+        instance, run = run_joint(base, scheme, targets, args.seed,
+                                  args.max_resamples)
         doc: dict = {"construction": "joint",
-                     "trace": dataclasses.asdict(trace)}
-        total = trace.total_resamples
+                     "trace": dataclasses.asdict(run)}
     else:
-        instance, report = construct_two_stage(
+        instance, run = construct_two_stage(
             base, scheme, targets, args.seed,
-            stage1_max=args.stage1_max, stage2_max=args.stage2_max)
-        ok = report.lift_trace.terminated
+            stage2_max=args.max_resamples)
         doc = {
             "construction": "two-stage",
-            "stage1": dataclasses.asdict(report.partition_trace),
-            "stage2": dataclasses.asdict(report.lift_trace),
-            "stage1_cleared": report.stage1_cleared,
-            "survivors": list(report.survivor_keys),
+            "stage1": dataclasses.asdict(run.partition_trace),
+            "stage2": dataclasses.asdict(run.lift_trace),
+            "stage1_cleared": run.stage1_cleared,
+            "survivors": list(run.survivor_keys),
         }
-        total = (report.partition_trace.total_resamples
-                 + report.lift_trace.total_resamples)
 
-    h = assemble_qc(instance)
-    g = girth(h)
-    active = [c.key for c in targets
-              if is_active(c, instance.partition, instance.lift,
-                           scheme.lifting_degree)]
+    h, g, active = _audit(instance, targets)
     doc.update({
         "tool_version": __version__,
         "seed": args.seed,
@@ -258,8 +260,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
                     "count": len(targets)},
         "girth": None if math.isinf(g) else g,
         "active_targets": active,
-        "total_resamples": total,
-        "terminated": ok,
+        "total_resamples": run.total_resamples,
+        "terminated": run.terminated,
     })
 
     (out_dir / "instance.json").write_text(export_instance_json(instance))
@@ -270,8 +272,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
     print(f"wrote {out_dir / 'code.alist'}")
     print(f"wrote {out_dir / 'trace.json'}")
     print(f"girth: {'inf' if math.isinf(g) else g}")
-    print(f"total-resamples: {total}")
-    if not ok:
+    print(f"total-resamples: {run.total_resamples}")
+    if not run.terminated:
         print("construct: CAP EXHAUSTED (partial result written)")
         return EXIT_CAP_EXHAUSTED
     print("construct: OK")
@@ -294,11 +296,7 @@ def _load_instance(path: str) -> CodeInstance:
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
     targets = enumerate_cycles(instance.base, args.two_g, args.walk_mode)
-    z = instance.scheme.lifting_degree
-    active = [c.key for c in targets
-              if is_active(c, instance.partition, instance.lift, z)]
-    h = assemble_qc(instance)
-    g = girth(h)
+    _, g, active = _audit(instance, targets)
     min_girth = args.min_girth if args.min_girth is not None \
         else args.two_g + 2
 
@@ -378,6 +376,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     if args.sweep:
+        if args.op != "shift":
+            print(f"error: --sweep runs the shift study; it cannot be "
+                  f"combined with --op {args.op}", file=sys.stderr)
+            return EXIT_USAGE
         if not args.sweep_values:
             print("error: --sweep requires --sweep-values", file=sys.stderr)
             return EXIT_USAGE
@@ -464,9 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--construction", choices=("two-stage", "joint"),
                    default="two-stage")
     p.add_argument("--max-resamples", type=int, default=None,
-                   help="cap for the joint construction")
-    p.add_argument("--stage1-max", type=int, default=None)
-    p.add_argument("--stage2-max", type=int, default=None)
+                   help="cap on the run whose exhaustion exits 3: the "
+                        "joint run, or the two-stage lift stage")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="recheck a written instance")

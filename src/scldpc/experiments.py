@@ -155,12 +155,9 @@ class ExperimentConfig:
                 check_ints(name, doc[name], depth,
                            holes=name in ("L", "cap"))
         if "pattern" in doc:
-            length = doc.get("L")
-            scheme = CouplingScheme(
-                tuple(doc["pattern"]),
-                check_probs("probs", doc.get("probs")),
-                max(doc["pattern"]) + 1 if length is None else length,
-                doc.get("Z", 1))
+            scheme = CouplingScheme(tuple(doc["pattern"]),
+                                    check_probs("probs", doc.get("probs")),
+                                    doc.get("L"), doc.get("Z", 1))
         else:
             m = doc["m"]
             scheme = CouplingScheme.uniform(m, doc.get("L"),
@@ -388,27 +385,21 @@ def _run_trials(config: ExperimentConfig, elim: CandidateSet):
     for t in range(config.trials):
         seed_t = seed_sequence(config.seed, STREAM_TRIALS + t)
         if config.mode == "partition-only":
-            assignment, trace = run_stage_partition(base, scheme, elim,
-                                                    seed_t, caps[0])
-            ok = trace.terminated
-            partition, lift = assignment, None
-            n_res = trace.total_resamples
-        elif config.mode == "joint":
-            instance, trace = run_joint(base, scheme, elim, seed_t, caps[0])
-            ok = trace.terminated
-            partition, lift = instance.partition, instance.lift
-            n_res = trace.total_resamples
+            partition, run = run_stage_partition(base, scheme, elim, seed_t,
+                                                 caps[0])
+            lift = None
         else:
-            instance, report = construct_two_stage(base, scheme, elim,
-                                                   seed_t, caps[0], caps[1])
-            ok = report.lift_trace.terminated
+            if config.mode == "joint":
+                instance, run = run_joint(base, scheme, elim, seed_t,
+                                          caps[0])
+            else:
+                instance, run = construct_two_stage(base, scheme, elim,
+                                                    seed_t, caps[0], caps[1])
             partition, lift = instance.partition, instance.lift
-            n_res = (report.partition_trace.total_resamples
-                     + report.lift_trace.total_resamples)
-        if not ok:
+        if not run.terminated:
             failed += 1
             continue
-        resample_counts.append(n_res)
+        resample_counts.append(run.total_resamples)
         results.append((partition, lift))
     return results, failed, resample_counts
 
@@ -525,6 +516,12 @@ def estimate_mt_shift(config: ExperimentConfig) -> ExperimentStats:
         classes=class_stats, resamples=res_stats, all_checks_pass=all_pass)
 
 
+def _allowance(std: float, n: int) -> float:
+    """One-sided 99% sampling allowance on the mean of ``n`` counts whose
+    sample standard deviation is ``std``; 0 without counts."""
+    return Z99_ONE_SIDED * std / math.sqrt(n) if n else 0.0
+
+
 def _resample_stats(config: ExperimentConfig, elim: CandidateSet,
                     elim_probs: Sequence[Fraction],
                     counts: Sequence[int]) -> ResampleStats:
@@ -541,8 +538,7 @@ def _resample_stats(config: ExperimentConfig, elim: CandidateSet,
         except ValueError:
             pass
         if bound is not None and n:
-            allowance = Z99_ONE_SIDED * math.sqrt(var / n)
-            holds = mean <= float(bound) + allowance
+            holds = mean <= float(bound) + _allowance(math.sqrt(var), n)
     return ResampleStats(mean=mean, std=math.sqrt(var),
                          max=max(counts, default=0),
                          total=sum(counts), bound=bound, feasible=feasible,
@@ -570,10 +566,9 @@ def verify_theorem2(config: ExperimentConfig) -> Theorem2Report:
     elim_probs = [stage_prob(c, config.scheme, _stage(config)) for c in elim]
     stats = _resample_stats(config, elim, elim_probs, counts)
     n = len(counts)
-    allowance = (Z99_ONE_SIDED * stats.std / math.sqrt(n)) if n else 0.0
     return Theorem2Report(stats.feasible, stats.branch, stats.bound, n,
-                          stats.mean, stats.std, stats.max, allowance,
-                          stats.bound_holds)
+                          stats.mean, stats.std, stats.max,
+                          _allowance(stats.std, n), stats.bound_holds)
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +593,7 @@ def _cell_config(config: ExperimentConfig, param: str, value: int,
             value, lifting_degree=config.scheme.lifting_degree)
         return replace(config, scheme=scheme, seed=seed)
     if param == "Z":
-        scheme = CouplingScheme(config.scheme.pattern, config.scheme.probs,
-                                config.scheme.coupling_length, value)
+        scheme = replace(config.scheme, lifting_degree=value)
         return replace(config, scheme=scheme, seed=seed)
     if param == "gamma":
         return replace(config, gamma=value, seed=seed)

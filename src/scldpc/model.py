@@ -167,13 +167,13 @@ class CouplingScheme:
 
     ``pattern`` lists the allowed component indices, strictly increasing with
     ``pattern[-1] = memory``; ``probs`` are exact positive rationals summing
-    to one.  ``coupling_length`` is the replica count L, ``lifting_degree``
-    the circulant size Z.
+    to one.  ``coupling_length`` is the replica count L (default: memory +
+    1), ``lifting_degree`` the circulant size Z.
     """
 
     pattern: tuple[int, ...]
     probs: tuple[Fraction, ...]
-    coupling_length: int
+    coupling_length: Optional[int] = None
     lifting_degree: int = 1
 
     def __post_init__(self) -> None:
@@ -193,6 +193,8 @@ class CouplingScheme:
             raise ValueError("probabilities must sum to exactly 1")
         if self.lifting_degree < 1:
             raise ValueError("lifting degree must be at least 1")
+        if self.coupling_length is None:
+            object.__setattr__(self, "coupling_length", pattern[-1] + 1)
         if self.coupling_length < pattern[-1] + 1:
             raise ValueError("coupling length must be at least memory + 1")
         object.__setattr__(self, "pattern", pattern)
@@ -209,8 +211,6 @@ class CouplingScheme:
         if memory < 0:
             raise ValueError("memory must be non-negative")
         n = memory + 1
-        if coupling_length is None:
-            coupling_length = n
         return cls(tuple(range(n)), tuple(Fraction(1, n) for _ in range(n)),
                    coupling_length, lifting_degree)
 

@@ -37,10 +37,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .model import Assignment, BaseCode, CodeInstance, CouplingScheme
-from .probability import (Block, Form, SeedLike, draw, edge_index, forms, rng,
-                          seed_int, seed_sequence, stage_blocks, stage_prob,
-                          vanish)
-from .walks import CandidateSet, is_active_partition
+from .probability import (Block, Form, SeedLike, draw, edge_index, forms,
+                          recorded_seed, rng, seed_int, seed_sequence,
+                          stage_blocks, stage_prob, vanish)
+from .walks import CandidateSet, closed_neighbourhoods, is_active_partition
 from . import bounds
 
 FALLBACK_CAP = 10 ** 6
@@ -63,8 +63,8 @@ class EventSystem:
     """One stage's bad events, compiled for ``run_mt``.
 
     ``blocks`` and ``n`` (variables per block) are the stage layout; the
-    per-event tuples run in canonical candidate order.  ``neighbors[e]``
-    lists, sorted, every event sharing a variable with e, e included.
+    per-event tuples run in canonical candidate order, and ``neighbors``
+    is their dependency relation, ``walks.closed_neighbourhoods(scopes)``.
     """
 
     blocks: tuple[Block, ...]
@@ -98,14 +98,8 @@ def compile_events(cset: CandidateSet, scheme: CouplingScheme,
         raise AdmissionError(rejected, stage)
     scopes = tuple(tuple(sorted({v for var_idx, _, _ in fs for v in var_idx}))
                    for fs in event_forms)
-    var_events: dict[int, list[int]] = {}
-    for e, scope in enumerate(scopes):
-        for v in scope:
-            var_events.setdefault(v, []).append(e)
-    neighbors = tuple(tuple(sorted({t for v in scope for t in var_events[v]}))
-                      for scope in scopes)
     return EventSystem(blocks, len(index), tuple(c.key for c in cset),
-                       event_forms, scopes, neighbors)
+                       event_forms, scopes, closed_neighbourhoods(scopes))
 
 
 def run_mt(system: EventSystem, seed: SeedLike,
@@ -163,7 +157,7 @@ def run_mt(system: EventSystem, seed: SeedLike,
         per_event=dict(zip(system.labels, per_event)),
         wall_iterations=wall,
         terminated=terminated,
-        seed=seed if isinstance(seed, int) else None,
+        seed=recorded_seed(seed),
         max_resamples=max_resamples,
         metadata={"inner_order": "global-least-index"},
     )
@@ -268,8 +262,7 @@ def run_joint(base: BaseCode, scheme: CouplingScheme, targets,
     values, trace = run_mt(system, seed, max_resamples)
     partition = _grid_from_values(base, "partition", values)
     lift = _grid_from_values(base, "lift", values, offset=len(base.edges))
-    instance = CodeInstance(base, scheme, partition, lift,
-                            seed=seed if isinstance(seed, int) else None)
+    instance = CodeInstance(base, scheme, partition, lift, seed=trace.seed)
     return instance, trace
 
 
@@ -279,6 +272,17 @@ class TwoStageReport:
     lift_trace: MTTrace
     survivor_keys: tuple[str, ...]
     stage1_cleared: bool
+
+    @property
+    def terminated(self) -> bool:
+        """Did stage 2 terminate, completing the construction?"""
+        return self.lift_trace.terminated
+
+    @property
+    def total_resamples(self) -> int:
+        """Resamples of both stages together."""
+        return (self.partition_trace.total_resamples
+                + self.lift_trace.total_resamples)
 
 
 def derive_child_seeds(seed: SeedLike, n: int) -> list[int]:
@@ -308,7 +312,7 @@ def construct_two_stage(base: BaseCode, scheme: CouplingScheme, targets,
     lift, trace2 = run_stage_lift(base, scheme, partition, cset, s2,
                                   stage2_max)
     instance = CodeInstance(base, scheme, partition, lift,
-                            seed=seed if isinstance(seed, int) else None)
+                            seed=recorded_seed(seed))
     report = TwoStageReport(
         partition_trace=trace1,
         lift_trace=trace2,

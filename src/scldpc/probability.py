@@ -22,9 +22,10 @@ resampler, the baseline and shift harness, the Monte Carlo estimator):
 
 This module is also the one owner of numpy and of the random stream:
 ``rng`` builds the package's generator, ``seed_sequence`` its seed
-streams and ``seed_int`` the integer seeds derived from them.  numpy is
-imported by these functions and by ``Sampler``, so only code that draws or
-seeds loads it; the exact probabilities below never do.
+streams, ``seed_int`` the integer seeds derived from them and
+``recorded_seed`` the seed a run records.  numpy is imported by the first
+three and by ``Sampler``, so only code that draws or seeds loads it; the
+exact probabilities below never do.
 
 Both probabilities are computed exactly as rationals:
 
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,6 +84,15 @@ def seed_sequence(seed: SeedLike, *spawn_key: int) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence) and not spawn_key:
         return seed
     return np.random.SeedSequence(seed, spawn_key=spawn_key)
+
+
+def recorded_seed(seed: SeedLike) -> Optional[int]:
+    """The seed a run records: the integer itself (any integer type), or
+    None for a SeedSequence stream."""
+    try:
+        return operator.index(seed)
+    except TypeError:
+        return None
 
 
 def seed_int(seed: np.random.SeedSequence) -> int:

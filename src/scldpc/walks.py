@@ -351,27 +351,29 @@ class DependencyReport:
     edge_count: int
 
 
-def dependency_degree(cset: CandidateSet) -> DependencyReport:
-    """Dependency graph degrees: candidates adjacent iff supports intersect.
+def closed_neighbourhoods(scopes: Sequence[Sequence]
+                          ) -> tuple[tuple[int, ...], ...]:
+    """The dependency relation: for each scope, the sorted indices of every
+    scope sharing an element with it, itself included; an empty scope gets
+    ()."""
+    members: dict = {}
+    for n, scope in enumerate(scopes):
+        for v in scope:
+            members.setdefault(v, []).append(n)
+    return tuple(tuple(sorted(set().union(*(members[v] for v in scope))))
+                 for scope in scopes)
 
-    Straightforward neighborhood unions; quadratic in the per-edge counts,
-    which is fine at the base-graph sizes this package targets.
-    """
-    n = len(cset.candidates)
-    neighbor_sets: list[set[int]] = [set() for _ in range(n)]
-    for members in cset.by_support.values():
-        for a in members:
-            neighbor_sets[a].update(members)
-    degrees = tuple(len(s) - 1 if s else 0 for s in neighbor_sets)
+
+def dependency_degree(cset: CandidateSet) -> DependencyReport:
+    """Dependency graph degrees: candidates adjacent iff supports intersect."""
+    degrees = tuple(max(len(nb) - 1, 0) for nb in
+                    closed_neighbourhoods([c.support for c in cset]))
     edge_count = sum(degrees) // 2
     return DependencyReport(degrees, max(degrees, default=0), edge_count)
 
 
 def dependency_pairs(cset: CandidateSet) -> tuple[tuple[int, int], ...]:
     """Sorted dependency-graph edges (index pairs with intersecting support)."""
-    pairs: set[tuple[int, int]] = set()
-    for members in cset.by_support.values():
-        for a_pos, a in enumerate(members):
-            for b in members[a_pos + 1:]:
-                pairs.add((a, b))
-    return tuple(sorted(pairs))
+    return tuple((a, b) for a, nb in
+                 enumerate(closed_neighbourhoods([c.support for c in cset]))
+                 for b in nb if b > a)

@@ -91,6 +91,17 @@ def test_bounds_rejects_float_memory(capsys):
     assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["--length", "0"],              # L below memory + 1, as with --m
+    ["--probs", "1/0,1"],           # not a rational
+])
+def test_bounds_rejects_malformed_pattern_scheme(argv, capsys):
+    code = run_cli("bounds", "--gamma", "3", "--kappa", "3",
+                   "--pattern", "0,1", *argv)
+    assert code == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
 def test_bounds_out_file(tmp_path, capsys):
     out = tmp_path / "bounds.json"
     code = run_cli("bounds", "--gamma", "3", "--kappa", "3", "--m", "2",
@@ -210,6 +221,26 @@ def test_construct_cap_exhaustion_exits_3(tmp_path, capsys):
     assert trace["terminated"] is False
 
 
+def test_construct_budget_caps_two_stage_lift_stage(tmp_path, capsys):
+    out = tmp_path / "partial"
+    code = run_cli("construct", "--gamma", "3", "--kappa", "4", "--m", "1",
+                   "--lifting", "8", "--seed", "2", "--out-dir", str(out),
+                   "--max-resamples", "0")
+    assert code == EXIT_CAP_EXHAUSTED
+    trace = json.loads((out / "trace.json").read_text())
+    assert trace["stage2"]["max_resamples"] == 0
+    assert trace["terminated"] is False
+
+
+@pytest.mark.parametrize("flag", ["--stage1-max", "--stage2-max"])
+def test_construct_has_one_budget_flag(flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("construct", "--gamma", "3", "--kappa", "4", "--m", "1",
+                "--lifting", "8", "--seed", "2",
+                "--out-dir", str(tmp_path), flag, "5")
+    assert exc.value.code == EXIT_USAGE
+
+
 def test_construct_writes_every_probability_as_num_den(tmp_path, capsys):
     code = run_cli("construct", "--construction", "joint", "--gamma", "3",
                    "--kappa", "4", "--pattern", "2", "--lifting", "13",
@@ -325,6 +356,17 @@ def test_experiment_sweep_csv(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [r["value"] for r in rows] == ["2", "3"]
     assert all(r["error"] == "" for r in rows)
+
+
+@pytest.mark.parametrize("op", ["baseline", "theorem2"])
+def test_experiment_sweep_runs_only_the_shift_op(op, capsys):
+    code = run_cli("experiment", "--gamma", "3", "--kappa", "3", "--m", "1",
+                   "--trials", "5", "--op", op,
+                   "--sweep", "m", "--sweep-values", "1")
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "--sweep" in captured.err and "--op" in captured.err
 
 
 @pytest.mark.parametrize("field, value", [

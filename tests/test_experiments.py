@@ -4,6 +4,7 @@ import csv
 import functools
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,8 @@ from scldpc import (BaseCode, CandidateSet, CouplingScheme, ExperimentConfig,
                     StructureSpec, enumerate_cycles, estimate_baseline,
                     estimate_mt_shift, spreading_prob_exact, sweep,
                     verify_theorem2, wilson_interval)
-from scldpc.experiments import (MODES, _elim_delta, _null_check,
-                                _overlap_count)
+from scldpc.experiments import (MODES, Z99_ONE_SIDED, _elim_delta,
+                                _null_check, _overlap_count)
 
 
 def _config(**overrides) -> ExperimentConfig:
@@ -299,6 +300,17 @@ def test_theorem2_verification_feasible_case():
     assert rep.bound == Fraction(63, 30)
     assert rep.trials == 150
     assert rep.passed is True
+
+
+def test_theorem2_verdict_uses_the_reported_allowance():
+    cfg = ExperimentConfig(
+        gamma=3, kappa=4, scheme=CouplingScheme.uniform(1,
+                                                        lifting_degree=34),
+        mode="joint", trials=40, seed=5,
+        eliminate=StructureSpec(4), observe=(StructureSpec(6),))
+    rep = verify_theorem2(cfg)
+    assert rep.allowance == Z99_ONE_SIDED * rep.std / math.sqrt(rep.trials)
+    assert rep.passed is (rep.mean <= float(rep.bound) + rep.allowance)
 
 
 def test_theorem2_not_applicable_when_infeasible():

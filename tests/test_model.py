@@ -86,6 +86,11 @@ def test_scheme_uniform():
     assert s.lifting_degree == 1
 
 
+def test_scheme_length_defaults_to_memory_plus_one():
+    s = CouplingScheme((0, 2), (Fraction(1, 2), Fraction(1, 2)))
+    assert s.coupling_length == 3
+
+
 def test_scheme_validation():
     with pytest.raises(ValueError):
         CouplingScheme((1, 0), (Fraction(1, 2), Fraction(1, 2)), 2, 1)

@@ -131,6 +131,37 @@ def test_cap_exhaustion_reports_partial_state():
     assert seen_cap
 
 
+def test_numpy_integer_seed_is_recorded():
+    base = BaseCode(3, 4)
+    scheme = CouplingScheme.uniform(1, lifting_degree=8)
+    c4 = enumerate_cycles(base, 4)
+    instance, trace = run_joint(base, scheme, c4, np.int64(5))
+    reference, _ = run_joint(base, scheme, c4, 5)
+    assert (trace.seed, instance.seed) == (5, 5)
+    assert instance.lift == reference.lift
+    assert instance.partition == reference.partition
+    two_stage, _ = construct_two_stage(base, scheme, c4, np.int64(5))
+    assert two_stage.seed == 5
+    _, streamed = run_joint(base, scheme, c4, np.random.SeedSequence(5))
+    assert streamed.seed is None
+
+
+def test_two_stage_report_outcome_and_budget():
+    base = BaseCode(3, 4)
+    scheme = CouplingScheme.uniform(1, lifting_degree=8)
+    c4 = enumerate_cycles(base, 4)
+    outcomes = set()
+    for caps in ({}, {"stage1_max": 3, "stage2_max": 0}):
+        for seed in range(4):
+            _, report = construct_two_stage(base, scheme, c4, seed, **caps)
+            assert report.terminated is report.lift_trace.terminated
+            assert report.total_resamples == (
+                report.partition_trace.total_resamples
+                + report.lift_trace.total_resamples)
+            outcomes.add(report.terminated)
+    assert outcomes == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # Admission checks: never resample the unresamplable
 # ---------------------------------------------------------------------------

@@ -4,11 +4,14 @@ import itertools
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scldpc import (Assignment, BaseCode, CandidateSet, WalkCandidate,
                     dependency_degree, dependency_pairs, enumerate_cycles,
                     harmful_weight)
-from scldpc.walks import is_active_lift, is_active_partition
+from scldpc.walks import (closed_neighbourhoods, is_active_lift,
+                          is_active_partition)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +238,20 @@ def test_dependency_degree_matches_bruteforce():
     pairs = dependency_pairs(cset)
     assert len(pairs) == rep.edge_count
     assert all(a < b for a, b in pairs)
+
+
+def _pairwise_neighbourhoods(scopes) -> tuple[tuple[int, ...], ...]:
+    """Oracle: intersect every pair of scopes."""
+    return tuple(tuple(b for b, other in enumerate(scopes)
+                       if set(scope) & set(other))
+                 for scope in scopes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scopes=st.lists(st.lists(st.integers(0, 12), max_size=5),
+                       max_size=12))
+def test_closed_neighbourhoods_match_pairwise_intersections(scopes):
+    assert closed_neighbourhoods(scopes) == _pairwise_neighbourhoods(scopes)
 
 
 def test_restrict_to_window():
