@@ -21,9 +21,11 @@ list.
 from __future__ import annotations
 
 import re
+from array import array
+from itertools import islice
 from typing import Iterator, Optional
 
-from .model import SparseBinaryMatrix
+from .model import INDEX_TYPE, IndexLists, SparseBinaryMatrix, check_column
 
 # A run of characters between two of the line boundaries str.splitlines uses.
 _LINE = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]+")
@@ -32,16 +34,17 @@ _LINE = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]+")
 def export_alist(h: SparseBinaryMatrix) -> str:
     if h.nrows < 1 or h.ncols < 1 or h.nnz == 0:
         raise ValueError("refusing to export an empty matrix")
-    col_deg = [len(c) for c in h.col_rows]
-    row_deg = [len(r) for r in h.row_cols]
+    col_deg = h.col_rows.lengths()
+    row_deg = h.row_cols.lengths()
     dmax_col = max(col_deg)
     dmax_row = max(row_deg)
 
-    def section(lists: tuple[tuple[int, ...], ...], width: int) -> str:
+    def section(lists: IndexLists, width: int) -> str:
         """One zero-padded line of 1-based indices per list, joined."""
-        return "\n".join(" ".join([str(v + 1) for v in idx]
-                                  + ["0"] * (width - len(idx)))
-                         for idx in lists)
+        ptr, idx = lists.ptr, lists.idx
+        return "\n".join(" ".join([str(v + 1) for v in idx[a:b]]
+                                  + ["0"] * (width - b + a))
+                         for a, b in zip(ptr, islice(ptr, 1, None)))
 
     return "\n".join([f"{h.ncols} {h.nrows}", f"{dmax_col} {dmax_row}",
                       " ".join(map(str, col_deg)),
@@ -70,7 +73,8 @@ def parse_alist(text: str) -> SparseBinaryMatrix:
     if n_lines < 4 + ncols + nrows:
         raise ValueError("truncated alist: missing neighbor lists")
 
-    col_rows = []
+    ptr, idx = array(INDEX_TYPE, (0,)), array(INDEX_TYPE)
+    col_error: Optional[ValueError] = None
     for j in range(ncols):
         line = next(lines)
         entries = [v - 1 for v in line if v != 0]
@@ -78,25 +82,32 @@ def parse_alist(text: str) -> SparseBinaryMatrix:
             raise ValueError(f"column {j}: degree does not match entries")
         if len(line) != dmax_col:
             raise ValueError(f"column {j}: line not padded to max degree")
-        col_rows.append(tuple(sorted(entries)))
-    try:
-        h: Optional[SparseBinaryMatrix] = SparseBinaryMatrix(
-            nrows, ncols, col_rows)
-    except ValueError as err:
-        h, col_error = None, err
-    # Row lists are redundant given the column lists; cross-check each.  A
-    # bad column index or a disagreement is raised only after every row
-    # line's degree and padding passed, so a given defect always yields the
-    # same message.
+        if col_error is None:
+            entries.sort()
+            try:
+                check_column(j, entries, nrows)
+            except ValueError as err:
+                col_error = err
+                continue
+            idx.extend(entries)
+            ptr.append(len(idx))
+    h = None if col_error else SparseBinaryMatrix._from_buffers(
+        nrows, ncols, ptr, idx)
+    # Row lists are redundant given the column lists; cross-check each
+    # against the transposed buffers.  A bad column index or a
+    # disagreement is raised only after every row line's degree and
+    # padding passed, so a given defect always yields the same message.
     agree = h is not None
+    rows = h.row_cols if agree else None
     for i in range(nrows):
         line = next(lines)
-        entries = tuple(sorted(v - 1 for v in line if v != 0))
+        entries = sorted(v - 1 for v in line if v != 0)
         if len(entries) != row_deg[i]:
             raise ValueError(f"row {i}: degree does not match entries")
         if len(line) != dmax_row:
             raise ValueError(f"row {i}: line not padded to max degree")
-        agree = agree and entries == h.row_cols[i]
+        agree = agree and (
+            rows.idx[rows.ptr[i]:rows.ptr[i + 1]].tolist() == entries)
     if h is None:
         raise col_error
     if not agree:

@@ -41,8 +41,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .probability import spreading_prob_c4_uniform
-from .walks import (CandidateSet, dependency_degree, dependency_pairs,
-                    harmful_weight)
+from .walks import (CandidateSet, DependencyReport, closed_neighbourhoods,
+                    dependency_degree, dependency_pairs, harmful_weight,
+                    neighbour_pairs)
 
 # Fractions with numerators around n^n stay cheap up to this point; past it
 # the exact slot is left None and floats (still high-precision) take over.
@@ -444,9 +445,10 @@ class CliqueCover:
 def build_pairwise_cover(cset: CandidateSet,
                          x: Optional[Fraction] = None) -> CliqueCover:
     """One 2-clique per dependency edge; default weight 1/Delta_observed."""
-    pairs = dependency_pairs(cset)
+    neighbourhoods = closed_neighbourhoods([c.support for c in cset])
+    pairs = neighbour_pairs(neighbourhoods)
     if x is None:
-        delta = dependency_degree(cset).delta_observed
+        delta = DependencyReport.of(neighbourhoods).delta_observed
         if delta < 2:
             raise ValueError("default weight 1/Delta needs Delta >= 2; "
                              "pass x explicitly")

@@ -90,6 +90,8 @@ def _scheme_from(args: argparse.Namespace) -> CouplingScheme:
             n = len(args.pattern)
             probs = tuple(Fraction(1, n) for _ in range(n))
         return CouplingScheme(args.pattern, probs, args.length, args.lifting)
+    if args.probs:
+        raise ValueError("--probs needs --pattern (--m spreads uniformly)")
     if args.m is None:
         raise ValueError("either --m or --pattern is required")
     return CouplingScheme.uniform(args.m, args.length, args.lifting)

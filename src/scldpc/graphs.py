@@ -8,55 +8,67 @@ the algebraic activation conditions.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
+from itertools import islice
 from typing import Iterable
 
-from .model import SparseBinaryMatrix
+from .model import INDEX_TYPE, SparseBinaryMatrix
 
 
 def girth(h: SparseBinaryMatrix) -> float:
     """Length of the shortest cycle in the Tanner graph (inf if a forest).
 
-    BFS from every vertex; when the frontier meets itself the enclosing
+    BFS from a set of sources; when the frontier meets itself the enclosing
     cycle has length 2*depth or 2*depth - 1 (odd cycles cannot occur in a
-    bipartite graph but the generic rule costs nothing).  Exact, and early
-    exits once a 4-cycle is certain.
+    bipartite graph but the generic rule costs nothing).  A BFS from a
+    vertex on a shortest cycle finds it, so the sources must meet every
+    shortest cycle up to a graph automorphism.  In general they are all
+    vertices.  On a matrix ``assemble_qc`` built from Z x Z circulants,
+    adding 1 mod Z to every index within its block maps the graph onto
+    itself, and every cycle passes through a variable node, so the first
+    variable node of each column block suffices (Fossorier, IEEE T-IT
+    2004).  Exact, and early exits once a 4-cycle is certain.
     """
-    n_rows, n_cols = h.nrows, h.ncols
-    n = n_rows + n_cols
-    # Check nodes are 0..n_rows-1, variable nodes n_rows..n-1; the column
-    # tuples already list check ids and are shared, not copied.
-    var_ids = list(range(n_rows, n))
-    adj: list[tuple[int, ...]] = [
-        tuple([var_ids[j] for j in cols]) for cols in h.row_cols
-    ] + list(h.col_rows)
+    n_rows = h.nrows
+    n = n_rows + h.ncols
+    rows, cols = h.row_cols, h.col_rows
+    # Check nodes are 0..n_rows-1, variable nodes n_rows..n-1; the
+    # neighbours of node u are adj[ptr[u]:ptr[u + 1]].
+    nnz = len(cols.idx)
+    ptr = array(INDEX_TYPE, rows.ptr)
+    ptr.extend(p + nnz for p in islice(cols.ptr, 1, None))
+    adj = array(INDEX_TYPE, (v + n_rows for v in rows.idx))
+    adj.extend(cols.idx)
+    z = h.circulant_size
+    sources = range(n) if z is None else range(n_rows, n, z)
 
     best = math.inf
-    dist = [-1] * n
-    parent = [-1] * n
-    stamp = [0] * n
-    epoch = 0
-    for src in range(n):
-        epoch += 1
+    dist = array(INDEX_TYPE, (0,)) * n
+    parent = array(INDEX_TYPE, (-1,)) * n
+    stamp = array(INDEX_TYPE, (0,)) * n
+    for epoch, src in enumerate(sources, 1):
         dist[src] = 0
         parent[src] = -1
         stamp[src] = epoch
         queue = deque([src])
         while queue:
             u = queue.popleft()
-            if 2 * dist[u] >= best:
+            du = dist[u]
+            if 2 * du >= best:
                 break
-            for v in adj[u]:
-                if v == parent[u]:
+            pu = parent[u]
+            for v in adj[ptr[u]:ptr[u + 1]]:
+                if v == pu:
                     continue
                 if stamp[v] != epoch:
                     stamp[v] = epoch
-                    dist[v] = dist[u] + 1
+                    dist[v] = du + 1
                     parent[v] = u
                     queue.append(v)
                 else:
                     # Cross edge inside one BFS tree: cycle through src.
-                    best = min(best, dist[u] + dist[v] + 1)
+                    best = min(best, du + dist[v] + 1)
         if best == 4:
             return 4
     return best

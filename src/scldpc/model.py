@@ -27,21 +27,86 @@ offset.
 from __future__ import annotations
 
 import operator
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, Optional
 
 Edge = tuple[int, int]
 
+# Typecode of every index buffer: signed 64-bit, so any index fits.
+INDEX_TYPE = "q"
 
-class SparseBinaryMatrix:
-    """Binary matrix stored as per-column sorted lists of row indices.
 
-    alist export and girth BFS both want adjacency, not algebra, so this is
-    all the structure we need.
+class IndexLists(Sequence):
+    """Read-only sequence of sorted index tuples over two flat buffers.
+
+    Entry k is ``tuple(idx[ptr[k]:ptr[k + 1]])`` (compressed sparse
+    storage): ``ptr`` has one more element than there are lists.  Equal to
+    the tuple of its entries and to any view with equal buffers.
     """
 
-    __slots__ = ("nrows", "ncols", "col_rows", "_row_cols")
+    __slots__ = ("ptr", "idx")
+
+    def __init__(self, ptr: array, idx: array):
+        self.ptr = ptr
+        self.idx = idx
+
+    def __len__(self) -> int:
+        return len(self.ptr) - 1
+
+    def __getitem__(self, k: int) -> tuple[int, ...]:
+        k = range(len(self))[k]  # negative k counts from the end
+        return tuple(self.idx[self.ptr[k]:self.ptr[k + 1]])
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        ptr, idx = self.ptr, self.idx
+        for k in range(len(ptr) - 1):
+            yield tuple(idx[ptr[k]:ptr[k + 1]])
+
+    def lengths(self) -> list[int]:
+        """The length of every list, in order."""
+        return list(map(operator.sub, islice(self.ptr, 1, None), self.ptr))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, IndexLists):
+            return self.ptr == other.ptr and self.idx == other.idx
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"IndexLists({tuple(self)!r})"
+
+
+def _zeros(n: int) -> array:
+    """n zero indices, allocated once (no list or bytes copy)."""
+    return array(INDEX_TYPE, (0,)) * n
+
+
+def check_column(j: int, rows: Sequence[int], nrows: int) -> None:
+    """Raise unless column j's row indices lie in [0, nrows) and strictly
+    increase."""
+    if rows and (min(rows) < 0 or max(rows) >= nrows):
+        raise ValueError(f"row index out of range in column {j}")
+    if any(map(operator.ge, rows, islice(rows, 1, None))):
+        raise ValueError(f"column {j} not sorted/duplicate-free")
+
+
+class SparseBinaryMatrix:
+    """Binary matrix stored as its column lists in two flat index buffers.
+
+    alist export and girth BFS both want adjacency, not algebra, so this is
+    all the structure we need.  ``col_rows`` and ``row_cols`` are read-only
+    ``IndexLists`` views; the row buffers are the transpose, built on first
+    use.  A matrix built by ``assemble_qc`` also knows its circulant size
+    (``circulant_size``), which ``graphs.girth`` uses; equality, hashing and
+    alist text ignore it.
+    """
+
+    __slots__ = ("nrows", "ncols", "col_rows", "_row_cols", "_circulant")
 
     def __init__(self, nrows: int, ncols: int,
                  col_rows: Sequence[Sequence[int]]):
@@ -49,18 +114,30 @@ class SparseBinaryMatrix:
             raise ValueError("negative matrix dimension")
         if len(col_rows) != ncols:
             raise ValueError("col_rows length does not match ncols")
-        cols = []
+        ptr, idx = array(INDEX_TYPE, (0,)), array(INDEX_TYPE)
         for j, rows in enumerate(col_rows):
             rows = tuple(rows)
-            if any(r < 0 or r >= nrows for r in rows):
-                raise ValueError(f"row index out of range in column {j}")
-            if any(rows[k] >= rows[k + 1] for k in range(len(rows) - 1)):
-                raise ValueError(f"column {j} not sorted/duplicate-free")
-            cols.append(rows)
+            check_column(j, rows, nrows)
+            idx.extend(rows)
+            ptr.append(len(idx))
+        self._init(nrows, ncols, ptr, idx)
+
+    def _init(self, nrows: int, ncols: int, ptr: array, idx: array,
+              circulant: Optional[int] = None) -> None:
         self.nrows = nrows
         self.ncols = ncols
-        self.col_rows: tuple[tuple[int, ...], ...] = tuple(cols)
-        self._row_cols: Optional[tuple[tuple[int, ...], ...]] = None
+        self.col_rows = IndexLists(ptr, idx)
+        self._row_cols: Optional[IndexLists] = None
+        self._circulant = circulant
+
+    @classmethod
+    def _from_buffers(cls, nrows: int, ncols: int, ptr: array, idx: array,
+                      circulant: Optional[int] = None
+                      ) -> "SparseBinaryMatrix":
+        """Wrap column buffers the caller has already validated."""
+        h = cls.__new__(cls)
+        h._init(nrows, ncols, ptr, idx, circulant)
+        return h
 
     @classmethod
     def from_entries(cls, nrows: int, ncols: int,
@@ -73,20 +150,38 @@ class SparseBinaryMatrix:
         return cls(nrows, ncols, [sorted(s) for s in cols])
 
     @property
-    def row_cols(self) -> tuple[tuple[int, ...], ...]:
+    def row_cols(self) -> IndexLists:
         if self._row_cols is None:
-            rows: list = [[] for _ in range(self.nrows)]
-            for j, col in enumerate(self.col_rows):
-                for r in col:
-                    rows[r].append(j)
-            for r, cols in enumerate(rows):  # in place: no second copy
-                rows[r] = tuple(cols)
-            self._row_cols = tuple(rows)
+            # Counting transpose into the two result buffers only: count
+            # each row's entries, turn the counts into row ends, then fill
+            # the columns last to first, so each row's end walks down to
+            # its start and its columns come out ascending.
+            col_ptr, col_idx = self.col_rows.ptr, self.col_rows.idx
+            ptr, idx = _zeros(self.nrows + 1), _zeros(len(col_idx))
+            for r in col_idx:
+                ptr[r] += 1
+            total = 0
+            for r in range(self.nrows):
+                total += ptr[r]
+                ptr[r] = total
+            ptr[self.nrows] = total
+            for j in range(self.ncols - 1, -1, -1):
+                for r in col_idx[col_ptr[j]:col_ptr[j + 1]]:
+                    end = ptr[r] - 1
+                    ptr[r] = end
+                    idx[end] = j
+            self._row_cols = IndexLists(ptr, idx)
         return self._row_cols
 
     @property
+    def circulant_size(self) -> Optional[int]:
+        """Z when ``assemble_qc`` built this matrix from Z x Z circulants,
+        else None."""
+        return self._circulant
+
+    @property
     def nnz(self) -> int:
-        return sum(len(c) for c in self.col_rows)
+        return len(self.col_rows.idx)
 
     def to_dense(self):
         """The dense 0/1 matrix as a numpy uint8 array (a test helper)."""
@@ -104,7 +199,8 @@ class SparseBinaryMatrix:
                 and self.col_rows == other.col_rows)
 
     def __hash__(self) -> int:
-        return hash((self.nrows, self.ncols, self.col_rows))
+        return hash((self.nrows, self.ncols, self.col_rows.ptr.tobytes(),
+                     self.col_rows.idx.tobytes()))
 
     def __repr__(self) -> str:
         return (f"SparseBinaryMatrix({self.nrows}x{self.ncols}, "
@@ -329,9 +425,10 @@ def assemble_qc(instance: CodeInstance) -> SparseBinaryMatrix:
 
     Every protograph one of base edge (i, j) becomes sigma^{L(i,j)}:
     lifted row R*Z + ((c + x) mod Z), column C*Z + c for c in [0, Z).
-    Columns are built directly: the block rows of one protograph column are
-    distinct, so once its (block row R*Z, shift x) pairs are sorted, each of
-    its Z lifted columns comes out sorted without a per-column sort.
+    The column buffers are written directly: the block rows of one
+    protograph column are distinct, so once its (block row R*Z, shift x)
+    pairs are sorted, the k-th of them gives the k-th row of each of its Z
+    lifted columns, one strided slice per protograph one.
     """
     base, scheme = instance.base, instance.scheme
     m = scheme.memory
@@ -339,13 +436,18 @@ def assemble_qc(instance: CodeInstance) -> SparseBinaryMatrix:
     z = scheme.lifting_degree
     nrows = base.gamma * (length + m) * z
     ncols = base.kappa * length * z
-    col_rows: list[tuple[int, ...]] = []
+    ptr = array(INDEX_TYPE, (0,))
+    idx = _zeros(length * z * len(base.edges))
     for r in range(length):
         for j in range(base.kappa):
             blocks = sorted(
                 (((r + instance.partition.values[i][j]) * base.gamma + i) * z,
                  instance.lift.values[i][j])
                 for i in range(base.gamma) if base.mask[i][j])
-            col_rows.extend(tuple(big_r + (c + x) % z for big_r, x in blocks)
-                            for c in range(z))
-    return SparseBinaryMatrix(nrows, ncols, col_rows)
+            start, d = ptr[-1], len(blocks)
+            for k, (big_r, x) in enumerate(blocks):
+                idx[start + k:start + d * z:d] = array(INDEX_TYPE, chain(
+                    range(big_r + x, big_r + z), range(big_r, big_r + x)))
+            ptr.extend(range(start + d, start + d * z + 1, d) if d
+                       else (start,) * z)
+    return SparseBinaryMatrix._from_buffers(nrows, ncols, ptr, idx, z)

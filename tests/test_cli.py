@@ -150,6 +150,21 @@ def test_enumerate_probabilities_need_a_scheme(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--gamma", "3", "--kappa", "3", "--probabilities"],
+    ["bounds", "--gamma", "3", "--kappa", "3"],
+])
+def test_probs_without_pattern_exits_2(argv, capsys):
+    # --m spreads uniformly; silently dropping --probs would report the
+    # uniform scheme as if it were the one asked for.
+    code = run_cli(*argv, "--m", "1", "--probs", "9/10,1/10",
+                   "--lifting", "2")
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--probs" in captured.err
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # construct / verify / export
 # ---------------------------------------------------------------------------

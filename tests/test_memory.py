@@ -1,10 +1,11 @@
 """Allocation bounds for the whole-matrix steps: QC assembly, the row
 lists, and alist export and parsing.
 
-Each step should allocate little beyond its result.  The measure is the
+Each step should allocate little beyond its result: the measure is the
 peak of traced allocations during the call over the bytes still traced
-after it; tracemalloc counts Python allocations deterministically, so the
-ratio does not depend on the machine's load.  The instance is mid-size
+after it.  A matrix with its row lists should also retain little per
+nonzero.  tracemalloc counts Python allocations deterministically, so
+neither figure depends on the machine's load.  The instance is mid-size
 (3x7, m=2, L=6, Z=211: 5064 x 8862, nnz 26586), large enough that fixed
 costs do not dominate.
 """
@@ -31,10 +32,11 @@ def _instance() -> CodeInstance:
     return CodeInstance(base, scheme, partition, lift)
 
 
-def _peak_over_retained(fn):
+def _traced(fn):
+    """fn's result, the bytes it left traced, and its traced peak."""
     # A full collection empties the tuple and list free lists; objects
-    # served from them would go untraced and make the ratio depend on the
-    # tests that ran before in the same process.
+    # served from them would go untraced and make the figures depend on
+    # the tests that ran before in the same process.
     gc.collect()
     tracemalloc.start()
     try:
@@ -43,7 +45,12 @@ def _peak_over_retained(fn):
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return result, (peak - before) / (after - before)
+    return result, after - before, peak - before
+
+
+def _peak_over_retained(fn):
+    result, retained, peak = _traced(fn)
+    return result, peak / retained
 
 
 @pytest.fixture(scope="module")
@@ -77,3 +84,21 @@ def test_parse_alist_allocates_little_beyond_its_result(matrix):
     h, ratio = _peak_over_retained(lambda: parse_alist(text))
     assert h == matrix
     assert ratio <= 2.5
+
+
+def test_matrix_and_row_lists_retain_few_bytes_per_nonzero():
+    # Flat index buffers: 8 bytes per nonzero on each side plus the two
+    # pointer buffers; one Python object per nonzero would be over 24.
+    inst = _instance()
+
+    def assemble_with_rows():
+        h = assemble_qc(inst)
+        h.row_cols
+        return h
+
+    h, retained, _ = _traced(assemble_with_rows)
+    assert retained / h.nnz <= 24
+    text = export_alist(h)
+    parsed, retained, _ = _traced(lambda: parse_alist(text))
+    assert parsed == h
+    assert retained / parsed.nnz <= 24

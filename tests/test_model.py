@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from scldpc import (Assignment, BaseCode, CodeInstance, CouplingScheme,
                     SparseBinaryMatrix, WalkCandidate, assemble_protograph,
-                    assemble_qc)
+                    assemble_qc, export_alist, girth, parse_alist)
+from test_graphs import _girth_reference
 
 
 def _grid(base: BaseCode, fn) -> Assignment:
@@ -51,6 +52,30 @@ def test_sparse_matrix_row_adjacency():
     h = SparseBinaryMatrix.from_entries(2, 3, [(0, 0), (0, 2), (1, 2)])
     assert h.row_cols == ((0, 2), (2,))
     assert h.col_rows == ((0,), (), (0, 1))
+
+
+@st.composite
+def _matrices(draw) -> SparseBinaryMatrix:
+    nrows = draw(st.integers(0, 12))
+    ncols = draw(st.integers(0, 12))
+    entries = draw(st.sets(st.tuples(st.integers(0, nrows - 1),
+                                     st.integers(0, ncols - 1)),
+                           max_size=40)) if nrows and ncols else ()
+    return SparseBinaryMatrix.from_entries(nrows, ncols, entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=_matrices())
+def test_row_cols_is_the_transpose_and_alist_round_trips(h):
+    rows = tuple(tuple(j for j in range(h.ncols) if i in h.col_rows[j])
+                 for i in range(h.nrows))
+    assert h.row_cols == rows
+    assert sum(map(len, h.row_cols)) == h.nnz
+    assert h.circulant_size is None
+    if h.nnz:
+        back = parse_alist(export_alist(h))
+        assert back == h
+        assert back.row_cols == rows
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +322,19 @@ def test_assemble_qc_matches_entry_assembly(inst):
     ref = _assemble_qc_entries(inst)
     assert (h.nrows, h.ncols) == (ref.nrows, ref.ncols)
     assert h.col_rows == ref.col_rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=_instances())
+def test_girth_from_circulant_sources_matches_every_vertex_bfs(inst):
+    h = assemble_qc(inst)
+    ref = _assemble_qc_entries(inst)
+    assert h.circulant_size == inst.scheme.lifting_degree
+    assert ref.circulant_size is None
+    assert ref == h and hash(ref) == hash(h)
+    g = girth(h)  # one source per column block
+    assert g == girth(ref)  # every vertex a source
+    assert g == _girth_reference(ref)
 
 
 def test_instance_validates_lift_range():
