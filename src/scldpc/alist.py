@@ -61,17 +61,21 @@ def _lines(text: str) -> Iterator[str]:
             yield line
 
 
+def _token_lists(lines: Iterator[str]) -> Iterator[list[int]]:
+    """Each line's integers; reading past the last is a ValueError."""
+    n = 0
+    for n, line in enumerate(lines, 1):
+        yield [int(tok) for tok in line.split()]
+    raise ValueError("truncated alist: missing "
+                     + ("header" if n < 4 else "neighbor lists"))
+
+
 def parse_alist(text: str) -> SparseBinaryMatrix:
-    n_lines = sum(1 for _ in _lines(text))
-    lines = ([int(tok) for tok in line.split()] for line in _lines(text))
-    if n_lines < 4:
-        raise ValueError("truncated alist: missing header")
-    (ncols, nrows), (dmax_col, dmax_row) = next(lines), next(lines)
-    col_deg, row_deg = next(lines), next(lines)
+    raw = _lines(text)
+    lines = _token_lists(raw)
+    (ncols, nrows), (dmax_col, dmax_row), col_deg, row_deg = islice(lines, 4)
     if len(col_deg) != ncols or len(row_deg) != nrows:
         raise ValueError("alist degree list length mismatch")
-    if n_lines < 4 + ncols + nrows:
-        raise ValueError("truncated alist: missing neighbor lists")
 
     ptr, idx = array(INDEX_TYPE, (0,)), array(INDEX_TYPE)
     col_error: Optional[ValueError] = None
@@ -115,6 +119,6 @@ def parse_alist(text: str) -> SparseBinaryMatrix:
     if dmax_col != max(col_deg) or dmax_row != max(row_deg):
         raise ValueError("alist header maximum degree does not match "
                          "the degree lists")
-    if n_lines > 4 + ncols + nrows:
+    if next(raw, None) is not None:
         raise ValueError("trailing content after alist neighbor lists")
     return h

@@ -196,6 +196,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    scheme_flags = (args.m, args.pattern, args.probs, args.length)
+    if not args.probabilities and any(f is not None for f in scheme_flags):
+        raise ValueError("--m, --pattern, --probs and --length need "
+                         "--probabilities")
     base = BaseCode(args.gamma, args.kappa)
     cset = enumerate_cycles(base, args.two_g, args.walk_mode)
     if args.rows is not None or args.cols is not None:

@@ -38,8 +38,7 @@ from .serialize import check_ints, check_probs
 from .walks import (CandidateSet, WalkCandidate, dependency_degree,
                     enumerate_cycles, is_active)
 from . import bounds
-from .moser_tardos import (construct_two_stage, pipeline_stage1_cap,
-                           run_joint, run_stage_partition, stage_cap)
+from .moser_tardos import construct_two_stage, run_joint, run_stage_partition
 
 MODES = ("partition-only", "joint", "two-stage")
 
@@ -372,55 +371,39 @@ class ExperimentStats:
 
 
 def _run_trials(config: ExperimentConfig, elim: CandidateSet):
-    """One construction per trial.  Returns the (partition, lift) pair of
-    every trial that terminated (lift None in partition-only mode), the
-    number of trials that hit their cap, and the total resamples of every
-    terminated trial."""
+    """One construction per trial, on the runners' own budgets (as in
+    ``construct``) unless ``config.cap`` is set.  Returns the (partition,
+    lift) pair (lift None in partition-only mode) and the total resamples
+    of every trial that terminated; the other trials hit their cap."""
     base = config.base
     scheme = config.scheme
-    caps = _precomputed_caps(config, elim)
     results = []
-    failed = 0
     resample_counts: list[int] = []
     for t in range(config.trials):
         seed_t = seed_sequence(config.seed, STREAM_TRIALS + t)
         if config.mode == "partition-only":
             partition, run = run_stage_partition(base, scheme, elim, seed_t,
-                                                 caps[0])
+                                                 config.cap)
             lift = None
         else:
             if config.mode == "joint":
                 instance, run = run_joint(base, scheme, elim, seed_t,
-                                          caps[0])
+                                          config.cap)
             else:
-                instance, run = construct_two_stage(base, scheme, elim,
-                                                    seed_t, caps[0], caps[1])
+                instance, run = construct_two_stage(
+                    base, scheme, elim, seed_t, config.cap, config.cap)
             partition, lift = instance.partition, instance.lift
-        if not run.terminated:
-            failed += 1
-            continue
-        resample_counts.append(run.total_resamples)
-        results.append((partition, lift))
-    return results, failed, resample_counts
-
-
-def _precomputed_caps(config: ExperimentConfig,
-                      elim: CandidateSet) -> tuple[int, Optional[int]]:
-    """(first cap, lift cap); the two-stage lift cap is over the whole
-    eliminate set, not one trial's survivors."""
-    if config.cap is not None:
-        return config.cap, config.cap
-    if config.mode == "two-stage":
-        return (pipeline_stage1_cap(elim, config.scheme),
-                stage_cap(elim, config.scheme, "lift"))
-    return stage_cap(elim, config.scheme, _stage(config)), None
+        if run.terminated:
+            resample_counts.append(run.total_resamples)
+            results.append((partition, lift))
+    return results, resample_counts
 
 
 def estimate_mt_shift(config: ExperimentConfig) -> ExperimentStats:
     """Run the construction many times and compare each observable's
     activation frequency with its product-measure probability."""
     elim, observed = _build_sets(config)
-    results, failed, resample_counts = _run_trials(config, elim)
+    results, resample_counts = _run_trials(config, elim)
     n_ok = len(results)
 
     stage = _stage(config)
@@ -507,7 +490,7 @@ def estimate_mt_shift(config: ExperimentConfig) -> ExperimentStats:
     if res_stats.bound_holds is False:
         all_pass = False
     return ExperimentStats(
-        config=config, trials_ok=n_ok, trials_failed=failed,
+        config=config, trials_ok=n_ok, trials_failed=config.trials - n_ok,
         eliminate_count=len(elim), delta_observed=delta_observed,
         delta_formula=delta_formula, delta_used=delta_used,
         delta_source=delta_source, p_elim_max=p_elim_max,
@@ -562,7 +545,7 @@ def verify_theorem2(config: ExperimentConfig) -> Theorem2Report:
     """Compare mean total resamples against the expected-cost bound with a
     one-sided 99% sampling allowance."""
     elim, _ = _build_sets(config)
-    _, _, counts = _run_trials(config, elim)
+    _, counts = _run_trials(config, elim)
     elim_probs = [stage_prob(c, config.scheme, _stage(config)) for c in elim]
     stats = _resample_stats(config, elim, elim_probs, counts)
     n = len(counts)

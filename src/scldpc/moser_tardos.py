@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .model import Assignment, BaseCode, CodeInstance, CouplingScheme
@@ -86,6 +87,10 @@ class MTTrace:
     metadata: dict = field(default_factory=dict)
 
 
+# Pure over frozen inputs, and no caller mutates the result.  One entry
+# serves an experiment's repeated trials; more would keep an earlier
+# target set alive for the life of the process.
+@lru_cache(maxsize=1)
 def compile_events(cset: CandidateSet, scheme: CouplingScheme,
                    stage: str) -> EventSystem:
     """One event per target, in the set's canonical order; raises
@@ -106,11 +111,13 @@ def run_mt(system: EventSystem, seed: SeedLike,
            max_resamples: Optional[int] = None) -> tuple[list[int], MTTrace]:
     """Resample until no event occurs (or the cap is hit).
 
-    None disables the cap; the stage runners always pass one.  Returns
-    the final variable values and the trace; ``terminated`` is False iff
-    the cap cut the run short, in which case the values are the partial
-    state.
+    None disables the cap (``run_stage_lift``'s default with no
+    survivors); a negative cap is a ValueError.  Returns the final
+    values and the trace; ``terminated`` is False iff the cap cut the
+    run short, in which case the values are the partial state.
     """
+    if max_resamples is not None and max_resamples < 0:
+        raise ValueError("resample cap must be non-negative")
     blocks, n_vars, event_forms = system.blocks, system.n, system.forms
     scopes, neighbors = system.scopes, system.neighbors
     gen = rng(seed)
@@ -193,6 +200,7 @@ def default_cap(cset: CandidateSet, probs) -> int:
     return FALLBACK_CAP
 
 
+@lru_cache(maxsize=1)  # one entry, as compile_events
 def stage_cap(cset: CandidateSet, scheme: CouplingScheme, stage: str) -> int:
     """``default_cap`` over the targets' activation probabilities in the
     stage (``probability.stage_prob``)."""

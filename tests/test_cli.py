@@ -153,10 +153,12 @@ def test_enumerate_probabilities_need_a_scheme(capsys):
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--gamma", "3", "--kappa", "3", "--probabilities"],
     ["bounds", "--gamma", "3", "--kappa", "3"],
+    ["enumerate", "--gamma", "3", "--kappa", "3"],
 ])
 def test_probs_without_pattern_exits_2(argv, capsys):
     # --m spreads uniformly; silently dropping --probs would report the
-    # uniform scheme as if it were the one asked for.
+    # uniform scheme as if it were the one asked for.  Without
+    # --probabilities, enumerate reads no scheme flag at all.
     code = run_cli(*argv, "--m", "1", "--probs", "9/10,1/10",
                    "--lifting", "2")
     assert code == EXIT_USAGE
@@ -245,6 +247,19 @@ def test_construct_budget_caps_two_stage_lift_stage(tmp_path, capsys):
     trace = json.loads((out / "trace.json").read_text())
     assert trace["stage2"]["max_resamples"] == 0
     assert trace["terminated"] is False
+
+
+@pytest.mark.parametrize("construction", ["two-stage", "joint"])
+def test_construct_negative_budget_exits_2(construction, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli("construct", "--gamma", "3", "--kappa", "4", "--m", "1",
+                   "--lifting", "7", "--seed", "1", "--out-dir", str(out),
+                   "--construction", construction, "--max-resamples", "-1")
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "non-negative" in captured.err
+    assert not any((out / name).exists()
+                   for name in ("instance.json", "code.alist", "trace.json"))
 
 
 @pytest.mark.parametrize("flag", ["--stage1-max", "--stage2-max"])

@@ -14,7 +14,7 @@ from scldpc import (AdmissionError, Assignment, BaseCode, CandidateSet,
                     enumerate_cycles, girth, joint_prob, run_joint,
                     run_stage_lift, run_stage_partition,
                     spreading_prob_exact)
-from scldpc.moser_tardos import compile_events
+from scldpc.moser_tardos import compile_events, run_mt
 from scldpc.walks import WalkCandidate, is_active_lift, is_active_partition
 
 
@@ -129,6 +129,15 @@ def test_cap_exhaustion_reports_partial_state():
             assert active            # the partial state is honestly bad
             break
     assert seen_cap
+
+
+@pytest.mark.parametrize("cap", [-1, -6300])
+def test_negative_cap_is_rejected(cap):
+    base = BaseCode(3, 3)
+    scheme = CouplingScheme.uniform(1, lifting_degree=2)
+    system = compile_events(enumerate_cycles(base, 4), scheme, "joint")
+    with pytest.raises(ValueError, match="non-negative"):
+        run_mt(system, 0, cap)
 
 
 def test_numpy_integer_seed_is_recorded():

@@ -1,26 +1,32 @@
-"""Stage rules against the per-stage code they replaced.
+"""Stage rules against the per-stage code they replaced, and the harness
+against the runners it calls.
 
-``probability.stage_prob``, ``moser_tardos.stage_cap``,
-``experiments._precomputed_caps`` and ``walks.is_active`` each replaced
-copies in the stage runners, the experiment harness and the CLI.  The old
-copies are kept below as oracles, on c4, c6 and tbc 8-walks (coefficients
-+-2) under uniform, non-uniform and one-value patterns.
+``probability.stage_prob``, ``moser_tardos.stage_cap`` and
+``walks.is_active`` each replaced copies in the stage runners, the
+experiment harness and the CLI.  The old copies are kept below as oracles,
+on c4, c6 and tbc 8-walks (coefficients +-2) under uniform, non-uniform and
+one-value patterns.  The experiment harness owns no budget: its trials
+must equal direct runner calls, and the runners' one-entry memos of
+``compile_events`` and ``stage_cap`` must equal fresh computations.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from scldpc import (Assignment, BaseCode, CandidateSet, CouplingScheme,
-                    ExperimentConfig, StructureSpec, default_cap,
-                    enumerate_cycles, is_active_lift, is_active_partition,
-                    joint_prob, lift_prob_exact, spreading_prob_exact)
+from scldpc import (AdmissionError, Assignment, BaseCode, CandidateSet,
+                    CouplingScheme, ExperimentConfig, StructureSpec,
+                    construct_two_stage, default_cap, enumerate_cycles,
+                    is_active_lift, is_active_partition, joint_prob,
+                    lift_prob_exact, run_joint, run_stage_partition,
+                    spreading_prob_exact)
 from scldpc import experiments, walks
-from scldpc.moser_tardos import pipeline_stage1_cap, stage_cap
-from scldpc.probability import stage_blocks, stage_prob
+from scldpc.moser_tardos import compile_events, stage_cap
+from scldpc.probability import seed_sequence, stage_blocks, stage_prob
 from scldpc.walks import is_active
 
 SCHEMES = [
@@ -65,21 +71,6 @@ def _old_candidate_prob(cand, config):
     return joint_prob(cand, config.scheme).joint
 
 
-def _old_precomputed_caps(config, elim):
-    """experiments._precomputed_caps before the stage rules had one owner."""
-    scheme = config.scheme
-    if config.cap is not None:
-        return config.cap, config.cap
-    if config.mode == "partition-only":
-        probs = [spreading_prob_exact(c, scheme) for c in elim]
-        return default_cap(elim, probs), None
-    if config.mode == "joint":
-        probs = [joint_prob(c, scheme).joint for c in elim]
-        return default_cap(elim, probs), None
-    lift_probs = [lift_prob_exact(c, scheme.lifting_degree) for c in elim]
-    return pipeline_stage1_cap(elim, scheme), default_cap(elim, lift_probs)
-
-
 def _old_is_active(cand, mode, partition, lift, z):
     """experiments._is_active and the CLI's inline conjunction."""
     if mode == "partition-only":
@@ -116,14 +107,87 @@ def test_stage_cap_equals_default_cap_over_old_list(scheme):
                 default_cap(cset, probs)
 
 
-@pytest.mark.parametrize("scheme", CAP_SCHEMES, ids=range(len(CAP_SCHEMES)))
-def test_precomputed_caps_equal_old_harness(scheme):
-    elim = enumerate_cycles(BaseCode(3, 4), 4)
-    for mode in experiments.MODES:
-        for cap in (None, 77):
-            config = _config(scheme, mode, cap)
-            assert experiments._precomputed_caps(config, elim) == \
-                _old_precomputed_caps(config, elim)
+@pytest.mark.parametrize("cap", [None, 77])
+@pytest.mark.parametrize("mode", experiments.MODES)
+def test_run_trials_calls_the_runners_as_they_are(mode, cap, monkeypatch):
+    # Z=61 certifies every stage, so a survivor set's lift cap is below
+    # the whole eliminate set's.
+    scheme = CouplingScheme.uniform(3, lifting_degree=61)
+    config = ExperimentConfig(3, 4, scheme, mode, 8, 3, StructureSpec(4),
+                              (StructureSpec(6),), cap)
+    base, elim = config.base, StructureSpec(4).build(config.base)
+    reports = []
+
+    def recording_two_stage(*args):
+        reports.append(construct_two_stage(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(experiments, "construct_two_stage",
+                        recording_two_stage)
+    results, counts = experiments._run_trials(config, elim)
+
+    expected, expected_counts = [], []
+    for t in range(config.trials):
+        seed_t = seed_sequence(config.seed, experiments.STREAM_TRIALS + t)
+        if mode == "partition-only":
+            partition, run = run_stage_partition(base, scheme, elim, seed_t,
+                                                 cap)
+            lift = None
+        else:
+            if mode == "joint":
+                instance, run = run_joint(base, scheme, elim, seed_t, cap)
+            else:
+                instance, run = construct_two_stage(base, scheme, elim,
+                                                    seed_t, cap, cap)
+            partition, lift = instance.partition, instance.lift
+        if run.terminated:
+            expected.append((partition, lift))
+            expected_counts.append(run.total_resamples)
+    assert (results, counts) == (expected, expected_counts)
+
+    assert len(reports) == (config.trials if mode == "two-stage" else 0)
+    lift_caps = set()
+    for _, report in reports:
+        survivors = CandidateSet(base, tuple(
+            c for c in elim if c.key in report.survivor_keys))
+        want = cap if cap is not None else (
+            stage_cap(survivors, scheme, "lift") if len(survivors) else None)
+        assert report.lift_trace.max_resamples == want
+        lift_caps.add(want)
+    if mode == "two-stage" and cap is None:
+        assert stage_cap(elim, scheme, "lift") not in lift_caps
+
+
+def _by_value(system):
+    """``system`` with each block's sampler replaced by its arrays, so that
+    two compiles compare equal when they draw alike."""
+    return replace(system, blocks=tuple(
+        (tuple(sampler.values.tolist()), tuple(sampler.cum.tolist()), mod)
+        for sampler, mod in system.blocks))
+
+
+def test_memos_equal_fresh_computations():
+    scheme = CouplingScheme.uniform(3, lifting_degree=61)
+    c4, c6, _ = _walk_sets()
+    calls = [(c4, "partition"), (c4, "partition"), (c6, "partition"),
+             (c6, "lift"), (c4, "lift"), (c4, "lift"), (c4, "partition"),
+             (c6, "joint"), (c6, "joint")]
+    compile_events.cache_clear()
+    stage_cap.cache_clear()
+    memo = [(_by_value(compile_events(cset, scheme, stage)),
+             stage_cap(cset, scheme, stage)) for cset, stage in calls]
+    assert compile_events.cache_info().hits == \
+        stage_cap.cache_info().hits == 3
+    for (cset, stage), got in zip(calls, memo):
+        compile_events.cache_clear()
+        stage_cap.cache_clear()
+        assert got == (_by_value(compile_events(cset, scheme, stage)),
+                       stage_cap(cset, scheme, stage))
+    # An AdmissionError is not cached: it is raised on every call.
+    one_value = CouplingScheme.uniform(0, lifting_degree=3)
+    for _ in range(2):
+        with pytest.raises(AdmissionError):
+            compile_events(c4, one_value, "partition")
 
 
 def _grid(stage, base, rng, high):
