@@ -18,14 +18,14 @@ from .serialize import export_instance_json, import_instance_json
 from .walks import (CandidateSet, WalkCandidate, dependency_degree,
                     dependency_pairs, enumerate_cycles, harmful_weight,
                     is_active_lift, is_active_partition)
-from .graphs import classify_absorbing_set, girth, tanner_has_4cycle
+from .graphs import girth, tanner_has_4cycle
 from .probability import (HarmfulStructure, joint_prob, lift_prob_bound,
                           lift_prob_exact, mc_structure_prob,
                           probability_report, spreading_prob_c4_uniform,
                           spreading_prob_exact, structure_joint_prob)
 from .bounds import (COROLLARY4_CAP, build_base_edge_cover,
                      build_pairwise_cover, c4_block_dims, corollary1_check,
-                     corollary1_min_m, corollary1_min_z, corollary4_bound,
+                     corollary1_min_z, corollary4_bound,
                      lemma2_evaluate, formula_delta_c4,
                      shift_bound_asymmetric, shift_bound_symmetric,
                      theorem1_feasibility, theorem1_thresholds,
@@ -48,12 +48,12 @@ __all__ = [
     "CandidateSet", "WalkCandidate", "dependency_degree",
     "dependency_pairs", "enumerate_cycles", "harmful_weight",
     "is_active_lift", "is_active_partition",
-    "classify_absorbing_set", "girth", "tanner_has_4cycle",
+    "girth", "tanner_has_4cycle",
     "HarmfulStructure", "joint_prob", "lift_prob_bound", "lift_prob_exact",
     "mc_structure_prob", "probability_report", "spreading_prob_c4_uniform",
     "spreading_prob_exact", "structure_joint_prob",
     "COROLLARY4_CAP", "build_base_edge_cover", "build_pairwise_cover",
-    "c4_block_dims", "corollary1_check", "corollary1_min_m",
+    "c4_block_dims", "corollary1_check",
     "corollary1_min_z", "corollary4_bound", "lemma2_evaluate",
     "formula_delta_c4", "shift_bound_asymmetric", "shift_bound_symmetric",
     "theorem1_feasibility", "theorem1_thresholds",

@@ -326,14 +326,6 @@ def corollary1_min_z(gamma: int, kappa: int, memory: int) -> int:
     return z
 
 
-def corollary1_min_m(gamma: int, kappa: int, z: int) -> int:
-    """Smallest memory passing corollary1_check at this lifting degree."""
-    m = 0
-    while not corollary1_check(gamma, kappa, m, z).feasible:
-        m += 1
-    return m
-
-
 # ---------------------------------------------------------------------------
 # Output-distribution shift bounds
 # ---------------------------------------------------------------------------

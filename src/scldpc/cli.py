@@ -232,8 +232,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
     base = BaseCode(args.gamma, args.kappa)
     scheme = _scheme_from(args)
     targets = enumerate_cycles(base, args.two_g, args.walk_mode)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.construction == "joint":
         instance, run = run_joint(base, scheme, targets, args.seed,
@@ -270,6 +268,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
         "terminated": run.terminated,
     })
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "instance.json").write_text(export_instance_json(instance))
     (out_dir / "code.alist").write_text(export_alist(h))
     (out_dir / "trace.json").write_text(

@@ -11,7 +11,6 @@ import math
 from array import array
 from collections import deque
 from itertools import islice
-from typing import Iterable
 
 from .model import INDEX_TYPE, SparseBinaryMatrix
 
@@ -86,39 +85,3 @@ def tanner_has_4cycle(h: SparseBinaryMatrix) -> bool:
                     return True
                 seen.add(pair)
     return False
-
-
-def classify_absorbing_set(h: SparseBinaryMatrix,
-                           vns: Iterable[int]) -> tuple[int, int, bool]:
-    """Classify a variable-node subset S as an (a, b) absorbing set.
-
-    a = |S|; b = number of check nodes with odd degree into S.  S is
-    absorbing iff every variable in S with at least one check neighbor has
-    strictly more even-degree (into S) neighbors than odd-degree ones;
-    variables with no neighbors pass vacuously.  Consequences worth spelling
-    out: a subset touching no check node has b = 0 and classifies as
-    absorbing, and a single variable of degree d >= 1 never does (0 even
-    neighbors vs d odd).
-    """
-    s = sorted(vns)
-    if len(set(s)) != len(s):
-        raise ValueError("duplicate variable index in subset")
-    if any(v < 0 or v >= h.ncols for v in s):
-        raise ValueError("variable index out of range")
-    degree_into_s: dict[int, int] = {}
-    for v in s:
-        for r in h.col_rows[v]:
-            degree_into_s[r] = degree_into_s.get(r, 0) + 1
-    odd_checks = {r for r, d in degree_into_s.items() if d % 2}
-    a, b = len(s), len(odd_checks)
-    absorbing = True
-    for v in s:
-        neighbors = h.col_rows[v]
-        if not neighbors:
-            continue  # vacuously fine: no odd neighbors to outnumber
-        odd = sum(1 for r in neighbors if r in odd_checks)
-        even = len(neighbors) - odd
-        if not even > odd:
-            absorbing = False
-            break
-    return a, b, absorbing

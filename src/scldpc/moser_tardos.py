@@ -45,7 +45,6 @@ from .walks import CandidateSet, closed_neighbourhoods, is_active_partition
 from . import bounds
 
 FALLBACK_CAP = 10 ** 6
-PIPELINE_STAGE1_CAP_FACTOR = 100
 
 
 class AdmissionError(ValueError):
@@ -207,15 +206,6 @@ def stage_cap(cset: CandidateSet, scheme: CouplingScheme, stage: str) -> int:
     return default_cap(cset, [stage_prob(c, scheme, stage) for c in cset])
 
 
-def pipeline_stage1_cap(cset: CandidateSet, scheme: CouplingScheme) -> int:
-    """Stage-1 cap of the two-stage pipeline: ``default_cap`` when the
-    partition stage is certified, PIPELINE_STAGE1_CAP_FACTOR x k otherwise."""
-    cap = stage_cap(cset, scheme, "partition")
-    if cap == FALLBACK_CAP:
-        cap = PIPELINE_STAGE1_CAP_FACTOR * max(1, len(cset))
-    return cap
-
-
 def _grid_from_values(base: BaseCode, stage: str, values: Sequence[int],
                       offset: int = 0) -> Assignment:
     grid: list[list[Optional[int]]] = [[None] * base.kappa
@@ -306,25 +296,37 @@ def construct_two_stage(base: BaseCode, scheme: CouplingScheme, targets,
                         ) -> tuple[CodeInstance, TwoStageReport]:
     """Partition stage first (best effort), then lift the survivors.
 
-    The partition stage alone is often unsatisfiable (it merely thins the
-    targets), so inside the pipeline its cap defaults to a modest
-    100 x k when no convergence certificate exists, and hitting it is not
-    an error: whatever survives goes to the lift stage.
+    Stage 1 runs over the targets the partition stage can thin; the rest
+    (e.g. every target at memory 0) go to stage 2 as they are.  Its cap
+    defaults to the partition stage's ``stage_cap`` when that stage is
+    certified, and to 0 otherwise: without a certificate a capped run
+    guarantees nothing, so stage 1 is the initial draw alone.  Whatever
+    survives goes to the lift stage.
     """
     cset = _normalize_targets(base, targets)
+    try:  # the compile names the targets no partition can thin
+        compile_events(cset, scheme, "partition")
+        thinnable = cset
+    except AdmissionError as exc:
+        always = set(exc.labels)
+        thinnable = CandidateSet(base, tuple(
+            c for c in cset if c.key not in always))
     s1, s2 = derive_child_seeds(seed, 2)
     if stage1_max is None:
-        stage1_max = pipeline_stage1_cap(cset, scheme)
-    partition, trace1 = run_stage_partition(base, scheme, cset, s1,
+        stage1_max = stage_cap(thinnable, scheme, "partition")
+        if stage1_max == FALLBACK_CAP:
+            stage1_max = 0
+    partition, trace1 = run_stage_partition(base, scheme, thinnable, s1,
                                             stage1_max)
     lift, trace2 = run_stage_lift(base, scheme, partition, cset, s2,
                                   stage2_max)
     instance = CodeInstance(base, scheme, partition, lift,
                             seed=recorded_seed(seed))
+    survivors = tuple(trace2.metadata["survivors"])
     report = TwoStageReport(
         partition_trace=trace1,
         lift_trace=trace2,
-        survivor_keys=tuple(trace2.metadata.get("survivors", ())),
-        stage1_cleared=trace1.terminated,
+        survivor_keys=survivors,
+        stage1_cleared=not survivors,
     )
     return instance, report

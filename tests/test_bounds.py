@@ -7,14 +7,14 @@ import pytest
 
 from scldpc import (COROLLARY4_CAP, BaseCode, CouplingScheme,
                     build_base_edge_cover, build_pairwise_cover,
-                    c4_block_dims, corollary1_check, corollary1_min_m,
-                    corollary1_min_z, corollary4_bound, dependency_degree,
-                    enumerate_cycles, joint_prob, lemma2_evaluate,
-                    formula_delta_c4, shift_bound_asymmetric,
-                    shift_bound_symmetric, spreading_prob_c4_uniform,
-                    spreading_prob_exact, theorem1_feasibility,
-                    theorem1_thresholds, theorem2_resample_bound,
-                    threshold_branch_i, threshold_branch_ii, verify_cover)
+                    c4_block_dims, corollary1_check, corollary1_min_z,
+                    corollary4_bound, dependency_degree, enumerate_cycles,
+                    joint_prob, lemma2_evaluate, formula_delta_c4,
+                    shift_bound_asymmetric, shift_bound_symmetric,
+                    spreading_prob_c4_uniform, spreading_prob_exact,
+                    theorem1_feasibility, theorem1_thresholds,
+                    theorem2_resample_bound, threshold_branch_i,
+                    threshold_branch_ii, verify_cover)
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +165,6 @@ def test_corollary1_min_z_exact_rational_oracle():
         z += 1
     assert z == 34
     assert corollary1_min_z(3, 7, 1) == 34
-
-
-def test_corollary1_min_m_matches_scan():
-    # smallest memory admitting the local-lemma condition at Z = 1
-    i_exact = Fraction(8 ** 8, 9 ** 9)
-    m = 0
-    while spreading_prob_c4_uniform(m) > i_exact:
-        m += 1
-    assert corollary1_min_m(3, 3, 1) == m == 15
 
 
 def test_corollary1_unavoidable_corner():

@@ -260,6 +260,41 @@ def test_construct_negative_budget_exits_2(construction, tmp_path, capsys):
     assert "non-negative" in captured.err
     assert not any((out / name).exists()
                    for name in ("instance.json", "code.alist", "trace.json"))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme", [["--m", "0"], ["--pattern", "2"]])
+def test_construct_two_stage_with_one_value_pattern(scheme, tmp_path,
+                                                    capsys):
+    code = run_cli("construct", "--gamma", "3", "--kappa", "4", *scheme,
+                   "--lifting", "13", "--seed", "1",
+                   "--out-dir", str(tmp_path))
+    capsys.readouterr()
+    assert code == EXIT_OK
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    assert trace["stage1_cleared"] is False
+    assert len(trace["survivors"]) == trace["targets"]["count"] == 18
+    assert trace["girth"] >= 6
+
+
+def test_construct_two_stage_with_no_working_stage_exits_2(tmp_path,
+                                                          capsys):
+    out = tmp_path / "out"
+    code = run_cli("construct", "--gamma", "3", "--kappa", "4", "--m", "0",
+                   "--lifting", "1", "--seed", "1", "--out-dir", str(out))
+    assert code == EXIT_USAGE
+    assert "at the lift stage" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_two_stage_at_memory_0(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = run_cli("experiment", "--gamma", "3", "--kappa", "4",
+                   "--mode", "two-stage", "--m", "0", "--lifting", "13",
+                   "--trials", "5", "--seed", "1", "--out", str(out))
+    capsys.readouterr()
+    assert code == EXIT_OK
+    assert json.loads(out.read_text())["trials_ok"] == 5
 
 
 @pytest.mark.parametrize("flag", ["--stage1-max", "--stage2-max"])

@@ -8,7 +8,11 @@ draw order, event order, scopes or evaluation shows up here as a mismatch.
 Each CLI case hashes the exit code and the bytes of every artifact the
 command writes (instance.json, code.alist, trace.json, report JSON); those
 digests were recorded before the stage rules (probability, cap, activity)
-moved to one owner each.
+moved to one owner each.  The three two-stage digests that run at a
+default, uncertified stage-1 cap (``construct_two_stage``,
+``construct-two-stage``, ``experiment-shift-two-stage``) were re-recorded
+when that cap became 0 (stage 1 is the initial draw alone); each equals
+the earlier code run with that one rule replaced.
 To print the current digests: ``python tests/test_golden.py``.
 """
 
@@ -169,7 +173,7 @@ CASES = {
 
 GOLDEN = {
     "construct_two_stage":
-        "7da432bd81f1ff151a80899355da59d351fc4b6dbcf42d2a1bd0294bde4bc02e",
+        "66b2bb9ecf7a1bd81fa49aa7d3b1f2b50caa35d26b1a99b6f0fd33709e352cec",
     "estimate_baseline":
         "0bb40ce5b8d1740bf5392acc7f4084d08598e008aff78b4168d498f71df129b9",
     "estimate_mt_shift":
@@ -260,7 +264,7 @@ GOLDEN_CLI = {
     "construct-joint":
         "9f1b78b3c240a53c724ffc834da7648637abfd4d759dcd23f34114d889ba9f70",
     "construct-two-stage":
-        "aefcb1c7d28b33d9af2fac2e56f69a3cbba74bbaf1c7af059152704cb9c8c140",
+        "3a1206fbfd817bac9eceb45176e8dcedb2ebc17c685277ce67190170c86c7944",
     "experiment-baseline-joint":
         "57044272025cc2d65187681916d458c710712bf39fdcbbd13f0f5aa43e6f559d",
     "experiment-baseline-partition-only":
@@ -270,7 +274,7 @@ GOLDEN_CLI = {
     "experiment-shift-partition-only":
         "6758d6cc9786af75816b33447230238a386e927d0ce66e2831269335bb66a7de",
     "experiment-shift-two-stage":
-        "8fbed5501dc0e22afb600a8f9ac9aa7e0d5d93f651d5aa841fea0ff48afb6f0f",
+        "77407d4d2d96515748273fc874588ca55955b6b0ce9c9c01e0161505da779aa4",
     "experiment-theorem2-joint":
         "c74debbce78b142952c77e6a9685d2a75fc25690b44b9741ae5793e1d70ae754",
     "experiment-theorem2-partition-only":

@@ -3,10 +3,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import pytest
 
-from scldpc import (SparseBinaryMatrix, classify_absorbing_set, girth,
-                    tanner_has_4cycle)
+from scldpc import SparseBinaryMatrix, girth, tanner_has_4cycle
 
 
 def _m(rows: list[list[int]]) -> SparseBinaryMatrix:
@@ -77,35 +75,3 @@ def test_4cycle_detector_is_column_pair_collision():
     # two columns sharing two rows <=> 4-cycle
     assert tanner_has_4cycle(_m([[1, 1], [1, 1], [0, 1]]))
     assert not tanner_has_4cycle(_m([[1, 1, 0], [1, 0, 1], [0, 1, 1]]))
-
-
-def test_planted_absorbing_set():
-    # four variables, six checks; inside the subset every variable sees
-    # more satisfied (even-degree) than unsatisfied checks
-    h = _m([
-        [1, 1, 0, 0],
-        [1, 0, 1, 0],
-        [0, 1, 0, 1],
-        [0, 0, 1, 1],
-        [1, 0, 0, 0],
-        [0, 0, 0, 1],
-    ])
-    assert classify_absorbing_set(h, [0, 1, 2, 3]) == (4, 2, True)
-
-
-def test_absorbing_set_rejected_when_odd_checks_dominate():
-    # a single variable of degree 3: all its checks are odd
-    h = _m([[1], [1], [1]])
-    a, b, ok = classify_absorbing_set(h, [0])
-    assert (a, b) == (1, 3)
-    assert not ok
-
-
-def test_absorbing_set_degenerate_cases():
-    h = _m([[1, 0], [0, 1]])
-    # empty variable set: vacuously absorbing with no odd checks
-    assert classify_absorbing_set(h, []) == (0, 0, True)
-    with pytest.raises(ValueError):
-        classify_absorbing_set(h, [0, 0])
-    with pytest.raises(ValueError):
-        classify_absorbing_set(h, [5])

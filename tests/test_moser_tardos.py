@@ -258,6 +258,33 @@ def test_two_stage_composition_produces_girth_six():
             set(report.lift_trace.metadata["survivors"])
 
 
+@pytest.mark.parametrize("scheme", [
+    CouplingScheme.uniform(0, lifting_degree=13),
+    CouplingScheme((2,), (Fraction(1),), lifting_degree=13),
+])
+def test_two_stage_lifts_what_the_partition_cannot_thin(scheme):
+    # A one-value pattern leaves every target active after any partition:
+    # stage 1 has nothing to thin, and stage 2 gets every target.
+    base = BaseCode(3, 4)
+    targets = enumerate_cycles(base, 4)
+    with pytest.raises(AdmissionError):
+        run_stage_partition(base, scheme, targets, seed=1)
+    instance, report = construct_two_stage(base, scheme, targets, seed=1)
+    assert report.partition_trace.total_resamples == 0
+    assert report.stage1_cleared is False
+    assert report.survivor_keys == tuple(c.key for c in targets)
+    assert report.terminated
+    assert girth(assemble_qc(instance)) >= 6
+
+
+def test_two_stage_with_no_working_stage_names_the_lift():
+    base = BaseCode(3, 4)
+    scheme = CouplingScheme.uniform(0, lifting_degree=1)
+    with pytest.raises(AdmissionError) as err:
+        construct_two_stage(base, scheme, enumerate_cycles(base, 4), seed=1)
+    assert err.value.stage == "lift"
+
+
 def test_two_stage_seed_decomposition_is_documented_mixing():
     seeds = derive_child_seeds(1234, 2)
     assert seeds == derive_child_seeds(1234, 2)

@@ -25,7 +25,7 @@ from scldpc import (AdmissionError, Assignment, BaseCode, CandidateSet,
                     lift_prob_exact, run_joint, run_stage_partition,
                     spreading_prob_exact)
 from scldpc import experiments, walks
-from scldpc.moser_tardos import compile_events, stage_cap
+from scldpc.moser_tardos import FALLBACK_CAP, compile_events, stage_cap
 from scldpc.probability import seed_sequence, stage_blocks, stage_prob
 from scldpc.walks import is_active
 
@@ -110,8 +110,9 @@ def test_stage_cap_equals_default_cap_over_old_list(scheme):
 @pytest.mark.parametrize("cap", [None, 77])
 @pytest.mark.parametrize("mode", experiments.MODES)
 def test_run_trials_calls_the_runners_as_they_are(mode, cap, monkeypatch):
-    # Z=61 certifies every stage, so a survivor set's lift cap is below
-    # the whole eliminate set's.
+    # Z=61 certifies the lift stage (the partition stage is uncertified,
+    # so stage 1 is one draw): each trial's lift cap is over its own
+    # survivors, and the caps differ between trials.
     scheme = CouplingScheme.uniform(3, lifting_degree=61)
     config = ExperimentConfig(3, 4, scheme, mode, 8, 3, StructureSpec(4),
                               (StructureSpec(6),), cap)
@@ -155,7 +156,30 @@ def test_run_trials_calls_the_runners_as_they_are(mode, cap, monkeypatch):
         assert report.lift_trace.max_resamples == want
         lift_caps.add(want)
     if mode == "two-stage" and cap is None:
-        assert stage_cap(elim, scheme, "lift") not in lift_caps
+        assert lift_caps != {stage_cap(elim, scheme, "lift")}
+
+
+def test_two_stage_stage1_cap_is_the_certified_cap_or_zero():
+    # Uncertified partition stage: the default stage 1 is the initial draw.
+    base = BaseCode(3, 4)
+    scheme = CouplingScheme.uniform(1, lifting_degree=8)
+    c4 = enumerate_cycles(base, 4)
+    assert stage_cap(c4, scheme, "partition") == FALLBACK_CAP
+    for seed in range(4):
+        default = construct_two_stage(base, scheme, c4, seed)
+        assert default == construct_two_stage(base, scheme, c4, seed,
+                                               stage1_max=0)
+        trace = default[1].partition_trace
+        assert trace.total_resamples == 0 == trace.max_resamples
+    # Certified partition stage: its own default cap.
+    base = BaseCode(3, 3)
+    scheme = CouplingScheme.uniform(18, lifting_degree=7)
+    c4 = enumerate_cycles(base, 4)
+    cap = stage_cap(c4, scheme, "partition")
+    assert cap == 2000
+    for seed in range(4):
+        assert construct_two_stage(base, scheme, c4, seed) == \
+            construct_two_stage(base, scheme, c4, seed, stage1_max=cap)
 
 
 def _by_value(system):
