@@ -16,10 +16,11 @@ two-sided 4 sigma null instead of a one-sided cap.
 Everything here is a pure function of (config, seed).  Randomness has one
 owner, ``probability`` (``rng``, ``seed_sequence``, ``seed_int``): trial t
 runs on the stream ``seed_sequence(seed, STREAM_TRIALS + t)``, i.e.
-SeedSequence(seed, spawn_key=(STREAM_TRIALS + t,)), so results do not
-depend on execution order and single trials can be replayed.  Spawn keys
-below STREAM_TRIALS are reserved for infrastructure streams (the baseline
-sampler uses 0; a sweep's cell c takes its seed from stream c).
+numpy's SeedSequence(seed, spawn_key=(STREAM_TRIALS + t,)) reproduced in
+pure Python, so results do not depend on execution order and single
+trials can be replayed.  Spawn keys below STREAM_TRIALS are reserved for
+infrastructure streams (the baseline sampler uses 0; a sweep's cell c
+takes its seed from stream c).
 """
 
 from __future__ import annotations

@@ -183,15 +183,6 @@ class SparseBinaryMatrix:
     def nnz(self) -> int:
         return len(self.col_rows.idx)
 
-    def to_dense(self):
-        """The dense 0/1 matrix as a numpy uint8 array (a test helper)."""
-        import numpy as np
-        out = np.zeros((self.nrows, self.ncols), dtype=np.uint8)
-        for j, col in enumerate(self.col_rows):
-            for r in col:
-                out[r, j] = 1
-        return out
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseBinaryMatrix):
             return NotImplemented

@@ -284,9 +284,11 @@ class TwoStageReport:
 
 
 def derive_child_seeds(seed: SeedLike, n: int) -> list[int]:
-    """Independent integer seeds via SeedSequence spawning (documented
-    mixing: children are hash-derived, collision-resistant, replayable)."""
-    return [seed_int(child) for child in seed_sequence(seed).spawn(n)]
+    """Independent integer seeds: child i is the stream
+    ``seed_sequence(seed, i)`` (what SeedSequence spawning gives a fresh
+    stream, hash-derived and collision-resistant), so a SeedSequence seed
+    is left as it is and replays."""
+    return [seed_int(seed_sequence(seed, i)) for i in range(n)]
 
 
 def construct_two_stage(base: BaseCode, scheme: CouplingScheme, targets,

@@ -20,12 +20,15 @@ resampler, the baseline and shift harness, the Monte Carlo estimator):
   coefficients, modulus), one per block, dropping the constant-true ones;
   ``vanish`` evaluates them, and ``draw`` draws or redraws variables.
 
-This module is also the one owner of numpy and of the random stream:
-``rng`` builds the package's generator, ``seed_sequence`` its seed
-streams, ``seed_int`` the integer seeds derived from them and
-``recorded_seed`` the seed a run records.  numpy is imported by the first
-three and by ``Sampler``, so only code that draws or seeds loads it; the
-exact probabilities below never do.
+This module is also the one owner of the random stream: ``rng`` builds the
+package's generator, ``seed_sequence`` its seed streams, ``seed_int`` the
+integer seeds derived from them and ``recorded_seed`` the seed a run
+records.  The stream is numpy's ``default_rng`` reproduced bit for bit in
+pure Python, so nothing in the package imports numpy: ``SeedSequence``
+hash-mixes the entropy and spawn key into a four-word pool, ``Generator``
+is PCG64 (a 128-bit LCG with XSL-RR output, O'Neill 2014) and its
+``integers`` bounds the words by Lemire's method exactly as numpy's int64
+fill does.
 
 Both probabilities are computed exactly as rationals:
 
@@ -52,38 +55,183 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from itertools import accumulate
+from typing import Any, Callable, Optional, Sequence, Union
 
 from .model import CouplingScheme, Edge, frac_text
 from .walks import WalkCandidate
 
-if TYPE_CHECKING:
-    import numpy as np
-
 # (variable indices, coefficients, modulus); modulus 0 means over the integers.
 Form = tuple[tuple[int, ...], tuple[int, ...], int]
 
-# An integer seed, or a numpy SeedSequence stream of one.
-SeedLike = Union[int, "np.random.SeedSequence"]
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+# numpy's SeedSequence: pool words and hash-mix constants.
+_POOL = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = (0x43B0D7E5, 0x931E8875,
+                                      0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# PCG64's default 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def rng(seed: SeedLike) -> np.random.Generator:
-    """The package's random stream: numpy's default generator."""
-    import numpy as np
-    return np.random.default_rng(seed)
+def _words(x: Any) -> list[int]:
+    """numpy's coercion of an entropy or spawn key to uint32 words: an
+    integer is its little-endian words (0 is [0]), a sequence the
+    concatenation of its items' words."""
+    if isinstance(x, str):
+        raise TypeError("a seed must be an integer or a sequence of them")
+    try:
+        n = operator.index(x)
+    except TypeError:
+        return [w for item in x for w in _words(item)]
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    out = [n & _M32]
+    while n := n >> 32:
+        out.append(n & _M32)
+    return out
 
 
-def seed_sequence(seed: SeedLike, *spawn_key: int) -> np.random.SeedSequence:
-    """SeedSequence(seed, spawn_key=spawn_key), the independent stream
-    ``spawn_key`` of ``seed``; a SeedSequence without a key is returned as
-    it is."""
-    import numpy as np
-    if isinstance(seed, np.random.SeedSequence) and not spawn_key:
+class SeedSequence:
+    """numpy's ``SeedSequence(entropy, spawn_key=spawn_key)`` with the
+    default pool size: the same pool, so the same ``generate_state``."""
+
+    __slots__ = ("entropy", "spawn_key", "pool")
+
+    def __init__(self, entropy: Any, spawn_key: Sequence[int] = ()) -> None:
+        self.entropy = entropy
+        self.spawn_key = tuple(spawn_key)
+        words, key = _words(entropy), _words(self.spawn_key)
+        if key:  # the entropy is padded to the pool before the key
+            words += [0] * (_POOL - len(words))
+        words += key
+        h = _INIT_A
+
+        def hashmix(v: int) -> int:
+            nonlocal h
+            v ^= h
+            h = h * _MULT_A & _M32
+            v = v * h & _M32
+            return v ^ v >> 16
+
+        def mix(x: int, y: int) -> int:
+            r = (_MIX_L * x - _MIX_R * y) & _M32
+            return r ^ r >> 16
+
+        pool = [hashmix(words[i] if i < len(words) else 0)
+                for i in range(_POOL)]
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for w in words[_POOL:]:
+            for dst in range(_POOL):
+                pool[dst] = mix(pool[dst], hashmix(w))
+        self.pool = tuple(pool)
+
+    def generate_state(self, n_words: int) -> list[int]:
+        """numpy's ``generate_state(n_words, np.uint64)``: each 64-bit word
+        is two 32-bit draws from the cycled pool, low half first."""
+        h = _INIT_B
+        halves = []
+        for i in range(2 * n_words):
+            v = self.pool[i % _POOL] ^ h
+            h = h * _MULT_B & _M32
+            v = v * h & _M32
+            halves.append(v ^ v >> 16)
+        return [lo | hi << 32 for lo, hi in zip(halves[::2], halves[1::2])]
+
+
+# An integer seed, or a SeedSequence stream of one (this module's or
+# numpy's: anything with ``entropy`` and ``spawn_key``).
+SeedLike = Union[int, SeedSequence]
+
+
+class Generator:
+    """numpy's ``Generator(PCG64(seed))`` for what the package draws:
+    ``integers`` over int64.  Like numpy, ``_half`` keeps the upper half of
+    a 64-bit output that a 32-bit draw left unused, across calls."""
+
+    __slots__ = ("_state", "_inc", "_half")
+
+    def __init__(self, seed: SeedSequence) -> None:
+        s_hi, s_lo, i_hi, i_lo = seed.generate_state(4)
+        self._inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        self._state = (((self._inc + (s_hi << 64 | s_lo)) * _PCG_MULT
+                         + self._inc) & _M128)
+        self._half: Optional[int] = None
+
+    def _next64(self) -> int:
+        """Step the LCG and return the XSL-RR output of the new state."""
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        v = (s >> 64 ^ s) & _M64
+        r = s >> 122
+        return (v >> r | v << (64 - r)) & _M64
+
+    def _next32(self) -> int:
+        if self._half is not None:
+            w, self._half = self._half, None
+            return w
+        w = self._next64()
+        self._half = w >> 32
+        return w & _M32
+
+    def integers(self, low: int, high: int, size: int) -> list[int]:
+        """``size`` draws uniform on [low, high): numpy's
+        ``integers(low, high, size)`` with dtype int64.  numpy's fill draws
+        nothing when the range holds one value, 32-bit words when it holds
+        at most 2**32 and 64-bit words otherwise.  Its raw-word branches
+        for a range of exactly 2**32 or 2**64 values are Lemire's method
+        at excl = 2**bits, which keeps every word, so they need no code of
+        their own here."""
+        if low < -(1 << 63) or high > 1 << 63:
+            raise ValueError("bounds out of range for int64")
+        if low >= high:
+            raise ValueError("high <= 0" if low == 0 else "low >= high")
+        excl = high - low
+        if excl == 1:
+            return [low] * size
+        if excl <= 1 << 32:
+            return _lemire(self._next32, 32, excl, low, size)
+        return _lemire(self._next64, 64, excl, low, size)
+
+
+def _lemire(word: Callable[[], int], bits: int, excl: int, low: int,
+            n: int) -> list[int]:
+    """n draws uniform on [low, low + excl) by Lemire's multiply-and-reject
+    (Lemire 2019): the high bits of word() * excl, rejecting a product
+    whose low bits fall below 2**bits mod excl."""
+    mask = (1 << bits) - 1
+    threshold = (1 << bits) % excl
+    out = []
+    for _ in range(n):
+        m = word() * excl
+        while (m & mask) < threshold:
+            m = word() * excl
+        out.append(low + (m >> bits))
+    return out
+
+
+def rng(seed: SeedLike) -> Generator:
+    """The package's random stream: what ``numpy.random.default_rng(seed)``
+    draws."""
+    return Generator(seed_sequence(seed))
+
+
+def seed_sequence(seed: SeedLike, *spawn_key: int) -> SeedSequence:
+    """The independent stream ``spawn_key`` of ``seed``: SeedSequence(seed,
+    spawn_key=spawn_key) for an integer seed, the key appended to a
+    SeedSequence's own.  The argument is never changed."""
+    if not hasattr(seed, "spawn_key"):
+        return SeedSequence(seed, spawn_key)
+    if getattr(seed, "pool_size", _POOL) != _POOL:
+        raise ValueError(f"SeedSequence pool size must be {_POOL}")
+    if isinstance(seed, SeedSequence) and not spawn_key:
         return seed
-    return np.random.SeedSequence(seed, spawn_key=spawn_key)
+    return SeedSequence(seed.entropy, tuple(seed.spawn_key) + spawn_key)
 
 
 def recorded_seed(seed: SeedLike) -> Optional[int]:
@@ -95,10 +243,9 @@ def recorded_seed(seed: SeedLike) -> Optional[int]:
         return None
 
 
-def seed_int(seed: np.random.SeedSequence) -> int:
+def seed_int(seed: SeedLike) -> int:
     """One 64-bit integer seed drawn from the stream's entropy pool."""
-    import numpy as np
-    return int(seed.generate_state(1, np.uint64)[0])
+    return seed_sequence(seed).generate_state(1)[0]
 
 
 def _int_weights(probs: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -109,20 +256,23 @@ def _int_weights(probs: Sequence[Fraction]) -> tuple[int, list[int]]:
 
 
 class Sampler:
-    """Exact sampler: ``values[k]`` with probability weights[k] / sum."""
+    """Exact sampler: ``values[k]`` with probability
+    (cum[k] - cum[k - 1]) / total, for cumulative integer weights ``cum``."""
 
-    def __init__(self, values: Sequence[int], weights: Sequence[int]) -> None:
-        import numpy as np
-        self.values = np.array(values, dtype=np.int64)
-        self.cum = np.cumsum(np.array(weights, dtype=np.int64))
-        self.total = int(self.cum[-1])
+    def __init__(self, values: Sequence[int], cum: Sequence[int]) -> None:
+        self.values = values
+        self.cum = cum
+        self.total = cum[-1]
+        if self.total >= 1 << 63:
+            raise OverflowError("total weight must be below 2**63")
 
     def __len__(self) -> int:
         return len(self.values)
 
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        u = rng.integers(0, self.total, size=n)
-        return self.values[self.cum.searchsorted(u, side="right")]
+    def draw(self, rng: Generator, n: int) -> list[int]:
+        values, cum = self.values, self.cum
+        return [values[bisect_right(cum, u)]
+                for u in rng.integers(0, self.total, n)]
 
 
 # (sampler, modulus): one variable per edge, drawn by the sampler.
@@ -130,12 +280,14 @@ Block = tuple[Sampler, int]
 
 
 def scheme_sampler(scheme: CouplingScheme) -> Sampler:
-    return Sampler(scheme.pattern, _int_weights(scheme.probs)[1])
+    return Sampler(scheme.pattern,
+                   tuple(accumulate(_int_weights(scheme.probs)[1])))
 
 
 def uniform(z: int) -> Sampler:
-    """Uniform on range(z); draws exactly what rng.integers(0, z) draws."""
-    return Sampler(range(z), [1] * z)
+    """Uniform on range(z); draws exactly what rng.integers(0, z, n) draws.
+    Both tables are ranges, so its size does not grow with z."""
+    return Sampler(range(z), range(1, z + 1))
 
 
 def stage_blocks(scheme: CouplingScheme, stage: str) -> tuple[Block, ...]:
@@ -196,7 +348,7 @@ def vanish(fs: Sequence[Form], values: Sequence[int]) -> bool:
     return True
 
 
-def draw(rng: np.random.Generator, blocks: Sequence[Block], n: int,
+def draw(rng: Generator, blocks: Sequence[Block], n: int,
          values: Optional[list[int]] = None,
          scope: Sequence[int] = ()) -> list[int]:
     """Draw all n * len(blocks) variables, or, given ``values``, redraw the
@@ -208,8 +360,7 @@ def draw(rng: np.random.Generator, blocks: Sequence[Block], n: int,
     for b, (sampler, _) in enumerate(blocks):
         lo, hi = bisect_left(scope, b * n), bisect_left(scope, (b + 1) * n)
         if lo < hi:
-            drawn = sampler.draw(rng, hi - lo).tolist()
-            for k, v in zip(scope[lo:hi], drawn):
+            for k, v in zip(scope[lo:hi], sampler.draw(rng, hi - lo)):
                 values[k] = v
     return values
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scldpc import (Assignment, BaseCode, CodeInstance, CouplingScheme,
                     SparseBinaryMatrix, WalkCandidate, assemble_protograph,
                     assemble_qc, export_alist, girth, parse_alist)
+from dense import to_dense
 from test_graphs import _girth_reference
 
 
@@ -34,7 +35,7 @@ def _lift_grid(base: BaseCode, fn) -> Assignment:
 def test_sparse_matrix_roundtrip():
     entries = [(0, 0), (2, 1), (1, 0), (0, 2)]
     h = SparseBinaryMatrix.from_entries(3, 3, entries)
-    dense = h.to_dense()
+    dense = to_dense(h)
     expect = np.zeros((3, 3), dtype=np.uint8)
     for r, c in entries:
         expect[r, c] = 1
@@ -160,7 +161,7 @@ def test_trivial_single_edge_uncoupled():
     scheme = CouplingScheme.uniform(0)
     partition = _grid(base, lambda i, j: 0)
     h = assemble_protograph(base, partition, scheme)
-    assert np.array_equal(h.to_dense(), np.array([[1]], dtype=np.uint8))
+    assert np.array_equal(to_dense(h), np.array([[1]], dtype=np.uint8))
 
 
 def test_hand_built_2x2_protograph():
@@ -180,7 +181,7 @@ def test_hand_built_2x2_protograph():
         [0, 0, 0, 1],
         [0, 0, 1, 0],
     ], dtype=np.uint8)
-    assert np.array_equal(h.to_dense(), expect)
+    assert np.array_equal(to_dense(h), expect)
 
 
 def test_replica_blocks_identical():
@@ -194,7 +195,7 @@ def test_replica_blocks_identical():
         scheme = CouplingScheme.uniform(m, length)
         partition = _grid(base,
                           lambda i, j: int(rng.integers(0, m + 1)))
-        dense = assemble_protograph(base, partition, scheme).to_dense()
+        dense = to_dense(assemble_protograph(base, partition, scheme))
         window = (m + 1) * gamma
         first = dense[0:window, 0:kappa]
         for r in range(1, length):
@@ -240,7 +241,7 @@ def test_circulant_convention():
     inst = CodeInstance(base, scheme,
                         _grid(base, lambda i, j: 0),
                         _lift_grid(base, lambda i, j: 1))
-    dense = assemble_qc(inst).to_dense()
+    dense = to_dense(assemble_qc(inst))
     expect = np.zeros((3, 3), dtype=np.uint8)
     for c in range(3):
         expect[(c + 1) % 3, c] = 1
@@ -259,8 +260,8 @@ def test_qc_dimensions_and_weight():
     assert h.nnz == 4 * 3 * len(base.edges)
     # every lifted row/column keeps the protograph degree structure
     proto = assemble_protograph(base, inst.partition, scheme)
-    dense = h.to_dense()
-    pd = proto.to_dense()
+    dense = to_dense(h)
+    pd = to_dense(proto)
     for row_block in range(proto.nrows):
         weight = int(pd[row_block].sum())
         for r in range(4):
@@ -273,7 +274,7 @@ def test_zero_shift_gives_identity_blocks():
     inst = CodeInstance(base, scheme,
                         _grid(base, lambda i, j: 0),
                         _lift_grid(base, lambda i, j: 0))
-    dense = assemble_qc(inst).to_dense()
+    dense = to_dense(assemble_qc(inst))
     assert np.array_equal(dense[:, :4], np.eye(4, dtype=np.uint8))
     assert np.array_equal(dense[:, 4:], np.eye(4, dtype=np.uint8))
 

@@ -155,6 +155,33 @@ def test_numpy_integer_seed_is_recorded():
     assert streamed.seed is None
 
 
+def test_two_stage_replays_a_seed_sequence():
+    """Two equal calls on one SeedSequence give one instance, the stream
+    of the integer seed it holds."""
+    base = BaseCode(3, 4)
+    scheme = CouplingScheme.uniform(1, lifting_degree=13)
+    c4 = enumerate_cycles(base, 4)
+    ss = np.random.SeedSequence(5)
+    first = construct_two_stage(base, scheme, c4, ss)
+    assert construct_two_stage(base, scheme, c4, ss) == first
+    by_int, _ = construct_two_stage(base, scheme, c4, 5)
+    assert (first[0].partition, first[0].lift) == \
+        (by_int.partition, by_int.lift)
+
+
+def test_two_stage_leaves_the_seed_sequence_untouched():
+    base = BaseCode(3, 4)
+    scheme = CouplingScheme.uniform(1, lifting_degree=13)
+    ss = np.random.SeedSequence(5, spawn_key=(3,))
+    pool = ss.pool.copy()
+    construct_two_stage(base, scheme, enumerate_cycles(base, 4), ss)
+    assert (ss.entropy, ss.spawn_key, ss.n_children_spawned) == (5, (3,), 0)
+    assert np.array_equal(ss.pool, pool)
+    assert derive_child_seeds(ss, 2) == [
+        int(c.generate_state(1, np.uint64)[0])
+        for c in np.random.SeedSequence(5, spawn_key=(3,)).spawn(2)]
+
+
 def test_two_stage_report_outcome_and_budget():
     base = BaseCode(3, 4)
     scheme = CouplingScheme.uniform(1, lifting_degree=8)

@@ -14,8 +14,8 @@ from scldpc import (BaseCode, CouplingScheme, HarmfulStructure,
                     lift_prob_exact, mc_structure_prob, probability_report,
                     spreading_prob_c4_uniform, spreading_prob_exact,
                     structure_joint_prob)
-from scldpc.probability import (draw, edge_index, forms, scheme_sampler,
-                                stage_blocks, uniform, vanish)
+from scldpc.probability import (Sampler, draw, edge_index, forms, rng,
+                                scheme_sampler, stage_blocks, uniform, vanish)
 from scldpc.walks import WalkCandidate
 
 
@@ -297,11 +297,10 @@ def test_probability_report_csv():
 
 @pytest.mark.parametrize("z", [1, 2, 3, 17, 34, 211])
 def test_uniform_draws_are_rng_integers(z):
-    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    a, b = rng(5), np.random.default_rng(5)
     for n in (1, 7, 300):
-        assert uniform(z).draw(a, n).tolist() == \
-            b.integers(0, z, size=n).tolist()
-    assert a.integers(0, 2 ** 62) == b.integers(0, 2 ** 62)
+        assert uniform(z).draw(a, n) == b.integers(0, z, size=n).tolist()
+    assert a.integers(0, 2 ** 62, 2) == b.integers(0, 2 ** 62, 2).tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -314,8 +313,7 @@ def test_scheme_sampler_matches_cumulative_search(scheme, seed, n):
     ref_rng = np.random.default_rng(seed)
     u = ref_rng.integers(0, denom, size=n)
     ref = np.array(scheme.pattern)[np.searchsorted(cum, u, side="right")]
-    assert scheme_sampler(scheme).draw(np.random.default_rng(seed),
-                                       n).tolist() == ref.tolist()
+    assert scheme_sampler(scheme).draw(rng(seed), n) == ref.tolist()
 
 
 @settings(max_examples=80, deadline=None)
@@ -330,20 +328,21 @@ def test_redraw_goes_block_by_block(scheme, z, n, stage, seed, data):
     blocks = stage_blocks(scheme, stage)
     size = n * len(blocks)
     scope = sorted(data.draw(st.sets(st.integers(0, size - 1))))
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    values = draw(rng, blocks, n)
+    gen, ref_rng = rng(seed), np.random.default_rng(seed)
+    values = draw(gen, blocks, n)
     ref = [0] * size
     for b, (sampler, _) in enumerate(blocks):
-        ref[b * n:(b + 1) * n] = sampler.draw(ref_rng, n).tolist()
+        ref[b * n:(b + 1) * n] = sampler.draw(ref_rng, n)
     assert values == ref
-    draw(rng, blocks, n, values, scope)
+    draw(gen, blocks, n, values, scope)
     for b, (sampler, _) in enumerate(blocks):
         mine = [k for k in scope if b * n <= k < (b + 1) * n]
         if mine:
             for k, v in zip(mine, sampler.draw(ref_rng, len(mine))):
-                ref[k] = int(v)
+                ref[k] = v
     assert values == ref
-    assert rng.integers(0, 2 ** 62) == ref_rng.integers(0, 2 ** 62)
+    assert gen.integers(0, 2 ** 62, 2) == \
+        ref_rng.integers(0, 2 ** 62, 2).tolist()
 
 
 @settings(max_examples=150, deadline=None)
@@ -361,7 +360,7 @@ def test_vanish_is_the_signed_sum_condition(scheme, z, coeffs, stage, seed):
                             scheme.coupling_length, z)
     blocks = stage_blocks(scheme, stage)
     n = len(coeffs)
-    values = draw(np.random.default_rng(seed), blocks, n)
+    values = draw(rng(seed), blocks, n)
     fs = forms(cand, edge_index(cand.edges), blocks)
     conds = []
     for b, (_, modulus) in enumerate(blocks):
@@ -369,6 +368,19 @@ def test_vanish_is_the_signed_sum_condition(scheme, z, coeffs, stage, seed):
         conds.append(total % modulus == 0 if modulus else total == 0)
     assert vanish(fs, values) == all(conds)
     assert all(len(v) == len(c) and all(c) for v, c, _ in fs)
+
+
+def test_sampler_total_must_fit_int64():
+    """A total weight of 2**63 or more has no int64 draw; it is refused
+    when the sampler is built, for explicit weights and for a scheme
+    whose common denominator is that large."""
+    with pytest.raises(OverflowError):
+        Sampler((0, 1), (1, 1 << 63))
+    p = 2 ** 64 - 59  # prime
+    scheme = CouplingScheme((0, 1), (Fraction(1, p), 1 - Fraction(1, p)))
+    with pytest.raises(OverflowError):
+        scheme_sampler(scheme)
+    assert Sampler((0, 1), (1, (1 << 63) - 1)).total == (1 << 63) - 1
 
 
 def test_forms_drop_constant_true_blocks():

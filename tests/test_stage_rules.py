@@ -186,7 +186,7 @@ def _by_value(system):
     """``system`` with each block's sampler replaced by its arrays, so that
     two compiles compare equal when they draw alike."""
     return replace(system, blocks=tuple(
-        (tuple(sampler.values.tolist()), tuple(sampler.cum.tolist()), mod)
+        (tuple(sampler.values), tuple(sampler.cum), mod)
         for sampler, mod in system.blocks))
 
 
