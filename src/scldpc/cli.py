@@ -14,10 +14,11 @@ Subcommands:
                   and parameter sweeps.
 * ``export``      instance.json -> alist with a parse-back equality check.
 
-Exit codes: 0 success, 1 a verification or bound check failed, 2 usage or
-malformed input, 3 resampling cap exhausted.  All outputs are pure
-functions of the arguments (sorted keys, no timestamps), so reruns are
-byte-identical.
+Exit codes: 0 success, 1 a verification or bound check failed, 2 usage
+error, malformed or unreadable input, or an unwritable output (``main``
+maps every OSError and ValueError to 2), 3 resampling cap exhausted.  All
+outputs are pure functions of the arguments (sorted keys, no timestamps),
+so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from .model import (BaseCode, CodeInstance, CouplingScheme,
                     SparseBinaryMatrix, assemble_qc, frac_text)
 from .moser_tardos import construct_two_stage, run_joint
 from .probability import probability_report, stage_prob
-from .serialize import check_probs, export_instance_json, import_instance_json
+from .serialize import (check_probs, code_params, export_instance_json,
+                        import_instance_json)
 from .walks import (MODES as WALK_MODES, CandidateSet, enumerate_cycles,
                     is_active)
 
@@ -254,12 +256,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     doc.update({
         "tool_version": __version__,
         "seed": args.seed,
-        "config": {
-            "gamma": base.gamma, "kappa": base.kappa,
-            "pattern": list(scheme.pattern),
-            "probs": [frac_text(p) for p in scheme.probs],
-            "L": scheme.coupling_length, "Z": scheme.lifting_degree,
-        },
+        "config": code_params(base.gamma, base.kappa, scheme),
         "targets": {"two_g": args.two_g, "mode": args.walk_mode,
                     "count": len(targets)},
         "girth": None if math.isinf(g) else g,
@@ -272,8 +269,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "instance.json").write_text(export_instance_json(instance))
     (out_dir / "code.alist").write_text(export_alist(h))
-    (out_dir / "trace.json").write_text(
-        json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    _emit(doc, str(out_dir / "trace.json"))
     print(f"wrote {out_dir / 'instance.json'}")
     print(f"wrote {out_dir / 'code.alist'}")
     print(f"wrote {out_dir / 'trace.json'}")
@@ -290,17 +286,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _load_instance(path: str) -> CodeInstance:
-    """The instance at ``path``; an unreadable file is a ValueError too,
-    so ``main`` reports either as malformed input."""
-    try:
-        return import_instance_json(Path(path).read_text())
-    except OSError as exc:
-        raise ValueError(exc) from None
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance)
+    instance = import_instance_json(Path(args.instance).read_text())
     targets = enumerate_cycles(instance.base, args.two_g, args.walk_mode)
     _, g, active = _audit(instance, targets)
     min_girth = args.min_girth if args.min_girth is not None \
@@ -355,6 +342,10 @@ _CONFIG_FLAGS = (("gamma", "gamma"), ("kappa", "kappa"), ("m", "m"),
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file overridden by the given flags.  The two checks
+    before ``from_json`` cover every key it indexes (gamma, kappa, and m
+    without a pattern), so a missing field is a ValueError, not a
+    KeyError."""
     if args.config:
         doc = json.loads(Path(args.config).read_text())
         if not isinstance(doc, dict):
@@ -375,20 +366,13 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    try:
-        config = _load_config(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    config = _load_config(args)
     if args.sweep:
         if args.op != "shift":
-            print(f"error: --sweep runs the shift study; it cannot be "
-                  f"combined with --op {args.op}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"--sweep runs the shift study; it cannot be "
+                             f"combined with --op {args.op}")
         if not args.sweep_values:
-            print("error: --sweep requires --sweep-values", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--sweep requires --sweep-values")
         _write(sweep(config, args.sweep, args.sweep_values), args.out)
         return EXIT_OK
 
@@ -416,7 +400,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_export(args: argparse.Namespace) -> int:
-    h = assemble_qc(_load_instance(args.instance))
+    h = assemble_qc(import_instance_json(Path(args.instance).read_text()))
     text = export_alist(h)
     Path(args.alist).write_text(text)
     back = parse_alist(text)
@@ -513,7 +497,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

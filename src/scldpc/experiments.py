@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 from .model import BaseCode, CouplingScheme, frac_text
 from .probability import (draw, edge_index, forms, rng, seed_int,
                           seed_sequence, stage_blocks, stage_prob, vanish)
-from .serialize import check_ints, check_probs
+from .serialize import check_ints, check_probs, code_params
 from .walks import (CandidateSet, WalkCandidate, dependency_degree,
                     enumerate_cycles, is_active)
 from . import bounds
@@ -132,11 +132,7 @@ class ExperimentConfig:
 
     def to_json(self) -> dict:
         return {
-            "gamma": self.gamma, "kappa": self.kappa,
-            "pattern": list(self.scheme.pattern),
-            "probs": [frac_text(p) for p in self.scheme.probs],
-            "L": self.scheme.coupling_length,
-            "Z": self.scheme.lifting_degree,
+            **code_params(self.gamma, self.kappa, self.scheme),
             "mode": self.mode, "trials": self.trials, "seed": self.seed,
             "cap": self.cap,
             "eliminate": self.eliminate.to_json(),
@@ -231,6 +227,16 @@ def _null_check(hits: int, n: int, p: float) -> Optional[bool]:
     if sigma > 0:
         return abs(hits / n - p) <= 4.0 * sigma
     return hits == n * p
+
+
+def _sum(values) -> float:
+    """The floats added left to right.  Python 3.12's ``sum`` compensates
+    its rounding, so the last bit of a mean would depend on the Python
+    version; this is the order every earlier version used."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def wilson_interval(hits: int, n: int, z: float = Z95) -> tuple[float, float]:
@@ -480,14 +486,14 @@ def estimate_mt_shift(config: ExperimentConfig) -> ExperimentStats:
                 cap_e = c4b.cap
         class_stats.append(ClassStats(
             cls=label, count=len(oset),
-            mean_ratio=sum(ratios) / len(ratios) if ratios else None,
+            mean_ratio=_sum(ratios) / len(ratios) if ratios else None,
             max_ratio=max(ratios) if ratios else None,
             max_ratio_upper=max(uppers) if uppers else None,
             cap_corollary4=cap4, cap_universal_c6=cap_e))
 
     res_stats = _resample_stats(config, elim, elim_probs, resample_counts)
     checks = [o.check_passed for o in obs_stats if o.check_passed is not None]
-    all_pass = all(checks) if checks else True
+    all_pass = n_ok > 0 and all(checks)  # no terminated trial, no pass
     if res_stats.bound_holds is False:
         all_pass = False
     return ExperimentStats(
@@ -511,7 +517,7 @@ def _resample_stats(config: ExperimentConfig, elim: CandidateSet,
                     counts: Sequence[int]) -> ResampleStats:
     n = len(counts)
     mean = sum(counts) / n if n else 0.0
-    var = (sum((c - mean) ** 2 for c in counts) / (n - 1)) if n > 1 else 0.0
+    var = (_sum((c - mean) ** 2 for c in counts) / (n - 1)) if n > 1 else 0.0
     bound = feasible = branch = holds = None
     if config.mode in ("partition-only", "joint"):
         try:
@@ -625,7 +631,7 @@ def sweep(config: ExperimentConfig, param: str,
                 resample_mean=repr(stats.resamples.mean),
                 resample_max=stats.resamples.max,
                 bound_holds=stats.resamples.bound_holds,
-                mean_ratio=repr(sum(agg_ratio) / len(agg_ratio))
+                mean_ratio=repr(_sum(agg_ratio) / len(agg_ratio))
                 if agg_ratio else "",
                 max_ratio=repr(max(agg_max)) if agg_max else "",
                 max_ratio_upper=repr(max(agg_up)) if agg_up else "",

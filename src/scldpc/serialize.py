@@ -17,17 +17,22 @@ from .model import (Assignment, BaseCode, CodeInstance, CouplingScheme,
 SCHEMA_VERSION = 1
 
 
+def code_params(gamma: int, kappa: int, scheme: CouplingScheme) -> dict:
+    """The parameter block every document writes for a code: the base
+    shape and the coupling scheme, probabilities as "num/den" text."""
+    return {"gamma": gamma, "kappa": kappa,
+            "pattern": list(scheme.pattern),
+            "probs": [frac_text(p) for p in scheme.probs],
+            "L": scheme.coupling_length, "Z": scheme.lifting_degree}
+
+
 def export_instance_json(instance: CodeInstance) -> str:
     doc = {
         "version": SCHEMA_VERSION,
         "tool_version": __version__,
-        "gamma": instance.base.gamma,
-        "kappa": instance.base.kappa,
+        **code_params(instance.base.gamma, instance.base.kappa,
+                      instance.scheme),
         "mask": [list(row) for row in instance.base.mask],
-        "pattern": list(instance.scheme.pattern),
-        "probs": [frac_text(p) for p in instance.scheme.probs],
-        "L": instance.scheme.coupling_length,
-        "Z": instance.scheme.lifting_degree,
         "partition": [list(row) for row in instance.partition.values],
         "lift": [list(row) for row in instance.lift.values],
         "seed": instance.seed,

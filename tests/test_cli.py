@@ -485,6 +485,44 @@ def test_experiment_requires_shape_or_config(capsys):
     assert code == EXIT_USAGE
 
 
+def test_experiment_with_no_terminated_trial_fails(capsys):
+    # A zero cap stops every joint trial before it terminates, so there is
+    # nothing to check; the study used to pass vacuously and exit 0.
+    code = run_cli("experiment", "--gamma", "3", "--kappa", "7", "--m", "1",
+                   "--lifting", "2", "--mode", "joint", "--trials", "20",
+                   "--cap", "0")
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["trials_ok"] == 0
+    assert doc["all_checks_pass"] is False
+    assert code == EXIT_CHECK_FAILED
+
+
+# ---------------------------------------------------------------------------
+# unwritable outputs
+# ---------------------------------------------------------------------------
+
+# Each used to die with an OSError traceback and exit 1 ("check failed").
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--gamma", "3", "--kappa", "4", "--m", "1",
+     "--out", "{missing}/b.json"],
+    ["enumerate", "--gamma", "2", "--kappa", "2", "--out", "{missing}/c.jsonl"],
+    ["experiment", "--gamma", "3", "--kappa", "3", "--m", "1",
+     "--mode", "partition-only", "--trials", "2", "--out", "{missing}/e.json"],
+    ["construct", "--gamma", "3", "--kappa", "4", "--m", "1",
+     "--lifting", "8", "--seed", "7", "--out-dir", "{file}/run"],
+    ["export", "{instance}", "{missing}/x.alist"],
+], ids=lambda argv: argv[0])
+def test_unwritable_output_exits_2(argv, tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "instance.json").write_text(json.dumps(_instance_doc()))
+    paths = {"missing": tmp_path / "no" / "such", "file": tmp_path / "file",
+             "instance": tmp_path / "instance.json"}
+    code = run_cli(*(arg.format(**paths) for arg in argv))
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # module entry point
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from scldpc import (BaseCode, CandidateSet, CouplingScheme, ExperimentConfig,
                     estimate_mt_shift, spreading_prob_exact, sweep,
                     verify_theorem2, wilson_interval)
 from scldpc.experiments import (MODES, Z99_ONE_SIDED, _elim_delta,
-                                _null_check, _overlap_count)
+                                _null_check, _overlap_count, _sum)
 
 
 def _config(**overrides) -> ExperimentConfig:
@@ -159,6 +159,13 @@ def test_failed_trials_are_counted_not_dropped():
     assert stats.trials_ok == 0
     for o in stats.observables:
         assert o.hits == 0 and o.p_hat == 0.0 and o.ratio is None
+    assert stats.all_checks_pass is False  # nothing terminated to check
+
+
+def test_means_add_left_to_right():
+    # Python 3.12's sum() compensates rounding (it gives 2.0 here); the
+    # reports keep one order so they are byte-identical on every version.
+    assert _sum([1.0, 1e100, 1.0, -1e100]) == 0.0
 
 
 def test_disjoint_windows_get_null_check():
