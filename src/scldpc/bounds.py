@@ -72,7 +72,8 @@ def threshold_branch_i(delta: int) -> tuple[Optional[Fraction], float]:
     if delta <= 1:
         return Fraction(1), 1.0
     if delta <= EXACT_EXPONENT_LIMIT:
-        exact = Fraction((delta - 1) ** (delta - 1), delta ** delta)
+        # From the reduced base: no gcd runs on the two huge coprime powers.
+        exact = Fraction(delta - 1, delta) ** (delta - 1) / delta
         return exact, float(exact)
     return None, float(_WIDE.divide(_WIDE.power(delta - 1, delta - 1),
                                     _WIDE.power(delta, delta)))

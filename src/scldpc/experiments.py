@@ -39,7 +39,8 @@ from .serialize import check_ints, check_probs, code_params
 from .walks import (CandidateSet, WalkCandidate, dependency_degree,
                     enumerate_cycles, is_active)
 from . import bounds
-from .moser_tardos import construct_two_stage, run_joint, run_stage_partition
+from .moser_tardos import (compile_events, construct_two_stage, run_joint,
+                           run_stage_partition)
 
 MODES = ("partition-only", "joint", "two-stage")
 
@@ -415,8 +416,7 @@ def estimate_mt_shift(config: ExperimentConfig) -> ExperimentStats:
 
     stage = _stage(config)
     z = config.scheme.lifting_degree
-    elim_probs = [stage_prob(c, config.scheme, stage) for c in elim]
-    p_elim_max = max(elim_probs)
+    p_elim_max = max(stage_prob(c, config.scheme, stage) for c in elim)
     delta_observed, delta_formula = _elim_delta(elim)
     if delta_formula is not None:
         delta_used, delta_source = delta_formula, "formula"
@@ -491,7 +491,7 @@ def estimate_mt_shift(config: ExperimentConfig) -> ExperimentStats:
             max_ratio_upper=max(uppers) if uppers else None,
             cap_corollary4=cap4, cap_universal_c6=cap_e))
 
-    res_stats = _resample_stats(config, elim, elim_probs, resample_counts)
+    res_stats = _resample_stats(config, elim, resample_counts)
     checks = [o.check_passed for o in obs_stats if o.check_passed is not None]
     all_pass = n_ok > 0 and all(checks)  # no terminated trial, no pass
     if res_stats.bound_holds is False:
@@ -513,20 +513,16 @@ def _allowance(std: float, n: int) -> float:
 
 
 def _resample_stats(config: ExperimentConfig, elim: CandidateSet,
-                    elim_probs: Sequence[Fraction],
                     counts: Sequence[int]) -> ResampleStats:
     n = len(counts)
     mean = sum(counts) / n if n else 0.0
     var = (_sum((c - mean) ** 2 for c in counts) / (n - 1)) if n > 1 else 0.0
     bound = feasible = branch = holds = None
     if config.mode in ("partition-only", "joint"):
-        try:
-            rep = bounds.theorem1_feasibility(elim, elim_probs,
-                                              delta_source="observed")
+        rep = compile_events(elim, config.scheme, _stage(config)).certificate
+        if rep is not None:
             feasible, branch = rep.feasible, rep.branch
             bound = rep.resample_bound if rep.feasible else None
-        except ValueError:
-            pass
         if bound is not None and n:
             holds = mean <= float(bound) + _allowance(math.sqrt(var), n)
     return ResampleStats(mean=mean, std=math.sqrt(var),
@@ -553,8 +549,7 @@ def verify_theorem2(config: ExperimentConfig) -> Theorem2Report:
     one-sided 99% sampling allowance."""
     elim, _ = _build_sets(config)
     _, counts = _run_trials(config, elim)
-    elim_probs = [stage_prob(c, config.scheme, _stage(config)) for c in elim]
-    stats = _resample_stats(config, elim, elim_probs, counts)
+    stats = _resample_stats(config, elim, counts)
     n = len(counts)
     return Theorem2Report(stats.feasible, stats.branch, stats.bound, n,
                           stats.mean, stats.std, stats.max,

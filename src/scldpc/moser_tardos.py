@@ -10,9 +10,10 @@ variables its forms mention.
 
 Each run compiles its targets once (``compile_events``) into an
 ``EventSystem``: the layout, and per event in canonical candidate order its
-label, forms, scope and dependency neighbourhood.  ``run_mt`` then only
-resamples.  The solver is the classic resample-until-clean procedure with
-the depth-first recursion order made explicit:
+label, forms, scope and dependency neighbourhood, and on first use its
+Theorem 1 ``certificate``.  ``run_mt`` then only resamples.  The solver is
+the classic resample-until-clean procedure with the depth-first recursion
+order made explicit:
 
     while some bad event occurs:
         RESAMPLE(least occurring event)               # canonical order
@@ -26,15 +27,16 @@ the relevant subset (recorded in trace metadata), and "sharing scope"
 includes e itself.  Every run is a pure function of (inputs, seed).
 
 Tautological targets (no forms left: all coefficients zero, a one-value
-pattern, or every coefficient divisible by Z) can never be resampled away
-and are rejected up front with an AdmissionError naming them.
+pattern, or every coefficient divisible by Z) can never be resampled away:
+the compile records them (``rejected``), and ``run_mt`` raises an
+AdmissionError naming them before it draws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .model import Assignment, BaseCode, CodeInstance, CouplingScheme
@@ -65,14 +67,25 @@ class EventSystem:
     ``blocks`` and ``n`` (variables per block) are the stage layout; the
     per-event tuples run in canonical candidate order, and ``neighbors``
     is their dependency relation, ``walks.closed_neighbourhoods(scopes)``.
+    ``rejected`` names, in that order, the targets with no forms.
     """
 
+    cset: CandidateSet
+    scheme: CouplingScheme
+    stage: str
     blocks: tuple[Block, ...]
     n: int
     labels: tuple[str, ...]
     forms: tuple[tuple[Form, ...], ...]
     scopes: tuple[tuple[int, ...], ...]
     neighbors: tuple[tuple[int, ...], ...]
+    rejected: tuple[str, ...]
+
+    @cached_property
+    def certificate(self) -> Optional[bounds.BoundReport]:
+        """Theorem 1 over the targets' stage probabilities, or None."""
+        return _certify(self.cset, [stage_prob(c, self.scheme, self.stage)
+                                    for c in self.cset])
 
 
 @dataclass
@@ -86,24 +99,23 @@ class MTTrace:
     metadata: dict = field(default_factory=dict)
 
 
-# Pure over frozen inputs, and no caller mutates the result.  One entry
-# serves an experiment's repeated trials; more would keep an earlier
-# target set alive for the life of the process.
+# Pure over frozen inputs; only the certificate is filled in later, once.
+# One entry serves an experiment's repeated trials; more would keep an
+# earlier target set alive for the life of the process.
 @lru_cache(maxsize=1)
 def compile_events(cset: CandidateSet, scheme: CouplingScheme,
                    stage: str) -> EventSystem:
-    """One event per target, in the set's canonical order; raises
-    AdmissionError naming the targets with no forms in the stage."""
+    """One event per target, in the set's canonical order; the targets
+    with no forms in the stage are recorded as ``rejected``."""
     blocks = stage_blocks(scheme, stage)
     index = edge_index(cset.base.edges)
     event_forms = tuple(forms(c, index, blocks) for c in cset)
-    rejected = [c.key for c, fs in zip(cset, event_forms) if not fs]
-    if rejected:
-        raise AdmissionError(rejected, stage)
     scopes = tuple(tuple(sorted({v for var_idx, _, _ in fs for v in var_idx}))
                    for fs in event_forms)
-    return EventSystem(blocks, len(index), tuple(c.key for c in cset),
-                       event_forms, scopes, closed_neighbourhoods(scopes))
+    return EventSystem(
+        cset, scheme, stage, blocks, len(index), tuple(c.key for c in cset),
+        event_forms, scopes, closed_neighbourhoods(scopes),
+        tuple(c.key for c, fs in zip(cset, event_forms) if not fs))
 
 
 def run_mt(system: EventSystem, seed: SeedLike,
@@ -115,6 +127,8 @@ def run_mt(system: EventSystem, seed: SeedLike,
     values and the trace; ``terminated`` is False iff the cap cut the
     run short, in which case the values are the partial state.
     """
+    if system.rejected:
+        raise AdmissionError(system.rejected, system.stage)
     if max_resamples is not None and max_resamples < 0:
         raise ValueError("resample cap must be non-negative")
     blocks, n_vars, event_forms = system.blocks, system.n, system.forms
@@ -182,28 +196,31 @@ def _normalize_targets(base: BaseCode, targets) -> CandidateSet:
     return CandidateSet(base, tuple(set(targets)))
 
 
-def default_cap(cset: CandidateSet, probs) -> int:
-    """1000x the expected-resamples bound when the run is certified to
-    converge, a flat large cap otherwise."""
-    if len(cset) == 0:
-        return FALLBACK_CAP
+def _certify(cset: CandidateSet, probs) -> Optional[bounds.BoundReport]:
+    """Theorem 1 on the observed degree; None where it does not apply."""
     try:
-        rep = bounds.theorem1_feasibility(cset, probs,
-                                          delta_source="observed")
+        return bounds.theorem1_feasibility(cset, probs,
+                                           delta_source="observed")
     except ValueError:
-        return FALLBACK_CAP
-    if rep.feasible:
-        if rep.resample_bound is not None:
-            return 1000 * max(1, math.ceil(rep.resample_bound))
-        return 1000 * max(1, rep.k)
-    return FALLBACK_CAP
+        return None
 
 
-@lru_cache(maxsize=1)  # one entry, as compile_events
+def _cap(rep: Optional[bounds.BoundReport], fallback=FALLBACK_CAP) -> int:
+    """1000x ``rep``'s resample bound (or target count) if it certifies."""
+    if rep is None or not rep.feasible:
+        return fallback
+    bound = rep.resample_bound
+    return 1000 * max(1, rep.k if bound is None else math.ceil(bound))
+
+
+def default_cap(cset: CandidateSet, probs) -> int:
+    """1000x Theorem 1's resample bound if it holds, else FALLBACK_CAP."""
+    return _cap(_certify(cset, probs))
+
+
 def stage_cap(cset: CandidateSet, scheme: CouplingScheme, stage: str) -> int:
-    """``default_cap`` over the targets' activation probabilities in the
-    stage (``probability.stage_prob``)."""
-    return default_cap(cset, [stage_prob(c, scheme, stage) for c in cset])
+    """``default_cap`` over ``stage_prob``, read off the compiled stage."""
+    return _cap(compile_events(cset, scheme, stage).certificate)
 
 
 def _grid_from_values(base: BaseCode, stage: str, values: Sequence[int],
@@ -223,7 +240,7 @@ def run_stage_partition(base: BaseCode, scheme: CouplingScheme, targets,
     cset = _normalize_targets(base, targets)
     system = compile_events(cset, scheme, "partition")
     if max_resamples is None:
-        max_resamples = stage_cap(cset, scheme, "partition")
+        max_resamples = _cap(system.certificate)
     values, trace = run_mt(system, seed, max_resamples)
     return _grid_from_values(base, "partition", values), trace
 
@@ -242,7 +259,7 @@ def run_stage_lift(base: BaseCode, scheme: CouplingScheme,
         c for c in cset if is_active_partition(c, partition)))
     system = compile_events(survivors, scheme, "lift")
     if max_resamples is None and len(survivors):
-        max_resamples = stage_cap(survivors, scheme, "lift")
+        max_resamples = _cap(system.certificate)
     values, trace = run_mt(system, seed, max_resamples)
     trace.metadata["survivors"] = list(system.labels)
     return _grid_from_values(base, "lift", values), trace
@@ -256,7 +273,7 @@ def run_joint(base: BaseCode, scheme: CouplingScheme, targets,
     cset = _normalize_targets(base, targets)
     system = compile_events(cset, scheme, "joint")
     if max_resamples is None:
-        max_resamples = stage_cap(cset, scheme, "joint")
+        max_resamples = _cap(system.certificate)
     values, trace = run_mt(system, seed, max_resamples)
     partition = _grid_from_values(base, "partition", values)
     lift = _grid_from_values(base, "lift", values, offset=len(base.edges))
@@ -299,25 +316,20 @@ def construct_two_stage(base: BaseCode, scheme: CouplingScheme, targets,
     """Partition stage first (best effort), then lift the survivors.
 
     Stage 1 runs over the targets the partition stage can thin; the rest
-    (e.g. every target at memory 0) go to stage 2 as they are.  Its cap
-    defaults to the partition stage's ``stage_cap`` when that stage is
-    certified, and to 0 otherwise: without a certificate a capped run
-    guarantees nothing, so stage 1 is the initial draw alone.  Whatever
-    survives goes to the lift stage.
+    (its compile's ``rejected``, e.g. every target at memory 0) go to
+    stage 2 as they are.  Its cap defaults to the partition stage's
+    ``stage_cap`` when its certificate holds, and to 0 otherwise: without
+    a certificate a capped run guarantees nothing, so stage 1 is the
+    initial draw alone.  Whatever survives goes to the lift stage.
     """
     cset = _normalize_targets(base, targets)
-    try:  # the compile names the targets no partition can thin
-        compile_events(cset, scheme, "partition")
-        thinnable = cset
-    except AdmissionError as exc:
-        always = set(exc.labels)
-        thinnable = CandidateSet(base, tuple(
-            c for c in cset if c.key not in always))
+    rejected = set(compile_events(cset, scheme, "partition").rejected)
+    thinnable = CandidateSet(base, tuple(
+        c for c in cset if c.key not in rejected))
     s1, s2 = derive_child_seeds(seed, 2)
     if stage1_max is None:
-        stage1_max = stage_cap(thinnable, scheme, "partition")
-        if stage1_max == FALLBACK_CAP:
-            stage1_max = 0
+        stage1_max = _cap(compile_events(thinnable, scheme,
+                                         "partition").certificate, 0)
     partition, trace1 = run_stage_partition(base, scheme, thinnable, s1,
                                             stage1_max)
     lift, trace2 = run_stage_lift(base, scheme, partition, cset, s2,

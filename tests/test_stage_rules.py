@@ -6,8 +6,11 @@ against the runners it calls.
 experiment harness and the CLI.  The old copies are kept below as oracles,
 on c4, c6 and tbc 8-walks (coefficients +-2) under uniform, non-uniform and
 one-value patterns.  The experiment harness owns no budget: its trials
-must equal direct runner calls, and the runners' one-entry memos of
-``compile_events`` and ``stage_cap`` must equal fresh computations.
+must equal direct runner calls.  A compiled stage owns its decisions:
+``compile_events``' one-entry memo must equal fresh computations, its
+``rejected`` targets are exactly those certain to occur, and its Theorem 1
+certificate is computed only when a default budget or the harness reads
+it.
 """
 
 from __future__ import annotations
@@ -17,15 +20,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scldpc import (AdmissionError, Assignment, BaseCode, CandidateSet,
                     CouplingScheme, ExperimentConfig, StructureSpec,
                     construct_two_stage, default_cap, enumerate_cycles,
                     is_active_lift, is_active_partition, joint_prob,
-                    lift_prob_exact, run_joint, run_stage_partition,
-                    spreading_prob_exact)
-from scldpc import experiments, walks
-from scldpc.moser_tardos import FALLBACK_CAP, compile_events, stage_cap
+                    lift_prob_exact, run_joint, run_stage_lift,
+                    run_stage_partition, spreading_prob_exact)
+from scldpc import bounds, experiments, walks
+from scldpc.moser_tardos import (FALLBACK_CAP, compile_events, run_mt,
+                                 stage_cap)
 from scldpc.probability import seed_sequence, stage_blocks, stage_prob
 from scldpc.walks import is_active
 
@@ -197,21 +203,115 @@ def test_memos_equal_fresh_computations():
              (c6, "lift"), (c4, "lift"), (c4, "lift"), (c4, "partition"),
              (c6, "joint"), (c6, "joint")]
     compile_events.cache_clear()
-    stage_cap.cache_clear()
     memo = [(_by_value(compile_events(cset, scheme, stage)),
              stage_cap(cset, scheme, stage)) for cset, stage in calls]
-    assert compile_events.cache_info().hits == \
-        stage_cap.cache_info().hits == 3
+    # Three repeated compiles, and every stage_cap reads the stage just
+    # compiled.
+    assert compile_events.cache_info().hits == 3 + len(calls)
     for (cset, stage), got in zip(calls, memo):
         compile_events.cache_clear()
-        stage_cap.cache_clear()
         assert got == (_by_value(compile_events(cset, scheme, stage)),
                        stage_cap(cset, scheme, stage))
-    # An AdmissionError is not cached: it is raised on every call.
+    # A rejected system is cached like any other; run_mt raises on every
+    # call.
     one_value = CouplingScheme.uniform(0, lifting_degree=3)
+    compile_events.cache_clear()
+    system = compile_events(c4, one_value, "partition")
+    assert system.rejected == tuple(c.key for c in c4)
     for _ in range(2):
+        assert compile_events(c4, one_value, "partition") is system
         with pytest.raises(AdmissionError):
-            compile_events(c4, one_value, "partition")
+            run_mt(system, 0)
+        with pytest.raises(AdmissionError):
+            run_stage_partition(c4.base, one_value, c4, 0)
+    assert compile_events.cache_info().misses == 1
+
+
+@pytest.fixture
+def fresh_compile():
+    """An empty compile memo before and after: a cached system keeps the
+    certificate it computed, also under a monkeypatched Theorem 1."""
+    compile_events.cache_clear()
+    yield
+    compile_events.cache_clear()
+
+
+def test_certified_stage1_budget_at_the_fallback_value_is_kept(
+        fresh_compile, monkeypatch):
+    # A certified partition stage whose budget happens to equal
+    # FALLBACK_CAP (1000 x a bound of 1000) keeps it: stage 1 is read off
+    # the certificate, not off the cap's value.
+    real = bounds.theorem1_feasibility
+
+    def bound_1000(*args, **kwargs):
+        return replace(real(*args, **kwargs), resample_bound=Fraction(1000))
+
+    monkeypatch.setattr(bounds, "theorem1_feasibility", bound_1000)
+    base = BaseCode(3, 3)
+    scheme = CouplingScheme.uniform(18, lifting_degree=7)
+    c4 = enumerate_cycles(base, 4)
+    assert stage_cap(c4, scheme, "partition") == FALLBACK_CAP
+    _, report = construct_two_stage(base, scheme, c4, 3)
+    assert report.partition_trace.max_resamples == FALLBACK_CAP == 10 ** 6
+
+
+def test_an_explicit_cap_costs_no_certificate(fresh_compile, monkeypatch):
+    calls = []
+    real = bounds.theorem1_feasibility
+    monkeypatch.setattr(bounds, "theorem1_feasibility",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    base = BaseCode(3, 4)
+    scheme = CouplingScheme.uniform(1, lifting_degree=8)
+    c4 = enumerate_cycles(base, 4)
+    partition, _ = run_stage_partition(base, scheme, c4, 0, 5)
+    run_stage_lift(base, scheme, partition, c4, 1, 5)
+    run_joint(base, scheme, c4, 2, 5)
+    construct_two_stage(base, scheme, c4, 3, 5, 5)
+    assert calls == []
+    run_joint(base, scheme, c4, 2)  # the default cap reads the certificate
+    assert len(calls) == 1
+
+
+@st.composite
+def _admission_cases(draw) -> tuple[CandidateSet, CouplingScheme]:
+    """Every 4-, 6- or tbc 8-walk (avoidable or not) over a random masked
+    base, a pattern of 1-3 values with random weights, and Z in 1..4."""
+    gamma = draw(st.integers(2, 3))
+    kappa = draw(st.integers(2, 4))
+    cell = st.sampled_from((1, 1, 0)) if draw(st.booleans()) else st.just(1)
+    mask = draw(st.lists(st.lists(cell, min_size=kappa, max_size=kappa),
+                         min_size=gamma, max_size=gamma))
+    base = BaseCode(gamma, kappa, mask=tuple(map(tuple, mask)))
+    two_g, mode = draw(st.sampled_from([(4, "simple"), (6, "simple"),
+                                        (8, "tbc")]))
+    pattern = tuple(sorted(draw(st.sets(st.integers(0, 3), min_size=1,
+                                        max_size=3))))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(pattern),
+                            max_size=len(pattern)))
+    scheme = CouplingScheme(pattern,
+                            tuple(Fraction(w, sum(weights)) for w in weights),
+                            pattern[-1] + 1, draw(st.integers(1, 4)))
+    return enumerate_cycles(base, two_g, mode), scheme
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_admission_cases())
+def test_rejected_are_the_targets_certain_to_occur(case):
+    # Probabilities are positive and a closed walk's coefficients sum to
+    # zero, so a target without forms, and only such a target, occurs
+    # with probability 1.
+    cset, scheme = case
+    for stage in ("partition", "lift", "joint"):
+        certain = tuple(c.key for c in cset
+                        if stage_prob(c, scheme, stage) == 1)
+        system = compile_events(cset, scheme, stage)
+        assert system.rejected == certain
+        if certain:
+            with pytest.raises(AdmissionError) as err:
+                run_mt(system, 0, 0)
+            assert (err.value.labels, err.value.stage) == (certain, stage)
+        else:
+            run_mt(system, 0, 0)
 
 
 def _grid(stage, base, rng, high):
