@@ -27,6 +27,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -40,8 +41,8 @@ from .experiments import (MODES as EXPERIMENT_MODES, ExperimentConfig,
 from .graphs import girth
 from .model import (BaseCode, CodeInstance, CouplingScheme,
                     SparseBinaryMatrix, assemble_qc, frac_text)
-from .moser_tardos import construct_two_stage, run_joint
-from .probability import probability_report, stage_prob
+from .moser_tardos import compile_events, construct_two_stage, run_joint
+from .probability import probability_report
 from .serialize import (check_probs, code_params, export_instance_json,
                         import_instance_json)
 from .walks import (MODES as WALK_MODES, CandidateSet, enumerate_cycles,
@@ -51,6 +52,22 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP_EXHAUSTED = 3
+
+
+def _check_out(out: Optional[str], is_dir: bool = False) -> None:
+    """Raise OSError before the work if ``out`` cannot be written; creates
+    nothing.  A file's directory must exist; a directory is made later with
+    its parents, so its nearest existing ancestor is checked."""
+    if not out:
+        return
+    where = Path(out).absolute()
+    if not is_dir and where.is_dir():
+        raise IsADirectoryError(f"cannot write {out}: is a directory")
+    where = where if is_dir else where.parent
+    while is_dir and not where.exists():
+        where = where.parent
+    if not (where.is_dir() and os.access(where, os.W_OK | os.X_OK)):
+        raise OSError(f"cannot write {out}: no writable directory {where}")
 
 
 def _write(text: str, out: Optional[str]) -> None:
@@ -111,6 +128,7 @@ def _walk_args(p: argparse.ArgumentParser, default_two_g: int = 4) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     base = BaseCode(args.gamma, args.kappa)
     scheme = _scheme_from(args)
     cset = enumerate_cycles(base, args.two_g, args.walk_mode)
@@ -121,17 +139,15 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         "walks": {"two_g": args.two_g, "mode": args.walk_mode,
                   "count": len(cset)},
     }
-    probs = [stage_prob(c, scheme, "joint") for c in cset]
-    certain = sum(1 for p in probs if p == 1)
-    if certain:
+    system = compile_events(cset, scheme, "joint")
+    rep = system.certificate
+    if system.rejected:
         doc["feasibility"] = {
             "feasible": False,
-            "reason": f"{certain} of {len(cset)} candidates active with "
-                      "probability 1 (cannot be resampled away)",
+            "reason": f"{len(system.rejected)} of {len(cset)} candidates "
+                      "active with probability 1 (cannot be resampled away)",
         }
     elif len(cset) > 0:
-        rep = bounds_mod.theorem1_feasibility(cset, probs,
-                                              delta_source="observed")
         doc["feasibility"] = {
             "k": rep.k,
             "delta_observed": rep.delta,
@@ -182,13 +198,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             "six_cycle_exponent": c4b.exponent,
             "universal_cap": c4b.cap,
         }
-        if len(cset) > 0:
-            p_max = max(probs)
-            if p_max < 1:
-                sym = bounds_mod.shift_bound_symmetric(
-                    p_max, max(1, c4b.delta - 1), 0)
-                doc["shift_caps"]["condition_lhs"] = sym.condition_lhs
-                doc["shift_caps"]["condition_held"] = sym.condition_held
+        if rep is not None:
+            sym = bounds_mod.shift_bound_symmetric(
+                rep.p_max, max(1, c4b.delta - 1), 0)
+            doc["shift_caps"]["condition_lhs"] = sym.condition_lhs
+            doc["shift_caps"]["condition_held"] = sym.condition_held
     _emit(doc, args.out)
     return EXIT_OK
 
@@ -198,6 +212,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     scheme_flags = (args.m, args.pattern, args.probs, args.length)
     if not args.probabilities and any(f is not None for f in scheme_flags):
         raise ValueError("--m, --pattern, --probs and --length need "
@@ -231,6 +246,7 @@ def _audit(instance: CodeInstance, targets: CandidateSet
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    _check_out(args.out_dir, is_dir=True)
     base = BaseCode(args.gamma, args.kappa)
     scheme = _scheme_from(args)
     targets = enumerate_cycles(base, args.two_g, args.walk_mode)
@@ -366,6 +382,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     config = _load_config(args)
     if args.sweep:
         if args.op != "shift":

@@ -13,6 +13,10 @@ sharper (1 + e p)^{n_E} applies as well.  An observable sharing nothing
 with the targets (n_E = 0) must not drift at all, which is checked as a
 two-sided 4 sigma null instead of a one-sided cap.
 
+The harness reads p and the observed Delta off the compiled stage's
+certificate and n_E off ``walks.closed_neighbourhoods``, and counts each
+observable as each trial terminates, in one pass over the trials.
+
 Everything here is a pure function of (config, seed).  Randomness has one
 owner, ``probability`` (``rng``, ``seed_sequence``, ``seed_int``): trial t
 runs on the stream ``seed_sequence(seed, STREAM_TRIALS + t)``, i.e.
@@ -36,7 +40,7 @@ from .model import BaseCode, CouplingScheme, frac_text
 from .probability import (draw, edge_index, forms, rng, seed_int,
                           seed_sequence, stage_blocks, stage_prob, vanish)
 from .serialize import check_ints, check_probs, code_params
-from .walks import (CandidateSet, WalkCandidate, dependency_degree,
+from .walks import (CandidateSet, WalkCandidate, closed_neighbourhoods,
                     enumerate_cycles, is_active)
 from . import bounds
 from .moser_tardos import (compile_events, construct_two_stage, run_joint,
@@ -198,25 +202,14 @@ def _stage(config: ExperimentConfig) -> str:
     return "partition" if config.mode == "partition-only" else "joint"
 
 
-def _overlap_count(cand: WalkCandidate, elim: CandidateSet) -> int:
-    """Number of eliminate-events sharing at least one variable with cand.
-
-    The integer support decides in every mode: a coefficient nonzero mod Z
-    is nonzero, so a mod-Z support lies inside the integer support.
-    """
-    sharing: set[int] = set()
-    for e in cand.support:
-        sharing.update(elim.by_support.get(e, ()))
-    return len(sharing)
-
-
-def _elim_delta(elim: CandidateSet) -> tuple[int, Optional[int]]:
-    """(observed, closed-form) dependency degree of the eliminate set; the
-    integer supports decide in every mode, as in ``_overlap_count``."""
-    observed = dependency_degree(elim).delta_observed
-    dims = bounds.c4_block_dims(elim)
-    formula = None if dims is None else bounds.formula_delta_c4(*dims)
-    return observed, formula
+def _overlap_counts(elim: CandidateSet,
+                    cands: Sequence[WalkCandidate]) -> list[int]:
+    """Per candidate, the number of eliminate-events sharing a variable
+    with it.  The integer support decides in every mode: a coefficient
+    nonzero mod Z is nonzero, so a mod-Z support lies inside it."""
+    k = len(elim)
+    nbs = closed_neighbourhoods([c.support for c in (*elim, *cands)], k)
+    return [len(nb) for nb in nbs[k:]]
 
 
 def _null_check(hits: int, n: int, p: float) -> Optional[bool]:
@@ -378,14 +371,16 @@ class ExperimentStats:
     all_checks_pass: bool
 
 
-def _run_trials(config: ExperimentConfig, elim: CandidateSet):
+def _run_trials(config: ExperimentConfig, elim: CandidateSet,
+                observe: Sequence[WalkCandidate] = ()
+                ) -> tuple[list[int], list[int]]:
     """One construction per trial, on the runners' own budgets (as in
-    ``construct``) unless ``config.cap`` is set.  Returns the (partition,
-    lift) pair (lift None in partition-only mode) and the total resamples
-    of every trial that terminated; the other trials hit their cap."""
+    ``construct``) unless ``config.cap`` is set.  Each trial that
+    terminates is counted as it finishes: the hits of each of ``observe``
+    and the total resamples; the other trials hit their cap."""
     base = config.base
     scheme = config.scheme
-    results = []
+    hits = [0] * len(observe)
     resample_counts: list[int] = []
     for t in range(config.trials):
         seed_t = seed_sequence(config.seed, STREAM_TRIALS + t)
@@ -403,21 +398,28 @@ def _run_trials(config: ExperimentConfig, elim: CandidateSet):
             partition, lift = instance.partition, instance.lift
         if run.terminated:
             resample_counts.append(run.total_resamples)
-            results.append((partition, lift))
-    return results, resample_counts
+            for k, c in enumerate(observe):
+                if is_active(c, partition, lift, scheme.lifting_degree):
+                    hits[k] += 1
+    return hits, resample_counts
 
 
 def estimate_mt_shift(config: ExperimentConfig) -> ExperimentStats:
     """Run the construction many times and compare each observable's
     activation frequency with its product-measure probability."""
     elim, observed = _build_sets(config)
-    results, resample_counts = _run_trials(config, elim)
-    n_ok = len(results)
+    flat = [c for _, oset in observed for c in oset]
+    hits_all, resample_counts = _run_trials(config, elim, flat)
+    n_ok = len(resample_counts)
+    per_observable = iter(zip(hits_all, _overlap_counts(elim, flat)))
 
     stage = _stage(config)
-    z = config.scheme.lifting_degree
-    p_elim_max = max(stage_prob(c, config.scheme, stage) for c in elim)
-    delta_observed, delta_formula = _elim_delta(elim)
+    # Never None once a trial has run: a target certain to occur (the one
+    # way to no certificate) raises AdmissionError on the first trial.
+    rep = compile_events(elim, config.scheme, stage).certificate
+    p_elim_max, delta_observed = rep.p_max, rep.delta
+    dims = bounds.c4_block_dims(elim)
+    delta_formula = None if dims is None else bounds.formula_delta_c4(*dims)
     if delta_formula is not None:
         delta_used, delta_source = delta_formula, "formula"
     else:
@@ -433,18 +435,15 @@ def estimate_mt_shift(config: ExperimentConfig) -> ExperimentStats:
 
     obs_stats: list[ObservableStats] = []
     class_stats: list[ClassStats] = []
-    full_c4_elim = (bounds.c4_block_dims(elim) == (config.gamma,
-                                                   config.kappa))
+    full_c4_elim = dims == (config.gamma, config.kappa)
     for label, oset in observed:
         ratios = []
         uppers = []
         for c in oset:
             p_omega = stage_prob(c, config.scheme, stage)
-            hits = sum(1 for partition, lift in results
-                       if is_active(c, partition, lift, z))
+            hits, n_e = next(per_observable)
             p_hat = hits / n_ok if n_ok else 0.0
             lo, hi = wilson_interval(hits, n_ok)
-            n_e = _overlap_count(c, elim)
             pf = float(p_omega)
             ratio = p_hat / pf if pf > 0 and n_ok else None
             r_up = hi / pf if pf > 0 and n_ok else None
@@ -519,10 +518,10 @@ def _resample_stats(config: ExperimentConfig, elim: CandidateSet,
     var = (_sum((c - mean) ** 2 for c in counts) / (n - 1)) if n > 1 else 0.0
     bound = feasible = branch = holds = None
     if config.mode in ("partition-only", "joint"):
+        # Not None: the trials ran (see estimate_mt_shift).
         rep = compile_events(elim, config.scheme, _stage(config)).certificate
-        if rep is not None:
-            feasible, branch = rep.feasible, rep.branch
-            bound = rep.resample_bound if rep.feasible else None
+        feasible, branch = rep.feasible, rep.branch
+        bound = rep.resample_bound if rep.feasible else None
         if bound is not None and n:
             holds = mean <= float(bound) + _allowance(math.sqrt(var), n)
     return ResampleStats(mean=mean, std=math.sqrt(var),

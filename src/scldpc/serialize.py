@@ -75,7 +75,7 @@ def import_instance_json(text: str) -> CodeInstance:
     if not isinstance(doc, dict):
         raise ValueError("instance document must be a JSON object")
     version = doc.get("version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {version!r}")
     required = ("gamma", "kappa", "mask", "pattern", "probs", "L", "Z",
                 "partition", "lift")

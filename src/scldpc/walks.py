@@ -359,16 +359,20 @@ class DependencyReport:
         return cls(degrees, max(degrees, default=0), sum(degrees) // 2)
 
 
-def closed_neighbourhoods(scopes: Sequence[Sequence]
+def closed_neighbourhoods(scopes: Sequence[Sequence],
+                          among: Optional[int] = None
                           ) -> tuple[tuple[int, ...], ...]:
     """The dependency relation: for each scope, the sorted indices of every
     scope sharing an element with it, itself included; an empty scope gets
-    ()."""
+    ().  With ``among``, only the first ``among`` scopes are neighbours, so
+    a later scope gets just the earlier ones it meets, and its cost does
+    not grow with the number of later scopes."""
     members: dict = {}
-    for n, scope in enumerate(scopes):
+    for n, scope in enumerate(scopes[:among]):
         for v in scope:
             members.setdefault(v, []).append(n)
-    return tuple(tuple(sorted(set().union(*(members[v] for v in scope))))
+    return tuple(tuple(sorted(set().union(*(members.get(v, ())
+                                            for v in scope))))
                  for scope in scopes)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from scldpc import (Assignment, BaseCode, CodeInstance, CouplingScheme,
                     export_instance_json)
+from scldpc import cli
 from scldpc.cli import (EXIT_CAP_EXHAUSTED, EXIT_CHECK_FAILED, EXIT_OK,
                         EXIT_USAGE, main)
 
@@ -512,7 +513,14 @@ def test_experiment_with_no_terminated_trial_fails(capsys):
      "--lifting", "8", "--seed", "7", "--out-dir", "{file}/run"],
     ["export", "{instance}", "{missing}/x.alist"],
 ], ids=lambda argv: argv[0])
-def test_unwritable_output_exits_2(argv, tmp_path, capsys):
+def test_unwritable_output_exits_2(argv, tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):  # a bad path must stop each command first
+        raise AssertionError("the work ran before the output path was "
+                             "checked")
+
+    for work in ("estimate_mt_shift", "enumerate_cycles",
+                 "construct_two_stage"):
+        monkeypatch.setattr(cli, work, no_work)
     (tmp_path / "file").write_text("")
     (tmp_path / "instance.json").write_text(json.dumps(_instance_doc()))
     paths = {"missing": tmp_path / "no" / "such", "file": tmp_path / "file",

@@ -15,8 +15,9 @@ from scldpc import (BaseCode, CandidateSet, CouplingScheme, ExperimentConfig,
                     StructureSpec, enumerate_cycles, estimate_baseline,
                     estimate_mt_shift, spreading_prob_exact, sweep,
                     verify_theorem2, wilson_interval)
-from scldpc.experiments import (MODES, Z99_ONE_SIDED, _elim_delta,
-                                _null_check, _overlap_count, _sum)
+from scldpc.experiments import (MODES, Z99_ONE_SIDED, _null_check,
+                                _overlap_counts, _stage, _sum)
+from scldpc.moser_tardos import compile_events
 
 
 def _config(**overrides) -> ExperimentConfig:
@@ -275,16 +276,17 @@ def test_dependency_counts_match_pairwise_oracle(gamma, kappa, kind, z,
     elim = CandidateSet(BaseCode(gamma, kappa), tuple(picked))
     config = _config(gamma=gamma, kappa=kappa, mode=mode,
                      scheme=CouplingScheme.uniform(1, lifting_degree=z))
-    assert _elim_delta(elim)[0] == _pairwise_delta(elim, config)
+    certificate = compile_events(elim, config.scheme,
+                                 _stage(config)).certificate
+    assert certificate.delta == _pairwise_delta(elim, config)
     probes = sum((_walks(gamma, kappa, k) for k in ("c4", "c6", "c8-tbc")),
                  ())
     zero = _walks(gamma, kappa, "c12-tbc-zero")
     if zero:
         probes += tuple(data.draw(st.lists(st.sampled_from(zero),
                                            max_size=30, unique=True)))
-    for cand in probes:
-        assert _overlap_count(cand, elim) == \
-            _pairwise_overlap_count(cand, elim, config)
+    assert _overlap_counts(elim, probes) == [
+        _pairwise_overlap_count(cand, elim, config) for cand in probes]
 
 
 def test_two_stage_mode_runs():

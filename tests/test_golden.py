@@ -12,7 +12,11 @@ moved to one owner each.  The three two-stage digests that run at a
 default, uncertified stage-1 cap (``construct_two_stage``,
 ``construct-two-stage``, ``experiment-shift-two-stage``) were re-recorded
 when that cap became 0 (stage 1 is the initial draw alone); each equals
-the earlier code run with that one rule replaced.
+the earlier code run with that one rule replaced.  The five ``bounds``
+digests besides 3x7 (every target certain, no candidates, an explicit
+pattern, tbc 8-walks, six-cycles) were recorded before ``bounds`` read
+the compiled joint stage instead of its own probabilities and Theorem 1
+call.
 To print the current digests: ``python tests/test_golden.py``.
 """
 
@@ -222,10 +226,12 @@ def _construct(construction: str, scheme: list[str]):
     return case
 
 
-def _bounds(out: Path) -> str:
-    argv = ["bounds", "--gamma", "3", "--kappa", "7", "--m", "1",
-            "--lifting", "34", "--out", str(out / "bounds.json")]
-    return _cli_digest(out, argv, ["bounds.json"])
+def _bounds(gamma: int, kappa: int, *extra: str):
+    def case(out: Path) -> str:
+        argv = ["bounds", "--gamma", str(gamma), "--kappa", str(kappa),
+                *extra, "--out", str(out / "bounds.json")]
+        return _cli_digest(out, argv, ["bounds.json"])
+    return case
 
 
 def _experiment(op: str, mode: str, *extra: str):
@@ -241,7 +247,17 @@ CLI_CASES = {
                                       ["--m", "1", "--lifting", "13"]),
     "construct-joint": _construct("joint", ["--m", "1", "--lifting", "13",
                                             "--two-g", "6"]),
-    "bounds-3x7-m1-z34": _bounds,
+    "bounds-3x7-m1-z34": _bounds(3, 7, "--m", "1", "--lifting", "34"),
+    # Every target certain to occur; no candidates; an explicit pattern;
+    # tbc 8-walks; six-cycles.
+    "bounds-3x4-m0": _bounds(3, 4, "--m", "0"),
+    "bounds-1x4-m2": _bounds(1, 4, "--m", "2"),
+    "bounds-3x4-pattern-z5": _bounds(3, 4, "--pattern", "0,2,5", "--probs",
+                                     "1/2,1/4,1/4", "--lifting", "5"),
+    "bounds-3x3-m1-tbc8-z2": _bounds(3, 3, "--m", "1", "--two-g", "8",
+                                     "--walk-mode", "tbc", "--lifting", "2"),
+    "bounds-3x5-m2-z7-c6": _bounds(3, 5, "--m", "2", "--lifting", "7",
+                                   "--two-g", "6"),
     "experiment-shift-partition-only": _experiment(
         "shift", "partition-only", "--m", "2", "--trials", "40"),
     "experiment-shift-joint": _experiment(
@@ -259,6 +275,16 @@ CLI_CASES = {
 }
 
 GOLDEN_CLI = {
+    "bounds-1x4-m2":
+        "9531fccfb9e0e3ed7fe5fadb21d47b34863adc93d76e9330c0fc98f3afbdc54c",
+    "bounds-3x3-m1-tbc8-z2":
+        "471e08c76df6790a59ca2aac380d23e0b51c148d89525d3b69fd0b4b7276166a",
+    "bounds-3x4-m0":
+        "abdd53dfaa1be3b5a221fab9c56ecda007623c625a2ade99cf38f8f9527165d8",
+    "bounds-3x4-pattern-z5":
+        "5cdb2c75633bc8e4ac1dcfc54123cfb5115a81ace26282a417605ccb3c5343c5",
+    "bounds-3x5-m2-z7-c6":
+        "0cf60c583a5c0876ad45645ba3cc6862b6aa5a7078bddc579c5adc85a8ca8d81",
     "bounds-3x7-m1-z34":
         "dcac6e3f9f1838e0df199c4ba82b0d7ad19330be48502e6f772ada0a37011f97",
     "construct-joint":

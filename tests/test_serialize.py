@@ -41,9 +41,11 @@ def test_export_is_deterministic_text():
 
 def test_rejects_unknown_schema_version():
     doc = json.loads(export_instance_json(_instance()))
-    doc["version"] = 999
-    with pytest.raises(ValueError):
-        import_instance_json(json.dumps(doc))
+    # true and 1.0 equal 1 in Python, but are not the integer 1.
+    for version in (999, True, 1.0):
+        doc["version"] = version
+        with pytest.raises(ValueError, match="unsupported schema version"):
+            import_instance_json(json.dumps(doc))
 
 
 def test_rejects_missing_field():

@@ -6,7 +6,8 @@ against the runners it calls.
 experiment harness and the CLI.  The old copies are kept below as oracles,
 on c4, c6 and tbc 8-walks (coefficients +-2) under uniform, non-uniform and
 one-value patterns.  The experiment harness owns no budget: its trials
-must equal direct runner calls.  A compiled stage owns its decisions:
+must equal direct runner calls, counted as each finishes, with no earlier
+trial's output kept alive.  A compiled stage owns its decisions:
 ``compile_events``' one-entry memo must equal fresh computations, its
 ``rejected`` targets are exactly those certain to occur, and its Theorem 1
 certificate is computed only when a default budget or the harness reads
@@ -15,6 +16,7 @@ it.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -123,6 +125,7 @@ def test_run_trials_calls_the_runners_as_they_are(mode, cap, monkeypatch):
     config = ExperimentConfig(3, 4, scheme, mode, 8, 3, StructureSpec(4),
                               (StructureSpec(6),), cap)
     base, elim = config.base, StructureSpec(4).build(config.base)
+    observe = StructureSpec(6).build(base).candidates
     reports = []
 
     def recording_two_stage(*args):
@@ -131,9 +134,9 @@ def test_run_trials_calls_the_runners_as_they_are(mode, cap, monkeypatch):
 
     monkeypatch.setattr(experiments, "construct_two_stage",
                         recording_two_stage)
-    results, counts = experiments._run_trials(config, elim)
+    hits, counts = experiments._run_trials(config, elim, observe)
 
-    expected, expected_counts = [], []
+    expected, expected_counts = [0] * len(observe), []
     for t in range(config.trials):
         seed_t = seed_sequence(config.seed, experiments.STREAM_TRIALS + t)
         if mode == "partition-only":
@@ -148,9 +151,11 @@ def test_run_trials_calls_the_runners_as_they_are(mode, cap, monkeypatch):
                                                     seed_t, cap, cap)
             partition, lift = instance.partition, instance.lift
         if run.terminated:
-            expected.append((partition, lift))
+            for k, c in enumerate(observe):
+                expected[k] += is_active(c, partition, lift,
+                                         scheme.lifting_degree)
             expected_counts.append(run.total_resamples)
-    assert (results, counts) == (expected, expected_counts)
+    assert (hits, counts) == (expected, expected_counts)
 
     assert len(reports) == (config.trials if mode == "two-stage" else 0)
     lift_caps = set()
@@ -163,6 +168,34 @@ def test_run_trials_calls_the_runners_as_they_are(mode, cap, monkeypatch):
         lift_caps.add(want)
     if mode == "two-stage" and cap is None:
         assert lift_caps != {stage_cap(elim, scheme, "lift")}
+
+
+@pytest.mark.parametrize("mode", experiments.MODES)
+def test_shift_harness_holds_no_earlier_trial_output(mode, monkeypatch):
+    # While trial t runs, trial t-1's output may still be bound to the
+    # loop's names; anything older must already be freed.
+    scheme = CouplingScheme.uniform(3, lifting_degree=61)
+    config = ExperimentConfig(3, 4, scheme, mode, 6, 3, StructureSpec(4),
+                              (StructureSpec(6),))
+    refs: list[list[weakref.ref]] = []  # per trial, its output grids
+
+    def watched(runner):
+        def run(*args):
+            alive = [t for t, grids in enumerate(refs[:-1])
+                     if any(r() is not None for r in grids)]
+            assert not alive, f"outputs of trials {alive} are still alive"
+            out, trace = runner(*args)
+            grids = ([out] if isinstance(out, Assignment)
+                     else [out.partition, out.lift])
+            refs.append([weakref.ref(g) for g in grids])
+            return out, trace
+        return run
+
+    for name in ("run_stage_partition", "run_joint", "construct_two_stage"):
+        monkeypatch.setattr(experiments, name,
+                            watched(getattr(experiments, name)))
+    stats = experiments.estimate_mt_shift(config)
+    assert len(refs) == stats.trials_ok == config.trials
 
 
 def test_two_stage_stage1_cap_is_the_certified_cap_or_zero():

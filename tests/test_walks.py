@@ -254,6 +254,17 @@ def test_closed_neighbourhoods_match_pairwise_intersections(scopes):
     assert closed_neighbourhoods(scopes) == _pairwise_neighbourhoods(scopes)
 
 
+@settings(max_examples=200, deadline=None)
+@given(scopes=st.lists(st.lists(st.integers(0, 12), max_size=5),
+                       max_size=12), data=st.data())
+def test_closed_neighbourhoods_among_a_prefix(scopes, data):
+    # Only the first ``among`` scopes count as neighbours.
+    among = data.draw(st.integers(0, len(scopes)))
+    assert closed_neighbourhoods(scopes, among) == tuple(
+        tuple(b for b in nb if b < among)
+        for nb in _pairwise_neighbourhoods(scopes))
+
+
 def test_restrict_to_window():
     base = BaseCode(6, 8)
     cset = enumerate_cycles(base, 4, "simple")
