@@ -8,10 +8,12 @@ avoidable target walk becomes a bad event: its linear forms
 values and mod Z for shifts) all vanish.  The event's scope is the set of
 variables its forms mention.
 
-Each run compiles its targets once (``compile_events``) into an
-``EventSystem``: the layout, and per event in canonical candidate order its
-label, forms, scope and dependency neighbourhood, and on first use its
-Theorem 1 ``certificate``.  ``run_mt`` then only resamples.  The solver is
+Each run compiles its targets once into an ``EventSystem``: the layout,
+and per event in canonical candidate order its label, forms, scope and
+dependency neighbourhood, and on first use its Theorem 1 ``certificate``.
+``compile_events`` memoises the last whole target set, so repeated trials
+compile each stage once; stage 2's per-trial survivors are compiled fresh.
+``run_mt`` then only resamples.  The solver is
 the classic resample-until-clean procedure with the depth-first recursion
 order made explicit:
 
@@ -99,12 +101,8 @@ class MTTrace:
     metadata: dict = field(default_factory=dict)
 
 
-# Pure over frozen inputs; only the certificate is filled in later, once.
-# One entry serves an experiment's repeated trials; more would keep an
-# earlier target set alive for the life of the process.
-@lru_cache(maxsize=1)
-def compile_events(cset: CandidateSet, scheme: CouplingScheme,
-                   stage: str) -> EventSystem:
+def _compile(cset: CandidateSet, scheme: CouplingScheme,
+             stage: str) -> EventSystem:
     """One event per target, in the set's canonical order; the targets
     with no forms in the stage are recorded as ``rejected``."""
     blocks = stage_blocks(scheme, stage)
@@ -116,6 +114,11 @@ def compile_events(cset: CandidateSet, scheme: CouplingScheme,
         cset, scheme, stage, blocks, len(index), tuple(c.key for c in cset),
         event_forms, scopes, closed_neighbourhoods(scopes),
         tuple(c.key for c, fs in zip(cset, event_forms) if not fs))
+
+
+# Pure over frozen inputs; only the certificate is filled in later, once.
+# Survivor sets bypass the one entry: a second would keep one alive.
+compile_events = lru_cache(maxsize=1)(_compile)
 
 
 def run_mt(system: EventSystem, seed: SeedLike,
@@ -218,18 +221,10 @@ def default_cap(cset: CandidateSet, probs) -> int:
     return _cap(_certify(cset, probs))
 
 
-def stage_cap(cset: CandidateSet, scheme: CouplingScheme, stage: str) -> int:
-    """``default_cap`` over ``stage_prob``, read off the compiled stage."""
-    return _cap(compile_events(cset, scheme, stage).certificate)
-
-
 def _grid_from_values(base: BaseCode, stage: str, values: Sequence[int],
                       offset: int = 0) -> Assignment:
-    grid: list[list[Optional[int]]] = [[None] * base.kappa
-                                       for _ in range(base.gamma)]
-    for n, (i, j) in enumerate(base.edges):
-        grid[i][j] = values[offset + n]
-    return Assignment(stage, tuple(tuple(row) for row in grid))
+    return Assignment.from_dict(stage, dict(zip(base.edges, values[offset:])),
+                                base.gamma, base.kappa)
 
 
 def run_stage_partition(base: BaseCode, scheme: CouplingScheme, targets,
@@ -257,7 +252,7 @@ def run_stage_lift(base: BaseCode, scheme: CouplingScheme,
     cset = _normalize_targets(base, targets)
     survivors = CandidateSet(base, tuple(
         c for c in cset if is_active_partition(c, partition)))
-    system = compile_events(survivors, scheme, "lift")
+    system = _compile(survivors, scheme, "lift")
     if max_resamples is None and len(survivors):
         max_resamples = _cap(system.certificate)
     values, trace = run_mt(system, seed, max_resamples)
@@ -315,22 +310,24 @@ def construct_two_stage(base: BaseCode, scheme: CouplingScheme, targets,
                         ) -> tuple[CodeInstance, TwoStageReport]:
     """Partition stage first (best effort), then lift the survivors.
 
-    Stage 1 runs over the targets the partition stage can thin; the rest
-    (its compile's ``rejected``, e.g. every target at memory 0) go to
-    stage 2 as they are.  Its cap defaults to the partition stage's
-    ``stage_cap`` when its certificate holds, and to 0 otherwise: without
-    a certificate a capped run guarantees nothing, so stage 1 is the
-    initial draw alone.  Whatever survives goes to the lift stage.
+    Stage 1 runs on the targets' partition compile or, when that compile
+    ``rejected`` some (e.g. every target at memory 0), on the compile of
+    the rest; the rejected go to stage 2 as they are.  Its cap defaults to
+    the stage-1 compile's cap when its certificate holds, and to 0
+    otherwise: without a certificate a capped run guarantees nothing, so
+    stage 1 is the initial draw alone.  Whatever survives goes to the lift
+    stage.
     """
     cset = _normalize_targets(base, targets)
-    rejected = set(compile_events(cset, scheme, "partition").rejected)
-    thinnable = CandidateSet(base, tuple(
-        c for c in cset if c.key not in rejected))
+    stage1 = compile_events(cset, scheme, "partition")
+    if stage1.rejected:
+        stage1 = compile_events(CandidateSet(base, tuple(
+            c for c, fs in zip(cset, stage1.forms) if fs)), scheme,
+            "partition")
     s1, s2 = derive_child_seeds(seed, 2)
     if stage1_max is None:
-        stage1_max = _cap(compile_events(thinnable, scheme,
-                                         "partition").certificate, 0)
-    partition, trace1 = run_stage_partition(base, scheme, thinnable, s1,
+        stage1_max = _cap(stage1.certificate, 0)
+    partition, trace1 = run_stage_partition(base, scheme, stage1.cset, s1,
                                             stage1_max)
     lift, trace2 = run_stage_lift(base, scheme, partition, cset, s2,
                                   stage2_max)

@@ -20,7 +20,8 @@ import pytest
 from scldpc import BaseCode, enumerate_cycles
 from scldpc.bounds import (EXACT_EXPONENT_LIMIT, _pow_float,
                            corollary4_bound, theorem1_feasibility,
-                           threshold_branch_i, threshold_branch_ii)
+                           theorem1_thresholds, threshold_branch_i,
+                           threshold_branch_ii)
 
 _DPS = 60
 
@@ -74,6 +75,35 @@ def test_corollary4_drift_matches_mpmath():
 def test_corollary4_overflow_reads_inf():
     assert _mp_pow(2, 1, 1024) == math.inf
     assert corollary4_bound(2, 2, 1024).value == math.inf
+
+
+@pytest.mark.parametrize("delta, h, w, winner", [
+    (EXACT_EXPONENT_LIMIT + 1, 4, 2, "II"),       # II exact, I float-only
+    (EXACT_EXPONENT_LIMIT + 1, 4, 10 ** 5, "I"),
+    (10 ** 5, 9000, 2, "II"),                     # both float-only
+    (10 ** 5, 10 ** 5, 3, "I"),
+    (10 ** 5, 4, 1, "I"),                         # no branch II
+])
+def test_float_only_threshold_decisions_match_mpmath(delta, h, w, winner):
+    # Past EXACT_EXPONENT_LIMIT branch I has no exact value, so the branch,
+    # the best threshold and admission are decided on floats.
+    with mpmath.workdps(_DPS):
+        branch_i = mpmath.power(delta - 1, delta - 1) / mpmath.power(
+            delta, delta)
+        branch_ii = (None if w == 1 else mpmath.power(h - 1, h - 1)
+                     / ((w - 1) * mpmath.power(h, h)))
+        best = branch_i if branch_ii is None else max(branch_i, branch_ii)
+        below, above = (Fraction(mpmath.nstr(best * f, 40))
+                        for f in (1 - mpmath.mpf(10) ** -9,
+                                  1 + mpmath.mpf(10) ** -9))
+    oracle_winner = ("I" if branch_ii is None or branch_i > branch_ii
+                     else "II")
+    assert oracle_winner == winner
+    t = theorem1_thresholds(delta, h, w)
+    assert t.i_exact is None and t.best_exact is None
+    assert t.branch == winner
+    assert t.best_float == float(best)
+    assert t.admits(below) and not t.admits(above)
 
 
 @pytest.mark.parametrize("args", [

@@ -15,6 +15,8 @@ from scldpc import (BaseCode, CandidateSet, CouplingScheme, ExperimentConfig,
                     StructureSpec, enumerate_cycles, estimate_baseline,
                     estimate_mt_shift, spreading_prob_exact, sweep,
                     verify_theorem2, wilson_interval)
+from scldpc import bounds
+from scldpc.cli import EXIT_CHECK_FAILED, EXIT_OK, main
 from scldpc.experiments import (MODES, Z99_ONE_SIDED, _null_check,
                                 _overlap_counts, _stage, _sum)
 from scldpc.moser_tardos import compile_events
@@ -146,6 +148,23 @@ def test_shift_is_deterministic():
     assert [(o.key, o.hits) for o in a.observables] == \
         [(o.key, o.hits) for o in b.observables]
     assert a.resamples.total == b.resamples.total
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_shift_uses_the_observed_delta_without_a_c4_family(mode):
+    # The c6 targets are no complete 4-cycle family, so there is no closed
+    # form: the study runs on the certificate's observed degree and p.
+    cfg = ExperimentConfig(
+        gamma=3, kappa=4, scheme=CouplingScheme.uniform(6, lifting_degree=7),
+        mode=mode, trials=20, seed=3, eliminate=StructureSpec(6),
+        observe=(StructureSpec(4),))
+    stats = estimate_mt_shift(cfg)
+    certificate = compile_events(StructureSpec(6).build(cfg.base),
+                                 cfg.scheme, _stage(cfg)).certificate
+    assert stats.trials_ok == 20
+    assert stats.delta_source == "observed" and stats.delta_formula is None
+    assert stats.delta_used == stats.delta_observed == certificate.delta
+    assert stats.p_elim_max == certificate.p_max
 
 
 def test_failed_trials_are_counted_not_dropped():
@@ -322,6 +341,34 @@ def test_theorem2_verdict_uses_the_reported_allowance():
     assert rep.passed is (rep.mean <= float(rep.bound) + rep.allowance)
 
 
+def test_failed_theorem2_check_fails_the_shift_study(fresh_compile,
+                                                     monkeypatch, capsys):
+    # Every observable check passes here, and so does the real Theorem 2
+    # bound; a bound of 0 resamples alone must fail the study.
+    cfg = ExperimentConfig(
+        gamma=3, kappa=7, scheme=CouplingScheme.uniform(1,
+                                                        lifting_degree=34),
+        mode="joint", trials=60, seed=2,
+        eliminate=StructureSpec(4), observe=(StructureSpec(6),))
+    argv = ["experiment", "--gamma", "3", "--kappa", "7", "--m", "1",
+            "--lifting", "34", "--mode", "joint", "--trials", "60",
+            "--seed", "2", "--op", "shift"]
+    stats = estimate_mt_shift(cfg)
+    assert stats.resamples.bound_holds is True and stats.all_checks_pass
+    assert main(argv) == EXIT_OK
+
+    monkeypatch.setattr(bounds, "theorem2_resample_bound",
+                        lambda *args: Fraction(0))
+    compile_events.cache_clear()
+    stats = estimate_mt_shift(cfg)
+    assert stats.resamples.bound == 0 and stats.resamples.mean > 0
+    assert not any(o.check_passed is False for o in stats.observables)
+    assert stats.resamples.bound_holds is False
+    assert stats.all_checks_pass is False
+    assert main(argv) == EXIT_CHECK_FAILED
+    capsys.readouterr()
+
+
 def test_theorem2_not_applicable_when_infeasible():
     cfg = _config(trials=50)                      # m=2 at 3x3: infeasible
     rep = verify_theorem2(cfg)
@@ -379,6 +426,23 @@ def test_sweep_records_cell_errors():
     rows = list(csv.DictReader(io.StringIO(text)))
     assert "AdmissionError" in rows[0]["error"]   # m=0 is unresamplable
     assert rows[1]["error"] == ""
+
+
+@pytest.mark.parametrize("param, bad, good, error", [
+    ("Z", 0, 5, "ValueError: lifting degree must be at least 1"),
+    ("gamma", 0, 4, "ValueError: base dimensions must be at least 1x1"),
+    ("kappa", 1, 4, "ValueError: eliminate spec matches no candidates"),
+])
+def test_sweep_over_each_code_dimension(param, bad, good, error):
+    text = sweep(_config(trials=10), param, [bad, good])
+    failed, ran = csv.DictReader(io.StringIO(text))
+    assert (failed["param"], failed["value"], failed["error"]) == \
+        (param, str(bad), error)
+    # The cell after the failed one still runs, on the swept value.
+    assert (ran["param"], ran["value"], ran[param]) == \
+        (param, str(good), str(good))
+    assert ran["error"] == "" and ran["all_checks_pass"] in ("True", "False")
+    assert int(ran["trials"]) == 10
 
 
 def test_sweep_empty_values_is_header_only():

@@ -1,17 +1,17 @@
 """Stage rules against the per-stage code they replaced, and the harness
 against the runners it calls.
 
-``probability.stage_prob``, ``moser_tardos.stage_cap`` and
-``walks.is_active`` each replaced copies in the stage runners, the
-experiment harness and the CLI.  The old copies are kept below as oracles,
-on c4, c6 and tbc 8-walks (coefficients +-2) under uniform, non-uniform and
-one-value patterns.  The experiment harness owns no budget: its trials
-must equal direct runner calls, counted as each finishes, with no earlier
-trial's output kept alive.  A compiled stage owns its decisions:
-``compile_events``' one-entry memo must equal fresh computations, its
-``rejected`` targets are exactly those certain to occur, and its Theorem 1
-certificate is computed only when a default budget or the harness reads
-it.
+``probability.stage_prob``, the default budget each stage runner hands
+to ``run_mt`` and ``walks.is_active`` each replaced copies in the stage
+runners, the experiment harness and the CLI.  The old copies are kept below
+as oracles, on c4, c6 and tbc 8-walks (coefficients +-2) under uniform,
+non-uniform and one-value patterns.  The experiment harness owns no budget:
+its trials must equal direct runner calls, counted as each finishes, with
+no earlier trial's output kept alive.  A compiled stage owns its decisions:
+``compile_events``' one-entry memo must equal fresh computations and hold
+the whole target set across two-stage trials, its ``rejected`` targets are
+exactly those certain to occur, and its Theorem 1 certificate is computed
+only when a default budget or the harness reads it.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ from scldpc import (AdmissionError, Assignment, BaseCode, CandidateSet,
                     is_active_lift, is_active_partition, joint_prob,
                     lift_prob_exact, run_joint, run_stage_lift,
                     run_stage_partition, spreading_prob_exact)
-from scldpc import bounds, experiments, walks
-from scldpc.moser_tardos import (FALLBACK_CAP, compile_events, run_mt,
-                                 stage_cap)
+from scldpc import bounds, experiments, moser_tardos, walks
+from scldpc.moser_tardos import FALLBACK_CAP, compile_events, run_mt
 from scldpc.probability import seed_sequence, stage_blocks, stage_prob
 from scldpc.walks import is_active
 
@@ -87,6 +86,36 @@ def _old_is_active(cand, mode, partition, lift, z):
             and is_active_lift(cand, lift, z))
 
 
+class _Handed(Exception):
+    """Raised by the ``run_mt`` stand-in; its one arg is the budget."""
+
+
+def _budget(runner, *args):
+    """The resample budget ``runner`` hands to ``run_mt``, captured by a
+    stand-in that returns at once (by raising)."""
+    def handed(system, seed, max_resamples=None):
+        raise _Handed(max_resamples)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moser_tardos, "run_mt", handed)
+        with pytest.raises(_Handed) as got:
+            runner(*args)
+    return got.value.args[0]
+
+
+def _stage_budget(cset, scheme, stage):
+    """The default budget of ``stage``'s runner over ``cset``; an all-zero
+    partition leaves every target alive for the lift stage."""
+    base = cset.base
+    if stage == "partition":
+        return _budget(run_stage_partition, base, scheme, cset, 0)
+    if stage == "lift":
+        zero = Assignment.from_dict("partition", {e: 0 for e in base.edges},
+                                    base.gamma, base.kappa)
+        return _budget(run_stage_lift, base, scheme, zero, cset, 0)
+    return _budget(run_joint, base, scheme, cset, 0)
+
+
 def _config(scheme, mode, cap=None):
     return ExperimentConfig(3, 4, scheme, mode, 1, 0, StructureSpec(4),
                             (StructureSpec(6),), cap)
@@ -108,11 +137,20 @@ def test_stage_prob_equals_old_per_stage_choice(scheme):
 
 @pytest.mark.parametrize("scheme", CAP_SCHEMES, ids=range(len(CAP_SCHEMES)))
 def test_stage_cap_equals_default_cap_over_old_list(scheme):
+    # The stage cap is the budget each runner hands to run_mt by default.
     for cset in _walk_sets():
         for stage in ("partition", "lift", "joint"):
             probs = [_old_stage_prob(c, scheme, stage) for c in cset]
-            assert stage_cap(cset, scheme, stage) == \
+            assert _stage_budget(cset, scheme, stage) == \
                 default_cap(cset, probs)
+        # Distinct powers of 5: no signed sum with coefficients in -2..2
+        # vanishes, so no target survives and the lift stage is uncapped.
+        base = cset.base
+        spread = Assignment.from_dict(
+            "partition", {e: 5 ** n for n, e in enumerate(base.edges)},
+            base.gamma, base.kappa)
+        assert not any(is_active_partition(c, spread) for c in cset)
+        assert _budget(run_stage_lift, base, scheme, spread, cset, 0) is None
 
 
 @pytest.mark.parametrize("cap", [None, 77])
@@ -163,11 +201,14 @@ def test_run_trials_calls_the_runners_as_they_are(mode, cap, monkeypatch):
         survivors = CandidateSet(base, tuple(
             c for c in elim if c.key in report.survivor_keys))
         want = cap if cap is not None else (
-            stage_cap(survivors, scheme, "lift") if len(survivors) else None)
+            default_cap(survivors, [_old_stage_prob(c, scheme, "lift")
+                                    for c in survivors])
+            if len(survivors) else None)
         assert report.lift_trace.max_resamples == want
         lift_caps.add(want)
     if mode == "two-stage" and cap is None:
-        assert lift_caps != {stage_cap(elim, scheme, "lift")}
+        assert lift_caps != {default_cap(elim, [
+            _old_stage_prob(c, scheme, "lift") for c in elim])}
 
 
 @pytest.mark.parametrize("mode", experiments.MODES)
@@ -203,7 +244,7 @@ def test_two_stage_stage1_cap_is_the_certified_cap_or_zero():
     base = BaseCode(3, 4)
     scheme = CouplingScheme.uniform(1, lifting_degree=8)
     c4 = enumerate_cycles(base, 4)
-    assert stage_cap(c4, scheme, "partition") == FALLBACK_CAP
+    assert _stage_budget(c4, scheme, "partition") == FALLBACK_CAP
     for seed in range(4):
         default = construct_two_stage(base, scheme, c4, seed)
         assert default == construct_two_stage(base, scheme, c4, seed,
@@ -214,7 +255,7 @@ def test_two_stage_stage1_cap_is_the_certified_cap_or_zero():
     base = BaseCode(3, 3)
     scheme = CouplingScheme.uniform(18, lifting_degree=7)
     c4 = enumerate_cycles(base, 4)
-    cap = stage_cap(c4, scheme, "partition")
+    cap = _stage_budget(c4, scheme, "partition")
     assert cap == 2000
     for seed in range(4):
         assert construct_two_stage(base, scheme, c4, seed) == \
@@ -237,14 +278,15 @@ def test_memos_equal_fresh_computations():
              (c6, "joint"), (c6, "joint")]
     compile_events.cache_clear()
     memo = [(_by_value(compile_events(cset, scheme, stage)),
-             stage_cap(cset, scheme, stage)) for cset, stage in calls]
-    # Three repeated compiles, and every stage_cap reads the stage just
-    # compiled.
-    assert compile_events.cache_info().hits == 3 + len(calls)
+             _stage_budget(cset, scheme, stage)) for cset, stage in calls]
+    # Three repeated compiles, and the partition and joint runners read
+    # the stage just compiled; the lift runner compiles its survivors
+    # outside the memo.
+    assert compile_events.cache_info().hits == 3 + 6
     for (cset, stage), got in zip(calls, memo):
         compile_events.cache_clear()
         assert got == (_by_value(compile_events(cset, scheme, stage)),
-                       stage_cap(cset, scheme, stage))
+                       _stage_budget(cset, scheme, stage))
     # A rejected system is cached like any other; run_mt raises on every
     # call.
     one_value = CouplingScheme.uniform(0, lifting_degree=3)
@@ -260,13 +302,17 @@ def test_memos_equal_fresh_computations():
     assert compile_events.cache_info().misses == 1
 
 
-@pytest.fixture
-def fresh_compile():
-    """An empty compile memo before and after: a cached system keeps the
-    certificate it computed, also under a monkeypatched Theorem 1."""
+def test_two_stage_trials_compile_stage1_once():
+    # Stage 1 reads the whole set's memoised compile in every trial; the
+    # survivors of stage 2 differ per trial and stay out of the memo.
+    scheme = CouplingScheme.uniform(1, lifting_degree=8)
+    config = ExperimentConfig(3, 4, scheme, "two-stage", 12, 5,
+                              StructureSpec(4), (StructureSpec(6),))
+    elim = StructureSpec(4).build(config.base)
     compile_events.cache_clear()
-    yield
-    compile_events.cache_clear()
+    experiments._run_trials(config, elim)
+    info = compile_events.cache_info()
+    assert (info.misses, info.hits) == (1, 2 * config.trials - 1)
 
 
 def test_certified_stage1_budget_at_the_fallback_value_is_kept(
@@ -283,7 +329,7 @@ def test_certified_stage1_budget_at_the_fallback_value_is_kept(
     base = BaseCode(3, 3)
     scheme = CouplingScheme.uniform(18, lifting_degree=7)
     c4 = enumerate_cycles(base, 4)
-    assert stage_cap(c4, scheme, "partition") == FALLBACK_CAP
+    assert _stage_budget(c4, scheme, "partition") == FALLBACK_CAP
     _, report = construct_two_stage(base, scheme, c4, 3)
     assert report.partition_trace.max_resamples == FALLBACK_CAP == 10 ** 6
 
