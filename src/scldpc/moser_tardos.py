@@ -11,7 +11,7 @@ variables its forms mention.
 Each run compiles its targets once into an ``EventSystem``: the layout,
 and per event in canonical candidate order its label, forms, scope and
 dependency neighbourhood, and on first use its Theorem 1 ``certificate``.
-``compile_events`` memoises the last whole target set, so repeated trials
+``compile_events`` memoises two whole target sets, so repeated trials
 compile each stage once; stage 2's per-trial survivors are compiled fresh.
 ``run_mt`` then only resamples.  The solver is
 the classic resample-until-clean procedure with the depth-first recursion
@@ -26,7 +26,9 @@ order made explicit:
 
 "least" always means the global canonical candidate order restricted to
 the relevant subset (recorded in trace metadata), and "sharing scope"
-includes e itself.  Every run is a pure function of (inputs, seed).
+includes e itself.  ``run_mt`` runs the recursion as one loop over a
+stack of the RESAMPLE calls in progress; an empty stack is the outer
+loop.  Every run is a pure function of (inputs, seed).
 
 Tautological targets (no forms left: all coefficients zero, a one-value
 pattern, or every coefficient divisible by Z) can never be resampled away:
@@ -117,18 +119,23 @@ def _compile(cset: CandidateSet, scheme: CouplingScheme,
 
 
 # Pure over frozen inputs; only the certificate is filled in later, once.
-# Survivor sets bypass the one entry: a second would keep one alive.
-compile_events = lru_cache(maxsize=1)(_compile)
+# A trial compiles at most two whole sets (the targets and, when some are
+# rejected, the thinnable rest); survivor sets bypass the memo.
+compile_events = lru_cache(maxsize=2)(_compile)
 
 
 def run_mt(system: EventSystem, seed: SeedLike,
            max_resamples: Optional[int] = None) -> tuple[list[int], MTTrace]:
     """Resample until no event occurs (or the cap is hit).
 
-    None disables the cap (``run_stage_lift``'s default with no
-    survivors); a negative cap is a ValueError.  Returns the final
-    values and the trace; ``terminated`` is False iff the cap cut the
-    run short, in which case the values are the partial state.
+    Each step takes the least occurring event among the top call's
+    neighbours (among all events on an empty stack: a wall iteration),
+    checks the cap, then redraws and pushes it; with none it pops, or on
+    an empty stack the run has terminated.  None disables the cap
+    (``run_stage_lift``'s default with no survivors); a negative cap is a
+    ValueError.  Returns the final values and the trace; ``terminated`` is
+    False iff the cap cut the run short, in which case the values are the
+    partial state.
     """
     if system.rejected:
         raise AdmissionError(system.rejected, system.stage)
@@ -137,42 +144,32 @@ def run_mt(system: EventSystem, seed: SeedLike,
     blocks, n_vars, event_forms = system.blocks, system.n, system.forms
     scopes, neighbors = system.scopes, system.neighbors
     gen = rng(seed)
-    n_ev = len(event_forms)
     values = draw(gen, blocks, n_vars)
     occ = [vanish(f, values) for f in event_forms]
-    per_event = [0] * n_ev
+    per_event = [0] * len(occ)
     total = 0
     wall = 0
-    capped = False
-
-    def resample(n: int) -> bool:
-        """One redraw of event n's scope; False when the cap refuses it."""
-        nonlocal total
+    stack: list[int] = []  # the RESAMPLE calls in progress, innermost last
+    while True:
+        scan = neighbors[stack[-1]] if stack else range(len(occ))
+        nxt = next((t for t in scan if occ[t]), None)
+        if nxt is None:
+            if not stack:
+                break
+            stack.pop()
+            continue
+        if not stack:
+            wall += 1
         if max_resamples is not None and total >= max_resamples:
-            return False
-        draw(gen, blocks, n_vars, values, scopes[n])
-        total += 1
-        per_event[n] += 1
-        for t in neighbors[n]:
-            occ[t] = vanish(event_forms[t], values)
-        return True
-
-    while not capped:
-        start = next((n for n in range(n_ev) if occ[n]), None)
-        if start is None:
             break
-        wall += 1
-        capped = not resample(start)
-        stack = [start]
-        while stack and not capped:
-            nxt = next((t for t in neighbors[stack[-1]] if occ[t]), None)
-            if nxt is None:
-                stack.pop()
-            else:
-                capped = not resample(nxt)
-                stack.append(nxt)
+        draw(gen, blocks, n_vars, values, scopes[nxt])
+        total += 1
+        per_event[nxt] += 1
+        for t in neighbors[nxt]:
+            occ[t] = vanish(event_forms[t], values)
+        stack.append(nxt)
 
-    terminated = not capped
+    terminated = nxt is None
     if terminated and any(vanish(f, values) for f in event_forms):
         raise AssertionError("resampler stopped while an event still occurs")
     trace = MTTrace(

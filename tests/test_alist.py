@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -144,3 +146,24 @@ def test_parse_accepts_any_line_break():
     h = parse_alist("\n".join(lines))
     for sep in ("\r\n", "\r", "\n\n", "\f"):
         assert parse_alist(sep.join(lines)) == h
+
+
+# The 2x3 layout of test_known_text_layout, one line edited per case.
+_LAYOUT = ["3 2", "2 2", "1 2 1", "2 2", "1 0", "1 2", "2 0", "1 2", "2 3"]
+
+
+@pytest.mark.parametrize("line, text, message", [
+    pytest.param(2, "1 2", "alist degree list length mismatch",
+                 id="degree-list-length"),
+    pytest.param(4, "1", "column 0: line not padded to max degree",
+                 id="column-padding"),
+    pytest.param(7, "1 0", "row 0: degree does not match entries",
+                 id="row-degree"),
+])
+def test_parse_input_checks(line, text, message):
+    lines = list(_LAYOUT)
+    assert parse_alist("\n".join(lines)) == SparseBinaryMatrix.from_entries(
+        2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)])
+    lines[line] = text
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_alist("\n".join(lines))

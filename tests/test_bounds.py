@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
-from scldpc import (COROLLARY4_CAP, BaseCode, CouplingScheme,
+from scldpc import (COROLLARY4_CAP, BaseCode, CandidateSet, CouplingScheme,
                     build_base_edge_cover, build_pairwise_cover,
                     c4_block_dims, corollary1_check, corollary1_min_z,
                     corollary4_bound, dependency_degree, enumerate_cycles,
@@ -15,6 +16,7 @@ from scldpc import (COROLLARY4_CAP, BaseCode, CouplingScheme,
                     theorem1_feasibility, theorem1_thresholds,
                     theorem2_resample_bound, threshold_branch_i,
                     threshold_branch_ii, verify_cover)
+from scldpc.bounds import CliqueCover
 
 
 # ---------------------------------------------------------------------------
@@ -316,3 +318,89 @@ def test_lemma2_rejects_uncovered_events():
     with pytest.raises(ValueError):
         lemma2_evaluate(cover, len(cset) + 1,
                         [Fraction(3, 272)] * (len(cset) + 1))
+
+
+# ---------------------------------------------------------------------------
+# Input checks and the degenerate paths
+# ---------------------------------------------------------------------------
+
+_C4_3X3 = enumerate_cycles(BaseCode(3, 3), 4)
+_C6_3X3 = enumerate_cycles(BaseCode(3, 3), 6)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: threshold_branch_i(-1),
+                 "delta must be non-negative", id="branch-i-delta"),
+    pytest.param(lambda: threshold_branch_ii(1, 2),
+                 "structure size must be at least 2", id="branch-ii-size"),
+    pytest.param(lambda: threshold_branch_ii(4, 0),
+                 "harmful weight must be at least 1", id="branch-ii-weight"),
+    pytest.param(lambda: theorem2_resample_bound(-1, "I", 5, 2, 4),
+                 "candidate count cannot be negative", id="theorem2-count"),
+    pytest.param(lambda: theorem2_resample_bound(1, "III", 5, 2, 4),
+                 "unknown branch 'III'", id="theorem2-branch"),
+    pytest.param(lambda: formula_delta_c4(1, 3),
+                 "need at least a 2x2 base", id="formula-delta-base"),
+    pytest.param(lambda: theorem1_feasibility(_C4_3X3, []),
+                 "one probability per candidate, in set order",
+                 id="theorem1-probs"),
+    pytest.param(lambda: theorem1_feasibility(
+                     _C6_3X3, [Fraction(1, 100)] * len(_C6_3X3)),
+                 "closed-form delta applies only to complete 4-cycle "
+                 "families", id="theorem1-formula-on-c6"),
+    pytest.param(lambda: theorem1_feasibility(
+                     _C4_3X3, [Fraction(1, 100)] * 9, delta_source="guess"),
+                 "unknown delta source 'guess'", id="theorem1-source"),
+    pytest.param(lambda: corollary1_check(3, 3, -1, 5),
+                 "memory must be >= 0 and Z >= 1", id="corollary1-memory"),
+    pytest.param(lambda: shift_bound_symmetric(Fraction(1), 5, 1),
+                 "probability must be in [0, 1)", id="shift-probability"),
+    pytest.param(lambda: shift_bound_symmetric(Fraction(1, 10), 0, 1),
+                 "delta must be >= 1 and overlap count >= 0",
+                 id="shift-delta"),
+    pytest.param(lambda: corollary4_bound(1, 3, 6),
+                 "need at least a 2x2 all-ones base", id="corollary4-base"),
+    pytest.param(lambda: corollary4_bound(3, 3, 5),
+                 "cycle length must be even and non-negative",
+                 id="corollary4-length"),
+    pytest.param(lambda: CliqueCover("pairwise", (), Fraction(1)),
+                 "clique weight must lie in (0, 1)", id="cover-weight"),
+    pytest.param(lambda: lemma2_evaluate(
+                     CliqueCover("pairwise", ((0, 1),), Fraction(1, 2)), 2,
+                     [Fraction(1, 10)]),
+                 "one probability per event", id="lemma2-probs"),
+    pytest.param(lambda: lemma2_evaluate(
+                     CliqueCover("pairwise", ((0, 2),), Fraction(1, 2)), 2,
+                     [Fraction(1, 10)] * 2),
+                 "clique references unknown event index",
+                 id="lemma2-index"),
+    pytest.param(lambda: build_pairwise_cover(
+                     CandidateSet(_C4_3X3.base, _C4_3X3.candidates[:1])),
+                 "default weight 1/Delta needs Delta >= 2",
+                 id="pairwise-default-weight"),
+    pytest.param(lambda: build_base_edge_cover(enumerate_cycles(
+                     BaseCode(2, 2), 4)),
+                 "default weight needs harmful weight >= 2",
+                 id="base-edge-default-weight"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_c4_block_dims_degenerate_sets():
+    assert c4_block_dims(CandidateSet(_C4_3X3.base, ())) is None
+    # The 4-cycles of a 3x3 block with (2, 2) masked span rows and
+    # columns 0-2, so the block they span misses an edge.
+    masked = BaseCode(3, 3, mask=((1, 1, 1), (1, 1, 1), (1, 1, 0)))
+    cset = enumerate_cycles(masked, 4)
+    assert len(cset) == 5
+    assert c4_block_dims(cset) is None
+    assert c4_block_dims(_C4_3X3) == (3, 3)
+
+
+def test_cover_default_weights():
+    # 3x3 c4: Delta_observed = 8 (every two 4-cycles share an edge), and
+    # harmful weight W = 4 with h = 4 vertices per 4-cycle.
+    assert build_pairwise_cover(_C4_3X3).x == Fraction(1, 8)
+    assert build_base_edge_cover(_C4_3X3).x == Fraction(1, 12)

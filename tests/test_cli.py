@@ -5,12 +5,13 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from scldpc import (Assignment, BaseCode, CodeInstance, CouplingScheme,
-                    export_instance_json)
-from scldpc import cli
+                    SparseBinaryMatrix, export_instance_json)
+from scldpc import bounds, cli
 from scldpc.cli import (EXIT_CAP_EXHAUSTED, EXIT_CHECK_FAILED, EXIT_OK,
                         EXIT_USAGE, main)
 
@@ -496,6 +497,53 @@ def test_experiment_with_no_terminated_trial_fails(capsys):
     assert doc["trials_ok"] == 0
     assert doc["all_checks_pass"] is False
     assert code == EXIT_CHECK_FAILED
+
+
+def test_experiment_theorem2_failed_check_exits_1(fresh_compile, monkeypatch,
+                                                 capsys):
+    # test_experiment_theorem2_op's run, against a bound of 0 resamples.
+    monkeypatch.setattr(bounds, "theorem2_resample_bound",
+                        lambda *args: Fraction(0))
+    code = run_cli("experiment", "--gamma", "3", "--kappa", "7", "--m", "1",
+                   "--lifting", "34", "--mode", "joint", "--trials", "60",
+                   "--seed", "2", "--op", "theorem2")
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["bound"] == "0/1" and doc["passed"] is False
+    assert code == EXIT_CHECK_FAILED
+
+
+def test_export_parse_back_mismatch_exits_1(tmp_path, capsys, monkeypatch):
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps(_instance_doc()))
+    monkeypatch.setattr(cli, "parse_alist",
+                        lambda text: SparseBinaryMatrix(0, 0, []))
+    code = run_cli("export", str(instance), str(tmp_path / "x.alist"))
+    assert code == EXIT_CHECK_FAILED
+    assert capsys.readouterr().out == \
+        "export-check: FAIL (parse-back mismatch)\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "--gamma", "3", "--kappa", "4", "--m", "1", "--out", "{dir}"],
+     "is a directory"),
+    (["bounds", "--gamma", "3", "--kappa", "3", "--m", "1",
+      "--pattern", "0,1"], "--m and --pattern are mutually exclusive"),
+    (["experiment", "--config", "{list_config}"],
+     "experiment config must be a JSON object"),
+    (["experiment", "--gamma", "3", "--kappa", "3"],
+     "spreading scheme is required (config or --m)"),
+    (["experiment", "--gamma", "3", "--kappa", "3", "--m", "1",
+      "--sweep", "m"], "--sweep requires --sweep-values"),
+], ids=["out-is-a-directory", "m-with-pattern", "config-not-an-object",
+        "no-scheme", "sweep-without-values"])
+def test_usage_errors_exit_2(argv, message, tmp_path, capsys):
+    (tmp_path / "list.json").write_text("[1, 2]")
+    paths = {"dir": tmp_path, "list_config": tmp_path / "list.json"}
+    code = run_cli(*(arg.format(**paths) for arg in argv))
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
 
 
 # ---------------------------------------------------------------------------

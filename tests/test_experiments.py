@@ -60,6 +60,13 @@ def test_config_validation():
         _config(cap=-1)
 
 
+@pytest.mark.parametrize("two_g", [2, 5])
+def test_structure_spec_rejects_bad_lengths(two_g):
+    with pytest.raises(ValueError,
+                       match="cycle length must be an even number >= 4"):
+        StructureSpec(two_g)
+
+
 def test_overlapping_observe_and_eliminate_rejected():
     cfg = _config(observe=(StructureSpec(4),))
     with pytest.raises(ValueError):

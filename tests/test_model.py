@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -363,3 +364,51 @@ def test_assignment_from_dict_roundtrip():
     assert a.covers(base)
     assert dict(a.items()) == {e: k for k, e in enumerate(base.edges)}
     assert a[(1, 2)] == 5
+
+
+# ---------------------------------------------------------------------------
+# Input checks
+# ---------------------------------------------------------------------------
+
+_HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    pytest.param(lambda: SparseBinaryMatrix(-1, 0, []), ValueError,
+                 "negative matrix dimension", id="matrix-negative-dim"),
+    pytest.param(lambda: SparseBinaryMatrix(1, 2, [[0]]), ValueError,
+                 "col_rows length does not match ncols",
+                 id="matrix-col-count"),
+    pytest.param(lambda: SparseBinaryMatrix.from_entries(2, 2, [(2, 0)]),
+                 ValueError, "entry (2,0) out of range",
+                 id="matrix-entry-range"),
+    pytest.param(lambda: BaseCode(2, 2, mask=((1, 2), (1, 1))), ValueError,
+                 "mask entries must be 0 or 1", id="base-mask-entry"),
+    pytest.param(lambda: CouplingScheme((), ()), ValueError,
+                 "empty spreading pattern", id="scheme-empty"),
+    pytest.param(lambda: CouplingScheme((-1, 0), (_HALF, _HALF)), ValueError,
+                 "pattern values must be non-negative",
+                 id="scheme-negative-value"),
+    pytest.param(lambda: CouplingScheme((0, 1), (1,)), ValueError,
+                 "probs length must match pattern length",
+                 id="scheme-probs-length"),
+    pytest.param(lambda: CouplingScheme((0, 1), (0, 1)), ValueError,
+                 "probabilities must be strictly positive",
+                 id="scheme-zero-prob"),
+    pytest.param(lambda: CouplingScheme.uniform(-1), ValueError,
+                 "memory must be non-negative", id="uniform-negative-memory"),
+    pytest.param(lambda: Assignment("joint", ((0,),)), ValueError,
+                 "unknown stage 'joint'", id="assignment-stage"),
+    pytest.param(lambda: Assignment("partition", ((None,),))[(0, 0)],
+                 KeyError, "no value on edge (0,0)", id="assignment-missing"),
+])
+def test_input_checks(call, exc, message):
+    with pytest.raises(exc, match=re.escape(message)):
+        call()
+
+
+def test_assignment_of_another_shape_does_not_cover():
+    base = BaseCode(2, 2)
+    assert not Assignment("partition", ((0, 0),)).covers(base)
+    assert not Assignment("partition", ((0,), (0,))).covers(base)
+    assert Assignment("partition", ((0, 0), (0, 0))).covers(base)

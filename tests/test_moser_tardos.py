@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,8 @@ from scldpc import (AdmissionError, Assignment, BaseCode, CandidateSet,
                     enumerate_cycles, girth, joint_prob, run_joint,
                     run_stage_lift, run_stage_partition,
                     spreading_prob_exact)
-from scldpc.moser_tardos import compile_events, run_mt
+from scldpc.moser_tardos import MTTrace, compile_events, run_mt
+from scldpc.probability import draw, recorded_seed, rng, vanish
 from scldpc.walks import WalkCandidate, is_active_lift, is_active_partition
 
 
@@ -138,6 +140,18 @@ def test_negative_cap_is_rejected(cap):
     system = compile_events(enumerate_cycles(base, 4), scheme, "joint")
     with pytest.raises(ValueError, match="non-negative"):
         run_mt(system, 0, cap)
+
+
+@pytest.mark.parametrize("runner", [
+    run_stage_partition, run_joint, construct_two_stage,
+    lambda base, scheme, targets, seed: run_stage_lift(
+        base, scheme, _flat_partition(base), targets, seed),
+], ids=["partition", "joint", "two-stage", "lift"])
+def test_targets_over_another_base_are_rejected(runner):
+    scheme = CouplingScheme.uniform(1, lifting_degree=2)
+    with pytest.raises(ValueError,
+                       match="target set was built over a different base"):
+        runner(BaseCode(3, 4), scheme, enumerate_cycles(BaseCode(3, 3), 4), 0)
 
 
 def test_numpy_integer_seed_is_recorded():
@@ -349,12 +363,13 @@ def test_default_cap_fallback_when_infeasible():
 # ---------------------------------------------------------------------------
 
 @st.composite
-def _target_sets(draw) -> tuple[CandidateSet, CouplingScheme]:
+def _target_sets(draw, max_kappa: int = 4
+                 ) -> tuple[CandidateSet, CouplingScheme]:
     """A random subset of the 4-, 6- or tbc 8-walks over a random masked
     base, with a pattern of at least two values and a small Z >= 2 (an
     even Z drops the +-2 terms of 8-walks from the lift scopes)."""
     gamma = draw(st.integers(2, 3))
-    kappa = draw(st.integers(2, 4))
+    kappa = draw(st.integers(2, max_kappa))
     cell = st.sampled_from((1, 1, 0)) if draw(st.booleans()) else st.just(1)
     mask = draw(st.lists(st.lists(cell, min_size=kappa, max_size=kappa),
                          min_size=gamma, max_size=gamma))
@@ -407,3 +422,106 @@ def test_compiled_neighbors_are_the_dependency_graph(targets):
     assert system.labels == tuple(c.key for c in lift_set)
     assert system.neighbors == _closed_neighbourhoods(len(lift_set),
                                                       lift_pairs)
+
+
+# ---------------------------------------------------------------------------
+# run_mt against the outer/inner loop pair it replaced
+# ---------------------------------------------------------------------------
+
+def _old_run_mt(system, seed, max_resamples=None):
+    """``run_mt`` as it was before the one-loop rewrite, verbatim."""
+    if system.rejected:
+        raise AdmissionError(system.rejected, system.stage)
+    if max_resamples is not None and max_resamples < 0:
+        raise ValueError("resample cap must be non-negative")
+    blocks, n_vars, event_forms = system.blocks, system.n, system.forms
+    scopes, neighbors = system.scopes, system.neighbors
+    gen = rng(seed)
+    n_ev = len(event_forms)
+    values = draw(gen, blocks, n_vars)
+    occ = [vanish(f, values) for f in event_forms]
+    per_event = [0] * n_ev
+    total = 0
+    wall = 0
+    capped = False
+
+    def resample(n: int) -> bool:
+        """One redraw of event n's scope; False when the cap refuses it."""
+        nonlocal total
+        if max_resamples is not None and total >= max_resamples:
+            return False
+        draw(gen, blocks, n_vars, values, scopes[n])
+        total += 1
+        per_event[n] += 1
+        for t in neighbors[n]:
+            occ[t] = vanish(event_forms[t], values)
+        return True
+
+    while not capped:
+        start = next((n for n in range(n_ev) if occ[n]), None)
+        if start is None:
+            break
+        wall += 1
+        capped = not resample(start)
+        stack = [start]
+        while stack and not capped:
+            nxt = next((t for t in neighbors[stack[-1]] if occ[t]), None)
+            if nxt is None:
+                stack.pop()
+            else:
+                capped = not resample(nxt)
+                stack.append(nxt)
+
+    terminated = not capped
+    if terminated and any(vanish(f, values) for f in event_forms):
+        raise AssertionError("resampler stopped while an event still occurs")
+    trace = MTTrace(
+        total_resamples=total,
+        per_event=dict(zip(system.labels, per_event)),
+        wall_iterations=wall,
+        terminated=terminated,
+        seed=recorded_seed(seed),
+        max_resamples=max_resamples,
+        metadata={"inner_order": "global-least-index"},
+    )
+    return values, trace
+
+
+# A cap of None runs as long as the old loop terminates within this; a
+# system it cannot clear that fast runs at this cap instead.
+_UNCAPPED_PROBE = 400
+
+# c4 at memory 1, Z=2.  The cap cuts 3x3 seed 0 at its first wall start
+# (cap 0) and inside a RESAMPLE call (cap 4), and 3x5 seed 26 at the start
+# of its second wall; on 3x5, events outside the top call's neighbours
+# occur while it runs.
+_C4_3X3 = (enumerate_cycles(BaseCode(3, 3), 4),
+           CouplingScheme.uniform(1, lifting_degree=2))
+_C4_3X5 = (enumerate_cycles(BaseCode(3, 5), 4),
+           CouplingScheme.uniform(1, lifting_degree=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(targets=_target_sets(max_kappa=5),
+       stage=st.sampled_from(("partition", "lift", "joint")),
+       seed=st.integers(0, 2 ** 32 - 1),
+       cap=st.none() | st.integers(0, 30))
+@example(targets=_C4_3X3, stage="joint", seed=0, cap=None)
+@example(targets=_C4_3X3, stage="joint", seed=0, cap=0)
+@example(targets=_C4_3X3, stage="joint", seed=0, cap=4)
+@example(targets=_C4_3X5, stage="joint", seed=26, cap=1)
+@example(targets=_C4_3X5, stage="joint", seed=0, cap=None)
+@example(targets=_C4_3X5, stage="joint", seed=1, cap=30)
+def test_run_mt_equals_the_two_loop_version(targets, stage, seed, cap):
+    cset, scheme = targets
+    system = compile_events(cset, scheme, stage)
+    if system.rejected:
+        system = compile_events(CandidateSet(cset.base, tuple(
+            c for c, fs in zip(cset, system.forms) if fs)), scheme, stage)
+    if cap is None and not _old_run_mt(system, seed,
+                                       _UNCAPPED_PROBE)[1].terminated:
+        cap = _UNCAPPED_PROBE
+    values, trace = run_mt(system, seed, cap)
+    old_values, old_trace = _old_run_mt(system, seed, cap)
+    assert values == old_values
+    assert asdict(trace) == asdict(old_trace)

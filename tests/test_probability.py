@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -398,3 +399,32 @@ def test_forms_drop_constant_true_blocks():
     assert forms(doubled, index,
                  stage_blocks(CouplingScheme.uniform(0, 1, 2), "joint")) == ()
     assert vanish((), [])
+
+
+_NO_EDGES = WalkCandidate((), ())
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: spreading_prob_exact(_NO_EDGES,
+                                              CouplingScheme.uniform(1)),
+                 "candidate has no edges", id="spreading-no-edges"),
+    pytest.param(lambda: spreading_prob_c4_uniform(-1),
+                 "memory must be non-negative", id="c4-uniform-memory"),
+    pytest.param(lambda: lift_prob_exact(_c4(BaseCode(2, 2)), 0),
+                 "lifting degree must be at least 1", id="lift-exact-z"),
+    pytest.param(lambda: lift_prob_exact(_NO_EDGES, 3),
+                 "candidate has no edges", id="lift-exact-no-edges"),
+    pytest.param(lambda: lift_prob_bound([4], 0),
+                 "lifting degree must be at least 1", id="lift-bound-z"),
+    pytest.param(lambda: lift_prob_bound([], 3),
+                 "need at least one cycle", id="lift-bound-no-cycles"),
+    pytest.param(lambda: HarmfulStructure(()),
+                 "structure needs at least one cycle", id="structure-empty"),
+    pytest.param(lambda: mc_structure_prob(
+                     HarmfulStructure((_c4(BaseCode(2, 2)),)),
+                     CouplingScheme.uniform(1), 0, 0),
+                 "need at least one trial", id="mc-trials"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

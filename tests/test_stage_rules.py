@@ -8,8 +8,8 @@ as oracles, on c4, c6 and tbc 8-walks (coefficients +-2) under uniform,
 non-uniform and one-value patterns.  The experiment harness owns no budget:
 its trials must equal direct runner calls, counted as each finishes, with
 no earlier trial's output kept alive.  A compiled stage owns its decisions:
-``compile_events``' one-entry memo must equal fresh computations and hold
-the whole target set across two-stage trials, its ``rejected`` targets are
+``compile_events``' two-entry memo must equal fresh computations and hold
+the whole target sets across two-stage trials, its ``rejected`` targets are
 exactly those certain to occur, and its Theorem 1 certificate is computed
 only when a default budget or the harness reads it.
 """
@@ -313,6 +313,20 @@ def test_two_stage_trials_compile_stage1_once():
     experiments._run_trials(config, elim)
     info = compile_events.cache_info()
     assert (info.misses, info.hits) == (1, 2 * config.trials - 1)
+
+
+def test_memory_0_trials_compile_both_whole_sets_once():
+    # At memory 0 the partition compile rejects every target, so stage 1
+    # runs on a second whole set, the thinnable rest; both stay memoised.
+    scheme = CouplingScheme.uniform(0, lifting_degree=13)
+    config = ExperimentConfig(3, 4, scheme, "two-stage", 10, 5,
+                              StructureSpec(4), ())
+    elim = StructureSpec(4).build(config.base)
+    assert compile_events(elim, scheme, "partition").rejected
+    compile_events.cache_clear()
+    experiments._run_trials(config, elim)
+    info = compile_events.cache_info()
+    assert (info.misses, info.hits) == (2, 3 * config.trials - 2)
 
 
 def test_certified_stage1_budget_at_the_fallback_value_is_kept(

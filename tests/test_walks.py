@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from math import comb
 
 import pytest
@@ -314,3 +315,21 @@ def test_json_lines_shape():
     assert doc["key"] == cset[0].key
     assert doc["avoidable"] is True
     assert doc["nodes"] == [0, 0, 1, 1]
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: enumerate_cycles(BaseCode(2, 2), 4)[0].support_mod(0),
+                 "lifting degree must be at least 1", id="support-mod-z"),
+    pytest.param(lambda: enumerate_cycles(BaseCode(2, 2), 4, "closed"),
+                 "mode must be one of", id="enumerate-mode"),
+    pytest.param(lambda: enumerate_cycles(BaseCode(2, 2), 5),
+                 "walk length must be an even number >= 4",
+                 id="enumerate-length"),
+    pytest.param(lambda: enumerate_cycles(BaseCode(2, 2), 4).union(
+                     enumerate_cycles(BaseCode(2, 3), 4)),
+                 "cannot merge candidate sets over different bases",
+                 id="union-bases"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
