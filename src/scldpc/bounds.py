@@ -34,6 +34,7 @@ Delta^Delta neither overflows nor underflows before the final rounding.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context
@@ -41,9 +42,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .probability import spreading_prob_c4_uniform
-from .walks import (CandidateSet, DependencyReport, closed_neighbourhoods,
-                    dependency_degree, dependency_pairs, harmful_weight,
-                    neighbour_pairs)
+from .walks import (CandidateSet, dependency_degree, dependency_pairs,
+                    harmful_weight)
 
 # Fractions with numerators around n^n stay cheap up to this point; past it
 # the exact slot is left None and floats (still high-precision) take over.
@@ -438,15 +438,13 @@ class CliqueCover:
 def build_pairwise_cover(cset: CandidateSet,
                          x: Optional[Fraction] = None) -> CliqueCover:
     """One 2-clique per dependency edge; default weight 1/Delta_observed."""
-    neighbourhoods = closed_neighbourhoods([c.support for c in cset])
-    pairs = neighbour_pairs(neighbourhoods)
     if x is None:
-        delta = DependencyReport.of(neighbourhoods).delta_observed
+        delta = dependency_degree(cset).delta_observed
         if delta < 2:
             raise ValueError("default weight 1/Delta needs Delta >= 2; "
                              "pass x explicitly")
         x = Fraction(1, delta)
-    return CliqueCover("pairwise", pairs, Fraction(x))
+    return CliqueCover("pairwise", dependency_pairs(cset), Fraction(x))
 
 
 def build_base_edge_cover(cset: CandidateSet,
@@ -466,12 +464,9 @@ def build_base_edge_cover(cset: CandidateSet,
 
 def verify_cover(cover: CliqueCover, cset: CandidateSet) -> bool:
     """Does every dependency edge lie inside some clique?"""
-    covered: set[tuple[int, int]] = set()
-    for clique in cover.cliques:
-        for a_pos, a in enumerate(clique):
-            for b in clique[a_pos + 1:]:
-                covered.add((a, b))
-    return all(pair in covered for pair in dependency_pairs(cset))
+    covered = {pair for clique in cover.cliques
+               for pair in itertools.combinations(clique, 2)}
+    return covered.issuperset(dependency_pairs(cset))
 
 
 @dataclass(frozen=True)
@@ -512,31 +507,13 @@ def lemma2_evaluate(cover: CliqueCover, n_events: int,
 
     sizes = [len(k) for k in cover.cliques]
     condition1 = all(s * x < 1 for s in sizes)
-
-    condition2 = True
-    for i in range(n_events):
-        for v in member_cliques[i]:
-            rhs = x
-            for u in member_cliques[i]:
-                if u != v:
-                    rhs *= 1 - (sizes[u] - 1) * x
-            if p_values[i] > rhs:
-                condition2 = False
-                break
-        if not condition2:
-            break
-
-    avoidance = Fraction(1)
-    for s in sizes:
-        avoidance *= (1 - s * x)
-
-    runtime: Optional[Fraction] = Fraction(0)
-    for i in range(n_events):
-        ratios = [x / (1 - sizes[v] * x) for v in member_cliques[i]
-                  if sizes[v] * x < 1]
-        if not ratios:
-            runtime = None
-            break
-        runtime += min(ratios)
-
+    condition2 = all(
+        p <= math.prod((1 - (sizes[u] - 1) * x for u in cliques if u != v),
+                       start=x)
+        for p, cliques in zip(p_values, member_cliques) for v in cliques)
+    avoidance = math.prod((1 - s * x for s in sizes), start=Fraction(1))
+    least = [min((x / (1 - sizes[v] * x) for v in cliques
+                  if sizes[v] * x < 1), default=None)
+             for cliques in member_cliques]
+    runtime = None if None in least else sum(least, Fraction(0))
     return Lemma2Report(condition1, condition2, avoidance, runtime)

@@ -350,14 +350,6 @@ class DependencyReport:
     delta_observed: int
     edge_count: int
 
-    @classmethod
-    def of(cls, neighbourhoods: Sequence[Sequence[int]]
-           ) -> "DependencyReport":
-        """Degrees, Delta and edge count of a ``closed_neighbourhoods``
-        result."""
-        degrees = tuple(max(len(nb) - 1, 0) for nb in neighbourhoods)
-        return cls(degrees, max(degrees, default=0), sum(degrees) // 2)
-
 
 def closed_neighbourhoods(scopes: Sequence[Sequence],
                           among: Optional[int] = None
@@ -376,19 +368,17 @@ def closed_neighbourhoods(scopes: Sequence[Sequence],
                  for scope in scopes)
 
 
-def neighbour_pairs(neighbourhoods: Sequence[Sequence[int]]
-                    ) -> tuple[tuple[int, int], ...]:
-    """Sorted edges (a, b), a < b, of a ``closed_neighbourhoods`` result."""
-    return tuple((a, b) for a, nb in enumerate(neighbourhoods)
-                 for b in nb if b > a)
-
-
 def dependency_degree(cset: CandidateSet) -> DependencyReport:
-    """Dependency graph degrees: candidates adjacent iff supports intersect."""
-    return DependencyReport.of(
-        closed_neighbourhoods([c.support for c in cset]))
+    """Dependency graph degrees: candidates adjacent iff supports intersect
+    (an empty support has degree 0)."""
+    degrees = tuple(max(len(nb) - 1, 0) for nb in
+                    closed_neighbourhoods([c.support for c in cset]))
+    return DependencyReport(degrees, max(degrees, default=0),
+                            sum(degrees) // 2)
 
 
 def dependency_pairs(cset: CandidateSet) -> tuple[tuple[int, int], ...]:
     """Sorted dependency-graph edges (index pairs with intersecting support)."""
-    return neighbour_pairs(closed_neighbourhoods([c.support for c in cset]))
+    return tuple((a, b) for a, nb in enumerate(
+                     closed_neighbourhoods([c.support for c in cset]))
+                 for b in nb if b > a)
