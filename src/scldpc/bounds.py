@@ -477,9 +477,10 @@ class Lemma2Report:
     runtime_bound: Optional[Fraction]
 
 
-def lemma2_evaluate(cover: CliqueCover, n_events: int,
+def lemma2_evaluate(cover: CliqueCover,
                     probs: Sequence[Fraction]) -> Lemma2Report:
-    """Evaluate the clique local-lemma conditions and conclusions exactly.
+    """Evaluate the clique local-lemma conditions and conclusions exactly,
+    for one event per probability in ``probs``.
 
     Condition (1): every clique's weight sum stays below 1.  Condition (2):
     for each event i and each clique v containing it,
@@ -491,8 +492,7 @@ def lemma2_evaluate(cover: CliqueCover, n_events: int,
     Raises when some event sits in no clique: the cover then says nothing
     about it and any verdict would be vacuous.
     """
-    if len(probs) != n_events:
-        raise ValueError("one probability per event")
+    n_events = len(probs)
     p_values = [Fraction(p) for p in probs]
     x = cover.x
     member_cliques: list[list[int]] = [[] for _ in range(n_events)]

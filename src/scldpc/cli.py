@@ -41,12 +41,12 @@ from .experiments import (MODES as EXPERIMENT_MODES, ExperimentConfig,
 from .graphs import girth
 from .model import (BaseCode, CodeInstance, CouplingScheme,
                     SparseBinaryMatrix, assemble_qc, frac_text)
-from .moser_tardos import compile_events, construct_two_stage, run_joint
-from .probability import probability_report
+from .moser_tardos import (compile_events, construct_two_stage, run_joint,
+                           values_from_grids)
+from .probability import probability_report, stage_forms, vanish
 from .serialize import (check_probs, code_params, export_instance_json,
                         import_instance_json)
-from .walks import (MODES as WALK_MODES, CandidateSet, enumerate_cycles,
-                    is_active)
+from .walks import MODES as WALK_MODES, CandidateSet, enumerate_cycles
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -237,10 +237,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def _audit(instance: CodeInstance, targets: CandidateSet
            ) -> tuple[SparseBinaryMatrix, float, list[str]]:
     """The instance's lifted matrix, its girth, and the keys of the
-    targets active in it."""
-    z = instance.scheme.lifting_degree
-    active = [c.key for c in targets
-              if is_active(c, instance.partition, instance.lift, z)]
+    targets active in it (all forms vanish in the joint layout)."""
+    base = instance.base
+    _, fs = stage_forms(base.edges, targets, instance.scheme, "joint")
+    values = values_from_grids(base, instance.partition, instance.lift)
+    active = [c.key for c, f in zip(targets, fs) if vanish(f, values)]
     h = assemble_qc(instance)
     return h, girth(h), active
 

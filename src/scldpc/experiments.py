@@ -14,8 +14,9 @@ with the targets (n_E = 0) must not drift at all, which is checked as a
 two-sided 4 sigma null instead of a one-sided cap.
 
 The harness reads p and the observed Delta off the compiled stage's
-certificate and n_E off ``walks.closed_neighbourhoods``, and counts each
-observable as each trial terminates, in one pass over the trials.
+certificate and n_E off ``walks.closed_neighbourhoods``; in one pass over
+the trials it counts each observable as each trial terminates, with
+``vanish`` on the output's values, as the baseline counts its draws.
 
 Everything here is a pure function of (config, seed).  Randomness has one
 owner, ``probability`` (``rng``, ``seed_sequence``, ``seed_int``): trial t
@@ -37,14 +38,14 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .model import BaseCode, CouplingScheme, frac_text
-from .probability import (draw, edge_index, forms, rng, seed_int,
-                          seed_sequence, stage_blocks, stage_prob, vanish)
+from .probability import (draw, rng, seed_int, seed_sequence, stage_forms,
+                          stage_prob, vanish)
 from .serialize import check_ints, check_probs, code_params
 from .walks import (CandidateSet, WalkCandidate, closed_neighbourhoods,
-                    enumerate_cycles, is_active)
+                    enumerate_cycles)
 from . import bounds
 from .moser_tardos import (compile_events, construct_two_stage, run_joint,
-                           run_stage_partition)
+                           run_stage_partition, values_from_grids)
 
 MODES = ("partition-only", "joint", "two-stage")
 
@@ -280,15 +281,13 @@ def estimate_baseline(config: ExperimentConfig) -> BaselineReport:
         for c in oset:
             flat.append((label, c, stage_prob(c, config.scheme, stage)))
 
-    index = edge_index(config.base.edges)
-    blocks = stage_blocks(config.scheme, stage)
-    cand_forms = [forms(c, index, blocks) for _, c, _ in flat]
+    edges = config.base.edges
+    blocks, cand_forms = stage_forms(edges, (c for _, c, _ in flat),
+                                     config.scheme, stage)
     hits = [0] * len(flat)
     for _ in range(config.trials):
-        values = draw(gen, blocks, len(index))
-        for k, fs in enumerate(cand_forms):
-            if vanish(fs, values):
-                hits[k] += 1
+        values = draw(gen, blocks, len(edges))
+        hits = [h + vanish(fs, values) for h, fs in zip(hits, cand_forms)]
 
     rows = []
     n = config.trials
@@ -380,6 +379,7 @@ def _run_trials(config: ExperimentConfig, elim: CandidateSet,
     and the total resamples; the other trials hit their cap."""
     base = config.base
     scheme = config.scheme
+    _, obs_forms = stage_forms(base.edges, observe, scheme, _stage(config))
     hits = [0] * len(observe)
     resample_counts: list[int] = []
     for t in range(config.trials):
@@ -387,7 +387,7 @@ def _run_trials(config: ExperimentConfig, elim: CandidateSet,
         if config.mode == "partition-only":
             partition, run = run_stage_partition(base, scheme, elim, seed_t,
                                                  config.cap)
-            lift = None
+            grids = (partition,)
         else:
             if config.mode == "joint":
                 instance, run = run_joint(base, scheme, elim, seed_t,
@@ -395,12 +395,11 @@ def _run_trials(config: ExperimentConfig, elim: CandidateSet,
             else:
                 instance, run = construct_two_stage(
                     base, scheme, elim, seed_t, config.cap, config.cap)
-            partition, lift = instance.partition, instance.lift
+            grids = (instance.partition, instance.lift)
         if run.terminated:
             resample_counts.append(run.total_resamples)
-            for k, c in enumerate(observe):
-                if is_active(c, partition, lift, scheme.lifting_degree):
-                    hits[k] += 1
+            values = values_from_grids(base, *grids)
+            hits = [h + vanish(fs, values) for h, fs in zip(hits, obs_forms)]
     return hits, resample_counts
 
 

@@ -44,9 +44,9 @@ from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .model import Assignment, BaseCode, CodeInstance, CouplingScheme
-from .probability import (Block, Form, SeedLike, draw, edge_index, forms,
-                          recorded_seed, rng, seed_int, seed_sequence,
-                          stage_blocks, stage_prob, vanish)
+from .probability import (Block, Form, SeedLike, draw, recorded_seed, rng,
+                          seed_int, seed_sequence, stage_forms, stage_prob,
+                          vanish)
 from .walks import CandidateSet, closed_neighbourhoods, is_active_partition
 from . import bounds
 
@@ -107,13 +107,12 @@ def _compile(cset: CandidateSet, scheme: CouplingScheme,
              stage: str) -> EventSystem:
     """One event per target, in the set's canonical order; the targets
     with no forms in the stage are recorded as ``rejected``."""
-    blocks = stage_blocks(scheme, stage)
-    index = edge_index(cset.base.edges)
-    event_forms = tuple(forms(c, index, blocks) for c in cset)
+    edges = cset.base.edges
+    blocks, event_forms = stage_forms(edges, cset, scheme, stage)
     scopes = tuple(tuple(sorted({v for var_idx, _, _ in fs for v in var_idx}))
                    for fs in event_forms)
     return EventSystem(
-        cset, scheme, stage, blocks, len(index), tuple(c.key for c in cset),
+        cset, scheme, stage, blocks, len(edges), tuple(c.key for c in cset),
         event_forms, scopes, closed_neighbourhoods(scopes),
         tuple(c.key for c, fs in zip(cset, event_forms) if not fs))
 
@@ -222,6 +221,11 @@ def _grid_from_values(base: BaseCode, stage: str, values: Sequence[int],
                       offset: int = 0) -> Assignment:
     return Assignment.from_dict(stage, dict(zip(base.edges, values[offset:])),
                                 base.gamma, base.kappa)
+
+
+def values_from_grids(base: BaseCode, *grids: Assignment) -> list[int]:
+    """An output's values in the stage layout: partition, then lift."""
+    return [g.values[i][j] for g in grids for i, j in base.edges]
 
 
 def run_stage_partition(base: BaseCode, scheme: CouplingScheme, targets,

@@ -5,8 +5,8 @@ distribution and every lift shift uniform on [0, Z), a candidate walk is
 *active* when its signed coefficient sum hits zero (over the integers for
 spreading, mod Z for lifting).
 
-One representation serves every sampler and evaluator in the package (the
-resampler, the baseline and shift harness, the Monte Carlo estimator):
+One representation serves every sampler and activity count in the package
+(the resampler, baseline, shift harness, CLI audit, Monte Carlo estimator):
 
 * a ``Sampler`` draws integer values with exact integer weights;
   ``scheme_sampler`` is the spreading distribution and ``uniform(z)`` the
@@ -16,9 +16,9 @@ resampler, the baseline and shift harness, the Monte Carlo estimator):
   (P,), lift is (L,), joint is (P, L).  With n edges, block b owns
   variables b*n ... b*n+n-1, one per edge.  ``stage_prob`` is a walk's
   exact activation probability under the same stage's draw;
-* ``forms`` turns a walk into its linear forms (variable indices,
-  coefficients, modulus), one per block, dropping the constant-true ones;
-  ``vanish`` evaluates them, and ``draw`` draws or redraws variables.
+* ``stage_forms`` compiles walks into their linear forms (``forms``:
+  variable indices, coefficients, modulus; one per block, constant-true
+  ones dropped); ``vanish`` evaluates them, ``draw`` (re)draws variables.
 
 This module is also the one owner of the random stream: ``rng`` builds the
 package's generator, ``seed_sequence`` its seed streams, ``seed_int`` the
@@ -59,7 +59,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from .model import CouplingScheme, Edge, frac_text
 from .walks import WalkCandidate
@@ -323,18 +323,22 @@ def forms(cand: WalkCandidate, index: dict[Edge, int],
     """The walk's linear form in each block, constant-true ones dropped: a
     one-value sampler (the coefficients of a closed walk sum to zero), or
     every coefficient 0 mod the modulus."""
-    n = len(index)
     out = []
     for b, (sampler, modulus) in enumerate(blocks):
-        if len(sampler) == 1:
-            continue
-        terms = [(b * n + index[e], c % modulus if modulus else c)
+        terms = [(b * len(index) + index[e], c % modulus if modulus else c)
                  for e, c in cand.coeffs]
         terms = [t for t in terms if t[1] != 0]
-        if terms:
-            out.append((tuple(t[0] for t in terms),
-                        tuple(t[1] for t in terms), modulus))
+        if len(sampler) > 1 and terms:
+            out.append((*zip(*terms), modulus))
     return tuple(out)
+
+
+def stage_forms(edges: Sequence[Edge], cands: Iterable[WalkCandidate],
+                scheme: CouplingScheme, stage: str
+                ) -> tuple[tuple[Block, ...], tuple[tuple[Form, ...], ...]]:
+    """The stage layout over ``edges`` and each candidate's forms in it."""
+    blocks, index = stage_blocks(scheme, stage), edge_index(edges)
+    return blocks, tuple(forms(c, index, blocks) for c in cands)
 
 
 def vanish(fs: Sequence[Form], values: Sequence[int]) -> bool:
@@ -509,10 +513,10 @@ def mc_structure_prob(struct: HarmfulStructure, scheme: CouplingScheme,
     if trials < 1:
         raise ValueError("need at least one trial")
     gen = rng(seed)
-    index = edge_index(sorted({e for c in struct.cycles for e in c.edges}))
-    blocks = stage_blocks(scheme, "joint")
-    all_forms = [f for c in struct.cycles for f in forms(c, index, blocks)]
-    hits = sum(vanish(all_forms, draw(gen, blocks, len(index)))
+    edges = sorted({e for c in struct.cycles for e in c.edges})
+    blocks, cycle_forms = stage_forms(edges, struct.cycles, scheme, "joint")
+    all_forms = [f for fs in cycle_forms for f in fs]
+    hits = sum(vanish(all_forms, draw(gen, blocks, len(edges)))
                for _ in range(trials))
     return hits / trials
 

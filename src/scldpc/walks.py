@@ -8,11 +8,11 @@ walk in the base graph that alternates column and row nodes,
 using the "left" edges (i_k, j_k) and the "right" edges (i_k, j_{k+1}).
 Each base edge e gets a signed coefficient: +1 for every left use, -1 for
 every right use, summed over the walk.  The walk survives into the coupled
-protograph iff the spreading values satisfy
+protograph iff the spreading values satisfy (``is_active_partition``)
 
     sum_e  coeff(e) * P(e) = 0          (over the integers)
 
-and survives lifting iff the shifts satisfy
+and survives lifting iff the shifts satisfy (``is_active_lift``)
 
     sum_e  coeff(e) * L(e) = 0 (mod Z).
 
@@ -323,15 +323,6 @@ def is_active_lift(cand: WalkCandidate, lift: Assignment, z: int) -> bool:
     if z < 1:
         raise ValueError("lifting degree must be at least 1")
     return _signed_sum(cand, lift, "lift") % z == 0
-
-
-def is_active(cand: WalkCandidate, partition: Assignment,
-              lift: Optional[Assignment] = None, z: int = 1) -> bool:
-    """Is the walk active in the output: does it survive the partition
-    and, when a lift is given, the lift too?"""
-    if not is_active_partition(cand, partition):
-        return False
-    return lift is None or is_active_lift(cand, lift, z)
 
 
 def harmful_weight(base: BaseCode,

@@ -249,7 +249,7 @@ def test_pairwise_cover_reproduces_branch_i():
     p = Fraction(3, 272)
     cover = build_pairwise_cover(cset, x=Fraction(1, 33))
     assert verify_cover(cover, cset)
-    rep = lemma2_evaluate(cover, k, [p] * k)
+    rep = lemma2_evaluate(cover, [p] * k)
     assert rep.condition1_ok and rep.condition2_ok
     # runtime: exactly k / (Delta - 2) with Delta = 33
     assert rep.runtime_bound == Fraction(63, 31)
@@ -271,14 +271,14 @@ def test_base_edge_cover_reproduces_branch_ii():
     assert all(len(c) == w for c in cover.cliques)
     # Z = 40 puts p under the 27/2816 threshold of this route
     p = Fraction(3, 320)
-    rep = lemma2_evaluate(cover, k, [p] * k)
+    rep = lemma2_evaluate(cover, [p] * k)
     assert rep.condition1_ok and rep.condition2_ok
     # runtime: exactly k / ((W-1) |H| - W)
     assert rep.runtime_bound == Fraction(63, 32)
     # avoidance: exactly (((W-1)|H| - W) / ((W-1)|H|))^(base edges)
     assert rep.avoidance_lb == (1 - Fraction(w, (w - 1) * h)) ** 21
     # at Z = 34 the same cover falls just outside its certificate
-    close = lemma2_evaluate(cover, k, [Fraction(3, 272)] * k)
+    close = lemma2_evaluate(cover, [Fraction(3, 272)] * k)
     assert close.condition1_ok and not close.condition2_ok
 
 
@@ -290,7 +290,7 @@ def test_cover_routes_match_feasibility_engine():
     rep = theorem1_feasibility(cset, probs, delta_source="formula")
 
     pair = lemma2_evaluate(build_pairwise_cover(cset, x=Fraction(1, 33)),
-                           len(cset), probs)
+                           probs)
     assert pair.runtime_bound == rep.resample_bound
     assert float(pair.avoidance_lb) == pytest.approx(rep.avoidance_lb,
                                                      rel=1e-12)
@@ -302,11 +302,11 @@ def test_lemma2_violated_conditions_detected():
     k = len(cset)
     cover = build_pairwise_cover(cset, x=Fraction(1, 33))
     # probability far above the threshold: condition 2 must fail
-    rep = lemma2_evaluate(cover, k, [Fraction(1, 2)] * k)
+    rep = lemma2_evaluate(cover, [Fraction(1, 2)] * k)
     assert not rep.condition2_ok
     # weight saturating a clique: condition 1 (per-clique mass < 1) fails
     fat = build_base_edge_cover(cset, x=Fraction(1, 12))
-    rep2 = lemma2_evaluate(fat, k, [Fraction(3, 272)] * k)
+    rep2 = lemma2_evaluate(fat, [Fraction(3, 272)] * k)
     assert not rep2.condition1_ok
     assert rep2.runtime_bound is None        # no positive denominator
 
@@ -316,8 +316,7 @@ def test_lemma2_rejects_uncovered_events():
     cset = enumerate_cycles(base, 4, "simple")
     cover = build_pairwise_cover(cset, x=Fraction(1, 33))
     with pytest.raises(ValueError):
-        lemma2_evaluate(cover, len(cset) + 1,
-                        [Fraction(3, 272)] * (len(cset) + 1))
+        lemma2_evaluate(cover, [Fraction(3, 272)] * (len(cset) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +365,7 @@ _C6_3X3 = enumerate_cycles(BaseCode(3, 3), 6)
     pytest.param(lambda: CliqueCover("pairwise", (), Fraction(1)),
                  "clique weight must lie in (0, 1)", id="cover-weight"),
     pytest.param(lambda: lemma2_evaluate(
-                     CliqueCover("pairwise", ((0, 1),), Fraction(1, 2)), 2,
-                     [Fraction(1, 10)]),
-                 "one probability per event", id="lemma2-probs"),
-    pytest.param(lambda: lemma2_evaluate(
-                     CliqueCover("pairwise", ((0, 2),), Fraction(1, 2)), 2,
+                     CliqueCover("pairwise", ((0, 2),), Fraction(1, 2)),
                      [Fraction(1, 10)] * 2),
                  "clique references unknown event index",
                  id="lemma2-index"),

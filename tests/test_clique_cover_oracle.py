@@ -150,7 +150,8 @@ def _thresholds(cover: CliqueCover, n_events: int) -> list[Fraction]:
 @st.composite
 def _probs(draw, cover: CliqueCover, n_events: int):
     """One probability per event: at its condition-(2) threshold, just
-    above or below it, or anywhere in [0, 1]; rarely one too few."""
+    above or below it, or anywhere in [0, 1]; rarely one too few, so
+    that a clique may name an event with no probability."""
     tiny = Fraction(1, 10 ** 6)
     probs = []
     for t in _thresholds(cover, n_events):
@@ -167,9 +168,9 @@ def _probs(draw, cover: CliqueCover, n_events: int):
 _WEIGHTS = st.builds(Fraction, st.integers(1, 6), st.integers(7, 12))
 
 
-def _check(cover: CliqueCover, n_events: int, probs) -> None:
-    old = _outcome(_old_lemma2_evaluate, cover, n_events, probs)
-    new = _outcome(lemma2_evaluate, cover, n_events, probs)
+def _check(cover: CliqueCover, probs) -> None:
+    old = _outcome(_old_lemma2_evaluate, cover, len(probs), probs)
+    new = _outcome(lemma2_evaluate, cover, probs)
     assert _typed(new) == _typed(old)
 
 
@@ -181,7 +182,7 @@ def test_lemma2_on_random_covers_equals_the_loops(n_events, data):
     cliques = data.draw(st.lists(st.lists(index, min_size=1, max_size=6),
                                  max_size=8))
     cover = CliqueCover("random", tuple(cliques), data.draw(_WEIGHTS))
-    _check(cover, n_events, data.draw(_probs(cover, n_events)))
+    _check(cover, data.draw(_probs(cover, n_events)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -230,7 +231,7 @@ def test_covers_of_candidate_sets_equal_the_loops(cset, route, data):
             st.sampled_from(whole), unique=True)) if whole else ()), x)
     assert _typed(verify_cover(cover, cset)) == _typed(
         _old_verify_cover(cover, cset))
-    _check(cover, k, data.draw(_probs(cover, k)))
+    _check(cover, data.draw(_probs(cover, k)))
 
 
 def test_verify_cover_reads_every_pair_of_a_clique():

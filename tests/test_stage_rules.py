@@ -1,17 +1,20 @@
 """Stage rules against the per-stage code they replaced, and the harness
 against the runners it calls.
 
-``probability.stage_prob``, the default budget each stage runner hands
-to ``run_mt`` and ``walks.is_active`` each replaced copies in the stage
-runners, the experiment harness and the CLI.  The old copies are kept below
-as oracles, on c4, c6 and tbc 8-walks (coefficients +-2) under uniform,
-non-uniform and one-value patterns.  The experiment harness owns no budget:
-its trials must equal direct runner calls, counted as each finishes, with
-no earlier trial's output kept alive.  A compiled stage owns its decisions:
-``compile_events``' two-entry memo must equal fresh computations and hold
-the whole target sets across two-stage trials, its ``rejected`` targets are
-exactly those certain to occur, and its Theorem 1 certificate is computed
-only when a default budget or the harness reads it.
+``probability.stage_prob`` and the default budget each stage runner hands
+to ``run_mt`` each replaced copies in the stage runners and the experiment
+harness; the shift harness and the CLI's ``construct``/``verify`` decide
+an output's activity with the stage compile (``probability.stage_forms``)
+over the values ``moser_tardos.values_from_grids`` reads off its grids,
+where they used to check the grids walk by walk.  The old copies are kept
+below as oracles, on c4, c6 and tbc 8-walks (coefficients +-2) under
+uniform, non-uniform and one-value patterns.  The experiment harness owns
+no budget: its trials must equal direct runner calls, counted as each
+finishes, with no earlier trial's output kept alive.  A compiled stage owns
+its decisions: ``compile_events``' two-entry memo must equal fresh
+computations and hold the whole target sets across two-stage trials, its
+``rejected`` targets are exactly those certain to occur, and its Theorem 1
+certificate is computed only when a default budget or the harness reads it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import weakref
 from dataclasses import replace
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,10 +33,11 @@ from scldpc import (AdmissionError, Assignment, BaseCode, CandidateSet,
                     is_active_lift, is_active_partition, joint_prob,
                     lift_prob_exact, run_joint, run_stage_lift,
                     run_stage_partition, spreading_prob_exact)
-from scldpc import bounds, experiments, moser_tardos, walks
-from scldpc.moser_tardos import FALLBACK_CAP, compile_events, run_mt
-from scldpc.probability import seed_sequence, stage_blocks, stage_prob
-from scldpc.walks import is_active
+from scldpc import bounds, cli, experiments, moser_tardos
+from scldpc.moser_tardos import (FALLBACK_CAP, compile_events, run_mt,
+                                 values_from_grids)
+from scldpc.probability import (seed_sequence, stage_blocks, stage_forms,
+                                stage_prob, vanish)
 
 SCHEMES = [
     CouplingScheme.uniform(1, lifting_degree=5),
@@ -79,7 +82,8 @@ def _old_candidate_prob(cand, config):
 
 
 def _old_is_active(cand, mode, partition, lift, z):
-    """experiments._is_active and the CLI's inline conjunction."""
+    """experiments._is_active and the CLI's inline conjunction: the walk
+    checked on the output's grids."""
     if mode == "partition-only":
         return is_active_partition(cand, partition)
     return (is_active_partition(cand, partition)
@@ -190,8 +194,8 @@ def test_run_trials_calls_the_runners_as_they_are(mode, cap, monkeypatch):
             partition, lift = instance.partition, instance.lift
         if run.terminated:
             for k, c in enumerate(observe):
-                expected[k] += is_active(c, partition, lift,
-                                         scheme.lifting_degree)
+                expected[k] += _old_is_active(c, mode, partition, lift,
+                                              scheme.lifting_degree)
             expected_counts.append(run.total_resamples)
     assert (hits, counts) == (expected, expected_counts)
 
@@ -407,53 +411,82 @@ def test_rejected_are_the_targets_certain_to_occur(case):
             run_mt(system, 0, 0)
 
 
-def _grid(stage, base, rng, high):
-    return Assignment.from_dict(
-        stage, {e: int(rng.integers(0, high)) for e in base.edges},
-        base.gamma, base.kappa)
+@st.composite
+def _outputs(draw) -> tuple[CandidateSet, CouplingScheme, Assignment,
+                            Assignment]:
+    """Every 4-, 6- or tbc 8-walk over a base with or without a mask, a
+    scheme (uniform m in 0..2, the pattern (0, 2, 5) or the one value
+    (2,); Z in {1, 2, 3, 4, 7}), and an output's grids: partition values
+    from the pattern and shifts in [0, Z), each grid sometimes flat so
+    that many walks are active."""
+    gamma, kappa = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    mask = None
+    if draw(st.booleans()):
+        mask = tuple(tuple(draw(st.sampled_from((1, 1, 0)))
+                           for _ in range(kappa)) for _ in range(gamma))
+    base = BaseCode(gamma, kappa, mask=mask)
+    two_g, mode = draw(st.sampled_from([(4, "simple"), (6, "simple"),
+                                        (8, "tbc")]))
+    z = draw(st.sampled_from((1, 2, 3, 4, 7)))
+    scheme = draw(st.sampled_from([
+        CouplingScheme.uniform(0, lifting_degree=z),
+        CouplingScheme.uniform(1, lifting_degree=z),
+        CouplingScheme.uniform(2, lifting_degree=z),
+        CouplingScheme((0, 2, 5), (Fraction(1, 2), Fraction(1, 3),
+                                   Fraction(1, 6)), 6, z),
+        CouplingScheme((2,), (Fraction(1),), None, z)]))
+
+    def grid(stage, values):
+        flat = draw(st.integers(0, 3)) == 0
+        value = draw(values)
+        return Assignment.from_dict(
+            stage, {e: value if flat else draw(values) for e in base.edges},
+            gamma, kappa)
+
+    return (enumerate_cycles(base, two_g, mode), scheme,
+            grid("partition", st.sampled_from(scheme.pattern)),
+            grid("lift", st.integers(0, z - 1)))
 
 
-@pytest.mark.parametrize("z", [1, 2, 3])
-def test_is_active_equals_old_conjunction(z):
-    rng = np.random.default_rng(z)
-    seen = set()
-    for cset in _walk_sets():
-        base = cset.base
-        for _ in range(40):
-            partition = _grid("partition", base, rng, 2)
-            lift = _grid("lift", base, rng, z)
-            for cand in cset:
-                both = is_active(cand, partition, lift, z)
-                assert both == _old_is_active(cand, "joint", partition,
-                                              lift, z)
-                alone = is_active(cand, partition)
-                assert alone == _old_is_active(cand, "partition-only",
-                                               partition, None, z)
-                seen.update([both, alone])
-    assert seen == {True, False}
+@settings(max_examples=300, deadline=None)
+@given(case=_outputs())
+def test_stage_forms_on_output_values_equal_old_conjunction(case):
+    # Each mode's output is read in its stage's layout: the partition
+    # alone, or partition then lift.
+    cset, scheme, partition, lift = case
+    base, z = cset.base, scheme.lifting_degree
+    for mode in experiments.MODES:
+        config = _config(scheme, mode)
+        grids = (partition,) if mode == "partition-only" else (partition,
+                                                               lift)
+        values = values_from_grids(base, *grids)
+        _, fs = stage_forms(base.edges, cset, scheme,
+                            experiments._stage(config))
+        assert len(values) == len(base.edges) * len(grids)
+        for cand, f in zip(cset, fs):
+            assert vanish(f, values) == _old_is_active(cand, mode, partition,
+                                                       lift, z)
 
 
-def test_is_active_checks_lift_only_after_an_active_partition(monkeypatch):
-    """Same calls, in the same order, as the old conjunction."""
-    calls = []
-    for name in ("is_active_partition", "is_active_lift"):
-        fn = getattr(walks, name)
-        monkeypatch.setattr(walks, name, lambda *a, _fn=fn, _n=name:
-                            calls.append(_n) or _fn(*a))
-    base = BaseCode(2, 2)
-    cand = enumerate_cycles(base, 4)[0]
-    zero = Assignment.from_dict("partition", {e: 0 for e in base.edges},
-                                2, 2)
-    spread = Assignment.from_dict(
-        "partition", {e: int(e == (0, 1)) for e in base.edges}, 2, 2)
-    assert is_active(cand, zero, zero, 3)
-    assert calls == ["is_active_partition", "is_active_lift"]
-    calls.clear()
-    assert not is_active(cand, spread, zero, 3)
-    assert calls == ["is_active_partition"]
-    calls.clear()
-    assert is_active(cand, zero)
-    assert calls == ["is_active_partition"]
+@pytest.mark.parametrize("two_g", [4, 6])
+def test_audit_equals_old_conjunction_on_uncleared_outputs(two_g):
+    # No resample: the initial joint draw, with some targets still active.
+    base = BaseCode(3, 4)
+    seen = 0
+    for scheme in (CouplingScheme.uniform(1, lifting_degree=3),
+                   CouplingScheme((0, 2, 5), (Fraction(1, 2), Fraction(1, 3),
+                                              Fraction(1, 6)), 6, 2)):
+        targets = enumerate_cycles(base, two_g)
+        for seed in range(6):
+            instance, trace = run_joint(base, scheme, targets, seed, 0)
+            _, _, active = cli._audit(instance, targets)
+            assert active == [
+                c.key for c in targets
+                if _old_is_active(c, "joint", instance.partition,
+                                  instance.lift, scheme.lifting_degree)]
+            assert trace.terminated == (not active)
+            seen += bool(active)
+    assert seen > 0
 
 
 @pytest.mark.parametrize("stage", ["", "Joint", "two-stage", "partition "])
