@@ -23,6 +23,7 @@ import weakref
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -466,6 +467,39 @@ def test_stage_forms_on_output_values_equal_old_conjunction(case):
         for cand, f in zip(cset, fs):
             assert vanish(f, values) == _old_is_active(cand, mode, partition,
                                                        lift, z)
+
+
+def _grid(stage, base, rng, high):
+    return Assignment.from_dict(
+        stage, {e: int(rng.integers(0, high)) for e in base.edges},
+        base.gamma, base.kappa)
+
+
+@pytest.mark.parametrize("z", [1, 2, 3])
+def test_is_active_equals_old_conjunction(z):
+    # Random 0/1 spreading grids and shifts in [0, Z) on c4, c6 and tbc
+    # 8-walks, decided by the stage compile over the grids' values.
+    rng = np.random.default_rng(z)
+    scheme = CouplingScheme.uniform(1, lifting_degree=z)
+    seen = set()
+    for cset in _walk_sets():
+        base = cset.base
+        _, joint = stage_forms(base.edges, cset, scheme, "joint")
+        _, part = stage_forms(base.edges, cset, scheme, "partition")
+        for _ in range(40):
+            partition = _grid("partition", base, rng, 2)
+            lift = _grid("lift", base, rng, z)
+            both_values = values_from_grids(base, partition, lift)
+            alone_values = values_from_grids(base, partition)
+            for cand, fj, fp in zip(cset, joint, part):
+                both = vanish(fj, both_values)
+                assert both == _old_is_active(cand, "joint", partition,
+                                              lift, z)
+                alone = vanish(fp, alone_values)
+                assert alone == _old_is_active(cand, "partition-only",
+                                               partition, None, z)
+                seen.update([both, alone])
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("two_g", [4, 6])
