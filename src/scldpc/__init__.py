@@ -12,13 +12,13 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .model import (Assignment, BaseCode, CodeInstance, CouplingScheme,
-                    SparseBinaryMatrix, assemble_protograph, assemble_qc)
+                    SparseBinaryMatrix, assemble_qc)
 from .alist import export_alist, parse_alist
 from .serialize import export_instance_json, import_instance_json
 from .walks import (CandidateSet, WalkCandidate, dependency_degree,
                     dependency_pairs, enumerate_cycles, harmful_weight,
                     is_active_lift, is_active_partition)
-from .graphs import girth, tanner_has_4cycle
+from .graphs import girth
 from .probability import (HarmfulStructure, joint_prob, lift_prob_bound,
                           lift_prob_exact, mc_structure_prob,
                           probability_report, spreading_prob_c4_uniform,
@@ -42,13 +42,13 @@ from .experiments import (Z99_ONE_SIDED, ExperimentConfig, StructureSpec,
 # modules (e.g. ``scldpc.bounds.BoundReport``, ``scldpc.moser_tardos.MTTrace``).
 __all__ = [
     "Assignment", "BaseCode", "CodeInstance", "CouplingScheme",
-    "SparseBinaryMatrix", "assemble_protograph", "assemble_qc",
+    "SparseBinaryMatrix", "assemble_qc",
     "export_alist", "parse_alist",
     "export_instance_json", "import_instance_json",
     "CandidateSet", "WalkCandidate", "dependency_degree",
     "dependency_pairs", "enumerate_cycles", "harmful_weight",
     "is_active_lift", "is_active_partition",
-    "girth", "tanner_has_4cycle",
+    "girth",
     "HarmfulStructure", "joint_prob", "lift_prob_bound", "lift_prob_exact",
     "mc_structure_prob", "probability_report", "spreading_prob_c4_uniform",
     "spreading_prob_exact", "structure_joint_prob",

@@ -1,8 +1,9 @@
-"""Independent structural verifiers on explicit Tanner graphs.
+"""An independent structural verifier on explicit Tanner graphs.
 
-Everything here works straight off a parity-check matrix and knows nothing
-about how it was constructed, so these routines can serve as oracles for
-the algebraic activation conditions.
+``girth`` works straight off a parity-check matrix's index buffers and,
+beyond an optional circulant size, knows nothing about how the matrix was
+constructed, so it can serve as an oracle for the algebraic activation
+conditions.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import math
 from array import array
 from collections import deque
-from itertools import islice
 
 from .model import INDEX_TYPE, SparseBinaryMatrix
 
@@ -31,14 +31,11 @@ def girth(h: SparseBinaryMatrix) -> float:
     """
     n_rows = h.nrows
     n = n_rows + h.ncols
-    rows, cols = h.row_cols, h.col_rows
-    # Check nodes are 0..n_rows-1, variable nodes n_rows..n-1; the
-    # neighbours of node u are adj[ptr[u]:ptr[u + 1]].
-    nnz = len(cols.idx)
-    ptr = array(INDEX_TYPE, rows.ptr)
-    ptr.extend(p + nnz for p in islice(cols.ptr, 1, None))
-    adj = array(INDEX_TYPE, (v + n_rows for v in rows.idx))
-    adj.extend(cols.idx)
+    # Check nodes are 0..n_rows-1 and variable nodes n_rows..n-1.  Check
+    # node u's neighbours are n_rows + row_cols[u]; variable node
+    # n_rows + c's are col_rows[c], read in place from the matrix.
+    row_ptr, row_idx = h.row_cols.ptr, h.row_cols.idx
+    col_ptr, col_idx = h.col_rows.ptr, h.col_rows.idx
     z = h.circulant_size
     sources = range(n) if z is None else range(n_rows, n, z)
 
@@ -57,7 +54,13 @@ def girth(h: SparseBinaryMatrix) -> float:
             if 2 * du >= best:
                 break
             pu = parent[u]
-            for v in adj[ptr[u]:ptr[u + 1]]:
+            if u < n_rows:
+                adj, off = row_idx[row_ptr[u]:row_ptr[u + 1]], n_rows
+            else:
+                c = u - n_rows
+                adj, off = col_idx[col_ptr[c]:col_ptr[c + 1]], 0
+            for v in adj:
+                v += off
                 if v == pu:
                     continue
                 if stamp[v] != epoch:
@@ -72,16 +75,3 @@ def girth(h: SparseBinaryMatrix) -> float:
             return 4
     return best
 
-
-def tanner_has_4cycle(h: SparseBinaryMatrix) -> bool:
-    """True iff two rows share two columns (direct structural test)."""
-    seen: set[tuple[int, int]] = set()
-    for col in h.col_rows:
-        d = len(col)
-        for a in range(d):
-            for b in range(a + 1, d):
-                pair = (col[a], col[b])
-                if pair in seen:
-                    return True
-                seen.add(pair)
-    return False

@@ -36,8 +36,11 @@ from typing import Iterable, Iterator, Optional
 
 Edge = tuple[int, int]
 
-# Typecode of every index buffer: signed 64-bit, so any index fits.
-INDEX_TYPE = "q"
+# Typecode of every index buffer: a signed 32-bit C int, 4 bytes per
+# index.  No index reaches 2**31 in a matrix that fits in memory, and an
+# array raises OverflowError on a value that does not fit, so an index is
+# never wrapped.
+INDEX_TYPE = "i"
 
 
 class IndexLists(Sequence):
@@ -66,9 +69,10 @@ class IndexLists(Sequence):
         for k in range(len(ptr) - 1):
             yield tuple(idx[ptr[k]:ptr[k + 1]])
 
-    def lengths(self) -> list[int]:
-        """The length of every list, in order."""
-        return list(map(operator.sub, islice(self.ptr, 1, None), self.ptr))
+    def lengths(self) -> array:
+        """The length of every list, in order, as an index buffer."""
+        return array(INDEX_TYPE,
+                     map(operator.sub, islice(self.ptr, 1, None), self.ptr))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IndexLists):
@@ -226,10 +230,6 @@ class BaseCode:
         """Masked edges (i, j) in row-major order."""
         return tuple((i, j) for i in range(self.gamma)
                      for j in range(self.kappa) if self.mask[i][j])
-
-    @property
-    def is_all_ones(self) -> bool:
-        return all(v == 1 for row in self.mask for v in row)
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.mask[i][j])
@@ -389,26 +389,6 @@ def _check_partition(base: BaseCode, scheme: CouplingScheme,
         if v not in scheme.pattern:
             raise ValueError(
                 f"partition value {v} on edge ({i},{j}) not in pattern")
-
-
-def assemble_protograph(base: BaseCode, partition: Assignment,
-                        scheme: CouplingScheme) -> SparseBinaryMatrix:
-    """Unwrap the base into the coupled protograph (no lifting).
-
-    Replica r contributes, for each base edge (i, j) with component
-    k = P(i, j), a one at row (r + k)*gamma + i, column r*kappa + j.
-    """
-    _check_partition(base, scheme, partition)
-    m = scheme.memory
-    length = scheme.coupling_length
-    nrows = base.gamma * (length + m)
-    ncols = base.kappa * length
-    entries = []
-    for r in range(length):
-        for (i, j) in base.edges:
-            k = partition.values[i][j]
-            entries.append(((r + k) * base.gamma + i, r * base.kappa + j))
-    return SparseBinaryMatrix.from_entries(nrows, ncols, entries)
 
 
 def assemble_qc(instance: CodeInstance) -> SparseBinaryMatrix:

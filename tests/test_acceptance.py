@@ -23,8 +23,9 @@ from scldpc import (Assignment, BaseCode, CodeInstance, CouplingScheme,
                     girth, is_active_lift, is_active_partition,
                     lift_prob_bound, lift_prob_exact, formula_delta_c4,
                     spreading_prob_c4_uniform, spreading_prob_exact,
-                    tanner_has_4cycle, theorem2_resample_bound,
-                    threshold_branch_i, threshold_branch_ii, verify_theorem2)
+                    theorem2_resample_bound, threshold_branch_i,
+                    threshold_branch_ii, verify_theorem2)
+from test_graphs import tanner_has_4cycle
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from scldpc import SparseBinaryMatrix, girth, tanner_has_4cycle
+from scldpc import SparseBinaryMatrix, girth
 
 
 def _m(rows: list[list[int]]) -> SparseBinaryMatrix:
@@ -12,6 +12,20 @@ def _m(rows: list[list[int]]) -> SparseBinaryMatrix:
     entries = [(int(r), int(c)) for r, c in zip(*np.nonzero(arr))]
     return SparseBinaryMatrix.from_entries(arr.shape[0], arr.shape[1],
                                            entries)
+
+
+def tanner_has_4cycle(h: SparseBinaryMatrix) -> bool:
+    """True iff two rows share two columns (direct structural test)."""
+    seen: set[tuple[int, int]] = set()
+    for col in h.col_rows:
+        d = len(col)
+        for a in range(d):
+            for b in range(a + 1, d):
+                pair = (col[a], col[b])
+                if pair in seen:
+                    return True
+                seen.add(pair)
+    return False
 
 
 def _girth_reference(h: SparseBinaryMatrix) -> float:

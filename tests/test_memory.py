@@ -1,5 +1,5 @@
 """Allocation bounds for the whole-matrix steps: QC assembly, the row
-lists, and alist export and parsing.
+lists, girth, and alist export and parsing.
 
 Each step should allocate little beyond its result: the measure is the
 peak of traced allocations during the call over the bytes still traced
@@ -18,7 +18,7 @@ import tracemalloc
 import pytest
 
 from scldpc import (Assignment, BaseCode, CodeInstance, CouplingScheme,
-                    assemble_qc, export_alist, parse_alist)
+                    assemble_qc, export_alist, girth, parse_alist)
 
 
 def _instance() -> CodeInstance:
@@ -102,3 +102,36 @@ def test_matrix_and_row_lists_retain_few_bytes_per_nonzero():
     parsed, retained, _ = _traced(lambda: parse_alist(text))
     assert parsed == h
     assert retained / parsed.nnz <= 24
+
+
+# 32-bit index buffers: 4 bytes per nonzero on each side, plus the two
+# pointer buffers (about 2 bytes per nonzero here).
+
+def test_matrix_and_row_lists_retain_at_most_12_bytes_per_nonzero():
+    inst = _instance()
+
+    def assemble_with_rows():
+        h = assemble_qc(inst)
+        h.row_cols
+        return h
+
+    h, retained, _ = _traced(assemble_with_rows)
+    assert retained / h.nnz <= 12
+
+
+def test_parse_alist_result_retains_at_most_8_bytes_per_nonzero(matrix):
+    # The parsed matrix keeps its column buffers only; the row lists are
+    # checked without building them.
+    text = export_alist(matrix)
+    parsed, retained, _ = _traced(lambda: parse_alist(text))
+    assert parsed == matrix
+    assert retained / parsed.nnz <= 8
+
+
+def test_girth_peaks_at_most_8_bytes_per_nonzero_beyond_its_input(matrix):
+    # The BFS reads the matrix's own buffers; beyond them it holds three
+    # work arrays of one index per vertex and its queue.
+    matrix.row_cols  # part of the input: the matrix keeps them
+    g, _, peak = _traced(lambda: girth(matrix))
+    assert g >= 4
+    assert peak / matrix.nnz <= 8

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scldpc import (Assignment, BaseCode, CodeInstance, CouplingScheme,
-                    SparseBinaryMatrix, WalkCandidate, assemble_protograph,
-                    assemble_qc, export_alist, girth, parse_alist)
+                    SparseBinaryMatrix, WalkCandidate, assemble_qc,
+                    export_alist, girth, parse_alist)
+from scldpc.model import _check_partition
 from dense import to_dense
 from test_graphs import _girth_reference
 
@@ -27,6 +28,30 @@ def _lift_grid(base: BaseCode, fn) -> Assignment:
                          for j in range(base.kappa))
                    for i in range(base.gamma))
     return Assignment("lift", values)
+
+
+def _is_all_ones(base: BaseCode) -> bool:
+    return all(v == 1 for row in base.mask for v in row)
+
+
+def assemble_protograph(base: BaseCode, partition: Assignment,
+                        scheme: CouplingScheme) -> SparseBinaryMatrix:
+    """Unwrap the base into the coupled protograph (no lifting).
+
+    Replica r contributes, for each base edge (i, j) with component
+    k = P(i, j), a one at row (r + k)*gamma + i, column r*kappa + j.
+    """
+    _check_partition(base, scheme, partition)
+    m = scheme.memory
+    length = scheme.coupling_length
+    nrows = base.gamma * (length + m)
+    ncols = base.kappa * length
+    entries = []
+    for r in range(length):
+        for (i, j) in base.edges:
+            k = partition.values[i][j]
+            entries.append(((r + k) * base.gamma + i, r * base.kappa + j))
+    return SparseBinaryMatrix.from_entries(nrows, ncols, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +79,16 @@ def test_sparse_matrix_row_adjacency():
     h = SparseBinaryMatrix.from_entries(2, 3, [(0, 0), (0, 2), (1, 2)])
     assert h.row_cols == ((0, 2), (2,))
     assert h.col_rows == ((0,), (), (0, 1))
+
+
+def test_index_beyond_32_bits_is_rejected_not_wrapped():
+    # Index buffers hold signed 32-bit ints; a larger index raises instead
+    # of wrapping to another row.  (Row lists of such a matrix would need
+    # 2**31 pointers, so they are not asked for.)
+    with pytest.raises(OverflowError):
+        SparseBinaryMatrix(2 ** 31 + 1, 1, [[2 ** 31]])
+    h = SparseBinaryMatrix(2 ** 31, 1, [[2 ** 31 - 1]])
+    assert h.col_rows == ((2 ** 31 - 1,),)
 
 
 @st.composite
@@ -86,13 +121,13 @@ def test_row_cols_is_the_transpose_and_alist_round_trips(h):
 
 def test_base_code_defaults_all_ones():
     base = BaseCode(2, 3)
-    assert base.is_all_ones
+    assert _is_all_ones(base)
     assert base.edges == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
 
 
 def test_base_code_mask():
     base = BaseCode(2, 2, mask=((1, 0), (1, 1)))
-    assert not base.is_all_ones
+    assert not _is_all_ones(base)
     assert base.edges == ((0, 0), (1, 0), (1, 1))
     assert base.has_edge(1, 1) and not base.has_edge(0, 1)
 
@@ -337,6 +372,17 @@ def test_girth_from_circulant_sources_matches_every_vertex_bfs(inst):
     g = girth(h)  # one source per column block
     assert g == girth(ref)  # every vertex a source
     assert g == _girth_reference(ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=_instances())
+def test_equal_matrices_from_every_builder_hash_equal(inst):
+    qc = assemble_qc(inst)
+    built = SparseBinaryMatrix(qc.nrows, qc.ncols, list(qc.col_rows))
+    assert built == qc and hash(built) == hash(qc)
+    if qc.nnz:
+        parsed = parse_alist(export_alist(qc))
+        assert parsed == qc and hash(parsed) == hash(qc)
 
 
 def test_instance_validates_lift_range():
