@@ -19,10 +19,9 @@ from .walks import (CandidateSet, WalkCandidate, dependency_degree,
                     dependency_pairs, enumerate_cycles, harmful_weight,
                     is_active_lift, is_active_partition)
 from .graphs import girth
-from .probability import (HarmfulStructure, joint_prob, lift_prob_bound,
-                          lift_prob_exact, mc_structure_prob,
+from .probability import (joint_prob, lift_prob_bound, lift_prob_exact,
                           probability_report, spreading_prob_c4_uniform,
-                          spreading_prob_exact, structure_joint_prob)
+                          spreading_prob_exact)
 from .bounds import (COROLLARY4_CAP, build_base_edge_cover,
                      build_pairwise_cover, c4_block_dims, corollary1_check,
                      corollary1_min_z, corollary4_bound,
@@ -31,7 +30,7 @@ from .bounds import (COROLLARY4_CAP, build_base_edge_cover,
                      theorem1_feasibility, theorem1_thresholds,
                      theorem2_resample_bound, threshold_branch_i,
                      threshold_branch_ii, verify_cover)
-from .moser_tardos import (AdmissionError, construct_two_stage, default_cap,
+from .moser_tardos import (AdmissionError, construct_two_stage,
                            derive_child_seeds, run_joint, run_stage_lift,
                            run_stage_partition)
 from .experiments import (Z99_ONE_SIDED, ExperimentConfig, StructureSpec,
@@ -49,9 +48,9 @@ __all__ = [
     "dependency_pairs", "enumerate_cycles", "harmful_weight",
     "is_active_lift", "is_active_partition",
     "girth",
-    "HarmfulStructure", "joint_prob", "lift_prob_bound", "lift_prob_exact",
-    "mc_structure_prob", "probability_report", "spreading_prob_c4_uniform",
-    "spreading_prob_exact", "structure_joint_prob",
+    "joint_prob", "lift_prob_bound", "lift_prob_exact",
+    "probability_report", "spreading_prob_c4_uniform",
+    "spreading_prob_exact",
     "COROLLARY4_CAP", "build_base_edge_cover", "build_pairwise_cover",
     "c4_block_dims", "corollary1_check",
     "corollary1_min_z", "corollary4_bound", "lemma2_evaluate",
@@ -59,7 +58,7 @@ __all__ = [
     "theorem1_feasibility", "theorem1_thresholds",
     "theorem2_resample_bound", "threshold_branch_i", "threshold_branch_ii",
     "verify_cover",
-    "AdmissionError", "construct_two_stage", "default_cap",
+    "AdmissionError", "construct_two_stage",
     "derive_child_seeds", "run_joint", "run_stage_lift",
     "run_stage_partition",
     "ExperimentConfig", "StructureSpec", "estimate_baseline",

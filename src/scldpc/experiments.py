@@ -179,16 +179,28 @@ class ExperimentConfig:
         )
 
 
-def _build_sets(config: ExperimentConfig
-                ) -> tuple[CandidateSet, list[tuple[str, CandidateSet]]]:
-    base = config.base
-    elim = config.eliminate.build(base)
+def _eliminate_set(config: ExperimentConfig) -> CandidateSet:
+    elim = config.eliminate.build(config.base)
     if len(elim) == 0:
         raise ValueError("eliminate spec matches no candidates")
+    return elim
+
+
+def _build_sets(config: ExperimentConfig
+                ) -> tuple[CandidateSet, list[tuple[str, CandidateSet]]]:
+    """The eliminate set and each observe spec's set; no observe spec, an
+    empty set or an observable that is also a target is a ValueError."""
+    elim = _eliminate_set(config)
+    if not config.observe:
+        raise ValueError("observe lists no structure")
+    base = config.base
     observed = []
     elim_keys = {c.key for c in elim}
     for spec in config.observe:
         oset = spec.build(base)
+        if len(oset) == 0:
+            raise ValueError(f"observe spec {spec.label} matches no "
+                             "candidates")
         clash = [c.key for c in oset if c.key in elim_keys]
         if clash:
             raise ValueError("observe and eliminate sets overlap: "
@@ -545,7 +557,7 @@ class Theorem2Report:
 def verify_theorem2(config: ExperimentConfig) -> Theorem2Report:
     """Compare mean total resamples against the expected-cost bound with a
     one-sided 99% sampling allowance."""
-    elim, _ = _build_sets(config)
+    elim = _eliminate_set(config)
     _, counts = _run_trials(config, elim)
     stats = _resample_stats(config, elim, counts)
     n = len(counts)

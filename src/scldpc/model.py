@@ -32,7 +32,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 Edge = tuple[int, int]
 
@@ -142,16 +142,6 @@ class SparseBinaryMatrix:
         h = cls.__new__(cls)
         h._init(nrows, ncols, ptr, idx, circulant)
         return h
-
-    @classmethod
-    def from_entries(cls, nrows: int, ncols: int,
-                     entries: Iterable[Edge]) -> "SparseBinaryMatrix":
-        cols: list[set[int]] = [set() for _ in range(ncols)]
-        for r, c in entries:
-            if not (0 <= r < nrows and 0 <= c < ncols):
-                raise ValueError(f"entry ({r},{c}) out of range")
-            cols[c].add(r)
-        return cls(nrows, ncols, [sorted(s) for s in cols])
 
     @property
     def row_cols(self) -> IndexLists:

@@ -212,11 +212,6 @@ def _cap(rep: Optional[bounds.BoundReport], fallback=FALLBACK_CAP) -> int:
     return 1000 * max(1, rep.k if bound is None else math.ceil(bound))
 
 
-def default_cap(cset: CandidateSet, probs) -> int:
-    """1000x Theorem 1's resample bound if it holds, else FALLBACK_CAP."""
-    return _cap(_certify(cset, probs))
-
-
 def _grid_from_values(base: BaseCode, stage: str, values: Sequence[int],
                       offset: int = 0) -> Assignment:
     return Assignment.from_dict(stage, dict(zip(base.edges, values[offset:])),

@@ -6,7 +6,7 @@ distribution and every lift shift uniform on [0, Z), a candidate walk is
 spreading, mod Z for lifting).
 
 One representation serves every sampler and activity count in the package
-(the resampler, baseline, shift harness, CLI audit, Monte Carlo estimator):
+(the resampler, baseline, shift harness, CLI audit):
 
 * a ``Sampler`` draws integer values with exact integer weights;
   ``scheme_sampler`` is the spreading distribution and ``uniform(z)`` the
@@ -463,62 +463,6 @@ def joint_prob(cand: WalkCandidate,
         lift=lift_prob_exact(cand, scheme.lifting_degree),
         lift_bound=lift_prob_bound([cand.two_g], scheme.lifting_degree),
     )
-
-
-@dataclass(frozen=True)
-class HarmfulStructure:
-    """A union of fundamental cycles treated as one object.
-
-    Exploratory: multi-cycle structures are not resampling targets, but
-    their activation probability is still useful for bound studies.
-    """
-
-    cycles: tuple[WalkCandidate, ...]
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.cycles:
-            raise ValueError("structure needs at least one cycle")
-
-
-def structure_joint_prob(struct: HarmfulStructure,
-                         scheme: CouplingScheme
-                         ) -> Optional[ActivationProbability]:
-    """Exact joint activation when the cycles' supports are edge-disjoint.
-
-    Disjoint supports make the per-cycle events independent, so the
-    probabilities multiply.  Returns None when supports overlap; use
-    mc_structure_prob (plus lift_prob_bound) there.
-    """
-    seen: set = set()
-    for c in struct.cycles:
-        for e in c.support:
-            if e in seen:
-                return None
-            seen.add(e)
-    spread = Fraction(1)
-    lift = Fraction(1)
-    for c in struct.cycles:
-        p = joint_prob(c, scheme)
-        spread *= p.spread
-        lift *= p.lift
-    bound = lift_prob_bound([c.two_g for c in struct.cycles],
-                            scheme.lifting_degree)
-    return ActivationProbability(spread, lift, bound)
-
-
-def mc_structure_prob(struct: HarmfulStructure, scheme: CouplingScheme,
-                      trials: int, seed: int) -> float:
-    """Monte Carlo estimate of P[every cycle active] for overlapping supports."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    gen = rng(seed)
-    edges = sorted({e for c in struct.cycles for e in c.edges})
-    blocks, cycle_forms = stage_forms(edges, struct.cycles, scheme, "joint")
-    all_forms = [f for fs in cycle_forms for f in fs]
-    hits = sum(vanish(all_forms, draw(gen, blocks, len(edges)))
-               for _ in range(trials))
-    return hits / trials
 
 
 def probability_report(cands: Sequence[WalkCandidate],

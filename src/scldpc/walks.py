@@ -127,12 +127,6 @@ class WalkCandidate:
     def avoidable(self) -> bool:
         return bool(self.support)
 
-    def support_mod(self, z: int) -> tuple[Edge, ...]:
-        """Edges whose coefficient stays nonzero mod Z (lift-stage support)."""
-        if z < 1:
-            raise ValueError("lifting degree must be at least 1")
-        return tuple(e for e, c in self.coeffs if c % z != 0)
-
     @property
     def vertex_count(self) -> int:
         """Distinct vertices the walk visits (< two_g when nodes repeat)."""
@@ -225,6 +219,16 @@ def enumerate_cycles(base: BaseCode, two_g: int,
                                            key=lambda c: c.sort_key)))
 
 
+def _window(items: Iterable[int], name: str, size: int) -> set[int]:
+    """``items`` as a set; the first one outside 0..size-1 is a ValueError."""
+    items = tuple(items)
+    for v in items:
+        if not 0 <= v < size:
+            raise ValueError(f"{name} {v} is outside the base "
+                             f"(0..{size - 1})")
+    return set(items)
+
+
 @dataclass(frozen=True)
 class CandidateSet:
     """An ordered, deduplicated collection of candidates over one base."""
@@ -275,9 +279,12 @@ class CandidateSet:
 
     def restrict(self, rows: Optional[Iterable[int]] = None,
                  cols: Optional[Iterable[int]] = None) -> "CandidateSet":
-        """Keep candidates entirely inside the given row/column subsets."""
-        rset = None if rows is None else set(rows)
-        cset = None if cols is None else set(cols)
+        """Keep candidates entirely inside the given row/column subsets;
+        a row or column outside the base is a ValueError naming it."""
+        rset = None if rows is None else _window(rows, "row",
+                                                 self.base.gamma)
+        cset = None if cols is None else _window(cols, "column",
+                                                 self.base.kappa)
         kept = []
         for c in self.candidates:
             walk_rows = set(c.nodes[1::2])

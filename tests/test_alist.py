@@ -7,6 +7,7 @@ import pytest
 
 from scldpc import SparseBinaryMatrix, export_alist, parse_alist
 from dense import to_dense
+from helpers import from_entries
 
 
 def _random_matrix(rng: np.random.Generator) -> SparseBinaryMatrix:
@@ -17,15 +18,14 @@ def _random_matrix(rng: np.random.Generator) -> SparseBinaryMatrix:
         if dense.sum() > 0:
             break
     entries = [(int(r), int(c)) for r, c in zip(*np.nonzero(dense))]
-    return SparseBinaryMatrix.from_entries(nrows, ncols, entries)
+    return from_entries(nrows, ncols, entries)
 
 
 def test_known_text_layout():
     # 2x3 matrix: rows (1,1,0) and (0,1,1).  The header is
     # "<ncols> <nrows>", indices are 1-based, and short neighbor lists
     # are zero-padded to the maximum degree.
-    h = SparseBinaryMatrix.from_entries(2, 3, [(0, 0), (0, 1), (1, 1),
-                                               (1, 2)])
+    h = from_entries(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)])
     lines = export_alist(h).splitlines()
     assert lines[0] == "3 2"
     assert lines[1] == "2 2"           # max column degree, max row degree
@@ -50,11 +50,11 @@ def test_roundtrip_random_matrices():
 
 def test_refuses_empty_matrix():
     with pytest.raises(ValueError):
-        export_alist(SparseBinaryMatrix.from_entries(2, 2, []))
+        export_alist(from_entries(2, 2, []))
 
 
 def test_parse_rejects_truncation():
-    h = SparseBinaryMatrix.from_entries(2, 2, [(0, 0), (1, 1)])
+    h = from_entries(2, 2, [(0, 0), (1, 1)])
     text = export_alist(h)
     lines = text.splitlines()
     with pytest.raises(ValueError):
@@ -62,7 +62,7 @@ def test_parse_rejects_truncation():
 
 
 def test_parse_rejects_degree_mismatch():
-    h = SparseBinaryMatrix.from_entries(2, 2, [(0, 0), (1, 1)])
+    h = from_entries(2, 2, [(0, 0), (1, 1)])
     lines = export_alist(h).splitlines()
     lines[2] = "2 1"  # claim column 1 has two neighbors
     with pytest.raises(ValueError):
@@ -70,7 +70,7 @@ def test_parse_rejects_degree_mismatch():
 
 
 def test_parse_rejects_inconsistent_cross_lists():
-    h = SparseBinaryMatrix.from_entries(2, 2, [(0, 0), (1, 1)])
+    h = from_entries(2, 2, [(0, 0), (1, 1)])
     lines = export_alist(h).splitlines()
     # swap the row-side neighbor lists so they contradict the column side
     lines[-2], lines[-1] = lines[-1], lines[-2]
@@ -79,7 +79,7 @@ def test_parse_rejects_inconsistent_cross_lists():
 
 
 def test_parse_rejects_out_of_range_index():
-    h = SparseBinaryMatrix.from_entries(2, 2, [(0, 0), (1, 1)])
+    h = from_entries(2, 2, [(0, 0), (1, 1)])
     lines = export_alist(h).splitlines()
     lines[4] = "3"  # row index beyond nrows
     with pytest.raises(ValueError):
@@ -88,8 +88,7 @@ def test_parse_rejects_out_of_range_index():
 
 def _two_by_three_lines() -> list[str]:
     # Rows (1,1,0) and (0,1,1), as in test_known_text_layout.
-    h = SparseBinaryMatrix.from_entries(2, 3, [(0, 0), (0, 1), (1, 1),
-                                               (1, 2)])
+    h = from_entries(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)])
     return export_alist(h).splitlines()
 
 
@@ -162,7 +161,7 @@ _LAYOUT = ["3 2", "2 2", "1 2 1", "2 2", "1 0", "1 2", "2 0", "1 2", "2 3"]
 ])
 def test_parse_input_checks(line, text, message):
     lines = list(_LAYOUT)
-    assert parse_alist("\n".join(lines)) == SparseBinaryMatrix.from_entries(
+    assert parse_alist("\n".join(lines)) == from_entries(
         2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)])
     lines[line] = text
     with pytest.raises(ValueError, match=re.escape(message)):

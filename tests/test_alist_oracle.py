@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from scldpc import SparseBinaryMatrix, export_alist, parse_alist
 from scldpc.model import INDEX_TYPE, check_column
+from helpers import from_entries
 
 _OLD_LINE = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]+")
 
@@ -109,7 +110,7 @@ def _matrices(draw) -> SparseBinaryMatrix:
     entries = draw(st.sets(st.tuples(st.integers(0, nrows - 1),
                                      st.integers(0, ncols - 1)),
                            min_size=1, max_size=30))
-    return SparseBinaryMatrix.from_entries(nrows, ncols, entries)
+    return from_entries(nrows, ncols, entries)
 
 
 _EDITS = ("swap-rows", "shuffle-line", "set-entry", "duplicate",

@@ -3,9 +3,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -413,6 +415,17 @@ def test_experiment_theorem2_op(capsys):
     assert doc["passed"] is True
 
 
+def test_experiment_theorem2_reads_no_observables(capsys):
+    # The default c6 observe spec matches nothing on two rows; theorem2
+    # does not build it.
+    code = run_cli("experiment", "--op", "theorem2", "--gamma", "2",
+                   "--kappa", "4", "--m", "3", "--mode", "partition-only",
+                   "--trials", "50", "--seed", "1")
+    doc = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert doc["trials"] == 50
+
+
 def test_experiment_sweep_csv(capsys):
     code = run_cli("experiment", "--gamma", "3", "--kappa", "3", "--m", "2",
                    "--mode", "partition-only", "--trials", "20",
@@ -534,11 +547,29 @@ def test_export_parse_back_mismatch_exits_1(tmp_path, capsys, monkeypatch):
      "spreading scheme is required (config or --m)"),
     (["experiment", "--gamma", "3", "--kappa", "3", "--m", "1",
       "--sweep", "m"], "--sweep requires --sweep-values"),
+    (["enumerate", "--gamma", "3", "--kappa", "3", "--rows", "5,6"],
+     "row 5 is outside the base (0..2)"),
+    (["enumerate", "--gamma", "3", "--kappa", "3", "--cols", "0,3"],
+     "column 3 is outside the base (0..2)"),
+    (["experiment", "--gamma", "2", "--kappa", "4", "--m", "3",
+      "--mode", "partition-only", "--trials", "50", "--seed", "1"],
+     "observe spec c6 matches no candidates"),
+    (["experiment", "--op", "baseline", "--gamma", "2", "--kappa", "4",
+      "--m", "3", "--mode", "partition-only", "--trials", "50",
+      "--seed", "1"], "observe spec c6 matches no candidates"),
+    (["experiment", "--config", "{window_config}"],
+     "column 7 is outside the base (0..2)"),
 ], ids=["out-is-a-directory", "m-with-pattern", "config-not-an-object",
-        "no-scheme", "sweep-without-values"])
+        "no-scheme", "sweep-without-values", "enumerate-rows-outside",
+        "enumerate-cols-outside", "shift-observes-nothing",
+        "baseline-observes-nothing", "observe-window-outside"])
 def test_usage_errors_exit_2(argv, message, tmp_path, capsys):
     (tmp_path / "list.json").write_text("[1, 2]")
-    paths = {"dir": tmp_path, "list_config": tmp_path / "list.json"}
+    (tmp_path / "window.json").write_text(json.dumps(
+        {"gamma": 3, "kappa": 3, "m": 2, "mode": "partition-only",
+         "trials": 5, "observe": [{"two_g": 6, "cols": [7, 8]}]}))
+    paths = {"dir": tmp_path, "list_config": tmp_path / "list.json",
+             "window_config": tmp_path / "window.json"}
     code = run_cli(*(arg.format(**paths) for arg in argv))
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
@@ -590,3 +621,28 @@ def test_python_dash_m_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == EXIT_OK
     assert len(proc.stdout.strip().splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
+# CI workflow
+# ---------------------------------------------------------------------------
+
+WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" \
+    / "tests.yml"
+_WORKFLOW_RUNS = [shlex.split(line.split(" -m scldpc ", 1)[1])
+                  for line in WORKFLOW.read_text().splitlines()
+                  if "python -S -m scldpc " in line]
+
+
+def test_workflow_runs_the_cli():
+    assert len(_WORKFLOW_RUNS) >= 1
+
+
+@pytest.mark.parametrize("argv", _WORKFLOW_RUNS, ids=lambda argv: argv[0])
+def test_workflow_cli_lines_parse(argv, capsys):
+    # A renamed or removed flag fails here, not only in the workflow.
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"{' '.join(argv)}: {capsys.readouterr().err}")
+    assert args.command == argv[0]

@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from scldpc.cli import EXIT_CHECK_FAILED, EXIT_OK, main
 from scldpc.experiments import (MODES, Z99_ONE_SIDED, _null_check,
                                 _overlap_counts, _stage, _sum)
 from scldpc.moser_tardos import compile_events
+from helpers import support_mod
 
 
 def _config(**overrides) -> ExperimentConfig:
@@ -77,6 +79,46 @@ def test_empty_eliminate_rejected():
     cfg = _config(eliminate=StructureSpec(4, rows=(0,)))
     with pytest.raises(ValueError):
         estimate_baseline(cfg)
+
+
+# A 2-row base has no 6-cycle; columns 7 and 8 lie outside a 3x3 base.
+@pytest.mark.parametrize("overrides, message", [
+    (dict(gamma=2, kappa=4), "observe spec c6 matches no candidates"),
+    (dict(observe=(StructureSpec(6), StructureSpec(4, rows=(0,)))),
+     "observe spec c4@r0x* matches no candidates"),
+    (dict(observe=(StructureSpec(6, cols=(7, 8)),)),
+     "column 7 is outside the base (0..2)"),
+    (dict(observe=()), "observe lists no structure"),
+], ids=["no-c6-in-two-rows", "one-row-window", "window-outside-base",
+        "no-observe-spec"])
+@pytest.mark.parametrize("study", [estimate_mt_shift, estimate_baseline])
+def test_observe_spec_that_observes_nothing_rejected(study, overrides,
+                                                     message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        study(_config(trials=5, **overrides))
+
+
+def test_sweep_cell_that_observes_nothing_records_the_error():
+    text = sweep(_config(trials=5), "gamma", [2])
+    (row,) = csv.DictReader(io.StringIO(text))
+    assert row["error"] == \
+        "ValueError: observe spec c6 matches no candidates"
+
+
+def test_theorem2_builds_only_the_eliminate_set(monkeypatch):
+    built = []
+    build = StructureSpec.build
+
+    def recording_build(spec, base):
+        built.append(spec)
+        return build(spec, base)
+
+    monkeypatch.setattr(StructureSpec, "build", recording_build)
+    cfg = _config(gamma=2, kappa=4, trials=5,
+                  observe=(StructureSpec(6), StructureSpec(4)))
+    rep = verify_theorem2(cfg)
+    assert built == [cfg.eliminate]
+    assert rep.trials == 5
 
 
 def test_structure_spec_labels_and_windows():
@@ -245,7 +287,7 @@ def _pairwise_stage_supports(cand, config):
     spread = set(cand.support)
     if config.mode == "partition-only":
         return spread, set()
-    return spread, set(cand.support_mod(config.scheme.lifting_degree))
+    return spread, set(support_mod(cand, config.scheme.lifting_degree))
 
 
 def _pairwise_overlap_count(cand, elim, config):

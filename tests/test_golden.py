@@ -31,11 +31,11 @@ from pathlib import Path
 import pytest
 
 from scldpc import (Assignment, BaseCode, CouplingScheme, ExperimentConfig,
-                    HarmfulStructure, StructureSpec, construct_two_stage,
-                    enumerate_cycles, estimate_baseline, estimate_mt_shift,
-                    mc_structure_prob, run_joint, run_stage_lift,
-                    run_stage_partition)
+                    StructureSpec, construct_two_stage, enumerate_cycles,
+                    estimate_baseline, estimate_mt_shift, run_joint,
+                    run_stage_lift, run_stage_partition)
 from scldpc.cli import main
+from helpers import HarmfulStructure, mc_structure_prob
 
 
 def _digest(obj) -> str:

@@ -5,13 +5,13 @@ import math
 import numpy as np
 
 from scldpc import SparseBinaryMatrix, girth
+from helpers import from_entries
 
 
 def _m(rows: list[list[int]]) -> SparseBinaryMatrix:
     arr = np.array(rows, dtype=np.uint8)
     entries = [(int(r), int(c)) for r, c in zip(*np.nonzero(arr))]
-    return SparseBinaryMatrix.from_entries(arr.shape[0], arr.shape[1],
-                                           entries)
+    return from_entries(arr.shape[0], arr.shape[1], entries)
 
 
 def tanner_has_4cycle(h: SparseBinaryMatrix) -> bool:
@@ -80,7 +80,7 @@ def test_girth_matches_reference_on_random_matrices():
         entries = [(int(r), int(c)) for r, c in zip(*np.nonzero(dense))]
         if not entries:
             continue
-        h = SparseBinaryMatrix.from_entries(nr, nc, entries)
+        h = from_entries(nr, nc, entries)
         assert girth(h) == _girth_reference(h)
         assert tanner_has_4cycle(h) == (girth(h) == 4)
 

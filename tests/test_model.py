@@ -13,6 +13,7 @@ from scldpc import (Assignment, BaseCode, CodeInstance, CouplingScheme,
                     export_alist, girth, parse_alist)
 from scldpc.model import _check_partition
 from dense import to_dense
+from helpers import from_entries
 from test_graphs import _girth_reference
 
 
@@ -51,7 +52,7 @@ def assemble_protograph(base: BaseCode, partition: Assignment,
         for (i, j) in base.edges:
             k = partition.values[i][j]
             entries.append(((r + k) * base.gamma + i, r * base.kappa + j))
-    return SparseBinaryMatrix.from_entries(nrows, ncols, entries)
+    return from_entries(nrows, ncols, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -60,14 +61,14 @@ def assemble_protograph(base: BaseCode, partition: Assignment,
 
 def test_sparse_matrix_roundtrip():
     entries = [(0, 0), (2, 1), (1, 0), (0, 2)]
-    h = SparseBinaryMatrix.from_entries(3, 3, entries)
+    h = from_entries(3, 3, entries)
     dense = to_dense(h)
     expect = np.zeros((3, 3), dtype=np.uint8)
     for r, c in entries:
         expect[r, c] = 1
     assert np.array_equal(dense, expect)
     assert h.nnz == 4
-    assert h == SparseBinaryMatrix.from_entries(3, 3, reversed(entries))
+    assert h == from_entries(3, 3, reversed(entries))
 
 
 def test_sparse_matrix_rejects_unsorted_columns():
@@ -76,7 +77,7 @@ def test_sparse_matrix_rejects_unsorted_columns():
 
 
 def test_sparse_matrix_row_adjacency():
-    h = SparseBinaryMatrix.from_entries(2, 3, [(0, 0), (0, 2), (1, 2)])
+    h = from_entries(2, 3, [(0, 0), (0, 2), (1, 2)])
     assert h.row_cols == ((0, 2), (2,))
     assert h.col_rows == ((0,), (), (0, 1))
 
@@ -98,7 +99,7 @@ def _matrices(draw) -> SparseBinaryMatrix:
     entries = draw(st.sets(st.tuples(st.integers(0, nrows - 1),
                                      st.integers(0, ncols - 1)),
                            max_size=40)) if nrows and ncols else ()
-    return SparseBinaryMatrix.from_entries(nrows, ncols, entries)
+    return from_entries(nrows, ncols, entries)
 
 
 @settings(max_examples=200, deadline=None)
@@ -332,7 +333,7 @@ def _assemble_qc_entries(instance: CodeInstance) -> SparseBinaryMatrix:
             big_c = (r * base.kappa + j) * z
             for c in range(z):
                 entries.append((big_r + (c + x) % z, big_c + c))
-    return SparseBinaryMatrix.from_entries(nrows, ncols, entries)
+    return from_entries(nrows, ncols, entries)
 
 
 @st.composite
@@ -425,7 +426,7 @@ _HALF = Fraction(1, 2)
     pytest.param(lambda: SparseBinaryMatrix(1, 2, [[0]]), ValueError,
                  "col_rows length does not match ncols",
                  id="matrix-col-count"),
-    pytest.param(lambda: SparseBinaryMatrix.from_entries(2, 2, [(2, 0)]),
+    pytest.param(lambda: from_entries(2, 2, [(2, 0)]),
                  ValueError, "entry (2,0) out of range",
                  id="matrix-entry-range"),
     pytest.param(lambda: BaseCode(2, 2, mask=((1, 2), (1, 1))), ValueError,

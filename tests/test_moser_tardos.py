@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 from scldpc import (AdmissionError, Assignment, BaseCode, CandidateSet,
                     CouplingScheme, assemble_qc, construct_two_stage,
-                    default_cap, dependency_pairs, derive_child_seeds,
+                    dependency_pairs, derive_child_seeds,
                     enumerate_cycles, girth, joint_prob, run_joint,
                     run_stage_lift, run_stage_partition,
                     spreading_prob_exact)
 from scldpc.moser_tardos import MTTrace, compile_events, run_mt
 from scldpc.probability import draw, recorded_seed, rng, vanish
 from scldpc.walks import WalkCandidate, is_active_lift, is_active_partition
+from helpers import default_cap, support_mod
 
 
 def _flat_partition(base: BaseCode) -> Assignment:
@@ -414,10 +415,11 @@ def test_compiled_neighbors_are_the_dependency_graph(targets):
 
     z = scheme.lifting_degree
     lift_set = CandidateSet(cset.base, tuple(c for c in cset
-                                             if c.support_mod(z)))
+                                             if support_mod(c, z)))
     lift_pairs = [(a, b) for a, ca in enumerate(lift_set)
                   for b, cb in enumerate(lift_set)
-                  if a < b and set(ca.support_mod(z)) & set(cb.support_mod(z))]
+                  if a < b
+                  and set(support_mod(ca, z)) & set(support_mod(cb, z))]
     system = compile_events(lift_set, scheme, "lift")
     assert system.labels == tuple(c.key for c in lift_set)
     assert system.neighbors == _closed_neighbourhoods(len(lift_set),

@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scldpc import (BaseCode, CouplingScheme, HarmfulStructure,
-                    enumerate_cycles, joint_prob, lift_prob_bound,
-                    lift_prob_exact, mc_structure_prob, probability_report,
-                    spreading_prob_c4_uniform, spreading_prob_exact,
-                    structure_joint_prob)
+from scldpc import (BaseCode, CouplingScheme, enumerate_cycles, joint_prob,
+                    lift_prob_bound, lift_prob_exact, probability_report,
+                    spreading_prob_c4_uniform, spreading_prob_exact)
 from scldpc.probability import (Sampler, draw, edge_index, forms, rng,
                                 scheme_sampler, stage_blocks, uniform, vanish)
 from scldpc.walks import WalkCandidate
+from helpers import (HarmfulStructure, mc_structure_prob,
+                     structure_joint_prob)
 
 
 def _c4(base: BaseCode) -> WalkCandidate:

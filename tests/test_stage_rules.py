@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from scldpc import (AdmissionError, Assignment, BaseCode, CandidateSet,
                     CouplingScheme, ExperimentConfig, StructureSpec,
-                    construct_two_stage, default_cap, enumerate_cycles,
+                    construct_two_stage, enumerate_cycles,
                     is_active_lift, is_active_partition, joint_prob,
                     lift_prob_exact, run_joint, run_stage_lift,
                     run_stage_partition, spreading_prob_exact)
@@ -39,6 +39,7 @@ from scldpc.moser_tardos import (FALLBACK_CAP, compile_events, run_mt,
                                  values_from_grids)
 from scldpc.probability import (seed_sequence, stage_blocks, stage_forms,
                                 stage_prob, vanish)
+from helpers import default_cap
 
 SCHEMES = [
     CouplingScheme.uniform(1, lifting_degree=5),

@@ -13,6 +13,7 @@ from scldpc import (Assignment, BaseCode, CandidateSet, WalkCandidate,
                     harmful_weight)
 from scldpc.walks import (closed_neighbourhoods, is_active_lift,
                           is_active_partition)
+from helpers import support_mod
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +157,7 @@ def test_unavoidable_walk_exists_at_length_12():
     w = WalkCandidate.from_nodes((0, 0, 1, 1, 0, 2, 1, 0, 0, 1, 1, 2), base)
     assert not w.avoidable
     assert w.support == ()
-    assert w.support_mod(7) == ()
+    assert support_mod(w, 7) == ()
     assert w in set(enumerate_cycles(base, 12, "tbc"))
     # and no such walk exists among shorter tailbiting-consecutive walks
     for two_g in (4, 6, 8, 10):
@@ -168,8 +169,8 @@ def test_support_mod_drops_multiples():
     base = BaseCode(2, 2)
     doubled = WalkCandidate.from_nodes((0, 0, 1, 1, 0, 0, 1, 1), base)
     assert len(doubled.support) == 4          # coefficients +-2
-    assert doubled.support_mod(2) == ()       # all vanish mod 2
-    assert len(doubled.support_mod(4)) == 4
+    assert support_mod(doubled, 2) == ()      # all vanish mod 2
+    assert len(support_mod(doubled, 4)) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +277,18 @@ def test_restrict_to_window():
     assert not set(sub.candidates) & set(other.candidates)
 
 
+@pytest.mark.parametrize("rows, cols, message", [
+    ((5, 6), None, "row 5 is outside the base (0..2)"),
+    ((0, -1), None, "row -1 is outside the base (0..2)"),
+    (None, (0, 4, 5), "column 4 is outside the base (0..3)"),
+    ((0, 1), (9,), "column 9 is outside the base (0..3)"),
+])
+def test_restrict_rejects_a_window_outside_the_base(rows, cols, message):
+    cset = enumerate_cycles(BaseCode(3, 4), 4, "simple")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cset.restrict(rows, cols)
+
+
 def test_union_and_duplicate_rejection():
     base = BaseCode(3, 3)
     c4 = enumerate_cycles(base, 4, "simple")
@@ -318,7 +331,7 @@ def test_json_lines_shape():
 
 
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: enumerate_cycles(BaseCode(2, 2), 4)[0].support_mod(0),
+    pytest.param(lambda: support_mod(enumerate_cycles(BaseCode(2, 2), 4)[0], 0),
                  "lifting degree must be at least 1", id="support-mod-z"),
     pytest.param(lambda: enumerate_cycles(BaseCode(2, 2), 4, "closed"),
                  "mode must be one of", id="enumerate-mode"),
