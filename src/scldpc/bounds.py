@@ -346,6 +346,17 @@ def shift_bound_asymmetric(xs: Sequence[Fraction]) -> Fraction:
     return out
 
 
+def shift_delta(cset: CandidateSet, observed: int) -> tuple[int, str]:
+    """The Delta of the shift bounds' precondition and caps, and its
+    source: Corollary 4's closed form ("formula") when ``cset`` is the
+    complete 4-cycle family of an all-ones block, else ``observed``, the
+    measured dependency degree ("observed")."""
+    dims = c4_block_dims(cset)
+    if dims is None:
+        return observed, "observed"
+    return formula_delta_c4(*dims), "formula"
+
+
 @dataclass(frozen=True)
 class SymmetricShiftBound:
     p: Fraction

@@ -199,10 +199,12 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             "universal_cap": c4b.cap,
         }
         if rep is not None:
-            sym = bounds_mod.shift_bound_symmetric(
-                rep.p_max, max(1, c4b.delta - 1), 0)
-            doc["shift_caps"]["condition_lhs"] = sym.condition_lhs
-            doc["shift_caps"]["condition_held"] = sym.condition_held
+            delta, source = bounds_mod.shift_delta(cset, rep.delta)
+            sym = bounds_mod.shift_bound_symmetric(rep.p_max, delta, 0)
+            doc["shift_caps"].update(
+                delta=delta, delta_source=source,
+                condition_lhs=sym.condition_lhs,
+                condition_held=sym.condition_held)
     _emit(doc, args.out)
     return EXIT_OK
 

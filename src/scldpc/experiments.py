@@ -14,9 +14,13 @@ with the targets (n_E = 0) must not drift at all, which is checked as a
 two-sided 4 sigma null instead of a one-sided cap.
 
 The harness reads p and the observed Delta off the compiled stage's
-certificate and n_E off ``walks.closed_neighbourhoods``; in one pass over
-the trials it counts each observable as each trial terminates, with
-``vanish`` on the output's values, as the baseline counts its draws.
+certificate, the Delta of the bounds off ``bounds.shift_delta`` (Corollary
+4's closed form on a complete 4-cycle family, as ``scldpc bounds`` uses,
+else the observed one) and n_E off ``walks.closed_neighbourhoods``; in
+one pass over the trials it counts each observable as each trial
+terminates, with ``vanish`` on the output's values, as the baseline counts
+its draws.  Each observable's row is built once, and each class reads the
+rows of its own observe spec.
 
 Everything here is a pure function of (config, seed).  Randomness has one
 owner, ``probability`` (``rng``, ``seed_sequence``, ``seed_int``): trial t
@@ -422,98 +426,83 @@ def estimate_mt_shift(config: ExperimentConfig) -> ExperimentStats:
     flat = [c for _, oset in observed for c in oset]
     hits_all, resample_counts = _run_trials(config, elim, flat)
     n_ok = len(resample_counts)
-    per_observable = iter(zip(hits_all, _overlap_counts(elim, flat)))
 
     stage = _stage(config)
     # Never None once a trial has run: a target certain to occur (the one
     # way to no certificate) raises AdmissionError on the first trial.
     rep = compile_events(elim, config.scheme, stage).certificate
-    p_elim_max, delta_observed = rep.p_max, rep.delta
-    dims = bounds.c4_block_dims(elim)
-    delta_formula = None if dims is None else bounds.formula_delta_c4(*dims)
-    if delta_formula is not None:
-        delta_used, delta_source = delta_formula, "formula"
-    else:
-        delta_used, delta_source = delta_observed, "observed"
+    delta_used, delta_source = bounds.shift_delta(elim, rep.delta)
     delta_pos = max(1, delta_used)
-
-    sym = bounds.shift_bound_symmetric(p_elim_max, delta_pos, 0)
-    condition_held = sym.condition_held
+    sym = bounds.shift_bound_symmetric(rep.p_max, delta_pos, 0)
     # Asymmetric route: x_B = 1/(Delta+1) certifies when p <= x(1-x)^Delta.
     x_asym = Fraction(1, delta_pos + 1)
-    asym_threshold = x_asym * (1 - x_asym) ** delta_pos
-    asym_certified = p_elim_max <= asym_threshold
+    asym_certified = rep.p_max <= x_asym * (1 - x_asym) ** delta_pos
 
     obs_stats: list[ObservableStats] = []
+    labels = (label for label, oset in observed for _ in oset)
+    for label, c, hits, n_e in zip(labels, flat, hits_all,
+                                   _overlap_counts(elim, flat)):
+        p_omega = stage_prob(c, config.scheme, stage)
+        pf = float(p_omega)
+        lo, hi = wilson_interval(hits, n_ok)
+        rated = pf > 0 and n_ok > 0
+        r_up = hi / pf if rated else None
+        sym_c = bounds.shift_bound_symmetric(rep.p_max, delta_pos, n_e)
+        cap_sym = sym_c.bound if sym.condition_held else None
+        cap_rel = sym_c.relaxed_bound if sym.condition_held else None
+        cap_asym = (float(bounds.shift_bound_asymmetric([x_asym] * n_e))
+                    if asym_certified else None)
+        applicable = [cap for cap in (cap_sym, cap_rel, cap_asym)
+                      if cap is not None]
+        if n_e == 0:
+            # No shared variables: distribution must not move at all.
+            passed, kind = _null_check(hits, n_ok, pf), "null-4sigma"
+        elif applicable and rated:
+            passed = all(r_up <= cap for cap in applicable)
+            kind = "wilson-upper-vs-caps"
+        else:
+            passed, kind = None, "none"
+        obs_stats.append(ObservableStats(
+            key=c.key, cls=label, p_omega=p_omega, hits=hits,
+            trials_ok=n_ok, p_hat=hits / n_ok if n_ok else 0.0,
+            ratio=hits / n_ok / pf if rated else None, wilson_low=lo,
+            wilson_high=hi, ratio_upper=r_up, n_overlap=n_e,
+            cap_symmetric=cap_sym, cap_relaxed=cap_rel,
+            cap_asymmetric=cap_asym, check_passed=passed, check_kind=kind))
+
     class_stats: list[ClassStats] = []
-    full_c4_elim = dims == (config.gamma, config.kappa)
+    full_c4_elim = bounds.c4_block_dims(elim) == (config.gamma, config.kappa)
+    end = 0
     for label, oset in observed:
-        ratios = []
-        uppers = []
-        for c in oset:
-            p_omega = stage_prob(c, config.scheme, stage)
-            hits, n_e = next(per_observable)
-            p_hat = hits / n_ok if n_ok else 0.0
-            lo, hi = wilson_interval(hits, n_ok)
-            pf = float(p_omega)
-            ratio = p_hat / pf if pf > 0 and n_ok else None
-            r_up = hi / pf if pf > 0 and n_ok else None
-            sym_c = bounds.shift_bound_symmetric(p_elim_max, delta_pos, n_e)
-            cap_sym = sym_c.bound if condition_held else None
-            cap_rel = sym_c.relaxed_bound if condition_held else None
-            cap_asym = (float(bounds.shift_bound_asymmetric([x_asym] * n_e))
-                        if asym_certified else None)
-            if n_e == 0:
-                # No shared variables: distribution must not move at all.
-                passed, kind = _null_check(hits, n_ok, pf), "null-4sigma"
-            else:
-                applicable = [cap for cap in (cap_sym, cap_rel, cap_asym)
-                              if cap is not None]
-                if not applicable or r_up is None:
-                    passed, kind = None, "none"
-                else:
-                    passed = all(r_up <= cap for cap in applicable)
-                    kind = "wilson-upper-vs-caps"
-            if ratio is not None:
-                ratios.append(ratio)
-            if r_up is not None:
-                uppers.append(r_up)
-            obs_stats.append(ObservableStats(
-                key=c.key, cls=label, p_omega=p_omega, hits=hits,
-                trials_ok=n_ok, p_hat=p_hat, ratio=ratio, wilson_low=lo,
-                wilson_high=hi, ratio_upper=r_up, n_overlap=n_e,
-                cap_symmetric=cap_sym, cap_relaxed=cap_rel,
-                cap_asymmetric=cap_asym, check_passed=passed,
-                check_kind=kind))
-        cap4 = cap_e = None
-        if (full_c4_elim and config.gamma >= 2 and config.kappa >= 2
-                and all(c.is_simple for c in oset) and len(oset) > 0):
-            two_k = oset[0].two_g
-            if all(c.two_g == two_k for c in oset):
-                c4b = bounds.corollary4_bound(config.gamma, config.kappa,
-                                              two_k)
-                cap4 = c4b.value
-                cap_e = c4b.cap
+        # ratio and ratio_upper are None together (no trial, or p = 0).
+        rows = [o for o in obs_stats[end:end + len(oset)]
+                if o.ratio is not None]
+        end += len(oset)
+        c4b = (bounds.corollary4_bound(config.gamma, config.kappa,
+                                       oset[0].two_g)
+               if full_c4_elim and all(c.is_simple for c in oset) else None)
         class_stats.append(ClassStats(
             cls=label, count=len(oset),
-            mean_ratio=_sum(ratios) / len(ratios) if ratios else None,
-            max_ratio=max(ratios) if ratios else None,
-            max_ratio_upper=max(uppers) if uppers else None,
-            cap_corollary4=cap4, cap_universal_c6=cap_e))
+            mean_ratio=(_sum(o.ratio for o in rows) / len(rows)
+                        if rows else None),
+            max_ratio=max((o.ratio for o in rows), default=None),
+            max_ratio_upper=max((o.ratio_upper for o in rows), default=None),
+            cap_corollary4=None if c4b is None else c4b.value,
+            cap_universal_c6=None if c4b is None else c4b.cap))
 
     res_stats = _resample_stats(config, elim, resample_counts)
-    checks = [o.check_passed for o in obs_stats if o.check_passed is not None]
-    all_pass = n_ok > 0 and all(checks)  # no terminated trial, no pass
-    if res_stats.bound_holds is False:
-        all_pass = False
     return ExperimentStats(
         config=config, trials_ok=n_ok, trials_failed=config.trials - n_ok,
-        eliminate_count=len(elim), delta_observed=delta_observed,
-        delta_formula=delta_formula, delta_used=delta_used,
-        delta_source=delta_source, p_elim_max=p_elim_max,
-        condition_lhs=sym.condition_lhs, condition_held=condition_held,
-        asym_certified=asym_certified, observables=obs_stats,
-        classes=class_stats, resamples=res_stats, all_checks_pass=all_pass)
+        eliminate_count=len(elim), delta_observed=rep.delta,
+        delta_formula=delta_used if delta_source == "formula" else None,
+        delta_used=delta_used, delta_source=delta_source,
+        p_elim_max=rep.p_max, condition_lhs=sym.condition_lhs,
+        condition_held=sym.condition_held, asym_certified=asym_certified,
+        observables=obs_stats, classes=class_stats, resamples=res_stats,
+        # No terminated trial, no pass; nor a failed check or cost bound.
+        all_checks_pass=(n_ok > 0 and res_stats.bound_holds is not False
+                         and all(o.check_passed is not False
+                                 for o in obs_stats)))
 
 
 def _allowance(std: float, n: int) -> float:
@@ -600,7 +589,18 @@ def _cell_config(config: ExperimentConfig, param: str, value: int,
 def sweep(config: ExperimentConfig, param: str,
           values: Sequence[int]) -> str:
     """One CSV row per swept configuration; cells that fail to run carry
-    the error message instead of silently vanishing."""
+    the error message instead of silently vanishing.  A sweep over m
+    builds each cell's scheme uniform over 0..m, so a config whose scheme
+    is not of that form is a ValueError before any cell runs."""
+    scheme = config.scheme
+    if param == "m" and scheme != CouplingScheme.uniform(
+            scheme.memory, lifting_degree=scheme.lifting_degree):
+        raise ValueError(
+            "a sweep over m would replace the config's scheme (pattern "
+            f"{list(scheme.pattern)}, probs "
+            f"{[frac_text(p) for p in scheme.probs]}, L "
+            f"{scheme.coupling_length}) with one uniform over 0..m at the "
+            "default L")
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=SWEEP_COLUMNS,
                             lineterminator="\n")

@@ -87,9 +87,14 @@ class EventSystem:
 
     @cached_property
     def certificate(self) -> Optional[bounds.BoundReport]:
-        """Theorem 1 over the targets' stage probabilities, or None."""
-        return _certify(self.cset, [stage_prob(c, self.scheme, self.stage)
-                                    for c in self.cset])
+        """Theorem 1 on the observed degree over the targets' stage
+        probabilities; None without targets or with ``rejected`` ones
+        (certain to occur), where it does not apply."""
+        if self.rejected or not self.labels:
+            return None
+        return bounds.theorem1_feasibility(
+            self.cset, [stage_prob(c, self.scheme, self.stage)
+                        for c in self.cset], delta_source="observed")
 
 
 @dataclass
@@ -193,15 +198,6 @@ def _normalize_targets(base: BaseCode, targets) -> CandidateSet:
             raise ValueError("target set was built over a different base")
         return targets
     return CandidateSet(base, tuple(set(targets)))
-
-
-def _certify(cset: CandidateSet, probs) -> Optional[bounds.BoundReport]:
-    """Theorem 1 on the observed degree; None where it does not apply."""
-    try:
-        return bounds.theorem1_feasibility(cset, probs,
-                                           delta_source="observed")
-    except ValueError:
-        return None
 
 
 def _cap(rep: Optional[bounds.BoundReport], fallback=FALLBACK_CAP) -> int:

@@ -8,7 +8,8 @@ rather than in the package:
 * ``support_mod`` is a walk's lift-stage support;
 * ``default_cap`` is the runners' budget rule applied to a candidate set
   and its probabilities (the runners read it off the compiled stage's
-  certificate);
+  certificate), with any ValueError from Theorem 1 read as no
+  certificate;
 * ``HarmfulStructure``, ``structure_joint_prob`` and ``mc_structure_prob``
   give the exact and Monte Carlo activation probability of a union of
   cycles.
@@ -21,7 +22,8 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from scldpc.model import CouplingScheme, Edge, SparseBinaryMatrix
-from scldpc.moser_tardos import _cap, _certify
+from scldpc import bounds
+from scldpc.moser_tardos import _cap
 from scldpc.probability import (ActivationProbability, draw, joint_prob,
                                 lift_prob_bound, rng, stage_forms, vanish)
 from scldpc.walks import CandidateSet, WalkCandidate
@@ -46,7 +48,12 @@ def support_mod(cand: WalkCandidate, z: int) -> tuple[Edge, ...]:
 
 def default_cap(cset: CandidateSet, probs) -> int:
     """1000x Theorem 1's resample bound if it holds, else FALLBACK_CAP."""
-    return _cap(_certify(cset, probs))
+    try:
+        rep = bounds.theorem1_feasibility(cset, probs,
+                                          delta_source="observed")
+    except ValueError:
+        rep = None
+    return _cap(rep)
 
 
 @dataclass(frozen=True)

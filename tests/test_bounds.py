@@ -16,7 +16,7 @@ from scldpc import (COROLLARY4_CAP, BaseCode, CandidateSet, CouplingScheme,
                     theorem1_feasibility, theorem1_thresholds,
                     theorem2_resample_bound, threshold_branch_i,
                     threshold_branch_ii, verify_cover)
-from scldpc.bounds import CliqueCover
+from scldpc.bounds import CliqueCover, shift_delta
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +103,17 @@ def test_c4_block_dims():
     assert c4_block_dims(incomplete) is None
     sixes = enumerate_cycles(BaseCode(3, 3), 6, "simple")
     assert c4_block_dims(sixes) is None
+
+
+def test_shift_delta_is_the_closed_form_on_complete_c4_families():
+    full = enumerate_cycles(BaseCode(3, 7), 4, "simple")
+    assert shift_delta(full, 32) == (33, "formula")
+    window = enumerate_cycles(BaseCode(3, 7), 4).restrict(cols=(0, 1, 2))
+    assert shift_delta(window, 8) == (formula_delta_c4(3, 3), "formula")
+    incomplete = CandidateSet(full.base, full.candidates[:-1])
+    assert shift_delta(incomplete, 31) == (31, "observed")
+    sixes = enumerate_cycles(BaseCode(3, 3), 6, "simple")
+    assert shift_delta(sixes, 5) == (5, "observed")
 
 
 def test_theorem1_feasibility_both_delta_sources():

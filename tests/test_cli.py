@@ -38,8 +38,25 @@ def test_bounds_reports_feasible_regime(capsys):
     assert feas["threshold_ii"] == "27/2816"
     assert feas["p_max"] == "3/272"
     assert doc["uniform_c4_regime"]["min_Z_at_this_m"] == 34
-    assert doc["shift_caps"]["condition_held"] is True
+    assert doc["shift_caps"]["condition_held"] is False
     assert doc["walks"]["count"] == 63
+
+
+def test_bounds_and_the_shift_study_share_one_delta(tmp_path, capsys):
+    # Corollary 4's closed form (2*3-3)(2*7-3) = 33 in both, not the
+    # observed 32.
+    shape = ["--gamma", "3", "--kappa", "7", "--m", "1", "--lifting", "34"]
+    assert run_cli("bounds", *shape) == EXIT_OK
+    caps = json.loads(capsys.readouterr().out)["shift_caps"]
+    run_cli("experiment", *shape, "--op", "shift", "--mode", "joint",
+            "--trials", "2", "--seed", "1", "--out",
+            str(tmp_path / "s.json"))
+    shift = json.loads((tmp_path / "s.json").read_text())
+    assert (caps["delta"], caps["delta_source"]) == (33, "formula") == \
+        (shift["delta"]["used"], shift["delta"]["source"])
+    assert caps["condition_lhs"] == shift["condition_lhs"] == \
+        1.019355685672142
+    assert caps["condition_held"] is shift["condition_held"] is False
 
 
 def test_bounds_flags_unavoidable_regime(capsys):

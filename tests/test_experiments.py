@@ -17,7 +17,7 @@ from scldpc import (BaseCode, CandidateSet, CouplingScheme, ExperimentConfig,
                     estimate_mt_shift, spreading_prob_exact, sweep,
                     verify_theorem2, wilson_interval)
 from scldpc import bounds
-from scldpc.cli import EXIT_CHECK_FAILED, EXIT_OK, main
+from scldpc.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from scldpc.experiments import (MODES, Z99_ONE_SIDED, _null_check,
                                 _overlap_counts, _stage, _sum)
 from scldpc.moser_tardos import compile_events
@@ -492,6 +492,32 @@ def test_sweep_over_each_code_dimension(param, bad, good, error):
         (param, str(good), str(good))
     assert ran["error"] == "" and ran["all_checks_pass"] in ("True", "False")
     assert int(ran["trials"]) == 10
+
+
+@pytest.mark.parametrize("scheme, named", [
+    (CouplingScheme((0, 5), ("1/2", "1/2"), 12), "pattern [0, 5]"),
+    (CouplingScheme((0, 1, 2), ("1/2", "1/4", "1/4")),
+     "probs ['1/2', '1/4', '1/4']"),
+    (CouplingScheme.uniform(2, 7), "L 7"),
+])
+def test_sweep_over_m_keeps_no_scheme_it_would_replace(scheme, named):
+    # Each cell spreads uniformly over 0..m at the default L, so a config
+    # with another pattern, other weights or another L is refused whole.
+    with pytest.raises(ValueError, match=re.escape(named)):
+        sweep(_config(scheme=scheme, trials=5), "m", [5, 7])
+    assert sweep(_config(scheme=scheme, trials=5), "Z", [])
+
+
+def test_cli_sweep_over_m_of_an_explicit_pattern_exits_2(tmp_path, capsys):
+    config = tmp_path / "sw.json"
+    config.write_text(json.dumps(
+        {"gamma": 3, "kappa": 3, "pattern": [0, 5], "probs": ["1/2", "1/2"],
+         "L": 12, "trials": 5, "seed": 1, "mode": "partition-only"}))
+    code = main(["experiment", "--config", str(config), "--sweep", "m",
+                 "--sweep-values", "5,7"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert "pattern [0, 5]" in captured.err
 
 
 def test_sweep_empty_values_is_header_only():

@@ -16,7 +16,11 @@ the earlier code run with that one rule replaced.  The five ``bounds``
 digests besides 3x7 (every target certain, no candidates, an explicit
 pattern, tbc 8-walks, six-cycles) were recorded before ``bounds`` read
 the compiled joint stage instead of its own probabilities and Theorem 1
-call.
+call.  The two ``bounds`` digests with a ``shift_caps`` condition
+(``bounds-3x7-m1-z34``, ``bounds-3x4-pattern-z5``) were re-recorded when
+that condition took its Delta from ``bounds.shift_delta``, the closed form
+the shift study uses, instead of the closed form - 1; the report also
+names that Delta and its source.
 To print the current digests: ``python tests/test_golden.py``.
 """
 
@@ -282,11 +286,11 @@ GOLDEN_CLI = {
     "bounds-3x4-m0":
         "abdd53dfaa1be3b5a221fab9c56ecda007623c625a2ade99cf38f8f9527165d8",
     "bounds-3x4-pattern-z5":
-        "5cdb2c75633bc8e4ac1dcfc54123cfb5115a81ace26282a417605ccb3c5343c5",
+        "320f9d8719cc9c31f33fd8b5857c14f9ae3fd8a18752cd725541044ec8bd8892",
     "bounds-3x5-m2-z7-c6":
         "0cf60c583a5c0876ad45645ba3cc6862b6aa5a7078bddc579c5adc85a8ca8d81",
     "bounds-3x7-m1-z34":
-        "dcac6e3f9f1838e0df199c4ba82b0d7ad19330be48502e6f772ada0a37011f97",
+        "f0340a6e8b73b541f01648f805569f349596d3f3f8fb41b7ac6bd0763d8093a2",
     "construct-joint":
         "9f1b78b3c240a53c724ffc834da7648637abfd4d759dcd23f34114d889ba9f70",
     "construct-two-stage":

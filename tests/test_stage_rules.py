@@ -371,6 +371,36 @@ def test_an_explicit_cap_costs_no_certificate(fresh_compile, monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_failing_certificate_is_not_an_uncertified_one(fresh_compile,
+                                                         monkeypatch):
+    # A stage with targets and none rejected always gets Theorem 1's
+    # verdict, so an error there is raised instead of becoming the
+    # FALLBACK_CAP budget.
+    def broken(*args, **kwargs):
+        raise ValueError("broken bound")
+
+    monkeypatch.setattr(bounds, "theorem1_feasibility", broken)
+    base = BaseCode(3, 4)
+    scheme = CouplingScheme.uniform(1, lifting_degree=8)
+    with pytest.raises(ValueError, match="broken bound"):
+        run_joint(base, scheme, enumerate_cycles(base, 4), 2)
+
+
+def test_no_targets_or_a_rejected_one_is_no_certificate(fresh_compile,
+                                                        monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("Theorem 1 evaluated")
+
+    monkeypatch.setattr(bounds, "theorem1_feasibility", unreachable)
+    base = BaseCode(3, 4)
+    empty = compile_events(CandidateSet(base, ()),
+                           CouplingScheme.uniform(1), "joint")
+    assert empty.certificate is None
+    memory0 = compile_events(enumerate_cycles(base, 4),
+                             CouplingScheme.uniform(0), "partition")
+    assert memory0.rejected and memory0.certificate is None
+
+
 @st.composite
 def _admission_cases(draw) -> tuple[CandidateSet, CouplingScheme]:
     """Every 4-, 6- or tbc 8-walk (avoidable or not) over a random masked
