@@ -44,8 +44,8 @@ from .model import (BaseCode, CodeInstance, CouplingScheme,
 from .moser_tardos import (compile_events, construct_two_stage, run_joint,
                            values_from_grids)
 from .probability import probability_report, stage_forms, vanish
-from .serialize import (check_probs, code_params, export_instance_json,
-                        import_instance_json)
+from .serialize import (code_params, export_instance_json,
+                        import_instance_json, read_scheme)
 from .walks import MODES as WALK_MODES, CandidateSet, enumerate_cycles
 
 EXIT_OK = 0
@@ -81,8 +81,8 @@ def _emit(doc: dict, out: Optional[str]) -> None:
     _write(json.dumps(doc, sort_keys=True, indent=1) + "\n", out)
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+def _int_list(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _scheme_args(p: argparse.ArgumentParser) -> None:
@@ -100,20 +100,11 @@ def _scheme_args(p: argparse.ArgumentParser) -> None:
 
 
 def _scheme_from(args: argparse.Namespace) -> CouplingScheme:
-    if args.pattern is not None:
-        if args.m is not None:
-            raise ValueError("--m and --pattern are mutually exclusive")
-        if args.probs:
-            probs = check_probs("--probs", args.probs.split(","))
-        else:
-            n = len(args.pattern)
-            probs = tuple(Fraction(1, n) for _ in range(n))
-        return CouplingScheme(args.pattern, probs, args.length, args.lifting)
-    if args.probs:
-        raise ValueError("--probs needs --pattern (--m spreads uniformly)")
-    if args.m is None:
-        raise ValueError("either --m or --pattern is required")
-    return CouplingScheme.uniform(args.m, args.length, args.lifting)
+    """The scheme flags read as a config file's scheme keys."""
+    doc = {"m": args.m, "pattern": args.pattern,
+           "probs": args.probs.split(",") if args.probs else None,
+           "L": args.length, "Z": args.lifting}
+    return read_scheme({k: v for k, v in doc.items() if v is not None})
 
 
 def _walk_args(p: argparse.ArgumentParser, default_two_g: int = 4) -> None:
@@ -361,10 +352,7 @@ _CONFIG_FLAGS = (("gamma", "gamma"), ("kappa", "kappa"), ("m", "m"),
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    """The config file overridden by the given flags.  The two checks
-    before ``from_json`` cover every key it indexes (gamma, kappa, and m
-    without a pattern), so a missing field is a ValueError, not a
-    KeyError."""
+    """The config file overridden by the given flags."""
     if args.config:
         doc = json.loads(Path(args.config).read_text())
         if not isinstance(doc, dict):
@@ -377,10 +365,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     for flag, key in _CONFIG_FLAGS:
         if getattr(args, flag) is not None:
             doc[key] = getattr(args, flag)
-    if "gamma" not in doc or "kappa" not in doc:
-        raise ValueError("gamma and kappa are required (config or flags)")
-    if "pattern" not in doc and "m" not in doc:
-        raise ValueError("spreading scheme is required (config or --m)")
     return ExperimentConfig.from_json(doc)
 
 

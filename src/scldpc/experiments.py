@@ -44,7 +44,7 @@ from typing import Optional, Sequence
 from .model import BaseCode, CouplingScheme, frac_text
 from .probability import (draw, rng, seed_int, seed_sequence, stage_forms,
                           stage_prob, vanish)
-from .serialize import check_ints, check_probs, code_params
+from .serialize import check_ints, code_params, read_scheme
 from .walks import (CandidateSet, WalkCandidate, closed_neighbourhoods,
                     enumerate_cycles)
 from . import bounds
@@ -151,23 +151,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
-        """A malformed field (a non-integer, probabilities other than
-        "num/den" strings, a non-object structure) is a ValueError naming
-        it; a null L or cap takes its default."""
-        for name, depth in (("gamma", 0), ("kappa", 0), ("m", 0), ("L", 0),
-                            ("Z", 0), ("trials", 0), ("seed", 0),
-                            ("cap", 0), ("pattern", 1)):
+        """The scheme is ``serialize.read_scheme``'s.  A missing gamma or
+        kappa, or a malformed field (a non-integer, probabilities other
+        than "num/den" strings, a non-object structure), is a ValueError
+        naming it; a null L or cap takes its default."""
+        missing = [k for k in ("gamma", "kappa") if k not in doc]
+        if missing:
+            raise ValueError(f"missing fields: {', '.join(missing)}")
+        for name in ("gamma", "kappa", "trials", "seed", "cap"):
             if name in doc:
-                check_ints(name, doc[name], depth,
-                           holes=name in ("L", "cap"))
-        if "pattern" in doc:
-            scheme = CouplingScheme(tuple(doc["pattern"]),
-                                    check_probs("probs", doc.get("probs")),
-                                    doc.get("L"), doc.get("Z", 1))
-        else:
-            m = doc["m"]
-            scheme = CouplingScheme.uniform(m, doc.get("L"),
-                                            doc.get("Z", 1))
+                check_ints(name, doc[name], 0, holes=name == "cap")
+        scheme = read_scheme(doc)
         observe = doc.get("observe", [{"two_g": 6}])
         if not isinstance(observe, list):
             raise ValueError(f"observe must be a list, got {observe!r}")

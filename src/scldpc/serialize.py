@@ -67,6 +67,30 @@ def check_probs(name: str, value: object) -> tuple[Fraction, ...]:
         raise ValueError(f"{name}: {exc}") from None
 
 
+def read_scheme(doc: dict) -> CouplingScheme:
+    """The coupling scheme of a document, the reader of ``code_params``:
+    ``m`` (uniform over 0..m) or ``pattern`` with ``probs`` (uniform when
+    absent), ``L`` (null: memory + 1) and ``Z`` (default 1).  Both ``m``
+    and ``pattern``, ``probs`` without ``pattern``, or neither is a
+    ValueError naming the keys, as is a malformed value."""
+    for name, depth in (("m", 0), ("pattern", 1), ("L", 0), ("Z", 0)):
+        if name in doc:
+            check_ints(name, doc[name], depth, holes=name == "L")
+    if "m" in doc and "pattern" in doc:
+        raise ValueError("m and pattern are mutually exclusive")
+    if "probs" in doc and "pattern" not in doc:
+        raise ValueError("probs needs pattern (m spreads uniformly)")
+    if "m" not in doc and "pattern" not in doc:
+        raise ValueError("either m or pattern is required")
+    length, lifting = doc.get("L"), doc.get("Z", 1)
+    if "m" in doc:
+        return CouplingScheme.uniform(doc["m"], length, lifting)
+    n = len(doc["pattern"])
+    probs = (check_probs("probs", doc["probs"]) if "probs" in doc
+             else (Fraction(1, n),) * n)
+    return CouplingScheme(tuple(doc["pattern"]), probs, length, lifting)
+
+
 def import_instance_json(text: str) -> CodeInstance:
     try:
         doc = json.loads(text)
@@ -82,15 +106,13 @@ def import_instance_json(text: str) -> CodeInstance:
     missing = [k for k in required if k not in doc]
     if missing:
         raise ValueError(f"missing fields: {', '.join(missing)}")
-    for name, depth in (("gamma", 0), ("kappa", 0), ("L", 0), ("Z", 0),
-                        ("pattern", 1), ("mask", 2), ("partition", 2),
-                        ("lift", 2), ("seed", 0)):
+    for name, depth in (("gamma", 0), ("kappa", 0), ("mask", 2),
+                        ("partition", 2), ("lift", 2), ("seed", 0)):
         check_ints(name, doc.get(name), depth,
                     holes=name in ("partition", "lift", "seed"))
-    probs = check_probs("probs", doc["probs"])
     base = BaseCode(doc["gamma"], doc["kappa"],
                     tuple(tuple(row) for row in doc["mask"]))
-    scheme = CouplingScheme(tuple(doc["pattern"]), probs, doc["L"], doc["Z"])
+    scheme = read_scheme(doc)
     partition = Assignment("partition",
                            tuple(tuple(row) for row in doc["partition"]))
     lift = Assignment("lift", tuple(tuple(row) for row in doc["lift"]))

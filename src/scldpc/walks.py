@@ -156,65 +156,51 @@ def enumerate_cycles(base: BaseCode, two_g: int,
 
     DFS over alternating node sequences anchored so the first column index
     is the smallest column the walk visits; every orbit is still reached
-    because rotation can bring any column to the front.
+    because rotation can bring any column to the front.  The DFS keeps an
+    explicit stack, one iterator of (column, row) steps per prefix, so no
+    recursive closure is left for the cyclic collector.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if two_g < 4 or two_g % 2:
         raise ValueError("walk length must be an even number >= 4")
-    g = two_g // 2
     col_adj = [tuple(j for j in range(base.kappa) if base.mask[i][j])
                for i in range(base.gamma)]
     row_adj = [tuple(i for i in range(base.gamma) if base.mask[i][j])
                for j in range(base.kappa)]
     simple = mode == "simple"
     found: dict[tuple[int, ...], WalkCandidate] = {}
-    seq: list[int] = []
-    used_rows: set[int] = set()
-    used_cols: set[int] = set()
-
-    def close_ok(i_last: int) -> bool:
-        j1, i1 = seq[0], seq[1]
-        if j1 not in col_adj[i_last]:
-            return False
-        return i_last != i1  # backtrack through the closing column
-
-    def dfs(depth: int) -> None:
-        if depth == g:
-            if close_ok(seq[-1]):
-                canon = min(_dihedral_orbit(tuple(seq)))
-                if canon not in found:
-                    found[canon] = WalkCandidate.from_nodes(canon)
-            return
-        j_prev, i_prev = seq[-2], seq[-1]
-        for j in col_adj[i_prev]:
-            if j < seq[0] or j == j_prev:
-                continue
-            if simple and j in used_cols:
-                continue
-            last = depth == g - 1
-            if last and j == seq[0]:
-                continue  # closing column is seq[0]; a repeat here is a tail
-            for i in row_adj[j]:
-                if i == i_prev:
-                    continue
-                if simple and i in used_rows:
-                    continue
-                seq.extend((j, i))
-                if simple:
-                    used_cols.add(j)
-                    used_rows.add(i)
-                dfs(depth + 1)
-                if simple:
-                    used_rows.discard(i)
-                    used_cols.discard(j)
-                del seq[-2:]
-
     for j1 in range(base.kappa):
         for i1 in row_adj[j1]:
-            seq[:] = [j1, i1]
-            used_cols, used_rows = {j1}, {i1}
-            dfs(1)
+            seq = [j1, i1]
+            stack: list[Iterator[tuple[int, int]]] = []
+            while True:
+                if len(seq) == two_g:
+                    # closing column j1, not backtracking through it
+                    if j1 in col_adj[seq[-1]] and seq[-1] != i1:
+                        canon = min(_dihedral_orbit(tuple(seq)))
+                        if canon not in found:
+                            found[canon] = WalkCandidate.from_nodes(canon)
+                    del seq[-2:]
+                else:
+                    # a last column equal to j1 would make the walk a tail
+                    j_prev, i_prev = seq[-2], seq[-1]
+                    last = len(seq) == two_g - 2
+                    stack.append(iter([
+                        (j, i) for j in col_adj[i_prev]
+                        if j >= j1 and j != j_prev and not (last and j == j1)
+                        and not (simple and j in seq[0::2])
+                        for i in row_adj[j]
+                        if i != i_prev and not (simple and i in seq[1::2])]))
+                while stack:
+                    step = next(stack[-1], None)
+                    if step is not None:
+                        seq.extend(step)
+                        break
+                    stack.pop()
+                    del seq[-2:]
+                else:
+                    break
     return CandidateSet(base, tuple(sorted(found.values(),
                                            key=lambda c: c.sort_key)))
 

@@ -184,7 +184,7 @@ def test_probs_without_pattern_exits_2(argv, capsys):
                    "--lifting", "2")
     assert code == EXIT_USAGE
     captured = capsys.readouterr()
-    assert "--probs" in captured.err
+    assert "probs" in captured.err
     assert captured.out == ""
 
 
@@ -557,11 +557,11 @@ def test_export_parse_back_mismatch_exits_1(tmp_path, capsys, monkeypatch):
     (["bounds", "--gamma", "3", "--kappa", "4", "--m", "1", "--out", "{dir}"],
      "is a directory"),
     (["bounds", "--gamma", "3", "--kappa", "3", "--m", "1",
-      "--pattern", "0,1"], "--m and --pattern are mutually exclusive"),
+      "--pattern", "0,1"], "m and pattern are mutually exclusive"),
     (["experiment", "--config", "{list_config}"],
      "experiment config must be a JSON object"),
     (["experiment", "--gamma", "3", "--kappa", "3"],
-     "spreading scheme is required (config or --m)"),
+     "either m or pattern is required"),
     (["experiment", "--gamma", "3", "--kappa", "3", "--m", "1",
       "--sweep", "m"], "--sweep requires --sweep-values"),
     (["enumerate", "--gamma", "3", "--kappa", "3", "--rows", "5,6"],

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import re
 from math import comb
@@ -109,6 +110,19 @@ def test_tbc_strictly_larger_at_length_8():
     doubled = WalkCandidate.from_nodes((0, 0, 1, 1, 0, 0, 1, 1), base)
     assert doubled in set(tbc)
     assert sorted(v for _, v in doubled.coeffs) == [-2, -2, 2, 2]
+
+
+@pytest.mark.parametrize("two_g", [4, 6])
+def test_enumeration_leaves_no_reference_cycle(two_g):
+    # A recursive closure kept the DFS state and the candidate dict alive
+    # until the cyclic collector ran.
+    gc.disable()
+    try:
+        gc.collect()
+        enumerate_cycles(BaseCode(3, 7), two_g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_mask_restricts_enumeration():
