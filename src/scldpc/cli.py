@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -497,8 +498,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call and reused: no action keeps state between parses.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

@@ -31,6 +31,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, islice
 from typing import Iterator, Optional
 
@@ -276,6 +277,15 @@ class CouplingScheme:
             raise ValueError("coupling length must be at least memory + 1")
         object.__setattr__(self, "pattern", pattern)
         object.__setattr__(self, "probs", probs)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of the fields, computed once: a memo key."""
+        return hash((self.pattern, self.probs, self.coupling_length,
+                     self.lifting_degree))
 
     @property
     def memory(self) -> int:

@@ -12,7 +12,8 @@ Each run compiles its targets once into an ``EventSystem``: the layout,
 and per event in canonical candidate order its label, forms, scope and
 dependency neighbourhood, and on first use its Theorem 1 ``certificate``.
 ``compile_events`` memoises two whole target sets, so repeated trials
-compile each stage once; stage 2's per-trial survivors are compiled fresh.
+compile each stage once.  Stage 2 picks its survivors with the forms stage
+1 resampled, read back from the memo, and compiles them fresh per trial.
 ``run_mt`` then only resamples.  The solver is
 the classic resample-until-clean procedure with the depth-first recursion
 order made explicit:
@@ -43,11 +44,12 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
-from .model import Assignment, BaseCode, CodeInstance, CouplingScheme
+from .model import (Assignment, BaseCode, CodeInstance, CouplingScheme,
+                    _check_partition)
 from .probability import (Block, Form, SeedLike, draw, recorded_seed, rng,
                           seed_int, seed_sequence, stage_forms, stage_prob,
                           vanish)
-from .walks import CandidateSet, closed_neighbourhoods, is_active_partition
+from .walks import CandidateSet, closed_neighbourhoods
 from . import bounds
 
 FALLBACK_CAP = 10 ** 6
@@ -124,7 +126,8 @@ def _compile(cset: CandidateSet, scheme: CouplingScheme,
 
 # Pure over frozen inputs; only the certificate is filled in later, once.
 # A trial compiles at most two whole sets (the targets and, when some are
-# rejected, the thinnable rest); survivor sets bypass the memo.
+# rejected, the thinnable rest); stage 2 looks the targets' partition
+# compile up again, and its survivor sets bypass the memo.
 compile_events = lru_cache(maxsize=2)(_compile)
 
 
@@ -238,12 +241,18 @@ def run_stage_lift(base: BaseCode, scheme: CouplingScheme,
                    ) -> tuple[Assignment, MTTrace]:
     """Draw lift shifts killing the targets that survived the partition.
 
-    Only partition-active targets become events; with no survivors the
-    result is a plain uniform draw with zero resamples.
+    The survivors are the targets whose partition forms all vanish on
+    ``partition`` (a target without forms always survives); only they
+    become events.  With none the result is a plain uniform draw with zero
+    resamples.  A partition that does not cover the base or holds a value
+    outside the pattern is a ValueError.
     """
     cset = _normalize_targets(base, targets)
+    _check_partition(base, scheme, partition)
+    stage1 = compile_events(cset, scheme, "partition")
+    values = values_from_grids(base, partition)
     survivors = CandidateSet(base, tuple(
-        c for c in cset if is_active_partition(c, partition)))
+        c for c, fs in zip(cset, stage1.forms) if vanish(fs, values)))
     system = _compile(survivors, scheme, "lift")
     if max_resamples is None and len(survivors):
         max_resamples = _cap(system.certificate)
@@ -272,8 +281,16 @@ def run_joint(base: BaseCode, scheme: CouplingScheme, targets,
 class TwoStageReport:
     partition_trace: MTTrace
     lift_trace: MTTrace
-    survivor_keys: tuple[str, ...]
-    stage1_cleared: bool
+
+    @property
+    def survivor_keys(self) -> tuple[str, ...]:
+        """The targets stage 1 left occurring, which stage 2 lifted."""
+        return tuple(self.lift_trace.metadata["survivors"])
+
+    @property
+    def stage1_cleared(self) -> bool:
+        """Did stage 1 leave no target occurring?"""
+        return not self.lift_trace.metadata["survivors"]
 
     @property
     def terminated(self) -> bool:
@@ -325,11 +342,4 @@ def construct_two_stage(base: BaseCode, scheme: CouplingScheme, targets,
                                   stage2_max)
     instance = CodeInstance(base, scheme, partition, lift,
                             seed=recorded_seed(seed))
-    survivors = tuple(trace2.metadata["survivors"])
-    report = TwoStageReport(
-        partition_trace=trace1,
-        lift_trace=trace2,
-        survivor_keys=survivors,
-        stage1_cleared=not survivors,
-    )
-    return instance, report
+    return instance, TwoStageReport(trace1, trace2)

@@ -229,6 +229,14 @@ class CandidateSet:
             raise ValueError("duplicate candidates in set")
         object.__setattr__(self, "candidates", ordered)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of the fields, computed once: a memo key."""
+        return hash((self.base, self.candidates))
+
     def __len__(self) -> int:
         return len(self.candidates)
 

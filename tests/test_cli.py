@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import shlex
@@ -214,6 +215,27 @@ def test_construct_two_stage_is_reproducible(tmp_path, capsys):
     inst = json.loads((tmp_path / "a" / "instance.json").read_text())
     assert inst["tool_version"] == trace["tool_version"]
     assert inst["seed"] == 7
+
+
+def test_construct_leaves_no_argparse_garbage(tmp_path, capsys):
+    # main reuses one parser: a parser built per call is a web of
+    # reference cycles that only the cyclic collector frees.
+    args = ["construct", "--gamma", "3", "--kappa", "4", "--m", "1",
+            "--lifting", "8", "--seed", "7", "--out-dir"]
+    assert run_cli(*args, str(tmp_path / "warm")) == EXIT_OK
+    gc.disable()
+    try:
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        assert run_cli(*args, str(tmp_path / "run")) == EXIT_OK
+        gc.collect()
+        left = [o for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    capsys.readouterr()
+    assert not left
 
 
 def test_construct_then_verify_then_export(tmp_path, capsys):

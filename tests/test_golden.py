@@ -20,7 +20,10 @@ call.  The two ``bounds`` digests with a ``shift_caps`` condition
 (``bounds-3x7-m1-z34``, ``bounds-3x4-pattern-z5``) were re-recorded when
 that condition took its Delta from ``bounds.shift_delta``, the closed form
 the shift study uses, instead of the closed form - 1; the report also
-names that Delta and its source.
+names that Delta and its source.  ``construct-two-stage-m0`` (memory 0:
+stage 1 rejects every target and stage 2 lifts them all) was recorded
+before stage 2 chose its survivors by the compiled partition forms
+instead of a grid check.
 To print the current digests: ``python tests/test_golden.py``.
 """
 
@@ -103,6 +106,13 @@ def _joint():
     return out
 
 
+def _report(rep) -> dict:
+    """The report's fields and its survivor properties, as recorded when
+    the survivor list was a field."""
+    return {**dataclasses.asdict(rep), "survivor_keys": rep.survivor_keys,
+            "stage1_cleared": rep.stage1_cleared}
+
+
 def _two_stage():
     out = []
     base = BaseCode(2, 4)
@@ -111,13 +121,13 @@ def _two_stage():
         inst, rep = construct_two_stage(base, scheme,
                                         enumerate_cycles(base, 4), seed)
         out.append([inst.partition.values, inst.lift.values,
-                    dataclasses.asdict(rep)])
+                    _report(rep)])
     base = BaseCode(3, 5)
     scheme = CouplingScheme.uniform(1, lifting_degree=13)
     inst, rep = construct_two_stage(base, scheme, _c4_c6(base), 2,
                                     stage1_max=200)
     out.append([inst.partition.values, inst.lift.values,
-                dataclasses.asdict(rep)])
+                _report(rep)])
     return out
 
 
@@ -249,6 +259,9 @@ def _experiment(op: str, mode: str, *extra: str):
 CLI_CASES = {
     "construct-two-stage": _construct("two-stage",
                                       ["--m", "1", "--lifting", "13"]),
+    # Memory 0: every target is rejected at stage 1 and lifted as it is.
+    "construct-two-stage-m0": _construct("two-stage",
+                                         ["--m", "0", "--lifting", "13"]),
     "construct-joint": _construct("joint", ["--m", "1", "--lifting", "13",
                                             "--two-g", "6"]),
     "bounds-3x7-m1-z34": _bounds(3, 7, "--m", "1", "--lifting", "34"),
@@ -295,6 +308,8 @@ GOLDEN_CLI = {
         "9f1b78b3c240a53c724ffc834da7648637abfd4d759dcd23f34114d889ba9f70",
     "construct-two-stage":
         "3a1206fbfd817bac9eceb45176e8dcedb2ebc17c685277ce67190170c86c7944",
+    "construct-two-stage-m0":
+        "2b3b95094c76cf8e686391133e01c7fdf21d3012b9997318bbf63d02167bb39c",
     "experiment-baseline-joint":
         "57044272025cc2d65187681916d458c710712bf39fdcbbd13f0f5aa43e6f559d",
     "experiment-baseline-partition-only":

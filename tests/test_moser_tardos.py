@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -283,6 +284,78 @@ def test_lift_stage_only_tracks_survivors():
     alive, trace2 = run_stage_lift(base, scheme, _flat_partition(base),
                                    targets, seed=0)
     assert trace2.metadata["survivors"] == [targets[0].key]
+
+
+def test_lift_stage_rejects_a_partition_that_misses_an_edge():
+    base = BaseCode(2, 2)
+    scheme = CouplingScheme.uniform(1, lifting_degree=4)
+    targets = enumerate_cycles(base, 4, "simple")
+    partial = Assignment.from_dict(
+        "partition", {(0, 0): 0, (0, 1): 0, (1, 0): 0}, 2, 2)
+    with pytest.raises(ValueError, match="does not cover"):
+        run_stage_lift(base, scheme, partial, targets, seed=0)
+
+
+def test_lift_stage_rejects_a_partition_value_outside_the_pattern():
+    # A one-value pattern has no partition form, so every target survives
+    # any grid the scheme can draw; a stray value is refused, not read.
+    base = BaseCode(2, 2)
+    scheme = CouplingScheme.uniform(0, lifting_degree=4)
+    targets = enumerate_cycles(base, 4, "simple")
+    stray = Assignment.from_dict(
+        "partition", {(0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 0}, 2, 2)
+    with pytest.raises(ValueError, match="not in pattern"):
+        run_stage_lift(base, scheme, stray, targets, seed=0)
+
+
+@lru_cache(maxsize=None)
+def _avoidable_walks(kappa: int, two_g: int, mode: str) -> CandidateSet:
+    base = BaseCode(3, kappa)
+    return CandidateSet(base, tuple(
+        c for c in enumerate_cycles(base, two_g, mode) if c.avoidable))
+
+
+@st.composite
+def _survivor_cases(draw):
+    """The avoidable c4, c6 or tbc 8-walks of a 3x3 to 3x5 base, a scheme
+    with several values, one value or memory 0 (Z odd, so no walk is
+    certain to occur at the lift stage), a seed, and a stage-1 cap: an
+    int or None for a two-stage run, "grid" for a random in-pattern
+    partition instead."""
+    cset = _avoidable_walks(draw(st.integers(3, 5)), *draw(st.sampled_from(
+        [(4, "simple"), (6, "simple"), (8, "tbc")])))
+    pattern = draw(st.one_of(
+        st.sets(st.integers(0, 3), min_size=2).map(sorted).map(tuple),
+        st.integers(1, 3).map(lambda v: (v,)), st.just((0,))))
+    n = len(pattern)
+    scheme = CouplingScheme(pattern, (Fraction(1, n),) * n,
+                            lifting_degree=draw(st.sampled_from((3, 5, 13))))
+    edges = cset.base.edges
+    grid = Assignment.from_dict("partition", dict(zip(edges, draw(st.lists(
+        st.sampled_from(pattern), min_size=len(edges),
+        max_size=len(edges))))), cset.base.gamma, cset.base.kappa)
+    stage1_max = draw(st.sampled_from(("grid", 0, 1, 2, None)))
+    return cset, scheme, grid, stage1_max, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_survivor_cases())
+def test_lift_survivors_are_the_grid_check_survivors(case):
+    # Stage 2 picks its survivors with the partition forms; the grid check
+    # walk by walk is the oracle, on random grids and on stage 1's output.
+    cset, scheme, partition, stage1_max, seed = case
+    base = cset.base
+    if stage1_max != "grid":
+        instance, report = construct_two_stage(
+            base, scheme, cset, seed, stage1_max=stage1_max, stage2_max=20)
+        partition = instance.partition
+    expected = [c.key for c in cset if is_active_partition(c, partition)]
+    _, trace = run_stage_lift(base, scheme, partition, cset, seed, 20)
+    assert trace.metadata["survivors"] == expected
+    if stage1_max != "grid":
+        assert report.lift_trace.metadata["survivors"] == expected
+        assert report.survivor_keys == tuple(expected)
+        assert report.stage1_cleared == (not expected)
 
 
 def test_two_stage_composition_produces_girth_six():

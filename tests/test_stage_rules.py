@@ -12,15 +12,16 @@ uniform, non-uniform and one-value patterns.  The experiment harness owns
 no budget: its trials must equal direct runner calls, counted as each
 finishes, with no earlier trial's output kept alive.  A compiled stage owns
 its decisions: ``compile_events``' two-entry memo must equal fresh
-computations and hold the whole target sets across two-stage trials, its
-``rejected`` targets are exactly those certain to occur, and its Theorem 1
-certificate is computed only when a default budget or the harness reads it.
+computations, hit on equal keys built apart and hold the whole target
+sets across two-stage trials, its ``rejected`` targets are exactly those
+certain to occur, and its Theorem 1 certificate is computed only when a
+default budget or the harness reads it.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -149,14 +150,19 @@ def test_stage_cap_equals_default_cap_over_old_list(scheme):
             probs = [_old_stage_prob(c, scheme, stage) for c in cset]
             assert _stage_budget(cset, scheme, stage) == \
                 default_cap(cset, probs)
-        # Distinct powers of 5: no signed sum with coefficients in -2..2
-        # vanishes, so no target survives and the lift stage is uncapped.
+        # An in-pattern grid, the top pattern value on edge (0,0) and the
+        # bottom one elsewhere: none of the targets it clears survives, so
+        # their lift stage is uncapped.
         base = cset.base
-        spread = Assignment.from_dict(
-            "partition", {e: 5 ** n for n, e in enumerate(base.edges)},
+        lo, hi = scheme.pattern[0], scheme.pattern[-1]
+        corner = Assignment.from_dict(
+            "partition", {e: hi if e == (0, 0) else lo for e in base.edges},
             base.gamma, base.kappa)
-        assert not any(is_active_partition(c, spread) for c in cset)
-        assert _budget(run_stage_lift, base, scheme, spread, cset, 0) is None
+        cleared = CandidateSet(base, tuple(
+            c for c in cset if not is_active_partition(c, corner)))
+        assert len(cleared)
+        assert _budget(run_stage_lift, base, scheme, corner, cleared,
+                       0) is None
 
 
 @pytest.mark.parametrize("cap", [None, 77])
@@ -285,10 +291,10 @@ def test_memos_equal_fresh_computations():
     compile_events.cache_clear()
     memo = [(_by_value(compile_events(cset, scheme, stage)),
              _stage_budget(cset, scheme, stage)) for cset, stage in calls]
-    # Three repeated compiles, and the partition and joint runners read
-    # the stage just compiled; the lift runner compiles its survivors
-    # outside the memo.
-    assert compile_events.cache_info().hits == 3 + 6
+    # Three repeated compiles, the partition and joint runners read the
+    # stage just compiled, and the lift runner reads the targets' partition
+    # compile; it compiles its survivors outside the memo.
+    assert compile_events.cache_info().hits == 12
     for (cset, stage), got in zip(calls, memo):
         compile_events.cache_clear()
         assert got == (_by_value(compile_events(cset, scheme, stage)),
@@ -308,9 +314,29 @@ def test_memos_equal_fresh_computations():
     assert compile_events.cache_info().misses == 1
 
 
+def test_memo_keys_hash_as_their_fields():
+    # The scheme and the target set hash once, to the dataclass hash of
+    # their fields, so equal keys built apart share one compile.
+    def build():
+        scheme = CouplingScheme((0, 2, 5), ("1/2", "1/3", "1/6"), 6, 7)
+        return scheme, enumerate_cycles(BaseCode(3, 4), 4)
+
+    (s1, c1), (s2, c2) = build(), build()
+    for a, b in ((s1, s2), (c1, c2)):
+        assert a is not b and a == b
+        assert hash(a) == hash(b) == hash(
+            tuple(getattr(a, f.name) for f in fields(a)))
+    compile_events.cache_clear()
+    first = compile_events(c1, s1, "lift")
+    assert compile_events(c2, s2, "lift") is first
+    info = compile_events.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_two_stage_trials_compile_stage1_once():
-    # Stage 1 reads the whole set's memoised compile in every trial; the
-    # survivors of stage 2 differ per trial and stay out of the memo.
+    # Stage 1 reads the whole set's memoised compile in every trial, and
+    # stage 2 reads it again to pick its survivors; those differ per trial
+    # and stay out of the memo.
     scheme = CouplingScheme.uniform(1, lifting_degree=8)
     config = ExperimentConfig(3, 4, scheme, "two-stage", 12, 5,
                               StructureSpec(4), (StructureSpec(6),))
@@ -318,12 +344,13 @@ def test_two_stage_trials_compile_stage1_once():
     compile_events.cache_clear()
     experiments._run_trials(config, elim)
     info = compile_events.cache_info()
-    assert (info.misses, info.hits) == (1, 2 * config.trials - 1)
+    assert (info.misses, info.hits) == (1, 3 * config.trials - 1)
 
 
 def test_memory_0_trials_compile_both_whole_sets_once():
     # At memory 0 the partition compile rejects every target, so stage 1
-    # runs on a second whole set, the thinnable rest; both stay memoised.
+    # runs on a second whole set, the thinnable rest; both stay memoised,
+    # and stage 2 reads the first to pick its survivors.
     scheme = CouplingScheme.uniform(0, lifting_degree=13)
     config = ExperimentConfig(3, 4, scheme, "two-stage", 10, 5,
                               StructureSpec(4), ())
@@ -332,7 +359,7 @@ def test_memory_0_trials_compile_both_whole_sets_once():
     compile_events.cache_clear()
     experiments._run_trials(config, elim)
     info = compile_events.cache_info()
-    assert (info.misses, info.hits) == (2, 3 * config.trials - 2)
+    assert (info.misses, info.hits) == (2, 4 * config.trials - 2)
 
 
 def test_certified_stage1_budget_at_the_fallback_value_is_kept(
