@@ -139,7 +139,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             "reason": f"{len(system.rejected)} of {len(cset)} candidates "
                       "active with probability 1 (cannot be resampled away)",
         }
-    elif len(cset) > 0:
+    elif rep is not None:
+        delta, source = bounds_mod.shift_delta(cset, rep.delta)
         doc["feasibility"] = {
             "k": rep.k,
             "delta_observed": rep.delta,
@@ -158,16 +159,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                 None if rep.resample_bound is None
                 else float(rep.resample_bound),
         }
-        dims = bounds_mod.c4_block_dims(cset)
-        if dims is not None:
-            doc["feasibility"]["delta_formula"] = \
-                bounds_mod.formula_delta_c4(*dims)
+        if source == "formula":
+            doc["feasibility"]["delta_formula"] = delta
     else:
         doc["feasibility"] = {"feasible": True, "k": 0,
                               "reason": "no candidates to avoid"}
 
-    if args.gamma >= 2 and args.kappa >= 2 and args.two_g == 4 \
-            and args.walk_mode == "simple":
+    if bounds_mod.c4_block_dims(cset) == (args.gamma, args.kappa):
         # Corollary 1 holds only for spreading uniform over 0..memory.
         full = CouplingScheme.uniform(scheme.memory)
         if (scheme.pattern, scheme.probs) == (full.pattern, full.probs):
@@ -191,7 +189,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             "universal_cap": c4b.cap,
         }
         if rep is not None:
-            delta, source = bounds_mod.shift_delta(cset, rep.delta)
             sym = bounds_mod.shift_bound_symmetric(rep.p_max, delta, 0)
             doc["shift_caps"].update(
                 delta=delta, delta_source=source,

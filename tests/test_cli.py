@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from scldpc import (Assignment, BaseCode, CodeInstance, CouplingScheme,
-                    SparseBinaryMatrix, export_instance_json)
+                    SparseBinaryMatrix, enumerate_cycles,
+                    export_instance_json)
 from scldpc import bounds, cli
 from scldpc.cli import (EXIT_CAP_EXHAUSTED, EXIT_CHECK_FAILED, EXIT_OK,
                         EXIT_USAGE, main)
@@ -99,6 +100,41 @@ def test_bounds_corollary1_only_for_uniform_full_pattern(pattern, uniform,
     doc = json.loads(capsys.readouterr().out)
     assert ("uniform_c4_regime" in doc) is uniform
     assert doc["shift_caps"]["six_cycle_exponent"] == 24
+
+
+# Scheme flags, and whether they spell the uniform full pattern.
+_CLOSED_FORM_SCHEMES = {
+    "uniform": (["--m", "1", "--lifting", "34"], True),
+    "all-rejected": (["--m", "0", "--lifting", "1"], True),
+    "pattern": (["--pattern", "0,2", "--probs", "1/3,2/3", "--lifting", "5"],
+                False),
+}
+
+
+@pytest.mark.parametrize("scheme", list(_CLOSED_FORM_SCHEMES))
+@pytest.mark.parametrize("two_g", [4, 6])
+def test_bounds_reads_its_closed_forms_off_the_target_set(two_g, scheme,
+                                                          capsys):
+    # tbc walks are the simple cycles at 2g in {4, 6}, so the documents
+    # differ only in walks.mode; the closed-form blocks appear exactly
+    # when the targets are every 4-cycle of the base.
+    flags, full = _CLOSED_FORM_SCHEMES[scheme]
+    for gamma in range(1, 5):
+        for kappa in range(1, 6):
+            shape = ["--gamma", str(gamma), "--kappa", str(kappa),
+                     "--two-g", str(two_g), *flags]
+            docs = {}
+            for mode in ("simple", "tbc"):
+                assert run_cli("bounds", *shape, "--walk-mode", mode) \
+                    == EXIT_OK
+                docs[mode] = json.loads(capsys.readouterr().out)
+            docs["tbc"]["walks"]["mode"] = "simple"
+            assert docs["tbc"] == docs["simple"], shape
+            cset = enumerate_cycles(BaseCode(gamma, kappa), two_g, "simple")
+            closed = bounds.c4_block_dims(cset) == (gamma, kappa)
+            assert ("shift_caps" in docs["simple"]) is closed, shape
+            assert ("uniform_c4_regime" in docs["simple"]) is \
+                (closed and full), shape
 
 
 def test_bounds_missing_required_flag_exits_2(capsys):
