@@ -25,11 +25,11 @@ The closed forms above are the uniform-weight specialization of a clique
 cover argument; the generic evaluator (`lemma2_evaluate`) reproduces them
 exactly on regular families and is kept as an independent cross-check.
 
-Exact rational arithmetic is used wherever the exponents stay manageable,
-and each float is then that exact value rounded once (a value too large
-for a double reads as inf).  Past the exponent limit the float comes from
-``decimal`` at 60 significant digits in an exponent range wide enough that
-Delta^Delta neither overflows nor underflows before the final rounding.
+Each Theorem 1 and Corollary 4 number is a power (a/b)^e / c, and
+``_power`` evaluates them all: exact with an exponent below 8192, its
+float that value rounded once (inf past the double range); from 8192 on,
+no exact value and a wide-range 60-digit ``decimal`` rounded once.  The
+shift bounds' ``bound`` and ``relaxed_bound`` are plain float arithmetic.
 """
 
 from __future__ import annotations
@@ -50,15 +50,19 @@ from .walks import (CandidateSet, dependency_degree, dependency_pairs,
 EXACT_EXPONENT_LIMIT = 8192
 _WIDE = Context(prec=60, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
-def _pow_float(base_num: int, base_den: int, exponent: int) -> float:
-    """(base_num/base_den)^exponent as a double: the exact power rounded
-    once, or a 60-digit one past EXACT_EXPONENT_LIMIT."""
-    if exponent > EXACT_EXPONENT_LIMIT:
-        return float(_WIDE.power(_WIDE.divide(base_num, base_den), exponent))
+def _power(a: int, b: int, e: int,
+           c: int = 1) -> tuple[Optional[Fraction], float]:
+    """(a/b)^e / c: exact while e < EXACT_EXPONENT_LIMIT (else None), and
+    as a double that exact value rounded once (inf past the double range)
+    or, past the limit, the 60-digit one rounded once."""
+    if e >= EXACT_EXPONENT_LIMIT:
+        wide = _WIDE.power(_WIDE.divide(a, b), e)
+        return None, float(_WIDE.divide(wide, c))
+    exact = Fraction(a, b) ** e / c
     try:
-        return float(Fraction(base_num, base_den) ** exponent)
+        return exact, float(exact)
     except OverflowError:
-        return math.inf
+        return exact, math.inf
 
 
 def threshold_branch_i(delta: int) -> tuple[Optional[Fraction], float]:
@@ -71,12 +75,7 @@ def threshold_branch_i(delta: int) -> tuple[Optional[Fraction], float]:
         raise ValueError("delta must be non-negative")
     if delta <= 1:
         return Fraction(1), 1.0
-    if delta <= EXACT_EXPONENT_LIMIT:
-        # From the reduced base: no gcd runs on the two huge coprime powers.
-        exact = Fraction(delta - 1, delta) ** (delta - 1) / delta
-        return exact, float(exact)
-    return None, float(_WIDE.divide(_WIDE.power(delta - 1, delta - 1),
-                                    _WIDE.power(delta, delta)))
+    return _power(delta - 1, delta, delta - 1, delta)
 
 
 def threshold_branch_ii(struct_size: int,
@@ -89,12 +88,7 @@ def threshold_branch_ii(struct_size: int,
     if w == 1:
         return None, None
     h = struct_size
-    if h <= EXACT_EXPONENT_LIMIT:
-        exact = Fraction((h - 1) ** (h - 1), (w - 1) * h ** h)
-        return exact, float(exact)
-    return None, float(_WIDE.divide(
-        _WIDE.power(h - 1, h - 1),
-        _WIDE.multiply(w - 1, _WIDE.power(h, h))))
+    return _power(h - 1, h, h - 1, (w - 1) * h)
 
 
 @dataclass(frozen=True)
@@ -259,11 +253,11 @@ def theorem1_feasibility(cset: CandidateSet, probs: Sequence[Fraction],
         elif delta <= 2:
             avoidance = 0.0
         else:
-            avoidance = _pow_float(delta - 2, delta, dep.edge_count)
+            avoidance = _power(delta - 2, delta, dep.edge_count)[1]
     else:
         num = (w_max - 1) * struct_size - w_max
         den = (w_max - 1) * struct_size
-        avoidance = _pow_float(num, den, clique_count) if num > 0 else 0.0
+        avoidance = _power(num, den, clique_count)[1] if num > 0 else 0.0
 
     return BoundReport(
         k=len(cset), delta=delta, delta_source=delta_source,
@@ -417,7 +411,7 @@ def corollary4_bound(gamma: int, kappa: int, two_k: int) -> Corollary4Bound:
     delta = formula_delta_c4(gamma, kappa)
     w = (gamma - 1) * (kappa - 1)
     exponent = two_k * w
-    value = _pow_float(delta + 1, delta, exponent)
+    value = _power(delta + 1, delta, exponent)[1]
     cap = None
     if two_k == 6 and gamma >= 3 and kappa >= 3:
         cap = COROLLARY4_CAP

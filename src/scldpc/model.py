@@ -235,8 +235,11 @@ def _as_fraction(x: object) -> Fraction:
 
 def frac_text(p: Optional[Fraction]) -> Optional[str]:
     """The "num/den" text of an exact rational, as every document writes
-    it (``_as_fraction`` reads it back); None stays None."""
-    return None if p is None else f"{p.numerator}/{p.denominator}"
+    it (``_as_fraction`` reads it back); None for None or for a numerator
+    or denominator past 14000 bits, below Python's 4300-digit text limit."""
+    if p is None or max(abs(p.numerator), p.denominator).bit_length() > 14000:
+        return None
+    return f"{p.numerator}/{p.denominator}"
 
 
 @dataclass(frozen=True)

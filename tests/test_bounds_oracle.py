@@ -18,7 +18,7 @@ import mpmath
 import pytest
 
 from scldpc import BaseCode, enumerate_cycles
-from scldpc.bounds import (EXACT_EXPONENT_LIMIT, _pow_float,
+from scldpc.bounds import (_WIDE, EXACT_EXPONENT_LIMIT, _power,
                            corollary4_bound, theorem1_feasibility,
                            theorem1_thresholds, threshold_branch_i,
                            threshold_branch_ii)
@@ -111,7 +111,7 @@ def test_float_only_threshold_decisions_match_mpmath(delta, h, w, winner):
     (120, 122, 29883),                   # past EXACT_EXPONENT_LIMIT
 ])
 def test_pow_float_matches_mpmath(args):
-    assert _pow_float(*args) == _mp_pow(*args)
+    assert _power(*args)[1] == _mp_pow(*args)
 
 
 @pytest.mark.parametrize("gamma, kappa, branch", [(3, 7, "I"), (9, 9, "II")])
@@ -134,3 +134,97 @@ def test_import_does_not_load_mpmath():
          "import sys, scldpc; print('mpmath' in sys.modules)"],
         capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+# The three hand-written powers that ``_power`` replaced, kept verbatim as
+# an oracle: the thresholds tested the base against EXACT_EXPONENT_LIMIT
+# and the avoidance and drift powers the exponent, and the thresholds
+# evaluated the 60-digit decimal in another order.
+
+def _old_pow_float(base_num: int, base_den: int, exponent: int) -> float:
+    if exponent > EXACT_EXPONENT_LIMIT:
+        return float(_WIDE.power(_WIDE.divide(base_num, base_den), exponent))
+    try:
+        return float(Fraction(base_num, base_den) ** exponent)
+    except OverflowError:
+        return math.inf
+
+
+def _old_threshold_branch_i(delta: int):
+    if delta < 0:
+        raise ValueError("delta must be non-negative")
+    if delta <= 1:
+        return Fraction(1), 1.0
+    if delta <= EXACT_EXPONENT_LIMIT:
+        exact = Fraction(delta - 1, delta) ** (delta - 1) / delta
+        return exact, float(exact)
+    return None, float(_WIDE.divide(_WIDE.power(delta - 1, delta - 1),
+                                    _WIDE.power(delta, delta)))
+
+
+def _old_threshold_branch_ii(struct_size: int, w: int):
+    if struct_size < 2:
+        raise ValueError("structure size must be at least 2")
+    if w < 1:
+        raise ValueError("harmful weight must be at least 1")
+    if w == 1:
+        return None, None
+    h = struct_size
+    if h <= EXACT_EXPONENT_LIMIT:
+        exact = Fraction((h - 1) ** (h - 1), (w - 1) * h ** h)
+        return exact, float(exact)
+    return None, float(_WIDE.divide(
+        _WIDE.power(h - 1, h - 1),
+        _WIDE.multiply(w - 1, _WIDE.power(h, h))))
+
+
+def _same_pair(ours, old) -> bool:
+    # Exact slots equal (None alike); doubles equal bit for bit.
+    return ours[0] == old[0] and repr(ours[1]) == repr(old[1])
+
+
+def test_power_keeps_threshold_i():
+    deltas = [*range(0, 3001), *range(EXACT_EXPONENT_LIMIT - 3,
+                                      EXACT_EXPONENT_LIMIT + 4)]
+    assert [d for d in deltas if not _same_pair(
+        threshold_branch_i(d), _old_threshold_branch_i(d))] == []
+
+
+def test_power_keeps_threshold_ii():
+    # Near the limit the old body's gcd on two 100 kbit powers costs about
+    # 13 ms a call, so W is sampled there.
+    grid = [*((h, w) for h in range(2, 41) for w in range(1, 301)),
+            *((h, w) for h in range(EXACT_EXPONENT_LIMIT - 1,
+                                    EXACT_EXPONENT_LIMIT + 3)
+              for w in (2, *range(1, 301, 23), 300))]
+    assert [(h, w) for h, w in grid if not _same_pair(
+        threshold_branch_ii(h, w), _old_threshold_branch_ii(h, w))] == []
+
+
+@pytest.mark.parametrize("exponent", [EXACT_EXPONENT_LIMIT - 1,
+                                      EXACT_EXPONENT_LIMIT,
+                                      EXACT_EXPONENT_LIMIT + 1])
+def test_power_keeps_avoidance_and_drift_powers(exponent):
+    # Branch-I avoidance (Delta-2)/Delta, drift (Delta+1)/Delta and
+    # branch-II avoidance ((W-1)h - W)/((W-1)h) at h = 4 and 6.
+    bases = [*((d - 2, d) for d in range(3, 200)),
+             *((d + 1, d) for d in range(1, 200)),
+             *(((w - 1) * h - w, (w - 1) * h)
+               for h in (4, 6) for w in range(2, 60))]
+    exact_slot = exponent < EXACT_EXPONENT_LIMIT
+    mismatched = []
+    for num, den in bases:
+        exact, value = _power(num, den, exponent)
+        old = _old_pow_float(num, den, exponent)
+        if (repr(value) != repr(old) or (exact is not None) != exact_slot
+                or (exact_slot and exact != Fraction(num, den) ** exponent)):
+            mismatched.append((num, den))
+    assert mismatched == []
+
+
+def test_power_keeps_corollary4_values():
+    assert corollary4_bound(2, 2, 1024).value == _old_pow_float(2, 1, 1024) \
+        == math.inf
+    # Exponent 8192 = 8 * 32 * 32, where the cut-off moved by one.
+    assert corollary4_bound(33, 33, 8).value == _old_pow_float(3970, 3969,
+                                                               8192)

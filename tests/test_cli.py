@@ -137,6 +137,19 @@ def test_bounds_reads_its_closed_forms_off_the_target_set(two_g, scheme,
                 (closed and full), shape
 
 
+def test_bounds_writes_null_for_a_threshold_too_long_for_text(capsys):
+    # 4x5 tbc 8-walks observe Delta = 2742, so threshold I's exact value
+    # has about 9400 digits: its text is null, its float still written.
+    code = run_cli("bounds", "--gamma", "4", "--kappa", "5", "--m", "1",
+                   "--lifting", "34", "--two-g", "8", "--walk-mode", "tbc")
+    assert code == EXIT_OK
+    feas = json.loads(capsys.readouterr().out)["feasibility"]
+    assert feas["delta_observed"] == 2742
+    assert feas["threshold_i"] is None
+    assert feas["threshold_i_float"] == 0.0001341891093236967
+    assert feas["feasible"] is False
+
+
 def test_bounds_missing_required_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("bounds", "--gamma", "3")

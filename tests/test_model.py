@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scldpc import (Assignment, BaseCode, CodeInstance, CouplingScheme,
                     SparseBinaryMatrix, WalkCandidate, assemble_qc,
                     export_alist, girth, parse_alist)
-from scldpc.model import _check_partition
+from scldpc.model import _as_fraction, _check_partition, frac_text
 from dense import to_dense
 from helpers import from_entries
 from test_graphs import _girth_reference
@@ -165,6 +165,20 @@ def test_scheme_validation():
         CouplingScheme.uniform(1, lifting_degree=0)
     with pytest.raises(TypeError):
         CouplingScheme((0, 1), (0.5, 0.5), 2, 1)
+
+
+def test_frac_text_writes_null_past_its_size_limit():
+    # A numerator or denominator past 14000 bits (about 4200 digits) is
+    # written as null, below Python's default 4300-digit int-to-text limit;
+    # a 4000-digit one still reads back.
+    assert frac_text(Fraction(3, 4) ** 9000) is None
+    assert frac_text(Fraction(2 ** 14000)) is None
+    assert frac_text(Fraction(1, 2 ** 14000)) is None
+    assert frac_text(Fraction(-2 ** 14000, 3)) is None
+    assert frac_text(Fraction(2 ** 13999)) == f"{2 ** 13999}/1"
+    p = Fraction(10 ** 3999 + 1, 3)
+    assert len(str(p.numerator)) == 4000
+    assert _as_fraction(frac_text(p)) == p
 
 
 @pytest.mark.parametrize("build", [
