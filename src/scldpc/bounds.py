@@ -29,7 +29,8 @@ Each Theorem 1 and Corollary 4 number is a power (a/b)^e / c, and
 ``_power`` evaluates them all: exact with an exponent below 8192, its
 float that value rounded once (inf past the double range); from 8192 on,
 no exact value and a wide-range 60-digit ``decimal`` rounded once.  The
-shift bounds' ``bound`` and ``relaxed_bound`` are plain float arithmetic.
+shift bounds' ``relaxed_bound`` (1+1/Delta)^n follows the same rule; only
+their ``bound`` is plain float arithmetic, inf past the double range.
 """
 
 from __future__ import annotations
@@ -344,10 +345,10 @@ def shift_delta(cset: CandidateSet, observed: int) -> tuple[int, str]:
     """The Delta of the shift bounds' precondition and caps, and its
     source: Corollary 4's closed form ("formula") when ``cset`` is the
     complete 4-cycle family of an all-ones block, else ``observed``, the
-    measured dependency degree ("observed")."""
+    measured dependency degree raised to at least 1 ("observed")."""
     dims = c4_block_dims(cset)
     if dims is None:
-        return observed, "observed"
+        return max(1, observed), "observed"
     return formula_delta_c4(*dims), "formula"
 
 
@@ -375,11 +376,14 @@ def shift_bound_symmetric(p: Fraction, delta: int,
     if delta < 1 or n_overlap < 0:
         raise ValueError("delta must be >= 1 and overlap count >= 0")
     lhs = math.e * float(p) * (delta + 1)
+    try:
+        bound = (1.0 + math.e * float(p)) ** n_overlap
+    except OverflowError:
+        bound = math.inf
     return SymmetricShiftBound(
         p=p, delta=delta, n_overlap=n_overlap,
-        condition_lhs=lhs, condition_held=lhs <= 1.0,
-        bound=(1.0 + math.e * float(p)) ** n_overlap,
-        relaxed_bound=(1.0 + 1.0 / delta) ** n_overlap,
+        condition_lhs=lhs, condition_held=lhs <= 1.0, bound=bound,
+        relaxed_bound=_power(delta + 1, delta, n_overlap)[1],
     )
 
 

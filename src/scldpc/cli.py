@@ -161,6 +161,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         }
         if source == "formula":
             doc["feasibility"]["delta_formula"] = delta
+        sym = bounds_mod.shift_bound_symmetric(rep.p_max, delta, 0)
+        doc["shift_caps"] = {"delta": delta, "delta_source": source,
+                             "condition_lhs": sym.condition_lhs,
+                             "condition_held": sym.condition_held}
     else:
         doc["feasibility"] = {"feasible": True, "k": 0,
                               "reason": "no candidates to avoid"}
@@ -183,17 +187,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                     args.gamma, args.kappa, scheme.memory),
             }
         c4b = bounds_mod.corollary4_bound(args.gamma, args.kappa, 6)
-        doc["shift_caps"] = {
-            "six_cycle_drift": c4b.value,
-            "six_cycle_exponent": c4b.exponent,
-            "universal_cap": c4b.cap,
-        }
-        if rep is not None:
-            sym = bounds_mod.shift_bound_symmetric(rep.p_max, delta, 0)
-            doc["shift_caps"].update(
-                delta=delta, delta_source=source,
-                condition_lhs=sym.condition_lhs,
-                condition_held=sym.condition_held)
+        doc.setdefault("shift_caps", {}).update(
+            six_cycle_drift=c4b.value, six_cycle_exponent=c4b.exponent,
+            universal_cap=c4b.cap)
     _emit(doc, args.out)
     return EXIT_OK
 

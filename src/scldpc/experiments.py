@@ -426,11 +426,11 @@ def estimate_mt_shift(config: ExperimentConfig) -> ExperimentStats:
     # way to no certificate) raises AdmissionError on the first trial.
     rep = compile_events(elim, config.scheme, stage).certificate
     delta_used, delta_source = bounds.shift_delta(elim, rep.delta)
-    delta_pos = max(1, delta_used)
-    sym = bounds.shift_bound_symmetric(rep.p_max, delta_pos, 0)
-    # Asymmetric route: x_B = 1/(Delta+1) certifies when p <= x(1-x)^Delta.
-    x_asym = Fraction(1, delta_pos + 1)
-    asym_certified = rep.p_max <= x_asym * (1 - x_asym) ** delta_pos
+    sym = bounds.shift_bound_symmetric(rep.p_max, delta_used, 0)
+    # Asymmetric route: x_B = 1/(Delta+1) certifies when p <= x(1-x)^Delta,
+    # and its cap prod 1/(1 - x_B) over n events is (1+1/Delta)^n.
+    x_asym = Fraction(1, delta_used + 1)
+    asym_certified = rep.p_max <= x_asym * (1 - x_asym) ** delta_used
 
     obs_stats: list[ObservableStats] = []
     labels = (label for label, oset in observed for _ in oset)
@@ -441,18 +441,18 @@ def estimate_mt_shift(config: ExperimentConfig) -> ExperimentStats:
         lo, hi = wilson_interval(hits, n_ok)
         rated = pf > 0 and n_ok > 0
         r_up = hi / pf if rated else None
-        sym_c = bounds.shift_bound_symmetric(rep.p_max, delta_pos, n_e)
+        sym_c = bounds.shift_bound_symmetric(rep.p_max, delta_used, n_e)
         cap_sym = sym_c.bound if sym.condition_held else None
         cap_rel = sym_c.relaxed_bound if sym.condition_held else None
-        cap_asym = (float(bounds.shift_bound_asymmetric([x_asym] * n_e))
-                    if asym_certified else None)
-        applicable = [cap for cap in (cap_sym, cap_rel, cap_asym)
-                      if cap is not None]
+        cap_asym = sym_c.relaxed_bound if asym_certified else None
+        # Least cap: e p (Delta+1) <= 1 gives (1+e p)^n < (1+1/Delta)^n as e p
+        # < 1/Delta, and p <= 1/(e(Delta+1)) < x(1-x)^Delta (asym certified).
+        cap = cap_sym if sym.condition_held else cap_asym
         if n_e == 0:
             # No shared variables: distribution must not move at all.
             passed, kind = _null_check(hits, n_ok, pf), "null-4sigma"
-        elif applicable and rated:
-            passed = all(r_up <= cap for cap in applicable)
+        elif cap is not None and rated:
+            passed = r_up <= cap
             kind = "wilson-upper-vs-caps"
         else:
             passed, kind = None, "none"
@@ -596,12 +596,11 @@ def sweep(config: ExperimentConfig, param: str,
             f"{scheme.coupling_length}) with one uniform over 0..m at the "
             "default L")
     out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=SWEEP_COLUMNS,
+    writer = csv.DictWriter(out, fieldnames=SWEEP_COLUMNS, restval="",
                             lineterminator="\n")
     writer.writeheader()
     for cell, value in enumerate(values):
-        row = {c: "" for c in SWEEP_COLUMNS}
-        row["param"], row["value"] = param, value
+        row = {"param": param, "value": value}
         try:
             cfg = _cell_config(config, param, int(value), cell)
             row.update(gamma=cfg.gamma, kappa=cfg.kappa,
@@ -610,30 +609,27 @@ def sweep(config: ExperimentConfig, param: str,
                        Z=cfg.scheme.lifting_degree, mode=cfg.mode,
                        trials=cfg.trials)
             stats = estimate_mt_shift(cfg)
-            agg_ratio = [c.mean_ratio for c in stats.classes
-                         if c.mean_ratio is not None]
-            agg_max = [c.max_ratio for c in stats.classes
-                       if c.max_ratio is not None]
-            agg_up = [c.max_ratio_upper for c in stats.classes
-                      if c.max_ratio_upper is not None]
+            # A class's three ratios are None together (no rated row).
+            rated = [c for c in stats.classes if c.mean_ratio is not None]
             row.update(
                 trials_failed=stats.trials_failed,
                 eliminate_count=stats.eliminate_count,
                 delta_observed=stats.delta_observed,
                 delta_used=stats.delta_used,
                 p_elim_max=frac_text(stats.p_elim_max),
-                p_elim_max_float=repr(float(stats.p_elim_max)),
+                p_elim_max_float=float(stats.p_elim_max),
                 condition_held=stats.condition_held,
                 feasible=stats.resamples.feasible,
-                branch=stats.resamples.branch or "",
-                resample_bound=frac_text(stats.resamples.bound) or "",
-                resample_mean=repr(stats.resamples.mean),
+                branch=stats.resamples.branch,
+                resample_bound=frac_text(stats.resamples.bound),
+                resample_mean=stats.resamples.mean,
                 resample_max=stats.resamples.max,
                 bound_holds=stats.resamples.bound_holds,
-                mean_ratio=repr(_sum(agg_ratio) / len(agg_ratio))
-                if agg_ratio else "",
-                max_ratio=repr(max(agg_max)) if agg_max else "",
-                max_ratio_upper=repr(max(agg_up)) if agg_up else "",
+                mean_ratio=_sum(c.mean_ratio for c in rated) / len(rated)
+                if rated else None,
+                max_ratio=max((c.max_ratio for c in rated), default=None),
+                max_ratio_upper=max((c.max_ratio_upper for c in rated),
+                                    default=None),
                 all_checks_pass=stats.all_checks_pass,
             )
         except Exception as exc:  # noqa: BLE001 - cell isolation is the point

@@ -5,6 +5,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scldpc import (COROLLARY4_CAP, BaseCode, CandidateSet, CouplingScheme,
                     build_base_edge_cover, build_pairwise_cover,
@@ -114,6 +116,8 @@ def test_shift_delta_is_the_closed_form_on_complete_c4_families():
     assert shift_delta(incomplete, 31) == (31, "observed")
     sixes = enumerate_cycles(BaseCode(3, 3), 6, "simple")
     assert shift_delta(sixes, 5) == (5, "observed")
+    # The shift bounds need Delta >= 1: an observed 0 is reported as 1.
+    assert shift_delta(sixes, 0) == (1, "observed")
 
 
 def test_theorem1_feasibility_both_delta_sources():
@@ -215,6 +219,32 @@ def test_symmetric_shift_bound_values():
     assert s.relaxed_bound == pytest.approx(12.536600, rel=1e-6)
     hot = shift_bound_symmetric(Fraction(1, 2), 9, 4)
     assert not hot.condition_held
+    # 2.019^2330 is past the double range: inf, as _power's powers.
+    assert shift_bound_symmetric(Fraction(3, 8), 2742, 2330).bound == math.inf
+
+
+def test_relaxed_shift_bound_is_the_asymmetric_product_rounded_once():
+    # (1+1/Delta)^n = prod over n events of 1/(1 - 1/(Delta+1)), bit for bit.
+    for delta in range(1, 200):
+        x = [Fraction(1, delta + 1)]
+        for n in range(60):
+            relaxed = shift_bound_symmetric(Fraction(0), delta, n)
+            assert relaxed.relaxed_bound == \
+                float(shift_bound_asymmetric(x * n)), (delta, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(delta=st.integers(1, 2000), n=st.integers(1, 500),
+       scale=st.fractions(0, Fraction(11, 10), max_denominator=10**6))
+def test_symmetric_precondition_makes_it_the_least_cap(delta, n, scale):
+    # p around the precondition's edge 1/(e(Delta+1)): where it holds, the
+    # asymmetric route is certified and (1+e p)^n < (1+1/Delta)^n.
+    p = scale * Fraction(math.exp(-1)) / (delta + 1)
+    s = shift_bound_symmetric(p, delta, n)
+    if s.condition_held:
+        x = Fraction(1, delta + 1)
+        assert p <= x * (1 - x) ** delta
+        assert s.bound < s.relaxed_bound
 
 
 def test_memory_threshold_for_symmetric_condition():

@@ -44,21 +44,37 @@ def test_bounds_reports_feasible_regime(capsys):
     assert doc["walks"]["count"] == 63
 
 
-def test_bounds_and_the_shift_study_share_one_delta(tmp_path, capsys):
-    # Corollary 4's closed form (2*3-3)(2*7-3) = 33 in both, not the
-    # observed 32.
-    shape = ["--gamma", "3", "--kappa", "7", "--m", "1", "--lifting", "34"]
-    assert run_cli("bounds", *shape) == EXIT_OK
+@pytest.mark.parametrize("shape, eliminate, delta, lhs", [
+    # Corollary 4's closed form (2*3-3)(2*7-3) = 33, not the observed 32.
+    pytest.param(["--gamma", "3", "--kappa", "7", "--m", "1", "--lifting",
+                  "34"], {"two_g": 4}, (33, "formula"), 1.019355685672142,
+                 id="3x7-c4"),
+    pytest.param(["--gamma", "3", "--kappa", "5", "--m", "2", "--lifting",
+                  "7"], {"two_g": 6}, (59, "observed"), 4.506498974870374,
+                 id="3x5-c6"),
+    # The one tbc 8-walk of 2x2 depends on nothing: observed 0, used 1.
+    pytest.param(["--gamma", "2", "--kappa", "2", "--m", "1", "--lifting",
+                  "5"], {"two_g": 8, "mode": "tbc"}, (1, "observed"),
+                 0.40774227426885673, id="2x2-tbc8"),
+])
+def test_bounds_and_the_shift_study_share_one_delta(shape, eliminate, delta,
+                                                    lhs, tmp_path, capsys):
+    walks = ["--two-g", str(eliminate["two_g"]),
+             "--walk-mode", eliminate.get("mode", "simple")]
+    assert run_cli("bounds", *shape, *walks) == EXIT_OK
     caps = json.loads(capsys.readouterr().out)["shift_caps"]
-    run_cli("experiment", *shape, "--op", "shift", "--mode", "joint",
-            "--trials", "2", "--seed", "1", "--out",
+    observe = {"two_g": 6 if eliminate["two_g"] == 4 else 4}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"eliminate": eliminate,
+                                  "observe": [observe]}))
+    run_cli("experiment", *shape, "--config", str(config), "--op", "shift",
+            "--mode", "joint", "--trials", "2", "--seed", "1", "--out",
             str(tmp_path / "s.json"))
     shift = json.loads((tmp_path / "s.json").read_text())
-    assert (caps["delta"], caps["delta_source"]) == (33, "formula") == \
+    assert (caps["delta"], caps["delta_source"]) == delta == \
         (shift["delta"]["used"], shift["delta"]["source"])
-    assert caps["condition_lhs"] == shift["condition_lhs"] == \
-        1.019355685672142
-    assert caps["condition_held"] is shift["condition_held"] is False
+    assert caps["condition_lhs"] == shift["condition_lhs"] == lhs
+    assert caps["condition_held"] is shift["condition_held"] is (lhs <= 1)
 
 
 def test_bounds_flags_unavoidable_regime(capsys):
@@ -132,7 +148,10 @@ def test_bounds_reads_its_closed_forms_off_the_target_set(two_g, scheme,
             assert docs["tbc"] == docs["simple"], shape
             cset = enumerate_cycles(BaseCode(gamma, kappa), two_g, "simple")
             closed = bounds.c4_block_dims(cset) == (gamma, kappa)
-            assert ("shift_caps" in docs["simple"]) is closed, shape
+            certified = "delta_observed" in docs["simple"]["feasibility"]
+            caps = docs["simple"].get("shift_caps", {})
+            assert ("six_cycle_drift" in caps) is closed, shape
+            assert ("condition_held" in caps) is certified, shape
             assert ("uniform_c4_regime" in docs["simple"]) is \
                 (closed and full), shape
 

@@ -216,6 +216,21 @@ def test_shift_uses_the_observed_delta_without_a_c4_family(mode):
     assert stats.p_elim_max == certificate.p_max
 
 
+def test_shift_study_reports_a_symmetric_bound_past_the_double_range():
+    # Each 4-cycle overlaps 1242 of the 1440 tbc 8-walk targets, where
+    # (1 + e p)^n passes the double range; the precondition fails, so no
+    # observable reports a symmetric cap.
+    cfg = ExperimentConfig(
+        gamma=3, kappa=6, scheme=CouplingScheme.uniform(1),
+        mode="partition-only", trials=1, seed=1,
+        eliminate=StructureSpec(8, mode="tbc"), observe=(StructureSpec(4),),
+        cap=0)
+    stats = estimate_mt_shift(cfg)
+    assert stats.eliminate_count == 1440 and not stats.condition_held
+    assert {o.n_overlap for o in stats.observables} == {1242}
+    assert all(o.cap_symmetric is None for o in stats.observables)
+
+
 def test_failed_trials_are_counted_not_dropped():
     # memory 1 on 3x4 cannot clear the partition stage; with a tiny cap
     # every trial fails and the stats must say so

@@ -20,7 +20,11 @@ call.  The two ``bounds`` digests with a ``shift_caps`` condition
 (``bounds-3x7-m1-z34``, ``bounds-3x4-pattern-z5``) were re-recorded when
 that condition took its Delta from ``bounds.shift_delta``, the closed form
 the shift study uses, instead of the closed form - 1; the report also
-names that Delta and its source.  ``construct-two-stage-m0`` (memory 0:
+names that Delta and its source.  ``bounds-3x3-m1-tbc8-z2`` and
+``bounds-3x5-m2-z7-c6`` were re-recorded when ``bounds`` wrote that
+condition, its Delta and source for every family with a certificate, not
+only the complete 4-cycle family; the added ``shift_caps`` keys are their
+only change.  ``construct-two-stage-m0`` (memory 0:
 stage 1 rejects every target and stage 2 lifts them all) was recorded
 before stage 2 chose its survivors by the compiled partition forms
 instead of a grid check.
@@ -295,13 +299,13 @@ GOLDEN_CLI = {
     "bounds-1x4-m2":
         "9531fccfb9e0e3ed7fe5fadb21d47b34863adc93d76e9330c0fc98f3afbdc54c",
     "bounds-3x3-m1-tbc8-z2":
-        "471e08c76df6790a59ca2aac380d23e0b51c148d89525d3b69fd0b4b7276166a",
+        "8344518de31567d1ce47d0990dd10b1d2eee1a9a87480436f421ddb28cbda830",
     "bounds-3x4-m0":
         "abdd53dfaa1be3b5a221fab9c56ecda007623c625a2ade99cf38f8f9527165d8",
     "bounds-3x4-pattern-z5":
         "320f9d8719cc9c31f33fd8b5857c14f9ae3fd8a18752cd725541044ec8bd8892",
     "bounds-3x5-m2-z7-c6":
-        "0cf60c583a5c0876ad45645ba3cc6862b6aa5a7078bddc579c5adc85a8ca8d81",
+        "f2f5c7a149235594936b9b2b1246523c666909d9948720b28dbfe13a01fa81c3",
     "bounds-3x7-m1-z34":
         "f0340a6e8b73b541f01648f805569f349596d3f3f8fb41b7ac6bd0763d8093a2",
     "construct-joint":
