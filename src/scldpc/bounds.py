@@ -4,8 +4,8 @@ Everything is driven by one local-lemma condition.  Given k avoidable
 candidates with activation probabilities P_i, dependency graph G (events
 adjacent iff their supports share an edge), maximum dependency degree
 Delta, per-structure vertex count h (4 for a 4-cycle family) and maximum
-harmful weight W (most candidates through any one base edge), avoidance of
-all candidates is guaranteed whenever
+harmful weight W (most candidates whose support holds one base edge),
+avoidance of all candidates is guaranteed whenever
 
     max_i P_i  <=  max{ I, II },
     I  = (Delta-1)^(Delta-1) / Delta^Delta          (pairwise cliques)

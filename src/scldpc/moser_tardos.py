@@ -6,28 +6,28 @@ scheme's distribution, lift shifts uniform on [0, Z), or both.  Each
 avoidable target walk becomes a bad event: its linear forms
 (``probability.forms``, one per block, over the integers for spreading
 values and mod Z for shifts) all vanish.  The event's scope is the set of
-variables its forms mention.
+variables its forms mention; it decides what a resample redraws.
 
 Each run compiles its targets once into an ``EventSystem``: the layout,
 and per event in canonical candidate order its label, forms, scope and
-dependency neighbourhood, and on first use its Theorem 1 ``certificate``.
-``compile_events`` memoises two whole target sets, so repeated trials
-compile each stage once.  Stage 2 picks its survivors with the forms stage
-1 resampled, read back from the memo, and compiles them fresh per trial.
-``run_mt`` then only resamples.  The solver is
-the classic resample-until-clean procedure with the depth-first recursion
-order made explicit:
+dependency neighbourhood (the events sharing a support edge), and on first
+use its Theorem 1 ``certificate``.  ``compile_events`` memoises two whole
+target sets, so repeated trials compile each stage once.  Stage 2 picks
+its survivors with the forms stage 1 resampled, read back from the memo,
+and compiles them fresh per trial.  ``run_mt`` then only resamples.  The
+solver is the classic resample-until-clean procedure with the depth-first
+recursion order made explicit:
 
     while some bad event occurs:
         RESAMPLE(least occurring event)               # canonical order
     RESAMPLE(e):
         redraw the variables in scope(e)
-        while some event sharing scope with e occurs:
+        while some event sharing a support edge with e occurs:
             RESAMPLE(least such event)
 
 "least" always means the global canonical candidate order restricted to
-the relevant subset (recorded in trace metadata), and "sharing scope"
-includes e itself.  ``run_mt`` runs the recursion as one loop over a
+the relevant subset (recorded in trace metadata), and "sharing a support
+edge" includes e itself.  ``run_mt`` runs the recursion as one loop over a
 stack of the RESAMPLE calls in progress; an empty stack is the outer
 loop.  Every run is a pure function of (inputs, seed).
 
@@ -49,7 +49,7 @@ from .model import (Assignment, BaseCode, CodeInstance, CouplingScheme,
 from .probability import (Block, Form, SeedLike, draw, recorded_seed, rng,
                           seed_int, seed_sequence, stage_forms, stage_prob,
                           vanish)
-from .walks import CandidateSet, closed_neighbourhoods
+from .walks import CandidateSet
 from . import bounds
 
 FALLBACK_CAP = 10 ** 6
@@ -72,7 +72,9 @@ class EventSystem:
 
     ``blocks`` and ``n`` (variables per block) are the stage layout; the
     per-event tuples run in canonical candidate order, and ``neighbors``
-    is their dependency relation, ``walks.closed_neighbourhoods(scopes)``.
+    is their dependency relation, the graph Theorem 1 counts: the target
+    set's ``neighbourhoods`` (events adjacent iff their supports share a
+    base edge).
     ``rejected`` names, in that order, the targets with no forms.
     """
 
@@ -120,7 +122,7 @@ def _compile(cset: CandidateSet, scheme: CouplingScheme,
                    for fs in event_forms)
     return EventSystem(
         cset, scheme, stage, blocks, len(edges), tuple(c.key for c in cset),
-        event_forms, scopes, closed_neighbourhoods(scopes),
+        event_forms, scopes, cset.neighbourhoods,
         tuple(c.key for c, fs in zip(cset, event_forms) if not fs))
 
 

@@ -88,7 +88,7 @@ def _words(x: Any) -> list[int]:
     except TypeError:
         return [w for item in x for w in _words(item)]
     if n < 0:
-        raise ValueError("expected non-negative integer")
+        raise ValueError(f"a seed must be a non-negative integer, got {n}")
     out = [n & _M32]
     while n := n >> 32:
         out.append(n & _M32)

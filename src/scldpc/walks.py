@@ -247,15 +247,6 @@ class CandidateSet:
         return self.candidates[idx]
 
     @cached_property
-    def by_edge(self) -> dict[Edge, tuple[int, ...]]:
-        """Candidate indices through each edge (walk membership)."""
-        out: dict[Edge, list[int]] = {}
-        for n, c in enumerate(self.candidates):
-            for e in c.edges:
-                out.setdefault(e, []).append(n)
-        return {e: tuple(v) for e, v in out.items()}
-
-    @cached_property
     def by_support(self) -> dict[Edge, tuple[int, ...]]:
         """Candidate indices whose *support* contains each edge."""
         out: dict[Edge, list[int]] = {}
@@ -263,6 +254,12 @@ class CandidateSet:
             for e in c.support:
                 out.setdefault(e, []).append(n)
         return {e: tuple(v) for e, v in out.items()}
+
+    @cached_property
+    def neighbourhoods(self) -> tuple[tuple[int, ...], ...]:
+        """The dependency graph, built once: candidates adjacent iff their
+        supports share a base edge (``closed_neighbourhoods``)."""
+        return closed_neighbourhoods([c.support for c in self.candidates])
 
     def union(self, other: "CandidateSet") -> "CandidateSet":
         if other.base != self.base:
@@ -328,9 +325,10 @@ def is_active_lift(cand: WalkCandidate, lift: Assignment, z: int) -> bool:
 
 def harmful_weight(base: BaseCode,
                    cset: CandidateSet) -> tuple[dict[Edge, int], int]:
-    """Per-edge candidate counts (walk membership) and their maximum W."""
+    """Per-edge counts of the candidates whose support holds the edge (the
+    base-edge cliques) and their maximum W."""
     counts = {e: 0 for e in base.edges}
-    for e, members in cset.by_edge.items():
+    for e, members in cset.by_support.items():
         counts[e] = len(members)
     w_max = max(counts.values()) if counts else 0
     return counts, w_max
@@ -363,14 +361,12 @@ def closed_neighbourhoods(scopes: Sequence[Sequence],
 def dependency_degree(cset: CandidateSet) -> DependencyReport:
     """Dependency graph degrees: candidates adjacent iff supports intersect
     (an empty support has degree 0)."""
-    degrees = tuple(max(len(nb) - 1, 0) for nb in
-                    closed_neighbourhoods([c.support for c in cset]))
+    degrees = tuple(max(len(nb) - 1, 0) for nb in cset.neighbourhoods)
     return DependencyReport(degrees, max(degrees, default=0),
                             sum(degrees) // 2)
 
 
 def dependency_pairs(cset: CandidateSet) -> tuple[tuple[int, int], ...]:
     """Sorted dependency-graph edges (index pairs with intersecting support)."""
-    return tuple((a, b) for a, nb in enumerate(
-                     closed_neighbourhoods([c.support for c in cset]))
+    return tuple((a, b) for a, nb in enumerate(cset.neighbourhoods)
                  for b in nb if b > a)

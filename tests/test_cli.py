@@ -684,6 +684,21 @@ def test_usage_errors_exit_2(argv, message, tmp_path, capsys):
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+@pytest.mark.parametrize("argv, seed", [
+    (["construct", "--gamma", "2", "--kappa", "3", "--m", "1", "--lifting",
+      "5", "--seed", "-1", "--out-dir", "{out}"], -1),
+    (["experiment", "--op", "shift", "--gamma", "3", "--kappa", "3", "--m",
+      "1", "--trials", "5", "--seed", "-3"], -3),
+], ids=["construct", "experiment"])
+def test_negative_seed_exits_2_naming_it(argv, seed, tmp_path, capsys):
+    out = tmp_path / "run"
+    code = run_cli(*(arg.format(out=out) for arg in argv))
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err == f"error: a seed must be a non-negative integer, got {seed}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # unwritable outputs
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict
 from fractions import Fraction
 from functools import lru_cache
@@ -11,14 +12,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scldpc import (AdmissionError, Assignment, BaseCode, CandidateSet,
-                    CouplingScheme, assemble_qc, construct_two_stage,
-                    dependency_pairs, derive_child_seeds,
+                    CouplingScheme, assemble_qc, cli, construct_two_stage,
+                    derive_child_seeds,
                     enumerate_cycles, girth, joint_prob, run_joint,
                     run_stage_lift, run_stage_partition,
-                    spreading_prob_exact)
+                    spreading_prob_exact, walks)
 from scldpc.moser_tardos import MTTrace, compile_events, run_mt
 from scldpc.probability import draw, recorded_seed, rng, vanish
-from scldpc.walks import WalkCandidate, is_active_lift, is_active_partition
+from scldpc.walks import (WalkCandidate, closed_neighbourhoods,
+                          is_active_lift, is_active_partition)
 from helpers import default_cap, support_mod
 
 
@@ -469,7 +471,14 @@ def _closed_neighbourhoods(n: int, pairs) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(s)) for s in sets)
 
 
-# 2x4 8-walks at Z=2: events sharing only +-2 edges share no lift variable.
+def _support_pairs(cset: CandidateSet) -> list[tuple[int, int]]:
+    """Oracle: every pair of candidates whose supports intersect."""
+    return [(a, b) for a, ca in enumerate(cset) for b, cb in enumerate(cset)
+            if a < b and set(ca.support) & set(cb.support)]
+
+
+# 2x4 8-walks at Z=2: events sharing only +-2 edges share no lift variable,
+# yet they share a support edge, so they stay neighbours.
 _EVEN_Z_8_WALKS = (enumerate_cycles(BaseCode(2, 4), 8, "tbc"),
                    CouplingScheme((0, 1), (Fraction(1, 2),) * 2, 2, 2))
 
@@ -478,25 +487,79 @@ _EVEN_Z_8_WALKS = (enumerate_cycles(BaseCode(2, 4), 8, "tbc"),
 @given(targets=_target_sets())
 @example(targets=_EVEN_Z_8_WALKS)
 def test_compiled_neighbors_are_the_dependency_graph(targets):
+    # Every stage walks its target set's one support graph, the graph
+    # Theorem 1 counts, and holds that very object.
     cset, scheme = targets
-    labels = tuple(c.key for c in cset)
-    expected = _closed_neighbourhoods(len(cset), dependency_pairs(cset))
-    for stage in ("partition", "joint"):
-        system = compile_events(cset, scheme, stage)
-        assert system.labels == labels
-        assert system.neighbors == expected
-
     z = scheme.lifting_degree
     lift_set = CandidateSet(cset.base, tuple(c for c in cset
                                              if support_mod(c, z)))
-    lift_pairs = [(a, b) for a, ca in enumerate(lift_set)
-                  for b, cb in enumerate(lift_set)
-                  if a < b
-                  and set(support_mod(ca, z)) & set(support_mod(cb, z))]
-    system = compile_events(lift_set, scheme, "lift")
-    assert system.labels == tuple(c.key for c in lift_set)
-    assert system.neighbors == _closed_neighbourhoods(len(lift_set),
-                                                      lift_pairs)
+    for subset, stage in ((cset, "partition"), (cset, "joint"),
+                          (lift_set, "lift")):
+        system = compile_events(subset, scheme, stage)
+        assert system.labels == tuple(c.key for c in subset)
+        assert system.neighbors is system.cset.neighbourhoods
+        assert system.neighbors == _closed_neighbourhoods(
+            len(subset), _support_pairs(subset))
+
+
+@settings(max_examples=150, deadline=None)
+@given(targets=_target_sets(), one_value=st.booleans())
+@example(targets=_EVEN_Z_8_WALKS, one_value=False)
+def test_scope_graph_is_the_support_graph_where_runs_cannot_move(targets,
+                                                                 one_value):
+    # Where the events' scope graph equals the support graph, a run walks
+    # the same neighbourhoods either way: every partition stage, a joint
+    # stage with two or more pattern values, and the lift stage and a
+    # one-value joint stage unless Z divides a nonzero coefficient.
+    cset, scheme = targets
+    z = scheme.lifting_degree
+    if one_value:
+        scheme = CouplingScheme(scheme.pattern[:1], (Fraction(1),),
+                                scheme.coupling_length, z)
+    stages = [] if one_value else ["partition", "joint"]
+    if all(c % z for cand in cset for _, c in cand.coeffs if c):
+        stages += ["lift", "joint"] if one_value else ["lift"]
+    for stage in stages:
+        system = compile_events(cset, scheme, stage)
+        assert closed_neighbourhoods(system.scopes) == system.neighbors
+
+
+def _count_graph_builds(monkeypatch) -> list:
+    """Count ``closed_neighbourhoods`` calls in every module holding it."""
+    builds = []
+    real = walks.closed_neighbourhoods
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "scldpc"
+                and getattr(module, "closed_neighbourhoods", None) is real):
+            monkeypatch.setattr(module, "closed_neighbourhoods", counted)
+    return builds
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("bounds", 1), ("construct_two_stage", 2), ("run_joint", 1)])
+def test_each_target_set_builds_its_graph_once(command, expected,
+                                               fresh_compile, monkeypatch,
+                                               capsys):
+    # The compile and the certificate read one graph per set: the targets',
+    # plus the survivors' in a two-stage construction.
+    builds = _count_graph_builds(monkeypatch)
+    base = BaseCode(3, 7)
+    scheme = CouplingScheme.uniform(1, lifting_degree=34)
+    if command == "bounds":
+        assert cli.main(["bounds", "--gamma", "3", "--kappa", "7", "--m",
+                         "1", "--lifting", "34"]) == 0
+    elif command == "construct_two_stage":
+        _, report = construct_two_stage(
+            base, scheme, enumerate_cycles(base, 4, "simple"), seed=1)
+        assert report.survivor_keys
+    else:
+        run_joint(base, scheme, enumerate_cycles(base, 4, "simple"), seed=1)
+    assert len(builds) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scldpc import (Assignment, BaseCode, CandidateSet, WalkCandidate,
                     dependency_degree, dependency_pairs, enumerate_cycles,
                     harmful_weight)
+from scldpc.bounds import build_base_edge_cover
 from scldpc.walks import (closed_neighbourhoods, is_active_lift,
                           is_active_partition)
 from helpers import support_mod
@@ -236,6 +237,23 @@ def test_harmful_weight_3x7():
     counts, w_max = harmful_weight(base, cset)
     assert w_max == 12                     # (gamma-1) * (kappa-1)
     assert all(v == 12 for v in counts.values())
+
+
+@pytest.mark.parametrize("gamma, kappa, two_g, mode", [
+    (3, 7, 4, "simple"), (3, 4, 6, "simple"), (2, 4, 8, "tbc"),
+    (3, 3, 8, "tbc"), (3, 3, 10, "tbc")])
+def test_harmful_weight_is_the_largest_base_edge_clique(gamma, kappa, two_g,
+                                                        mode):
+    # W counts supports, the cliques of the base-edge cover: an edge a
+    # walk crosses with net coefficient zero does not count for it.
+    base = BaseCode(gamma, kappa)
+    cset = enumerate_cycles(base, two_g, mode)
+    counts, w_max = harmful_weight(base, cset)
+    assert counts == {e: len(cset.by_support.get(e, ()))
+                      for e in base.edges}
+    assert w_max == max(map(len, build_base_edge_cover(cset).cliques))
+    if (gamma, kappa, two_g) == (3, 3, 10):
+        assert w_max == 68                 # 76 walks cross some edge
 
 
 def test_dependency_degree_matches_bruteforce():
