@@ -16,20 +16,17 @@ from .model import (Assignment, BaseCode, CodeInstance, CouplingScheme,
 from .alist import export_alist, parse_alist
 from .serialize import export_instance_json, import_instance_json
 from .walks import (CandidateSet, WalkCandidate, dependency_degree,
-                    dependency_pairs, enumerate_cycles, harmful_weight,
-                    is_active_lift, is_active_partition)
+                    enumerate_cycles, harmful_weight, is_active_lift,
+                    is_active_partition)
 from .graphs import girth
 from .probability import (joint_prob, lift_prob_bound, lift_prob_exact,
                           probability_report, spreading_prob_c4_uniform,
                           spreading_prob_exact)
-from .bounds import (COROLLARY4_CAP, build_base_edge_cover,
-                     build_pairwise_cover, c4_block_dims, corollary1_check,
-                     corollary1_min_z, corollary4_bound,
-                     lemma2_evaluate, formula_delta_c4,
-                     shift_bound_asymmetric, shift_bound_symmetric,
-                     theorem1_feasibility, theorem1_thresholds,
-                     theorem2_resample_bound, threshold_branch_i,
-                     threshold_branch_ii, verify_cover)
+from .bounds import (COROLLARY4_CAP, c4_block_dims, corollary1_check,
+                     corollary1_min_z, corollary4_bound, formula_delta_c4,
+                     shift_bound_symmetric, theorem1_feasibility,
+                     theorem1_thresholds, theorem2_resample_bound,
+                     threshold_branch_i, threshold_branch_ii)
 from .moser_tardos import (AdmissionError, construct_two_stage,
                            derive_child_seeds, run_joint, run_stage_lift,
                            run_stage_partition)
@@ -45,19 +42,17 @@ __all__ = [
     "export_alist", "parse_alist",
     "export_instance_json", "import_instance_json",
     "CandidateSet", "WalkCandidate", "dependency_degree",
-    "dependency_pairs", "enumerate_cycles", "harmful_weight",
+    "enumerate_cycles", "harmful_weight",
     "is_active_lift", "is_active_partition",
     "girth",
     "joint_prob", "lift_prob_bound", "lift_prob_exact",
     "probability_report", "spreading_prob_c4_uniform",
     "spreading_prob_exact",
-    "COROLLARY4_CAP", "build_base_edge_cover", "build_pairwise_cover",
-    "c4_block_dims", "corollary1_check",
-    "corollary1_min_z", "corollary4_bound", "lemma2_evaluate",
-    "formula_delta_c4", "shift_bound_asymmetric", "shift_bound_symmetric",
+    "COROLLARY4_CAP", "c4_block_dims", "corollary1_check",
+    "corollary1_min_z", "corollary4_bound",
+    "formula_delta_c4", "shift_bound_symmetric",
     "theorem1_feasibility", "theorem1_thresholds",
     "theorem2_resample_bound", "threshold_branch_i", "threshold_branch_ii",
-    "verify_cover",
     "AdmissionError", "construct_two_stage",
     "derive_child_seeds", "run_joint", "run_stage_lift",
     "run_stage_partition",

@@ -22,8 +22,10 @@ and expected total resample counts
     k / ((W-1)h - W)                otherwise.
 
 The closed forms above are the uniform-weight specialization of a clique
-cover argument; the generic evaluator (`lemma2_evaluate`) reproduces them
-exactly on regular families and is kept as an independent cross-check.
+cover argument.  The generic evaluator of that argument (the paper's
+Lemma 2) reproduces them exactly on regular families; nothing here runs
+it, so it lives with the tests (``tests/helpers.py``) as their
+independent cross-check.
 
 Each Theorem 1 and Corollary 4 number is a power (a/b)^e / c, and
 ``_power`` evaluates them all: exact with an exponent below 8192, its
@@ -35,7 +37,6 @@ their ``bound`` is plain float arithmetic, inf past the double range.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context
@@ -43,8 +44,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .probability import spreading_prob_c4_uniform
-from .walks import (CandidateSet, dependency_degree, dependency_pairs,
-                    harmful_weight)
+from .walks import CandidateSet, dependency_degree, harmful_weight
 
 # Fractions with numerators around n^n stay cheap up to this point; past it
 # the exact slot is left None and floats (still high-precision) take over.
@@ -94,6 +94,9 @@ def threshold_branch_ii(struct_size: int,
 
 @dataclass(frozen=True)
 class Thresholds:
+    """Theorem 1's two thresholds I and II, each exact (None past the
+    exact-exponent limit) and as a float; II is None when W = 1."""
+
     i_exact: Optional[Fraction]
     i_float: float
     ii_exact: Optional[Fraction]
@@ -189,6 +192,11 @@ def c4_block_dims(cset: CandidateSet) -> Optional[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class BoundReport:
+    """Theorem 1 over one candidate set: the inputs it read (k, Delta and
+    its source, h, W, dependency edges, base-edge cliques, max P), the
+    thresholds, the branch, the verdict and the branch's avoidance and
+    expected-resample bounds."""
+
     k: int
     delta: int
     delta_source: str
@@ -272,6 +280,10 @@ def theorem1_feasibility(cset: CandidateSet, probs: Sequence[Fraction],
 
 @dataclass(frozen=True)
 class Corollary1Report:
+    """Corollary 1 at one (gamma, kappa, m, Z): the closed-form Delta, the
+    4-cycle activation probability ``lhs`` against Theorem 1's thresholds,
+    and the verdict (never feasible when every 4-cycle is unavoidable)."""
+
     gamma: int
     kappa: int
     memory: int
@@ -326,21 +338,6 @@ def corollary1_min_z(gamma: int, kappa: int, memory: int) -> int:
 # Output-distribution shift bounds
 # ---------------------------------------------------------------------------
 
-def shift_bound_asymmetric(xs: Sequence[Fraction]) -> Fraction:
-    """prod 1/(1 - x_B) over the bad events overlapping the observable.
-
-    Empty product = 1: an observable sharing no variables with any
-    resampling target cannot drift at all.
-    """
-    out = Fraction(1)
-    for x in xs:
-        x = Fraction(x)
-        if not 0 < x < 1:
-            raise ValueError("clique weights must lie in (0, 1)")
-        out /= (1 - x)
-    return out
-
-
 def shift_delta(cset: CandidateSet, observed: int) -> tuple[int, str]:
     """The Delta of the shift bounds' precondition and caps, and its
     source: Corollary 4's closed form ("formula") when ``cset`` is the
@@ -354,6 +351,9 @@ def shift_delta(cset: CandidateSet, observed: int) -> tuple[int, str]:
 
 @dataclass(frozen=True)
 class SymmetricShiftBound:
+    """The symmetric shift cap (1 + e p)^n, its precondition
+    e p (Delta + 1) <= 1 and the p-free form (1 + 1/Delta)^n."""
+
     p: Fraction
     delta: int
     n_overlap: int
@@ -392,6 +392,9 @@ COROLLARY4_CAP = math.exp(8.0 / 3.0)
 
 @dataclass(frozen=True)
 class Corollary4Bound:
+    """Corollary 4's drift cap (1 + 1/Delta)^exponent, exponent = 2k W,
+    and the universal e^{8/3} ceiling where it applies (else None)."""
+
     delta: int
     w: int
     exponent: int
@@ -422,107 +425,3 @@ def corollary4_bound(gamma: int, kappa: int, two_k: int) -> Corollary4Bound:
         if value > cap:  # pragma: no cover - mathematically impossible
             raise AssertionError("universal 6-cycle cap violated")
     return Corollary4Bound(delta, w, exponent, value, cap)
-
-
-# ---------------------------------------------------------------------------
-# Generic clique-cover evaluator (independent route to the closed forms)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CliqueCover:
-    """A family of dependency-graph cliques with one uniform weight x."""
-
-    kind: str
-    cliques: tuple[tuple[int, ...], ...]
-    x: Fraction
-
-    def __post_init__(self) -> None:
-        if not 0 < self.x < 1:
-            raise ValueError("clique weight must lie in (0, 1)")
-        object.__setattr__(
-            self, "cliques",
-            tuple(tuple(sorted(set(k))) for k in self.cliques))
-
-
-def build_pairwise_cover(cset: CandidateSet,
-                         x: Optional[Fraction] = None) -> CliqueCover:
-    """One 2-clique per dependency edge; default weight 1/Delta_observed."""
-    if x is None:
-        delta = dependency_degree(cset).delta_observed
-        if delta < 2:
-            raise ValueError("default weight 1/Delta needs Delta >= 2; "
-                             "pass x explicitly")
-        x = Fraction(1, delta)
-    return CliqueCover("pairwise", dependency_pairs(cset), Fraction(x))
-
-
-def build_base_edge_cover(cset: CandidateSet,
-                          x: Optional[Fraction] = None) -> CliqueCover:
-    """One clique per base edge (all candidates whose support crosses it);
-    default weight 1/((W-1) h)."""
-    cliques = tuple(members for _, members in sorted(cset.by_support.items()))
-    if x is None:
-        _, w = harmful_weight(cset.base, cset)
-        if w < 2:
-            raise ValueError("default weight needs harmful weight >= 2; "
-                             "pass x explicitly")
-        h = max(c.vertex_count for c in cset)
-        x = Fraction(1, (w - 1) * h)
-    return CliqueCover("base-edge", cliques, Fraction(x))
-
-
-def verify_cover(cover: CliqueCover, cset: CandidateSet) -> bool:
-    """Does every dependency edge lie inside some clique?"""
-    covered = {pair for clique in cover.cliques
-               for pair in itertools.combinations(clique, 2)}
-    return covered.issuperset(dependency_pairs(cset))
-
-
-@dataclass(frozen=True)
-class Lemma2Report:
-    condition1_ok: bool
-    condition2_ok: bool
-    avoidance_lb: Fraction
-    runtime_bound: Optional[Fraction]
-
-
-def lemma2_evaluate(cover: CliqueCover,
-                    probs: Sequence[Fraction]) -> Lemma2Report:
-    """Evaluate the clique local-lemma conditions and conclusions exactly,
-    for one event per probability in ``probs``.
-
-    Condition (1): every clique's weight sum stays below 1.  Condition (2):
-    for each event i and each clique v containing it,
-    P_i <= x * prod over the *other* cliques u containing i of
-    (1 - (|K_u| - 1) x).  Conclusions: avoidance >= prod over cliques of
-    (1 - |K_v| x), and expected total resamples
-    <= sum_i min over cliques v containing i of x / (1 - |K_v| x).
-
-    Raises when some event sits in no clique: the cover then says nothing
-    about it and any verdict would be vacuous.
-    """
-    n_events = len(probs)
-    p_values = [Fraction(p) for p in probs]
-    x = cover.x
-    member_cliques: list[list[int]] = [[] for _ in range(n_events)]
-    for v, clique in enumerate(cover.cliques):
-        for i in clique:
-            if i >= n_events:
-                raise ValueError("clique references unknown event index")
-            member_cliques[i].append(v)
-    orphans = [i for i in range(n_events) if not member_cliques[i]]
-    if orphans:
-        raise ValueError(f"events in no clique: {orphans}")
-
-    sizes = [len(k) for k in cover.cliques]
-    condition1 = all(s * x < 1 for s in sizes)
-    condition2 = all(
-        p <= math.prod((1 - (sizes[u] - 1) * x for u in cliques if u != v),
-                       start=x)
-        for p, cliques in zip(p_values, member_cliques) for v in cliques)
-    avoidance = math.prod((1 - s * x for s in sizes), start=Fraction(1))
-    least = [min((x / (1 - sizes[v] * x) for v in cliques
-                  if sizes[v] * x < 1), default=None)
-             for cliques in member_cliques]
-    runtime = None if None in least else sum(least, Fraction(0))
-    return Lemma2Report(condition1, condition2, avoidance, runtime)

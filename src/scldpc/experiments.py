@@ -16,7 +16,8 @@ two-sided 4 sigma null instead of a one-sided cap.
 The harness reads p and the observed Delta off the compiled stage's
 certificate, the Delta of the bounds off ``bounds.shift_delta`` (Corollary
 4's closed form on a complete 4-cycle family, as ``scldpc bounds`` uses,
-else the observed one) and n_E off ``walks.closed_neighbourhoods``; in
+else the observed one) and n_E off the targets' base-edge cliques
+(``CandidateSet.by_support``, the map that also gives Theorem 1's W); in
 one pass over the trials it counts each observable as each trial
 terminates, with ``vanish`` on the output's values, as the baseline counts
 its draws.  Each observable's row is built once, and each class reads the
@@ -45,8 +46,7 @@ from .model import BaseCode, CouplingScheme, frac_text
 from .probability import (draw, rng, seed_int, seed_sequence, stage_forms,
                           stage_prob, vanish)
 from .serialize import check_ints, code_params, read_scheme
-from .walks import (CandidateSet, WalkCandidate, closed_neighbourhoods,
-                    enumerate_cycles)
+from .walks import CandidateSet, WalkCandidate, enumerate_cycles
 from . import bounds
 from .moser_tardos import (compile_events, construct_two_stage, run_joint,
                            run_stage_partition, values_from_grids)
@@ -117,6 +117,10 @@ class StructureSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One study: the base, the coupling scheme, the construction mode,
+    the trial count and seed, the eliminate and observe specs, and an
+    optional resample cap per run (None: the runners' own budget)."""
+
     gamma: int
     kappa: int
     scheme: CouplingScheme
@@ -216,11 +220,12 @@ def _stage(config: ExperimentConfig) -> str:
 def _overlap_counts(elim: CandidateSet,
                     cands: Sequence[WalkCandidate]) -> list[int]:
     """Per candidate, the number of eliminate-events sharing a variable
-    with it.  The integer support decides in every mode: a coefficient
+    with it: the union of the base-edge cliques ``elim.by_support`` over
+    its support.  The integer support decides in every mode: a coefficient
     nonzero mod Z is nonzero, so a mod-Z support lies inside it."""
-    k = len(elim)
-    nbs = closed_neighbourhoods([c.support for c in (*elim, *cands)], k)
-    return [len(nb) for nb in nbs[k:]]
+    cliques = elim.by_support
+    return [len(set().union(*(cliques.get(e, ()) for e in c.support)))
+            for c in cands]
 
 
 def _null_check(hits: int, n: int, p: float) -> Optional[bool]:
@@ -263,6 +268,9 @@ def wilson_interval(hits: int, n: int, z: float = Z95) -> tuple[float, float]:
 
 @dataclass
 class BaselineRow:
+    """One observable under independent draws: its exact probability,
+    hits, frequency, z-score and the two-sided 4 sigma verdict."""
+
     key: str
     cls: str
     p_omega: Fraction
@@ -274,6 +282,9 @@ class BaselineRow:
 
 @dataclass
 class BaselineReport:
+    """``estimate_baseline``'s result: one row per observable, the largest
+    |z| and whether every row passed."""
+
     trials: int
     rows: list[BaselineRow]
     max_abs_z: float
@@ -319,6 +330,10 @@ def estimate_baseline(config: ExperimentConfig) -> BaselineReport:
 
 @dataclass
 class ObservableStats:
+    """One observable under resampling: exact and observed probability,
+    their ratio with its Wilson upper end, the overlap count n_E, the caps
+    that apply and the check that decided it."""
+
     key: str
     cls: str
     p_omega: Fraction
@@ -339,6 +354,9 @@ class ObservableStats:
 
 @dataclass
 class ClassStats:
+    """One observe spec's summary of its observables' ratios, with
+    Corollary 4's cap and the 6-cycle ceiling where they apply."""
+
     cls: str
     count: int
     mean_ratio: Optional[float]
@@ -350,6 +368,9 @@ class ClassStats:
 
 @dataclass
 class ResampleStats:
+    """Total resamples over the terminated trials (mean, std, max, sum)
+    against Theorem 2's bound, where the stage has one."""
+
     mean: float
     std: float
     max: int
@@ -362,6 +383,10 @@ class ResampleStats:
 
 @dataclass
 class ExperimentStats:
+    """``estimate_mt_shift``'s result: trial counts, the Deltas and p the
+    caps used, the preconditions, per-observable and per-class rows, the
+    resample statistics and the overall verdict."""
+
     config: ExperimentConfig
     trials_ok: int
     trials_failed: int
@@ -526,6 +551,10 @@ def _resample_stats(config: ExperimentConfig, elim: CandidateSet,
 
 @dataclass
 class Theorem2Report:
+    """``verify_theorem2``'s result: the certified bound, the resample
+    statistics over the terminated trials, the one-sided 99% allowance
+    and the verdict (None without a bound or a trial)."""
+
     feasible: Optional[bool]
     branch: Optional[str]
     bound: Optional[Fraction]

@@ -216,9 +216,9 @@ class BaseCode:
             raise ValueError("mask entries must be 0 or 1")
         object.__setattr__(self, "mask", mask)
 
-    @property
+    @cached_property
     def edges(self) -> tuple[Edge, ...]:
-        """Masked edges (i, j) in row-major order."""
+        """Masked edges (i, j) in row-major order, built once."""
         return tuple((i, j) for i in range(self.gamma)
                      for j in range(self.kappa) if self.mask[i][j])
 

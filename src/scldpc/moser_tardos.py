@@ -103,6 +103,11 @@ class EventSystem:
 
 @dataclass
 class MTTrace:
+    """One resampler run: total and per-event resamples, wall iterations,
+    whether it terminated (no target left occurring) rather than hit its
+    cap, the seed, the cap and free-form metadata (e.g. stage 2's
+    survivors)."""
+
     total_resamples: int
     per_event: dict[str, int]
     wall_iterations: int
@@ -281,6 +286,8 @@ def run_joint(base: BaseCode, scheme: CouplingScheme, targets,
 
 @dataclass
 class TwoStageReport:
+    """The two stages' traces of ``construct_two_stage``."""
+
     partition_trace: MTTrace
     lift_trace: MTTrace
 

@@ -336,21 +336,21 @@ def harmful_weight(base: BaseCode,
 
 @dataclass(frozen=True)
 class DependencyReport:
+    """Dependency-graph degrees in candidate order, their maximum (the
+    observed Delta) and the number of edges."""
+
     degrees: tuple[int, ...]
     delta_observed: int
     edge_count: int
 
 
-def closed_neighbourhoods(scopes: Sequence[Sequence],
-                          among: Optional[int] = None
+def closed_neighbourhoods(scopes: Sequence[Sequence]
                           ) -> tuple[tuple[int, ...], ...]:
     """The dependency relation: for each scope, the sorted indices of every
     scope sharing an element with it, itself included; an empty scope gets
-    ().  With ``among``, only the first ``among`` scopes are neighbours, so
-    a later scope gets just the earlier ones it meets, and its cost does
-    not grow with the number of later scopes."""
+    ()."""
     members: dict = {}
-    for n, scope in enumerate(scopes[:among]):
+    for n, scope in enumerate(scopes):
         for v in scope:
             members.setdefault(v, []).append(n)
     return tuple(tuple(sorted(set().union(*(members.get(v, ())
@@ -364,9 +364,3 @@ def dependency_degree(cset: CandidateSet) -> DependencyReport:
     degrees = tuple(max(len(nb) - 1, 0) for nb in cset.neighbourhoods)
     return DependencyReport(degrees, max(degrees, default=0),
                             sum(degrees) // 2)
-
-
-def dependency_pairs(cset: CandidateSet) -> tuple[tuple[int, int], ...]:
-    """Sorted dependency-graph edges (index pairs with intersecting support)."""
-    return tuple((a, b) for a, nb in enumerate(cset.neighbourhoods)
-                 for b in nb if b > a)

@@ -12,21 +12,32 @@ rather than in the package:
   certificate;
 * ``HarmfulStructure``, ``structure_joint_prob`` and ``mc_structure_prob``
   give the exact and Monte Carlo activation probability of a union of
-  cycles.
+  cycles;
+* ``dependency_pairs`` lists the dependency graph's edges;
+* ``shift_bound_asymmetric`` is the shift bound's product over explicit
+  clique weights (the study uses the symmetric bound's ``relaxed_bound``,
+  which equals it at uniform weights 1/(Delta+1));
+* ``CliqueCover``, ``build_pairwise_cover``, ``build_base_edge_cover``,
+  ``verify_cover``, ``Lemma2Report`` and ``lemma2_evaluate`` are the
+  generic clique-cover evaluator of the paper's Lemma 2, the independent
+  route the tests check Theorem 1's closed forms against.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from scldpc.model import CouplingScheme, Edge, SparseBinaryMatrix
 from scldpc import bounds
 from scldpc.moser_tardos import _cap
 from scldpc.probability import (ActivationProbability, draw, joint_prob,
                                 lift_prob_bound, rng, stage_forms, vanish)
-from scldpc.walks import CandidateSet, WalkCandidate
+from scldpc.walks import (CandidateSet, WalkCandidate, dependency_degree,
+                          harmful_weight)
 
 
 def from_entries(nrows: int, ncols: int,
@@ -110,3 +121,124 @@ def mc_structure_prob(struct: HarmfulStructure, scheme: CouplingScheme,
     hits = sum(vanish(all_forms, draw(gen, blocks, len(edges)))
                for _ in range(trials))
     return hits / trials
+
+
+def dependency_pairs(cset: CandidateSet) -> tuple[tuple[int, int], ...]:
+    """Sorted dependency-graph edges (index pairs with intersecting support)."""
+    return tuple((a, b) for a, nb in enumerate(cset.neighbourhoods)
+                 for b in nb if b > a)
+
+
+def shift_bound_asymmetric(xs: Sequence[Fraction]) -> Fraction:
+    """prod 1/(1 - x_B) over the bad events overlapping the observable.
+
+    Empty product = 1: an observable sharing no variables with any
+    resampling target cannot drift at all.
+    """
+    out = Fraction(1)
+    for x in xs:
+        x = Fraction(x)
+        if not 0 < x < 1:
+            raise ValueError("clique weights must lie in (0, 1)")
+        out /= (1 - x)
+    return out
+
+
+@dataclass(frozen=True)
+class CliqueCover:
+    """A family of dependency-graph cliques with one uniform weight x."""
+
+    kind: str
+    cliques: tuple[tuple[int, ...], ...]
+    x: Fraction
+
+    def __post_init__(self) -> None:
+        if not 0 < self.x < 1:
+            raise ValueError("clique weight must lie in (0, 1)")
+        object.__setattr__(
+            self, "cliques",
+            tuple(tuple(sorted(set(k))) for k in self.cliques))
+
+
+def build_pairwise_cover(cset: CandidateSet,
+                         x: Optional[Fraction] = None) -> CliqueCover:
+    """One 2-clique per dependency edge; default weight 1/Delta_observed."""
+    if x is None:
+        delta = dependency_degree(cset).delta_observed
+        if delta < 2:
+            raise ValueError("default weight 1/Delta needs Delta >= 2; "
+                             "pass x explicitly")
+        x = Fraction(1, delta)
+    return CliqueCover("pairwise", dependency_pairs(cset), Fraction(x))
+
+
+def build_base_edge_cover(cset: CandidateSet,
+                          x: Optional[Fraction] = None) -> CliqueCover:
+    """One clique per base edge (all candidates whose support crosses it);
+    default weight 1/((W-1) h)."""
+    cliques = tuple(members for _, members in sorted(cset.by_support.items()))
+    if x is None:
+        _, w = harmful_weight(cset.base, cset)
+        if w < 2:
+            raise ValueError("default weight needs harmful weight >= 2; "
+                             "pass x explicitly")
+        h = max(c.vertex_count for c in cset)
+        x = Fraction(1, (w - 1) * h)
+    return CliqueCover("base-edge", cliques, Fraction(x))
+
+
+def verify_cover(cover: CliqueCover, cset: CandidateSet) -> bool:
+    """Does every dependency edge lie inside some clique?"""
+    covered = {pair for clique in cover.cliques
+               for pair in itertools.combinations(clique, 2)}
+    return covered.issuperset(dependency_pairs(cset))
+
+
+@dataclass(frozen=True)
+class Lemma2Report:
+    condition1_ok: bool
+    condition2_ok: bool
+    avoidance_lb: Fraction
+    runtime_bound: Optional[Fraction]
+
+
+def lemma2_evaluate(cover: CliqueCover,
+                    probs: Sequence[Fraction]) -> Lemma2Report:
+    """Evaluate the clique local-lemma conditions and conclusions exactly,
+    for one event per probability in ``probs``.
+
+    Condition (1): every clique's weight sum stays below 1.  Condition (2):
+    for each event i and each clique v containing it,
+    P_i <= x * prod over the *other* cliques u containing i of
+    (1 - (|K_u| - 1) x).  Conclusions: avoidance >= prod over cliques of
+    (1 - |K_v| x), and expected total resamples
+    <= sum_i min over cliques v containing i of x / (1 - |K_v| x).
+
+    Raises when some event sits in no clique: the cover then says nothing
+    about it and any verdict would be vacuous.
+    """
+    n_events = len(probs)
+    p_values = [Fraction(p) for p in probs]
+    x = cover.x
+    member_cliques: list[list[int]] = [[] for _ in range(n_events)]
+    for v, clique in enumerate(cover.cliques):
+        for i in clique:
+            if i >= n_events:
+                raise ValueError("clique references unknown event index")
+            member_cliques[i].append(v)
+    orphans = [i for i in range(n_events) if not member_cliques[i]]
+    if orphans:
+        raise ValueError(f"events in no clique: {orphans}")
+
+    sizes = [len(k) for k in cover.cliques]
+    condition1 = all(s * x < 1 for s in sizes)
+    condition2 = all(
+        p <= math.prod((1 - (sizes[u] - 1) * x for u in cliques if u != v),
+                       start=x)
+        for p, cliques in zip(p_values, member_cliques) for v in cliques)
+    avoidance = math.prod((1 - s * x for s in sizes), start=Fraction(1))
+    least = [min((x / (1 - sizes[v] * x) for v in cliques
+                  if sizes[v] * x < 1), default=None)
+             for cliques in member_cliques]
+    runtime = None if None in least else sum(least, Fraction(0))
+    return Lemma2Report(condition1, condition2, avoidance, runtime)

@@ -9,16 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scldpc import (COROLLARY4_CAP, BaseCode, CandidateSet, CouplingScheme,
-                    build_base_edge_cover, build_pairwise_cover,
                     c4_block_dims, corollary1_check, corollary1_min_z,
                     corollary4_bound, dependency_degree, enumerate_cycles,
-                    joint_prob, lemma2_evaluate, formula_delta_c4,
-                    shift_bound_asymmetric, shift_bound_symmetric,
+                    joint_prob, formula_delta_c4, shift_bound_symmetric,
                     spreading_prob_c4_uniform, spreading_prob_exact,
                     theorem1_feasibility, theorem1_thresholds,
                     theorem2_resample_bound, threshold_branch_i,
-                    threshold_branch_ii, verify_cover)
-from scldpc.bounds import CliqueCover, shift_delta
+                    threshold_branch_ii)
+from scldpc.bounds import shift_delta
+from helpers import (CliqueCover, build_base_edge_cover, build_pairwise_cover,
+                     lemma2_evaluate, shift_bound_asymmetric, verify_cover)
 
 
 # ---------------------------------------------------------------------------

@@ -372,6 +372,36 @@ def test_dependency_counts_match_pairwise_oracle(gamma, kappa, kind, z,
         _pairwise_overlap_count(cand, elim, config) for cand in probes]
 
 
+_FAMILIES = ((4, "simple"), (6, "simple"), (8, "tbc"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gamma=st.integers(2, 3), kappa=st.integers(2, 5), data=st.data())
+def test_overlap_counts_are_pairwise_support_intersections(gamma, kappa,
+                                                           data):
+    # Over masked bases, any eliminate and observe families: each count
+    # is the number of eliminate walks whose support meets the probe's.
+    masked = data.draw(st.booleans())
+    cell = st.sampled_from((1, 1, 0)) if masked else st.just(1)
+    mask = data.draw(st.lists(st.lists(cell, min_size=kappa,
+                                       max_size=kappa),
+                              min_size=gamma, max_size=gamma))
+    base = BaseCode(gamma, kappa, mask=tuple(map(tuple, mask)))
+
+    def family():
+        walks = enumerate_cycles(base, *data.draw(st.sampled_from(
+            _FAMILIES))).candidates
+        kept = data.draw(st.lists(st.booleans(), min_size=len(walks),
+                                  max_size=len(walks)))
+        return tuple(c for c, k in zip(walks, kept) if k)
+
+    elim = CandidateSet(base, family())
+    probes = family()
+    assert _overlap_counts(elim, probes) == [
+        sum(1 for b in elim if set(b.support) & set(c.support))
+        for c in probes]
+
+
 def test_two_stage_mode_runs():
     cfg = _config(scheme=CouplingScheme.uniform(1, lifting_degree=8),
                   gamma=3, kappa=4, mode="two-stage", trials=15)

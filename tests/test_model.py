@@ -133,6 +133,22 @@ def test_base_code_mask():
     assert base.has_edge(1, 1) and not base.has_edge(0, 1)
 
 
+def test_base_code_edges_are_built_once():
+    # Cached on the instance; equality, hash, repr and frozenness still
+    # read the three fields alone.
+    base = BaseCode(2, 2, mask=((1, 0), (1, 1)))
+    assert base.edges is base.edges
+    twin = BaseCode(2, 2, mask=((1, 0), (1, 1)))
+    assert base == twin and hash(base) == hash(twin)
+    assert base != BaseCode(2, 2)
+    assert repr(base) == repr(twin) == (
+        "BaseCode(gamma=2, kappa=2, mask=((1, 0), (1, 1)))")
+    with pytest.raises(AttributeError):
+        base.gamma = 3
+    with pytest.raises(AttributeError):
+        base.edges = ()
+
+
 def test_base_code_rejects_bad_dims():
     with pytest.raises(ValueError):
         BaseCode(0, 3)

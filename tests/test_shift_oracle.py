@@ -25,6 +25,7 @@ from scldpc.experiments import (MODES, ClassStats, ExperimentStats,
                                 wilson_interval)
 from scldpc.moser_tardos import compile_events
 from scldpc.probability import stage_prob
+from helpers import shift_bound_asymmetric
 
 
 def _old_estimate_mt_shift(config: ExperimentConfig) -> ExperimentStats:
@@ -72,7 +73,7 @@ def _old_estimate_mt_shift(config: ExperimentConfig) -> ExperimentStats:
             sym_c = bounds.shift_bound_symmetric(p_elim_max, delta_pos, n_e)
             cap_sym = sym_c.bound if condition_held else None
             cap_rel = sym_c.relaxed_bound if condition_held else None
-            cap_asym = (float(bounds.shift_bound_asymmetric([x_asym] * n_e))
+            cap_asym = (float(shift_bound_asymmetric([x_asym] * n_e))
                         if asym_certified else None)
             if n_e == 0:
                 # No shared variables: distribution must not move at all.

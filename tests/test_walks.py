@@ -10,12 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scldpc import (Assignment, BaseCode, CandidateSet, WalkCandidate,
-                    dependency_degree, dependency_pairs, enumerate_cycles,
-                    harmful_weight)
-from scldpc.bounds import build_base_edge_cover
+                    dependency_degree, enumerate_cycles, harmful_weight)
 from scldpc.walks import (closed_neighbourhoods, is_active_lift,
                           is_active_partition)
-from helpers import support_mod
+from helpers import build_base_edge_cover, dependency_pairs, support_mod
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +285,6 @@ def _pairwise_neighbourhoods(scopes) -> tuple[tuple[int, ...], ...]:
 def test_closed_neighbourhoods_match_pairwise_intersections(scopes):
     assert closed_neighbourhoods(scopes) == _pairwise_neighbourhoods(scopes)
 
-
-@settings(max_examples=200, deadline=None)
-@given(scopes=st.lists(st.lists(st.integers(0, 12), max_size=5),
-                       max_size=12), data=st.data())
-def test_closed_neighbourhoods_among_a_prefix(scopes, data):
-    # Only the first ``among`` scopes count as neighbours.
-    among = data.draw(st.integers(0, len(scopes)))
-    assert closed_neighbourhoods(scopes, among) == tuple(
-        tuple(b for b in nb if b < among)
-        for nb in _pairwise_neighbourhoods(scopes))
 
 
 def test_restrict_to_window():
