@@ -96,7 +96,7 @@ def _scheme_args(p: argparse.ArgumentParser) -> None:
                    "1/2,1/4,1/4")
     p.add_argument("--length", type=int, default=None,
                    help="coupling length L (default: memory + 1)")
-    p.add_argument("--lifting", type=int, default=1, metavar="Z",
+    p.add_argument("--lifting", type=int, default=None, metavar="Z",
                    help="circulant size (default 1 = no lifting)")
 
 
@@ -200,10 +200,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     _check_out(args.out)
-    scheme_flags = (args.m, args.pattern, args.probs, args.length)
+    scheme_flags = (args.m, args.pattern, args.probs, args.length,
+                    args.lifting)
     if not args.probabilities and any(f is not None for f in scheme_flags):
-        raise ValueError("--m, --pattern, --probs and --length need "
-                         "--probabilities")
+        raise ValueError("--m, --pattern, --probs, --length and --lifting "
+                         "need --probabilities")
     base = BaseCode(args.gamma, args.kappa)
     cset = enumerate_cycles(base, args.two_g, args.walk_mode)
     if args.rows is not None or args.cols is not None:

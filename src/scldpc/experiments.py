@@ -17,11 +17,12 @@ The harness reads p and the observed Delta off the compiled stage's
 certificate, the Delta of the bounds off ``bounds.shift_delta`` (Corollary
 4's closed form on a complete 4-cycle family, as ``scldpc bounds`` uses,
 else the observed one) and n_E off the targets' base-edge cliques
-(``CandidateSet.by_support``, the map that also gives Theorem 1's W); in
-one pass over the trials it counts each observable as each trial
-terminates, with ``vanish`` on the output's values, as the baseline counts
-its draws.  Each observable's row is built once, and each class reads the
-rows of its own observe spec.
+(``CandidateSet.sharing``, the union rule over ``by_support`` that also
+gives the dependency graph; the same map gives Theorem 1's W); in one pass
+over the trials it counts each observable as each trial terminates, with
+``vanish`` on the output's values, as the baseline counts its draws.
+Each observable's row is built once, and each class reads the rows of its
+own observe spec.
 
 Everything here is a pure function of (config, seed).  Randomness has one
 owner, ``probability`` (``rng``, ``seed_sequence``, ``seed_int``): trial t
@@ -220,12 +221,10 @@ def _stage(config: ExperimentConfig) -> str:
 def _overlap_counts(elim: CandidateSet,
                     cands: Sequence[WalkCandidate]) -> list[int]:
     """Per candidate, the number of eliminate-events sharing a variable
-    with it: the union of the base-edge cliques ``elim.by_support`` over
-    its support.  The integer support decides in every mode: a coefficient
-    nonzero mod Z is nonzero, so a mod-Z support lies inside it."""
-    cliques = elim.by_support
-    return [len(set().union(*(cliques.get(e, ()) for e in c.support)))
-            for c in cands]
+    with it: those ``elim.sharing`` its support.  The integer support
+    decides in every mode: a coefficient nonzero mod Z is nonzero, so a
+    mod-Z support lies inside it."""
+    return [len(elim.sharing(c.support)) for c in cands]
 
 
 def _null_check(hits: int, n: int, p: float) -> Optional[bool]:

@@ -255,11 +255,21 @@ class CandidateSet:
                 out.setdefault(e, []).append(n)
         return {e: tuple(v) for e, v in out.items()}
 
+    def sharing(self, edges: Iterable[Edge]) -> tuple[int, ...]:
+        """Sorted indices of the candidates whose support holds any of
+        ``edges``: the union of their base-edge cliques ``by_support``
+        (an edge in no support adds nothing)."""
+        cliques, members = self.by_support, set()
+        for e in edges:
+            members.update(cliques.get(e, ()))
+        return tuple(sorted(members))
+
     @cached_property
     def neighbourhoods(self) -> tuple[tuple[int, ...], ...]:
-        """The dependency graph, built once: candidates adjacent iff their
-        supports share a base edge (``closed_neighbourhoods``)."""
-        return closed_neighbourhoods([c.support for c in self.candidates])
+        """The dependency graph, built once: each candidate's closed
+        neighbourhood, the candidates whose supports share a base edge with
+        its own (``sharing`` its support; an empty support gets ())."""
+        return tuple(self.sharing(c.support) for c in self.candidates)
 
     def union(self, other: "CandidateSet") -> "CandidateSet":
         if other.base != self.base:
@@ -342,20 +352,6 @@ class DependencyReport:
     degrees: tuple[int, ...]
     delta_observed: int
     edge_count: int
-
-
-def closed_neighbourhoods(scopes: Sequence[Sequence]
-                          ) -> tuple[tuple[int, ...], ...]:
-    """The dependency relation: for each scope, the sorted indices of every
-    scope sharing an element with it, itself included; an empty scope gets
-    ()."""
-    members: dict = {}
-    for n, scope in enumerate(scopes):
-        for v in scope:
-            members.setdefault(v, []).append(n)
-    return tuple(tuple(sorted(set().union(*(members.get(v, ())
-                                            for v in scope))))
-                 for scope in scopes)
 
 
 def dependency_degree(cset: CandidateSet) -> DependencyReport:

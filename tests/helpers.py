@@ -13,6 +13,10 @@ rather than in the package:
 * ``HarmfulStructure``, ``structure_joint_prob`` and ``mc_structure_prob``
   give the exact and Monte Carlo activation probability of a union of
   cycles;
+* ``closed_neighbourhoods`` is the dependency relation over arbitrary
+  scopes (each scope's sorted sharers, itself included), the oracle for
+  the graph ``CandidateSet.neighbourhoods`` builds from the base-edge
+  cliques and for the compiled events' variable scopes;
 * ``dependency_pairs`` lists the dependency graph's edges;
 * ``shift_bound_asymmetric`` is the shift bound's product over explicit
   clique weights (the study uses the symmetric bound's ``relaxed_bound``,
@@ -121,6 +125,20 @@ def mc_structure_prob(struct: HarmfulStructure, scheme: CouplingScheme,
     hits = sum(vanish(all_forms, draw(gen, blocks, len(edges)))
                for _ in range(trials))
     return hits / trials
+
+
+def closed_neighbourhoods(scopes: Sequence[Sequence]
+                          ) -> tuple[tuple[int, ...], ...]:
+    """The dependency relation: for each scope, the sorted indices of every
+    scope sharing an element with it, itself included; an empty scope gets
+    ()."""
+    members: dict = {}
+    for n, scope in enumerate(scopes):
+        for v in scope:
+            members.setdefault(v, []).append(n)
+    return tuple(tuple(sorted(set().union(*(members.get(v, ())
+                                            for v in scope))))
+                 for scope in scopes)
 
 
 def dependency_pairs(cset: CandidateSet) -> tuple[tuple[int, int], ...]:

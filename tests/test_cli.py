@@ -4,6 +4,7 @@ import csv
 import gc
 import io
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -666,10 +667,14 @@ def test_export_parse_back_mismatch_exits_1(tmp_path, capsys, monkeypatch):
       "--seed", "1"], "observe spec c6 matches no candidates"),
     (["experiment", "--config", "{window_config}"],
      "column 7 is outside the base (0..2)"),
+    # The JSONL listing reads no scheme, so Z would be ignored silently.
+    (["enumerate", "--gamma", "2", "--kappa", "2", "--lifting", "7"],
+     "--m, --pattern, --probs, --length and --lifting need --probabilities"),
 ], ids=["out-is-a-directory", "m-with-pattern", "config-not-an-object",
         "no-scheme", "sweep-without-values", "enumerate-rows-outside",
         "enumerate-cols-outside", "shift-observes-nothing",
-        "baseline-observes-nothing", "observe-window-outside"])
+        "baseline-observes-nothing", "observe-window-outside",
+        "enumerate-lifting-without-probabilities"])
 def test_usage_errors_exit_2(argv, message, tmp_path, capsys):
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "window.json").write_text(json.dumps(
@@ -768,3 +773,36 @@ def test_workflow_cli_lines_parse(argv, capsys):
     except SystemExit:
         pytest.fail(f"{' '.join(argv)}: {capsys.readouterr().err}")
     assert args.command == argv[0]
+
+
+def _workflow_step(name: str) -> list[str]:
+    """The command lines of the workflow step ``name``'s ``run: |`` block."""
+    lines = WORKFLOW.read_text().splitlines()
+    at = next(n for n, line in enumerate(lines)
+              if line.strip() == f"- name: {name}") + 1
+    assert lines[at].strip() == "run: |"
+    indent = len(lines[at]) - len(lines[at].lstrip())
+    block = []
+    for line in lines[at + 1:]:
+        if line.strip() and len(line) - len(line.lstrip()) <= indent:
+            break
+        if line.strip():
+            block.append(line.strip())
+    return block
+
+
+def test_workflow_stdlib_step_runs(tmp_path):
+    # The step as CI runs it, in order and under -S (no site-packages), on
+    # this interpreter: every command exits 0, so the runtime needs nothing
+    # beyond the standard library.
+    root = WORKFLOW.parents[2]
+    env = dict(os.environ, RUNNER_TEMP=str(tmp_path))
+    python = f"{shlex.quote(sys.executable)} -S "
+    step = _workflow_step("Stdlib-only runtime")
+    assert sum("python -S -m scldpc " in line for line in step) \
+        == len(_WORKFLOW_RUNS)
+    for line in step:
+        proc = subprocess.run(line.replace("python -S ", python), shell=True,
+                              cwd=root, env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, f"{line}\n{proc.stderr}"

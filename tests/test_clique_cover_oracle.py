@@ -17,10 +17,10 @@ from typing import Optional, Sequence
 from hypothesis import given, settings, strategies as st
 
 from scldpc import BaseCode, CandidateSet, enumerate_cycles
-from scldpc.walks import DependencyReport, closed_neighbourhoods
+from scldpc.walks import DependencyReport
 from helpers import (CliqueCover, Lemma2Report, build_base_edge_cover,
-                     build_pairwise_cover, dependency_pairs, lemma2_evaluate,
-                     verify_cover)
+                     build_pairwise_cover, closed_neighbourhoods,
+                     dependency_pairs, lemma2_evaluate, verify_cover)
 
 
 def _old_report_of(neighbourhoods):

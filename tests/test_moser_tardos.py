@@ -1,10 +1,9 @@
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import asdict
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import pytest
@@ -16,12 +15,11 @@ from scldpc import (AdmissionError, Assignment, BaseCode, CandidateSet,
                     derive_child_seeds,
                     enumerate_cycles, girth, joint_prob, run_joint,
                     run_stage_lift, run_stage_partition,
-                    spreading_prob_exact, walks)
+                    spreading_prob_exact)
 from scldpc.moser_tardos import MTTrace, compile_events, run_mt
 from scldpc.probability import draw, recorded_seed, rng, vanish
-from scldpc.walks import (WalkCandidate, closed_neighbourhoods,
-                          is_active_lift, is_active_partition)
-from helpers import default_cap, support_mod
+from scldpc.walks import WalkCandidate, is_active_lift, is_active_partition
+from helpers import closed_neighbourhoods, default_cap, support_mod
 
 
 def _flat_partition(base: BaseCode) -> Assignment:
@@ -525,18 +523,18 @@ def test_scope_graph_is_the_support_graph_where_runs_cannot_move(targets,
 
 
 def _count_graph_builds(monkeypatch) -> list:
-    """Count ``closed_neighbourhoods`` calls in every module holding it."""
+    """Count builds of ``CandidateSet.neighbourhoods``, the graph's one
+    builder."""
     builds = []
-    real = walks.closed_neighbourhoods
+    real = CandidateSet.neighbourhoods.func
 
-    def counted(*args, **kwargs):
-        builds.append(args)
-        return real(*args, **kwargs)
+    def counted(cset):
+        builds.append(cset)
+        return real(cset)
 
-    for name, module in list(sys.modules.items()):
-        if (name.split(".")[0] == "scldpc"
-                and getattr(module, "closed_neighbourhoods", None) is real):
-            monkeypatch.setattr(module, "closed_neighbourhoods", counted)
+    prop = cached_property(counted)
+    prop.__set_name__(CandidateSet, "neighbourhoods")
+    monkeypatch.setattr(CandidateSet, "neighbourhoods", prop)
     return builds
 
 

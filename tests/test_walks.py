@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from scldpc import (Assignment, BaseCode, CandidateSet, WalkCandidate,
                     dependency_degree, enumerate_cycles, harmful_weight)
-from scldpc.walks import (closed_neighbourhoods, is_active_lift,
-                          is_active_partition)
-from helpers import build_base_edge_cover, dependency_pairs, support_mod
+from scldpc.walks import is_active_lift, is_active_partition
+from helpers import (build_base_edge_cover, closed_neighbourhoods,
+                     dependency_pairs, support_mod)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +327,24 @@ def test_by_support_index():
     for edge, members in cset.by_support.items():
         for idx in members:
             assert edge in cset[idx].support
+
+
+@pytest.mark.parametrize("gamma, kappa, two_g, mode", [
+    (3, 4, 4, "simple"), (3, 4, 6, "simple"), (2, 4, 8, "tbc"),
+    (3, 3, 8, "tbc")])
+def test_sharing_is_the_union_of_the_base_edge_cliques(gamma, kappa, two_g,
+                                                       mode):
+    # Without the last column, whose edges no kept support reaches.
+    cset = enumerate_cycles(BaseCode(gamma, kappa), two_g, mode).restrict(
+        cols=range(kappa - 1))
+    assert len(cset) > 0
+    unused = (0, kappa - 1)
+    assert unused not in cset.by_support
+    assert cset.sharing([unused]) == cset.sharing(()) == ()
+    for n, c in enumerate(cset):
+        assert cset.sharing(c.support) == cset.neighbourhoods[n]
+        repeated = c.support + c.support[::-1] + (unused, unused)
+        assert cset.sharing(repeated) == cset.neighbourhoods[n]
 
 
 def test_keys_sorted_and_unique():
