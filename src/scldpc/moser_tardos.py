@@ -14,22 +14,16 @@ dependency neighbourhood (the events sharing a support edge), and on first
 use its Theorem 1 ``certificate``.  ``compile_events`` memoises two whole
 target sets, so repeated trials compile each stage once.  Stage 2 picks
 its survivors with the forms stage 1 resampled, read back from the memo,
-and compiles them fresh per trial.  ``run_mt`` then only resamples.  The
-solver is the classic resample-until-clean procedure with the depth-first
-recursion order made explicit:
+and compiles them fresh per trial.  ``run_mt`` then only resamples: the
+Moser-Tardos loop
 
     while some bad event occurs:
-        RESAMPLE(least occurring event)               # canonical order
-    RESAMPLE(e):
-        redraw the variables in scope(e)
-        while some event sharing a support edge with e occurs:
-            RESAMPLE(least such event)
+        redraw the variables in scope(least occurring event)
 
-"least" always means the global canonical candidate order restricted to
-the relevant subset (recorded in trace metadata), and "sharing a support
-edge" includes e itself.  ``run_mt`` runs the recursion as one loop over a
-stack of the RESAMPLE calls in progress; an empty stack is the outer
-loop.  Every run is a pure function of (inputs, seed).
+where "least" is the canonical candidate order (recorded in trace
+metadata).  A redraw can only change the events sharing a support edge
+with the redrawn one, so only those are evaluated again.  Every run is a
+pure function of (inputs, seed).
 
 Tautological targets (no forms left: all coefficients zero, a one-value
 pattern, or every coefficient divisible by Z) can never be resampled away:
@@ -103,10 +97,11 @@ class EventSystem:
 
 @dataclass
 class MTTrace:
-    """One resampler run: total and per-event resamples, wall iterations,
-    whether it terminated (no target left occurring) rather than hit its
-    cap, the seed, the cap and free-form metadata (e.g. stage 2's
-    survivors)."""
+    """One resampler run: total and per-event resamples, whether it
+    terminated (no target left occurring) rather than hit its cap, the
+    seed, the cap and free-form metadata (e.g. stage 2's survivors).
+    ``wall_iterations`` equals ``total_resamples``: each redraw is one
+    iteration of the loop."""
 
     total_resamples: int
     per_event: dict[str, int]
@@ -142,10 +137,8 @@ def run_mt(system: EventSystem, seed: SeedLike,
            max_resamples: Optional[int] = None) -> tuple[list[int], MTTrace]:
     """Resample until no event occurs (or the cap is hit).
 
-    Each step takes the least occurring event among the top call's
-    neighbours (among all events on an empty stack: a wall iteration),
-    checks the cap, then redraws and pushes it; with none it pops, or on
-    an empty stack the run has terminated.  None disables the cap
+    Each step checks the cap, redraws the scope of the least occurring
+    event and evaluates its neighbours again.  None disables the cap
     (``run_stage_lift``'s default with no survivors); a negative cap is a
     ValueError.  Returns the final values and the trace; ``terminated`` is
     False iff the cap cut the run short, in which case the values are the
@@ -156,40 +149,29 @@ def run_mt(system: EventSystem, seed: SeedLike,
     if max_resamples is not None and max_resamples < 0:
         raise ValueError("resample cap must be non-negative")
     blocks, n_vars, event_forms = system.blocks, system.n, system.forms
-    scopes, neighbors = system.scopes, system.neighbors
     gen = rng(seed)
     values = draw(gen, blocks, n_vars)
-    occ = [vanish(f, values) for f in event_forms]
-    per_event = [0] * len(occ)
+    occurring = {t for t, f in enumerate(event_forms) if vanish(f, values)}
+    per_event = [0] * len(event_forms)
     total = 0
-    wall = 0
-    stack: list[int] = []  # the RESAMPLE calls in progress, innermost last
-    while True:
-        scan = neighbors[stack[-1]] if stack else range(len(occ))
-        nxt = next((t for t in scan if occ[t]), None)
-        if nxt is None:
-            if not stack:
-                break
-            stack.pop()
-            continue
-        if not stack:
-            wall += 1
-        if max_resamples is not None and total >= max_resamples:
-            break
-        draw(gen, blocks, n_vars, values, scopes[nxt])
+    while occurring and (max_resamples is None or total < max_resamples):
+        e = min(occurring)
+        draw(gen, blocks, n_vars, values, system.scopes[e])
         total += 1
-        per_event[nxt] += 1
-        for t in neighbors[nxt]:
-            occ[t] = vanish(event_forms[t], values)
-        stack.append(nxt)
+        per_event[e] += 1
+        for t in system.neighbors[e]:
+            if vanish(event_forms[t], values):
+                occurring.add(t)
+            else:
+                occurring.discard(t)
 
-    terminated = nxt is None
+    terminated = not occurring
     if terminated and any(vanish(f, values) for f in event_forms):
         raise AssertionError("resampler stopped while an event still occurs")
     trace = MTTrace(
         total_resamples=total,
         per_event=dict(zip(system.labels, per_event)),
-        wall_iterations=wall,
+        wall_iterations=total,
         terminated=terminated,
         seed=recorded_seed(seed),
         max_resamples=max_resamples,

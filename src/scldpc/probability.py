@@ -80,12 +80,14 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 def _words(x: Any) -> list[int]:
     """numpy's coercion of an entropy or spawn key to uint32 words: an
     integer is its little-endian words (0 is [0]), a sequence the
-    concatenation of its items' words."""
-    if isinstance(x, str):
-        raise TypeError("a seed must be an integer or a sequence of them")
+    concatenation of its items' words; anything else (a string, a float)
+    is a TypeError."""
     try:
         n = operator.index(x)
     except TypeError:
+        if isinstance(x, str) or not hasattr(x, "__iter__"):
+            raise TypeError(
+                "a seed must be an integer or a sequence of them") from None
         return [w for item in x for w in _words(item)]
     if n < 0:
         raise ValueError(f"a seed must be a non-negative integer, got {n}")

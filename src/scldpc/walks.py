@@ -217,7 +217,9 @@ def _window(items: Iterable[int], name: str, size: int) -> set[int]:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """An ordered, deduplicated collection of candidates over one base."""
+    """An ordered, deduplicated collection of candidates over one base;
+    a walk using an edge outside ``base.edges`` is a ValueError naming
+    both."""
 
     base: BaseCode
     candidates: tuple[WalkCandidate, ...]
@@ -227,6 +229,12 @@ class CandidateSet:
                                key=lambda c: c.sort_key))
         if len(ordered) != len(self.candidates):
             raise ValueError("duplicate candidates in set")
+        edges = set(self.base.edges)
+        for c in ordered:
+            for (i, j), _ in c.coeffs:
+                if (i, j) not in edges:
+                    raise ValueError(
+                        f"walk {c.key} uses absent base edge ({i},{j})")
         object.__setattr__(self, "candidates", ordered)
 
     def __hash__(self) -> int:

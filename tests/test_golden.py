@@ -28,6 +28,15 @@ only change.  ``construct-two-stage-m0`` (memory 0:
 stage 1 rejects every target and stage 2 lifts them all) was recorded
 before stage 2 chose its survivors by the compiled partition forms
 instead of a grid check.
+Seven digests were re-recorded when ``run_mt`` became the Moser-Tardos
+loop (redraw the least occurring event until none occurs) instead of
+Moser's depth-first RESAMPLE recursion; each equals the earlier code run
+with that one rule replaced.  ``run_stage_partition``, ``run_stage_lift``,
+``run_joint`` and ``construct-two-stage-m0`` changed their assignments
+(the two rules pick different events where the dependency graph is not
+complete); ``construct_two_stage``, ``construct-two-stage`` and
+``construct-joint`` changed only in ``wall_iterations``, which now equals
+``total_resamples``.
 To print the current digests: ``python tests/test_golden.py``.
 """
 
@@ -195,7 +204,7 @@ CASES = {
 
 GOLDEN = {
     "construct_two_stage":
-        "66b2bb9ecf7a1bd81fa49aa7d3b1f2b50caa35d26b1a99b6f0fd33709e352cec",
+        "75d8a1ad305979ae3838445306c4d655e01a8fff7774438c8fc064fbf61e2d76",
     "estimate_baseline":
         "0bb40ce5b8d1740bf5392acc7f4084d08598e008aff78b4168d498f71df129b9",
     "estimate_mt_shift":
@@ -203,11 +212,11 @@ GOLDEN = {
     "mc_structure_prob":
         "40bb4a63349faa5f3585e6723b960315fa725c8001817831675371e968b84675",
     "run_joint":
-        "552d1b736374a779506234b975abf5d7016a5a6a677c7ad95e2b2d825d61a62f",
+        "584d6c64b24f2cdb5be9d3ac5f92df7762d5345a6dee46e0921fa785b60d6156",
     "run_stage_lift":
-        "b5d5deafea9900cac2ca31176b222092a9b967b85acbb956279bb19e0115e13f",
+        "35fc1115f00f51e96f061624c08d79460060ca7e696fbcf8bc86e3cab621b3a9",
     "run_stage_partition":
-        "aea12a3a4524a9f8507dee5cf83ab9a34614e357bc54f80f0b57fabc96e52d22",
+        "81c4deae99e2ecaf5039a5ba8ef6106e34e113c2b820248ce647c373dd40d3b6",
 }
 
 
@@ -309,11 +318,11 @@ GOLDEN_CLI = {
     "bounds-3x7-m1-z34":
         "f0340a6e8b73b541f01648f805569f349596d3f3f8fb41b7ac6bd0763d8093a2",
     "construct-joint":
-        "9f1b78b3c240a53c724ffc834da7648637abfd4d759dcd23f34114d889ba9f70",
+        "3a8c5bf6bfb5dc63efe038bb3bdb0ba5562481c6976fe14ce367d79080170377",
     "construct-two-stage":
-        "3a1206fbfd817bac9eceb45176e8dcedb2ebc17c685277ce67190170c86c7944",
+        "f25a3a0233b9a6f66fea22fcef924280f9643f952f8d60278bd5a6f0635f212a",
     "construct-two-stage-m0":
-        "2b3b95094c76cf8e686391133e01c7fdf21d3012b9997318bbf63d02167bb39c",
+        "92c19dfdb73a703e7d02a9cefb40c93d2fcfe05b266c8e4f5d88a43204f51737",
     "experiment-baseline-joint":
         "57044272025cc2d65187681916d458c710712bf39fdcbbd13f0f5aa43e6f559d",
     "experiment-baseline-partition-only":

@@ -113,7 +113,7 @@ def test_trace_bookkeeping():
     _, trace = run_joint(base, scheme, targets, seed=2)
     assert trace.total_resamples == sum(trace.per_event.values())
     assert set(trace.per_event) <= {c.key for c in targets}
-    assert trace.wall_iterations <= max(trace.total_resamples, 1)
+    assert trace.wall_iterations == trace.total_resamples
     assert trace.metadata["inner_order"] == "global-least-index"
 
 
@@ -154,6 +154,15 @@ def test_targets_over_another_base_are_rejected(runner):
     with pytest.raises(ValueError,
                        match="target set was built over a different base"):
         runner(BaseCode(3, 4), scheme, enumerate_cycles(BaseCode(3, 3), 4), 0)
+
+
+@pytest.mark.parametrize("seed", [1.5, [1, 2.5], "7"])
+def test_a_seed_that_is_not_an_integer_is_a_type_error(seed):
+    base = BaseCode(2, 3)
+    scheme = CouplingScheme.uniform(1, lifting_degree=2)
+    with pytest.raises(TypeError, match="a seed must be an integer or a "
+                                        "sequence of them"):
+        run_joint(base, scheme, enumerate_cycles(base, 4), seed)
 
 
 def test_numpy_integer_seed_is_recorded():
@@ -561,61 +570,30 @@ def test_each_target_set_builds_its_graph_once(command, expected,
 
 
 # ---------------------------------------------------------------------------
-# run_mt against the outer/inner loop pair it replaced
+# run_mt against the loop that evaluates every event after each redraw
 # ---------------------------------------------------------------------------
 
-def _old_run_mt(system, seed, max_resamples=None):
-    """``run_mt`` as it was before the one-loop rewrite, verbatim."""
-    if system.rejected:
-        raise AdmissionError(system.rejected, system.stage)
-    if max_resamples is not None and max_resamples < 0:
-        raise ValueError("resample cap must be non-negative")
+def _least_occurring_oracle(system, seed, max_resamples=None):
+    """The Moser-Tardos loop read literally: after every redraw evaluate
+    every event, and redraw the least occurring one."""
     blocks, n_vars, event_forms = system.blocks, system.n, system.forms
-    scopes, neighbors = system.scopes, system.neighbors
     gen = rng(seed)
-    n_ev = len(event_forms)
     values = draw(gen, blocks, n_vars)
-    occ = [vanish(f, values) for f in event_forms]
-    per_event = [0] * n_ev
+    per_event = [0] * len(event_forms)
     total = 0
-    wall = 0
-    capped = False
-
-    def resample(n: int) -> bool:
-        """One redraw of event n's scope; False when the cap refuses it."""
-        nonlocal total
-        if max_resamples is not None and total >= max_resamples:
-            return False
-        draw(gen, blocks, n_vars, values, scopes[n])
-        total += 1
-        per_event[n] += 1
-        for t in neighbors[n]:
-            occ[t] = vanish(event_forms[t], values)
-        return True
-
-    while not capped:
-        start = next((n for n in range(n_ev) if occ[n]), None)
-        if start is None:
+    while True:
+        occurring = [t for t, f in enumerate(event_forms) if vanish(f, values)]
+        if not occurring or (max_resamples is not None
+                             and total >= max_resamples):
             break
-        wall += 1
-        capped = not resample(start)
-        stack = [start]
-        while stack and not capped:
-            nxt = next((t for t in neighbors[stack[-1]] if occ[t]), None)
-            if nxt is None:
-                stack.pop()
-            else:
-                capped = not resample(nxt)
-                stack.append(nxt)
-
-    terminated = not capped
-    if terminated and any(vanish(f, values) for f in event_forms):
-        raise AssertionError("resampler stopped while an event still occurs")
+        draw(gen, blocks, n_vars, values, system.scopes[occurring[0]])
+        total += 1
+        per_event[occurring[0]] += 1
     trace = MTTrace(
         total_resamples=total,
         per_event=dict(zip(system.labels, per_event)),
-        wall_iterations=wall,
-        terminated=terminated,
+        wall_iterations=total,
+        terminated=not occurring,
         seed=recorded_seed(seed),
         max_resamples=max_resamples,
         metadata={"inner_order": "global-least-index"},
@@ -623,14 +601,13 @@ def _old_run_mt(system, seed, max_resamples=None):
     return values, trace
 
 
-# A cap of None runs as long as the old loop terminates within this; a
-# system it cannot clear that fast runs at this cap instead.
+# A cap of None runs as long as the oracle terminates within this; a system
+# it cannot clear that fast runs at this cap instead.
 _UNCAPPED_PROBE = 400
 
-# c4 at memory 1, Z=2.  The cap cuts 3x3 seed 0 at its first wall start
-# (cap 0) and inside a RESAMPLE call (cap 4), and 3x5 seed 26 at the start
-# of its second wall; on 3x5, events outside the top call's neighbours
-# occur while it runs.
+# c4 at memory 1, Z=2.  The cap cuts 3x3 seed 0 before its first redraw
+# (cap 0) and part-way (cap 4); its dependency graph is complete.  On 3x5,
+# events outside the last redrawn event's neighbours occur while it runs.
 _C4_3X3 = (enumerate_cycles(BaseCode(3, 3), 4),
            CouplingScheme.uniform(1, lifting_degree=2))
 _C4_3X5 = (enumerate_cycles(BaseCode(3, 5), 4),
@@ -648,16 +625,16 @@ _C4_3X5 = (enumerate_cycles(BaseCode(3, 5), 4),
 @example(targets=_C4_3X5, stage="joint", seed=26, cap=1)
 @example(targets=_C4_3X5, stage="joint", seed=0, cap=None)
 @example(targets=_C4_3X5, stage="joint", seed=1, cap=30)
-def test_run_mt_equals_the_two_loop_version(targets, stage, seed, cap):
+def test_run_mt_equals_the_every_event_loop(targets, stage, seed, cap):
     cset, scheme = targets
     system = compile_events(cset, scheme, stage)
     if system.rejected:
         system = compile_events(CandidateSet(cset.base, tuple(
             c for c, fs in zip(cset, system.forms) if fs)), scheme, stage)
-    if cap is None and not _old_run_mt(system, seed,
-                                       _UNCAPPED_PROBE)[1].terminated:
+    if cap is None and not _least_occurring_oracle(
+            system, seed, _UNCAPPED_PROBE)[1].terminated:
         cap = _UNCAPPED_PROBE
     values, trace = run_mt(system, seed, cap)
-    old_values, old_trace = _old_run_mt(system, seed, cap)
-    assert values == old_values
-    assert asdict(trace) == asdict(old_trace)
+    oracle_values, oracle_trace = _least_occurring_oracle(system, seed, cap)
+    assert values == oracle_values
+    assert asdict(trace) == asdict(oracle_trace)

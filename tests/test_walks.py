@@ -380,6 +380,15 @@ def test_json_lines_shape():
                      enumerate_cycles(BaseCode(2, 3), 4)),
                  "cannot merge candidate sets over different bases",
                  id="union-bases"),
+    pytest.param(lambda: CandidateSet(BaseCode(2, 2), (
+                     WalkCandidate.from_nodes((0, 0, 1, 2)),)),
+                 "walk c4:v0c0v1c2 uses absent base edge (2,0)",
+                 id="walk-outside-the-base"),
+    pytest.param(lambda: CandidateSet(
+                     BaseCode(2, 3, mask=((1, 1, 1), (1, 1, 0))),
+                     tuple(enumerate_cycles(BaseCode(2, 3), 4))),
+                 "walk c4:v0c0v2c1 uses absent base edge (1,2)",
+                 id="walk-on-a-masked-edge"),
 ])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
