@@ -38,11 +38,11 @@ their ``bound`` is plain float arithmetic, inf past the double range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .model import record
 from .probability import spreading_prob_c4_uniform
 from .walks import CandidateSet, dependency_degree, harmful_weight
 
@@ -92,7 +92,7 @@ def threshold_branch_ii(struct_size: int,
     return _power(h - 1, h, h - 1, (w - 1) * h)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Thresholds:
     """Theorem 1's two thresholds I and II, each exact (None past the
     exact-exponent limit) and as a float; II is None when W = 1."""
@@ -190,7 +190,7 @@ def c4_block_dims(cset: CandidateSet) -> Optional[tuple[int, int]]:
     return r, c
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoundReport:
     """Theorem 1 over one candidate set: the inputs it read (k, Delta and
     its source, h, W, dependency edges, base-edge cliques, max P), the
@@ -278,7 +278,7 @@ def theorem1_feasibility(cset: CandidateSet, probs: Sequence[Fraction],
     )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Corollary1Report:
     """Corollary 1 at one (gamma, kappa, m, Z): the closed-form Delta, the
     4-cycle activation probability ``lhs`` against Theorem 1's thresholds,
@@ -349,7 +349,7 @@ def shift_delta(cset: CandidateSet, observed: int) -> tuple[int, str]:
     return formula_delta_c4(*dims), "formula"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SymmetricShiftBound:
     """The symmetric shift cap (1 + e p)^n, its precondition
     e p (Delta + 1) <= 1 and the p-free form (1 + 1/Delta)^n."""
@@ -390,7 +390,7 @@ def shift_bound_symmetric(p: Fraction, delta: int,
 COROLLARY4_CAP = math.exp(8.0 / 3.0)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Corollary4Bound:
     """Corollary 4's drift cap (1 + 1/Delta)^exponent, exponent = 2k W,
     and the universal e^{8/3} ceiling where it applies (else None)."""

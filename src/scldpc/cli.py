@@ -319,7 +319,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _report_doc(report, config: ExperimentConfig,
                 twins: Sequence[str]) -> dict:
-    """An experiment report document: the report dataclass's fields by
+    """An experiment report document: the report record's fields by
     ``asdict``, with ``cls`` written as "class", each exact rational as
     "num/den" text (plus a ``<name>_float`` twin for the fields named in
     ``twins``), the ``delta_*`` fields nested under "delta", and the

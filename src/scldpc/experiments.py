@@ -39,11 +39,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .model import BaseCode, CouplingScheme, frac_text
+from .model import BaseCode, CouplingScheme, frac_text, record
 from .probability import (draw, rng, seed_int, seed_sequence, stage_forms,
                           stage_prob, vanish)
 from .serialize import check_ints, code_params, read_scheme
@@ -61,7 +61,7 @@ STREAM_BASELINE = 0
 STREAM_TRIALS = 16
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StructureSpec:
     """One observable/target class: cycle length, walk universe, and an
     optional row/column window restricting where the walks may live."""
@@ -116,7 +116,7 @@ class StructureSpec:
                    None if cols is None else tuple(cols))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExperimentConfig:
     """One study: the base, the coupling scheme, the construction mode,
     the trial count and seed, the eliminate and observe specs, and an
@@ -265,7 +265,7 @@ def wilson_interval(hits: int, n: int, z: float = Z95) -> tuple[float, float]:
 # Baseline (no resampling): exact values vs fresh product-measure draws
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class BaselineRow:
     """One observable under independent draws: its exact probability,
     hits, frequency, z-score and the two-sided 4 sigma verdict."""
@@ -279,7 +279,7 @@ class BaselineRow:
     within_4sigma: bool
 
 
-@dataclass
+@record
 class BaselineReport:
     """``estimate_baseline``'s result: one row per observable, the largest
     |z| and whether every row passed."""
@@ -327,7 +327,7 @@ def estimate_baseline(config: ExperimentConfig) -> BaselineReport:
 # Resampled construction: per-observable shift statistics
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class ObservableStats:
     """One observable under resampling: exact and observed probability,
     their ratio with its Wilson upper end, the overlap count n_E, the caps
@@ -351,7 +351,7 @@ class ObservableStats:
     check_kind: str
 
 
-@dataclass
+@record
 class ClassStats:
     """One observe spec's summary of its observables' ratios, with
     Corollary 4's cap and the 6-cycle ceiling where they apply."""
@@ -365,7 +365,7 @@ class ClassStats:
     cap_universal_c6: Optional[float]
 
 
-@dataclass
+@record
 class ResampleStats:
     """Total resamples over the terminated trials (mean, std, max, sum)
     against Theorem 2's bound, where the stage has one."""
@@ -380,7 +380,7 @@ class ResampleStats:
     bound_holds: Optional[bool]
 
 
-@dataclass
+@record
 class ExperimentStats:
     """``estimate_mt_shift``'s result: trial counts, the Deltas and p the
     caps used, the preconditions, per-observable and per-class rows, the
@@ -416,8 +416,9 @@ def _run_trials(config: ExperimentConfig, elim: CandidateSet,
     _, obs_forms = stage_forms(base.edges, observe, scheme, _stage(config))
     hits = [0] * len(observe)
     resample_counts: list[int] = []
+    root = seed_sequence(config.seed)
     for t in range(config.trials):
-        seed_t = seed_sequence(config.seed, STREAM_TRIALS + t)
+        seed_t = seed_sequence(root, STREAM_TRIALS + t)
         if config.mode == "partition-only":
             partition, run = run_stage_partition(base, scheme, elim, seed_t,
                                                  config.cap)
@@ -548,7 +549,7 @@ def _resample_stats(config: ExperimentConfig, elim: CandidateSet,
                          branch=branch, bound_holds=holds)
 
 
-@dataclass
+@record
 class Theorem2Report:
     """``verify_theorem2``'s result: the certified bound, the resample
     statistics over the terminated trials, the one-sided 99% allowance

@@ -26,16 +26,164 @@ offset.
 
 from __future__ import annotations
 
+import dataclasses
 import operator
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import MISSING, Field, FrozenInstanceError, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
 from typing import Iterator, Optional
 
 Edge = tuple[int, int]
+
+
+def _quoted(names: Sequence[str]) -> str:
+    """'a', 'a' and 'b', or 'a', 'b', and 'c', as Python's own call
+    errors list argument names."""
+    q = [repr(n) for n in names]
+    if len(q) < 3:
+        return " and ".join(q)
+    return ", ".join(q[:-1]) + ", and " + q[-1]
+
+
+def _bind(cls: type, args: tuple, kwargs: dict) -> list:
+    """The field values, in field order, of a call that does not give
+    every field by position; a missing, extra or duplicate argument is the
+    TypeError Python raises for a function with the fields as parameters."""
+    names, defaults = cls._record[:2]
+    where = cls.__qualname__
+    if len(args) > len(names):
+        least = len(names) - len(defaults) + 1
+        takes = (f"from {least} to " if defaults else "") + (
+            f"{len(names) + 1} positional argument"
+            f"{'s' if defaults or names else ''}")
+        raise TypeError(f"{where}.__init__() takes {takes} but "
+                        f"{len(args) + 1} were given")
+    values, missing = list(args), []
+    for name in names[len(args):]:
+        value = kwargs.pop(name, MISSING)
+        if value is MISSING:
+            if name in defaults:
+                value = defaults[name]()
+            else:
+                missing.append(name)
+        values.append(value)
+    for name in kwargs:
+        if name in names:
+            raise TypeError(f"{where}.__init__() got multiple values for "
+                            f"argument {name!r}")
+        raise TypeError(f"{where}.__init__() got an unexpected keyword "
+                        f"argument {name!r}")
+    if missing:
+        raise TypeError(
+            f"{where}.__init__() missing {len(missing)} required positional "
+            f"argument{'s' if len(missing) > 1 else ''}: {_quoted(missing)}")
+    return values
+
+
+_set = object.__setattr__
+
+
+def _init(self, *args, **kwargs) -> None:
+    names, _, post_init, _ = self._record
+    if kwargs or len(args) != len(names):
+        args = _bind(type(self), args, kwargs)
+    # One attribute at a time, not through __dict__: that would give the
+    # instance a dict of its own, larger and slower to read than the
+    # values Python stores inline.
+    for name, value in zip(names, args):
+        _set(self, name, value)
+    if post_init is not None:
+        post_init(self)
+
+
+def _repr(self) -> str:
+    fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._record[0])
+    return f"{type(self).__qualname__}({fields})"
+
+
+def _values_getter(names: tuple[str, ...]):
+    """A function giving a record's field values as one tuple, read in C
+    when there are two fields or more."""
+    if len(names) > 1:
+        return operator.attrgetter(*names)
+    return lambda obj: tuple(getattr(obj, n) for n in names)
+
+
+def _eq(self, other: object) -> bool:
+    if other.__class__ is self.__class__:
+        values = self._record[3]
+        return values(self) == values(other)
+    return NotImplemented
+
+
+def _hash_fields(self) -> int:
+    return hash(self._record[3](self))
+
+
+def _frozen_setattr(self, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def record(cls=None, /, *, frozen: bool = False):
+    """Make ``cls`` a record of its annotated fields, as
+    ``dataclasses.dataclass`` does, without generating code.
+
+    ``dataclass`` compiles the methods it generates from source text at
+    every import (from Python 3.13 on, one ``exec`` per class even when it
+    generates nothing), so records fill the dataclass field table here and
+    share one set of methods instead.
+
+    Every annotated name is a field; ``field(default=...)``,
+    ``field(default_factory=...)`` and ``__post_init__`` work as in a
+    dataclass, and so do ``dataclasses.fields``, ``asdict``, ``replace``
+    and ``is_dataclass``.  The methods are shared by every record and read
+    the class's field table: ``__init__`` takes the fields by position or
+    keyword, ``__repr__`` is the dataclass text, ``__eq__`` compares the
+    fields of two instances of one class.  A frozen record hashes its
+    fields and raises ``FrozenInstanceError`` on assignment and deletion
+    (``cached_property`` still works: it writes the instance dict); other
+    records are unhashable.  A method the class defines itself is kept.
+    """
+    def wrap(cls):
+        # The field table, as dataclasses keeps it, and the shared
+        # methods' view of it: (names, name -> default maker, __post_init__,
+        # field values getter).
+        table, defaults = {}, {}
+        for name, kind in cls.__dict__.get("__annotations__", {}).items():
+            value = cls.__dict__.get(name, MISSING)
+            f = value if isinstance(value, Field) else field(default=value)
+            # dataclasses.fields() lists a Field only when its kind is
+            # the module's _FIELD marker.
+            f.name, f.type, f._field_type = name, kind, dataclasses._FIELD
+            if f.default_factory is not MISSING:
+                delattr(cls, name)
+                defaults[name] = f.default_factory
+            elif f.default is not MISSING:
+                setattr(cls, name, f.default)
+                defaults[name] = lambda v=f.default: v
+            table[name] = f
+        cls.__dataclass_fields__ = table
+        names = tuple(table)
+        cls._record = (names, defaults, getattr(cls, "__post_init__", None),
+                       _values_getter(names))
+        methods = {"__init__": _init, "__repr__": _repr, "__eq__": _eq,
+                   "__hash__": _hash_fields if frozen else None}
+        if frozen:
+            methods.update(__setattr__=_frozen_setattr,
+                           __delattr__=_frozen_delattr)
+        for name, method in methods.items():
+            if name not in cls.__dict__:
+                setattr(cls, name, method)
+        return cls
+    return wrap if cls is None else wrap(cls)
+
 
 # Typecode of every index buffer: a signed 32-bit C int, 4 bytes per
 # index.  No index reaches 2**31 in a matrix that fits in memory, and an
@@ -193,7 +341,7 @@ class SparseBinaryMatrix:
                 f"nnz={self.nnz})")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BaseCode:
     """A gamma x kappa binary base matrix; all ones unless a mask is given."""
 
@@ -242,7 +390,7 @@ def frac_text(p: Optional[Fraction]) -> Optional[str]:
     return f"{p.numerator}/{p.denominator}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CouplingScheme:
     """Spreading pattern + probabilities, chain length and lift degree.
 
@@ -286,7 +434,7 @@ class CouplingScheme:
 
     @cached_property
     def _hash(self) -> int:
-        """The dataclass hash of the fields, computed once: a memo key."""
+        """The record hash of the fields, computed once: a memo key."""
         return hash((self.pattern, self.probs, self.coupling_length,
                      self.lifting_degree))
 
@@ -305,7 +453,7 @@ class CouplingScheme:
                    coupling_length, lifting_degree)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Assignment:
     """Per-edge integer values for one stage ("partition" or "lift").
 
@@ -354,7 +502,7 @@ class Assignment:
                     yield (i, j), v
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CodeInstance:
     """A fully determined construction: base, scheme, both assignments."""
 

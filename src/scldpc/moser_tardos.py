@@ -34,12 +34,12 @@ AdmissionError naming them before it draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .model import (Assignment, BaseCode, CodeInstance, CouplingScheme,
-                    _check_partition)
+                    _check_partition, record)
 from .probability import (Block, Form, SeedLike, draw, recorded_seed, rng,
                           seed_int, seed_sequence, stage_forms, stage_prob,
                           vanish)
@@ -60,7 +60,7 @@ class AdmissionError(ValueError):
             f"resampled away): {', '.join(self.labels)}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EventSystem:
     """One stage's bad events, compiled for ``run_mt``.
 
@@ -95,7 +95,7 @@ class EventSystem:
                         for c in self.cset], delta_source="observed")
 
 
-@dataclass
+@record
 class MTTrace:
     """One resampler run: total and per-event resamples, whether it
     terminated (no target left occurring) rather than hit its cap, the
@@ -202,8 +202,12 @@ def _cap(rep: Optional[bounds.BoundReport], fallback=FALLBACK_CAP) -> int:
 
 def _grid_from_values(base: BaseCode, stage: str, values: Sequence[int],
                       offset: int = 0) -> Assignment:
-    return Assignment.from_dict(stage, dict(zip(base.edges, values[offset:])),
-                                base.gamma, base.kappa)
+    """The stage's grid in one pass: the masked cells, in row-major
+    order, are ``base.edges``, which take ``values[offset:]`` in turn
+    (``Assignment`` makes each row a tuple)."""
+    it = iter(values[offset:])
+    return Assignment(stage, tuple([next(it) if on else None for on in row]
+                                   for row in base.mask))
 
 
 def values_from_grids(base: BaseCode, *grids: Assignment) -> list[int]:
@@ -266,7 +270,7 @@ def run_joint(base: BaseCode, scheme: CouplingScheme, targets,
     return instance, trace
 
 
-@dataclass
+@record
 class TwoStageReport:
     """The two stages' traces of ``construct_two_stage``."""
 
@@ -300,7 +304,8 @@ def derive_child_seeds(seed: SeedLike, n: int) -> list[int]:
     ``seed_sequence(seed, i)`` (what SeedSequence spawning gives a fresh
     stream, hash-derived and collision-resistant), so a SeedSequence seed
     is left as it is and replays."""
-    return [seed_int(seed_sequence(seed, i)) for i in range(n)]
+    root = seed_sequence(seed)
+    return [seed_int(seed_sequence(root, i)) for i in range(n)]
 
 
 def construct_two_stage(base: BaseCode, scheme: CouplingScheme, targets,

@@ -56,12 +56,11 @@ import functools
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
-from .model import CouplingScheme, Edge, frac_text
+from .model import CouplingScheme, Edge, frac_text, record
 from .walks import WalkCandidate
 
 # (variable indices, coefficients, modulus); modulus 0 means over the integers.
@@ -97,42 +96,66 @@ def _words(x: Any) -> list[int]:
     return out
 
 
+def _hashmix(v: int, h: int) -> tuple[int, int]:
+    """numpy's hashmix of word v under hash constant h: (word, next h)."""
+    v ^= h
+    h = h * _MULT_A & _M32
+    v = v * h & _M32
+    return v ^ v >> 16, h
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
+def _absorb(pool: tuple[int, ...], h: int,
+            words: Iterable[int]) -> tuple[tuple[int, ...], int]:
+    """Mix words past the first ``_POOL`` into the pool, one at a time:
+    (pool, hash constant) after them."""
+    pool = list(pool)
+    for w in words:
+        for dst in range(_POOL):
+            v, h = _hashmix(w, h)
+            pool[dst] = _mix(pool[dst], v)
+    return tuple(pool), h
+
+
 class SeedSequence:
     """numpy's ``SeedSequence(entropy, spawn_key=spawn_key)`` with the
-    default pool size: the same pool, so the same ``generate_state``."""
+    default pool size: the same pool, so the same ``generate_state``.
 
-    __slots__ = ("entropy", "spawn_key", "pool")
+    The key words are mixed in after the entropy, one at a time, so a
+    stream keeps its hash constant and the child streams that
+    ``seed_sequence`` derives from it mix only their own key words."""
+
+    __slots__ = ("entropy", "spawn_key", "pool", "_h")
 
     def __init__(self, entropy: Any, spawn_key: Sequence[int] = ()) -> None:
         self.entropy = entropy
         self.spawn_key = tuple(spawn_key)
-        words, key = _words(entropy), _words(self.spawn_key)
-        if key:  # the entropy is padded to the pool before the key
-            words += [0] * (_POOL - len(words))
-        words += key
-        h = _INIT_A
-
-        def hashmix(v: int) -> int:
-            nonlocal h
-            v ^= h
-            h = h * _MULT_A & _M32
-            v = v * h & _M32
-            return v ^ v >> 16
-
-        def mix(x: int, y: int) -> int:
-            r = (_MIX_L * x - _MIX_R * y) & _M32
-            return r ^ r >> 16
-
-        pool = [hashmix(words[i] if i < len(words) else 0)
-                for i in range(_POOL)]
+        # The entropy is padded to the pool before the key: reading a
+        # missing word as 0 does the same without a key.
+        words, h, pool = _words(entropy), _INIT_A, []
+        for i in range(_POOL):
+            v, h = _hashmix(words[i] if i < len(words) else 0, h)
+            pool.append(v)
         for src in range(_POOL):
             for dst in range(_POOL):
                 if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for w in words[_POOL:]:
-            for dst in range(_POOL):
-                pool[dst] = mix(pool[dst], hashmix(w))
-        self.pool = tuple(pool)
+                    v, h = _hashmix(pool[src], h)
+                    pool[dst] = _mix(pool[dst], v)
+        self.pool, self._h = _absorb(
+            pool, h, words[_POOL:] + _words(self.spawn_key))
+
+    def _child(self, spawn_key: tuple[int, ...]) -> "SeedSequence":
+        """``SeedSequence(entropy, self.spawn_key + spawn_key)``, mixing
+        only the new key words into this stream's pool."""
+        child = SeedSequence.__new__(SeedSequence)
+        child.entropy = self.entropy
+        child.spawn_key = self.spawn_key + spawn_key
+        child.pool, child._h = _absorb(self.pool, self._h, _words(spawn_key))
+        return child
 
     def generate_state(self, n_words: int) -> list[int]:
         """numpy's ``generate_state(n_words, np.uint64)``: each 64-bit word
@@ -231,8 +254,8 @@ def seed_sequence(seed: SeedLike, *spawn_key: int) -> SeedSequence:
         return SeedSequence(seed, spawn_key)
     if getattr(seed, "pool_size", _POOL) != _POOL:
         raise ValueError(f"SeedSequence pool size must be {_POOL}")
-    if isinstance(seed, SeedSequence) and not spawn_key:
-        return seed
+    if isinstance(seed, SeedSequence):
+        return seed._child(spawn_key) if spawn_key else seed
     return SeedSequence(seed.entropy, tuple(seed.spawn_key) + spawn_key)
 
 
@@ -444,7 +467,7 @@ def lift_prob_bound(cycle_lengths: Sequence[int], z: int) -> Fraction:
     return Fraction(num, (4 * z) ** len(cycle_lengths))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ActivationProbability:
     """Exact spread/lift survival probabilities for one candidate."""
 

@@ -38,11 +38,10 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .model import Assignment, BaseCode, Edge
+from .model import Assignment, BaseCode, Edge, record
 
 MODES = ("simple", "tbc")
 
@@ -69,7 +68,7 @@ def _edge_uses(nodes: tuple[int, ...]) -> dict[Edge, list[int]]:
     return uses
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WalkCandidate:
     """One canonical closed-walk candidate.
 
@@ -100,7 +99,12 @@ class WalkCandidate:
                 if not (0 <= i < base.gamma and 0 <= j < base.kappa
                         and base.has_edge(i, j)):
                     raise ValueError(f"walk uses absent base edge ({i},{j})")
-        canon = min(_dihedral_orbit(nodes))
+        return cls._from_canonical(min(_dihedral_orbit(nodes)))
+
+    @classmethod
+    def _from_canonical(cls, canon: tuple[int, ...]) -> "WalkCandidate":
+        """The candidate of a walk already validated and canonical: only
+        its coefficients are computed."""
         uses = _edge_uses(canon)
         coeffs = tuple(sorted((e, lr[0] - lr[1]) for e, lr in uses.items()))
         return cls(canon, coeffs)
@@ -180,7 +184,7 @@ def enumerate_cycles(base: BaseCode, two_g: int,
                     if j1 in col_adj[seq[-1]] and seq[-1] != i1:
                         canon = min(_dihedral_orbit(tuple(seq)))
                         if canon not in found:
-                            found[canon] = WalkCandidate.from_nodes(canon)
+                            found[canon] = WalkCandidate._from_canonical(canon)
                     del seq[-2:]
                 else:
                     # a last column equal to j1 would make the walk a tail
@@ -201,8 +205,7 @@ def enumerate_cycles(base: BaseCode, two_g: int,
                     del seq[-2:]
                 else:
                     break
-    return CandidateSet(base, tuple(sorted(found.values(),
-                                           key=lambda c: c.sort_key)))
+    return CandidateSet(base, tuple(found.values()))
 
 
 def _window(items: Iterable[int], name: str, size: int) -> set[int]:
@@ -215,7 +218,7 @@ def _window(items: Iterable[int], name: str, size: int) -> set[int]:
     return set(items)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CandidateSet:
     """An ordered, deduplicated collection of candidates over one base;
     a walk using an edge outside ``base.edges`` is a ValueError naming
@@ -242,7 +245,7 @@ class CandidateSet:
 
     @cached_property
     def _hash(self) -> int:
-        """The dataclass hash of the fields, computed once: a memo key."""
+        """The record hash of the fields, computed once: a memo key."""
         return hash((self.base, self.candidates))
 
     def __len__(self) -> int:
@@ -352,7 +355,7 @@ def harmful_weight(base: BaseCode,
     return counts, w_max
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DependencyReport:
     """Dependency-graph degrees in candidate order, their maximum (the
     observed Delta) and the number of edges."""

@@ -24,17 +24,22 @@ rather than in the package:
 * ``CliqueCover``, ``build_pairwise_cover``, ``build_base_edge_cover``,
   ``verify_cover``, ``Lemma2Report`` and ``lemma2_evaluate`` are the
   generic clique-cover evaluator of the paper's Lemma 2, the independent
-  route the tests check Theorem 1's closed forms against.
+  route the tests check Theorem 1's closed forms against;
+* ``record_classes`` lists the record classes the package's modules
+  define (``dataclasses.is_dataclass`` finds them).
 """
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
-from dataclasses import dataclass
+import pkgutil
+from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+import scldpc
 from scldpc.model import CouplingScheme, Edge, SparseBinaryMatrix
 from scldpc import bounds
 from scldpc.moser_tardos import _cap
@@ -260,3 +265,13 @@ def lemma2_evaluate(cover: CliqueCover,
              for cliques in member_cliques]
     runtime = None if None in least else sum(least, Fraction(0))
     return Lemma2Report(condition1, condition2, avoidance, runtime)
+
+
+def record_classes() -> list[type]:
+    """The record classes of every ``scldpc`` module, in module order."""
+    modules = [importlib.import_module(f"scldpc.{info.name}")
+               for info in pkgutil.iter_modules(scldpc.__path__)
+               if info.name != "__main__"]
+    return [obj for module in modules for obj in vars(module).values()
+            if isinstance(obj, type) and is_dataclass(obj)
+            and obj.__module__ == module.__name__]

@@ -1,4 +1,5 @@
-"""The package never imports numpy.
+"""The package never imports numpy, and importing it compiles no code
+built from strings.
 
 ``scldpc.probability`` owns the random stream and draws it in pure Python,
 so no step loads numpy: not the exact probabilities, the bounds or the
@@ -6,6 +7,12 @@ four commands that never draw (``bounds``, ``enumerate``, ``verify``,
 ``export``), and not the runners, the experiment harness or the commands
 that draw (``construct``, ``experiment``).  Each check runs in a fresh
 interpreter, so nothing the test process already imported can hide a load.
+
+The same interpreter first imports every module the package's source
+names outside the package, then counts, with an audit hook, the
+``compile`` events of ``import scldpc`` and ``scldpc.cli`` whose source
+is not a file: code generated at import (as ``dataclasses.dataclass``
+generates its methods) would be compiled at every process start.
 """
 
 from __future__ import annotations
@@ -14,9 +21,33 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 _SCRIPT = r"""
-import contextlib, io, json, sys, tempfile
+import ast, contextlib, importlib, importlib.util, io, json, os, sys, tempfile
 from pathlib import Path
+
+# Preload what the package imports from outside itself, so the hook below
+# sees only the package's own import.
+spec = importlib.util.find_spec("scldpc")
+package = Path(spec.submodule_search_locations[0])
+outside = set()
+for path in package.glob("*.py"):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            outside.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            outside.add(node.module)
+for name in sorted(outside):
+    if name.split(".")[0] != "scldpc":
+        importlib.import_module(name)
+
+generated = []
+def audit(event, args):
+    if event == "compile" and not (isinstance(args[1], str)
+                                   and os.path.isfile(args[1])):
+        generated.append(repr(args[1]))
+sys.addaudithook(audit)
 
 loaded = {}
 def check(step):
@@ -26,6 +57,7 @@ import scldpc
 check("import scldpc")
 
 from scldpc import cli
+import_generated = list(generated)
 from scldpc.model import Assignment, BaseCode, CodeInstance, CouplingScheme
 from scldpc.serialize import export_instance_json
 
@@ -87,14 +119,20 @@ with tempfile.TemporaryDirectory() as tmp:
                               "--seed", "1",
                               "--out", str(Path(tmp) / "report.json"))
     check("cli experiment")
-print(json.dumps({"loaded": loaded, "codes": codes}))
+print(json.dumps({"loaded": loaded, "codes": codes,
+                  "import_generated": import_generated}))
 """
 
 
-def test_numpy_is_never_loaded():
+@pytest.fixture(scope="module")
+def doc():
+    """The script's report, from one fresh interpreter for both tests."""
     out = subprocess.run([sys.executable, "-c", _SCRIPT], capture_output=True,
                          text=True, check=True).stdout
-    doc = json.loads(out)
+    return json.loads(out)
+
+
+def test_numpy_is_never_loaded(doc):
     assert doc["codes"] == {"bounds": 0, "enumerate": 0, "verify": 0,
                             "export": 0, "construct": 0, "experiment": 0}
     assert list(doc["loaded"]) == [
@@ -104,3 +142,7 @@ def test_numpy_is_never_loaded():
         "cli construct", "cli experiment",
     ]
     assert not any(doc["loaded"].values()), doc["loaded"]
+
+
+def test_import_compiles_no_generated_code(doc):
+    assert doc["import_generated"] == []

@@ -1,26 +1,18 @@
-"""Every dataclass in ``scldpc`` carries a written docstring.
+"""Every record class in ``scldpc`` carries a written docstring.
 
-Without one, ``dataclass`` generates ``Name(field: type, ...)`` as the
-docstring, which ``help()`` then shows in place of a description (and
-which Python 3.10-3.13 build with ``inspect.signature`` at import).
+The records (``scldpc.model.record``) are dataclasses to ``dataclasses``
+(``is_dataclass`` finds them).  A class built by ``dataclass`` without a
+docstring gets ``Name(field: type, ...)`` as one, which ``help()`` shows
+in place of a description; the last test keeps that text out too.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import importlib
-import pkgutil
-
 import pytest
 
-import scldpc
+from helpers import record_classes
 
-_MODULES = [importlib.import_module(f"scldpc.{info.name}")
-            for info in pkgutil.iter_modules(scldpc.__path__)
-            if info.name != "__main__"]
-_DATACLASSES = [obj for module in _MODULES for obj in vars(module).values()
-                if isinstance(obj, type) and dataclasses.is_dataclass(obj)
-                and obj.__module__ == module.__name__]
+_DATACLASSES = record_classes()
 
 
 def test_the_package_defines_dataclasses():

@@ -45,6 +45,8 @@ def test_seed_sequence_matches_numpy(seed, key):
     ref = np.random.SeedSequence(seed, spawn_key=key)
     mine = seed_sequence(seed, *key)
     assert mine.pool == tuple(ref.pool.tolist())
+    # A key appended to a stream mixes into that stream's kept state.
+    assert seed_sequence(seed_sequence(seed), *key).pool == mine.pool
     assert mine.generate_state(5) == \
         ref.generate_state(5, np.uint64).tolist()
     assert seed_int(mine) == seed_int(ref) == \
@@ -59,6 +61,8 @@ def test_seed_int_of_spawned_children_matches_numpy(seed, key, n):
     expect = [int(c.generate_state(1, np.uint64)[0]) for c in children]
     assert [seed_int(seed_sequence(seed, *key, i)) for i in range(n)] == \
         expect
+    parent = seed_sequence(seed, *key)
+    assert [seed_int(seed_sequence(parent, i)) for i in range(n)] == expect
     numpy_parent = np.random.SeedSequence(seed, spawn_key=key)
     assert [seed_int(seed_sequence(numpy_parent, i)) for i in range(n)] == \
         expect
