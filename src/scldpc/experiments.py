@@ -413,6 +413,9 @@ def _run_trials(config: ExperimentConfig, elim: CandidateSet,
     and the total resamples; the other trials hit their cap."""
     base = config.base
     scheme = config.scheme
+    # Every trial reaches the first compile by identity, not by comparing.
+    elim = compile_events(elim, scheme, "joint" if config.mode == "joint"
+                          else "partition").cset
     _, obs_forms = stage_forms(base.edges, observe, scheme, _stage(config))
     hits = [0] * len(observe)
     resample_counts: list[int] = []

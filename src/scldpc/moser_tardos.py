@@ -11,11 +11,11 @@ variables its forms mention; it decides what a resample redraws.
 Each run compiles its targets once into an ``EventSystem``: the layout,
 and per event in canonical candidate order its label, forms, scope and
 dependency neighbourhood (the events sharing a support edge), and on first
-use its Theorem 1 ``certificate``.  ``compile_events`` memoises two whole
-target sets, so repeated trials compile each stage once.  Stage 2 picks
-its survivors with the forms stage 1 resampled, read back from the memo,
-and compiles them fresh per trial.  ``run_mt`` then only resamples: the
-Moser-Tardos loop
+use its Theorem 1 ``certificate``.  A run or study compiles each target
+set once (``compile_events``) and reaches the compile by identity: later
+lookups pass the compiled system's own ``cset``.  Stage 2 picks its
+survivors with the whole set's partition forms and compiles them fresh
+per trial.  ``run_mt`` then only resamples: the Moser-Tardos loop
 
     while some bad event occurs:
         redraw the variables in scope(least occurring event)
@@ -127,9 +127,7 @@ def _compile(cset: CandidateSet, scheme: CouplingScheme,
 
 
 # Pure over frozen inputs; only the certificate is filled in later, once.
-# A trial compiles at most two whole sets (the targets and, when some are
-# rejected, the thinnable rest); stage 2 looks the targets' partition
-# compile up again, and its survivor sets bypass the memo.
+# Stage 2's survivor sets differ per trial and bypass the memo.
 compile_events = lru_cache(maxsize=2)(_compile)
 
 
@@ -315,26 +313,24 @@ def construct_two_stage(base: BaseCode, scheme: CouplingScheme, targets,
                         ) -> tuple[CodeInstance, TwoStageReport]:
     """Partition stage first (best effort), then lift the survivors.
 
-    Stage 1 runs on the targets' partition compile or, when that compile
-    ``rejected`` some (e.g. every target at memory 0), on the compile of
-    the rest; the rejected go to stage 2 as they are.  Its cap defaults to
-    the stage-1 compile's cap when its certificate holds, and to 0
-    otherwise: without a certificate a capped run guarantees nothing, so
-    stage 1 is the initial draw alone.  Whatever survives goes to the lift
-    stage.
+    Stage 1 runs on the targets' partition compile, or on no targets when
+    that compile ``rejected`` some: then either the pattern has one value
+    and stage 1 can thin none, or a rejected target's coefficients all
+    vanish, so it has no lift form either and stage 2 refuses the run
+    whatever stage 1 drew.  Its cap defaults to the compile's cap when its
+    certificate holds, and to 0 otherwise: without a certificate a capped
+    run guarantees nothing, so stage 1 is the initial draw alone.  Whatever
+    survives goes to the lift stage.
     """
-    cset = _normalize_targets(base, targets)
-    stage1 = compile_events(cset, scheme, "partition")
-    if stage1.rejected:
-        stage1 = compile_events(CandidateSet(base, tuple(
-            c for c, fs in zip(cset, stage1.forms) if fs)), scheme,
-            "partition")
+    whole = compile_events(_normalize_targets(base, targets), scheme,
+                           "partition")
     s1, s2 = derive_child_seeds(seed, 2)
     if stage1_max is None:
-        stage1_max = _cap(stage1.certificate, 0)
-    partition, trace1 = run_stage_partition(base, scheme, stage1.cset, s1,
+        stage1_max = _cap(whole.certificate, 0)
+    stage1 = CandidateSet(base, ()) if whole.rejected else whole.cset
+    partition, trace1 = run_stage_partition(base, scheme, stage1, s1,
                                             stage1_max)
-    lift, trace2 = run_stage_lift(base, scheme, partition, cset, s2,
+    lift, trace2 = run_stage_lift(base, scheme, partition, whole.cset, s2,
                                   stage2_max)
     instance = CodeInstance(base, scheme, partition, lift,
                             seed=recorded_seed(seed))

@@ -154,15 +154,41 @@ class WalkCandidate:
         return f"c{self.two_g}:{pairs}"
 
 
+def _extend(seq: list[int], two_g: int, simple: bool,
+            col_adj: list[tuple[int, ...]], row_adj: list[tuple[int, ...]],
+            found: dict[tuple[int, ...], WalkCandidate]) -> None:
+    """Depth-first search below the prefix ``seq`` (restored on return):
+    each walk that closes at length ``two_g`` adds its canonical candidate
+    to ``found``."""
+    j1, i1 = seq[0], seq[1]
+    j_prev, i_prev = seq[-2], seq[-1]
+    if len(seq) == two_g:
+        # closing column j1, not backtracking through it
+        if j1 in col_adj[i_prev] and i_prev != i1:
+            canon = min(_dihedral_orbit(tuple(seq)))
+            if canon not in found:
+                found[canon] = WalkCandidate._from_canonical(canon)
+        return
+    # a last column equal to j1 would make the walk a tail
+    last = len(seq) == two_g - 2
+    for j in col_adj[i_prev]:
+        if (j < j1 or j == j_prev or (last and j == j1)
+                or (simple and j in seq[0::2])):
+            continue
+        for i in row_adj[j]:
+            if i != i_prev and not (simple and i in seq[1::2]):
+                seq += (j, i)
+                _extend(seq, two_g, simple, col_adj, row_adj, found)
+                del seq[-2:]
+
+
 def enumerate_cycles(base: BaseCode, two_g: int,
                      mode: str = "simple") -> "CandidateSet":
     """Enumerate all candidates of one length, deduplicated canonically.
 
-    DFS over alternating node sequences anchored so the first column index
-    is the smallest column the walk visits; every orbit is still reached
-    because rotation can bring any column to the front.  The DFS keeps an
-    explicit stack, one iterator of (column, row) steps per prefix, so no
-    recursive closure is left for the cyclic collector.
+    DFS (``_extend``) over alternating node sequences anchored so the first
+    column index is the smallest column the walk visits; every orbit is
+    still reached because rotation can bring any column to the front.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -172,39 +198,11 @@ def enumerate_cycles(base: BaseCode, two_g: int,
                for i in range(base.gamma)]
     row_adj = [tuple(i for i in range(base.gamma) if base.mask[i][j])
                for j in range(base.kappa)]
-    simple = mode == "simple"
     found: dict[tuple[int, ...], WalkCandidate] = {}
     for j1 in range(base.kappa):
         for i1 in row_adj[j1]:
-            seq = [j1, i1]
-            stack: list[Iterator[tuple[int, int]]] = []
-            while True:
-                if len(seq) == two_g:
-                    # closing column j1, not backtracking through it
-                    if j1 in col_adj[seq[-1]] and seq[-1] != i1:
-                        canon = min(_dihedral_orbit(tuple(seq)))
-                        if canon not in found:
-                            found[canon] = WalkCandidate._from_canonical(canon)
-                    del seq[-2:]
-                else:
-                    # a last column equal to j1 would make the walk a tail
-                    j_prev, i_prev = seq[-2], seq[-1]
-                    last = len(seq) == two_g - 2
-                    stack.append(iter([
-                        (j, i) for j in col_adj[i_prev]
-                        if j >= j1 and j != j_prev and not (last and j == j1)
-                        and not (simple and j in seq[0::2])
-                        for i in row_adj[j]
-                        if i != i_prev and not (simple and i in seq[1::2])]))
-                while stack:
-                    step = next(stack[-1], None)
-                    if step is not None:
-                        seq.extend(step)
-                        break
-                    stack.pop()
-                    del seq[-2:]
-                else:
-                    break
+            _extend([j1, i1], two_g, mode == "simple", col_adj, row_adj,
+                    found)
     return CandidateSet(base, tuple(found.values()))
 
 

@@ -307,6 +307,23 @@ def test_construct_leaves_no_argparse_garbage(tmp_path, capsys):
     assert not left
 
 
+@pytest.mark.parametrize("two_g", ["8", "10"])
+def test_enumerate_leaves_no_cyclic_garbage(two_g, tmp_path, capsys):
+    # The walk search recurses through a module-level function with its
+    # state in arguments, so it leaves nothing for the cyclic collector.
+    args = ["enumerate", "--gamma", "3", "--kappa", "4", "--two-g", two_g,
+            "--walk-mode", "tbc", "--out"]
+    assert run_cli(*args, str(tmp_path / "warm.jsonl")) == EXIT_OK
+    gc.disable()
+    try:
+        gc.collect()
+        assert run_cli(*args, str(tmp_path / "run.jsonl")) == EXIT_OK
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
 def test_construct_then_verify_then_export(tmp_path, capsys):
     out = tmp_path / "run"
     code = run_cli("construct", "--gamma", "3", "--kappa", "7", "--m", "1",

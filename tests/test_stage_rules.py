@@ -15,7 +15,11 @@ its decisions: ``compile_events``' two-entry memo must equal fresh
 computations, hit on equal keys built apart and hold the whole target
 sets across two-stage trials, its ``rejected`` targets are exactly those
 certain to occur, and its Theorem 1 certificate is computed only when a
-default budget or the harness reads it.
+default budget or the harness reads it.  The two-stage pipeline compiles
+the whole target set once and must agree with the rule it replaced (a
+second compile of the targets with partition forms), and a second study
+or construct on an equal set compares target sets a fixed number of
+times, not once per trial.
 """
 
 from __future__ import annotations
@@ -26,20 +30,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scldpc import (AdmissionError, Assignment, BaseCode, CandidateSet,
-                    CouplingScheme, ExperimentConfig, StructureSpec,
-                    construct_two_stage, enumerate_cycles,
+                    CodeInstance, CouplingScheme, ExperimentConfig,
+                    StructureSpec, construct_two_stage,
+                    derive_child_seeds, enumerate_cycles,
                     is_active_lift, is_active_partition, joint_prob,
                     lift_prob_exact, run_joint, run_stage_lift,
                     run_stage_partition, spreading_prob_exact)
 from scldpc import bounds, cli, experiments, moser_tardos
-from scldpc.moser_tardos import (FALLBACK_CAP, compile_events, run_mt,
-                                 values_from_grids)
-from scldpc.probability import (seed_sequence, stage_blocks, stage_forms,
-                                stage_prob, vanish)
+from scldpc.moser_tardos import (FALLBACK_CAP, TwoStageReport,
+                                 compile_events, run_mt, values_from_grids)
+from scldpc.probability import (recorded_seed, seed_sequence, stage_blocks,
+                                stage_forms, stage_prob, vanish)
 from helpers import default_cap
 
 SCHEMES = [
@@ -334,9 +339,9 @@ def test_memo_keys_hash_as_their_fields():
 
 
 def test_two_stage_trials_compile_stage1_once():
-    # Stage 1 reads the whole set's memoised compile in every trial, and
-    # stage 2 reads it again to pick its survivors; those differ per trial
-    # and stay out of the memo.
+    # The harness compiles the whole set first; then each trial's two-stage
+    # call, stage 1 and stage 2 (to pick its survivors) read that compile.
+    # The survivor sets differ per trial and stay out of the memo.
     scheme = CouplingScheme.uniform(1, lifting_degree=8)
     config = ExperimentConfig(3, 4, scheme, "two-stage", 12, 5,
                               StructureSpec(4), (StructureSpec(6),))
@@ -344,12 +349,12 @@ def test_two_stage_trials_compile_stage1_once():
     compile_events.cache_clear()
     experiments._run_trials(config, elim)
     info = compile_events.cache_info()
-    assert (info.misses, info.hits) == (1, 3 * config.trials - 1)
+    assert (info.misses, info.hits) == (1, 3 * config.trials)
 
 
 def test_memory_0_trials_compile_both_whole_sets_once():
     # At memory 0 the partition compile rejects every target, so stage 1
-    # runs on a second whole set, the thinnable rest; both stay memoised,
+    # runs on no targets: the memo holds the target set and the empty set,
     # and stage 2 reads the first to pick its survivors.
     scheme = CouplingScheme.uniform(0, lifting_degree=13)
     config = ExperimentConfig(3, 4, scheme, "two-stage", 10, 5,
@@ -359,7 +364,142 @@ def test_memory_0_trials_compile_both_whole_sets_once():
     compile_events.cache_clear()
     experiments._run_trials(config, elim)
     info = compile_events.cache_info()
-    assert (info.misses, info.hits) == (2, 4 * config.trials - 2)
+    assert (info.misses, info.hits) == (2, 3 * config.trials - 1)
+    for cset in (elim, CandidateSet(elim.base, ())):
+        compile_events(cset, scheme, "partition")
+    assert compile_events.cache_info().misses == 2
+
+
+def _reference_two_stage(base, scheme, cset, seed, stage2_max):
+    """The two-stage rule this package had before: stage 1 runs on the
+    targets with partition forms (a second compile when some are
+    rejected) on that set's certified cap or 0, and stage 2 lifts the
+    survivors among all targets."""
+    forms = compile_events(cset, scheme, "partition").forms
+    rest = CandidateSet(base, tuple(c for c, fs in zip(cset, forms) if fs))
+    cap = moser_tardos._cap(
+        compile_events(rest, scheme, "partition").certificate, 0)
+    s1, s2 = derive_child_seeds(seed, 2)
+    partition, trace1 = run_stage_partition(base, scheme, rest, s1, cap)
+    lift, trace2 = run_stage_lift(base, scheme, partition, cset, s2,
+                                  stage2_max)
+    return (CodeInstance(base, scheme, partition, lift,
+                         seed=recorded_seed(seed)),
+            TwoStageReport(trace1, trace2))
+
+
+def _outcome(construct, *args):
+    """The construction, or the stage and labels of its AdmissionError."""
+    try:
+        return construct(*args)
+    except AdmissionError as err:
+        return err.stage, err.labels
+
+
+@st.composite
+def _two_stage_cases(draw) -> tuple[CandidateSet, CouplingScheme, int]:
+    """Every 4-, 6- or tbc 8- to 12-walk (tbc 12 carries all-zero walks)
+    over a random masked base, a pattern of 1-3 values, Z in 1..6 and a
+    seed."""
+    two_g, mode = draw(st.sampled_from([(4, "simple"), (6, "simple"),
+                                        (8, "tbc"), (10, "tbc"),
+                                        (12, "tbc")]))
+    gamma = draw(st.integers(2, 3))
+    kappa = draw(st.integers(2, 3 if two_g == 12 else 4))
+    cell = st.sampled_from((1, 1, 0)) if draw(st.booleans()) else st.just(1)
+    mask = draw(st.lists(st.lists(cell, min_size=kappa, max_size=kappa),
+                         min_size=gamma, max_size=gamma))
+    base = BaseCode(gamma, kappa, mask=tuple(map(tuple, mask)))
+    pattern = tuple(sorted(draw(st.sets(st.integers(0, 3), min_size=1,
+                                        max_size=3))))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(pattern),
+                            max_size=len(pattern)))
+    scheme = CouplingScheme(pattern,
+                            tuple(Fraction(w, sum(weights)) for w in weights),
+                            pattern[-1] + 1, draw(st.integers(1, 6)))
+    return (enumerate_cycles(base, two_g, mode), scheme,
+            draw(st.integers(0, 5)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_two_stage_cases())
+@example(case=(enumerate_cycles(BaseCode(2, 3), 12, "tbc"),
+               CouplingScheme.uniform(1, lifting_degree=4), 0))
+@example(case=(enumerate_cycles(BaseCode(3, 3), 12, "tbc"),
+               CouplingScheme.uniform(0, lifting_degree=5), 1))
+def test_two_stage_equals_the_rule_with_a_second_compile(case):
+    # A partition compile rejects a target only when the pattern has one
+    # value (it rejects them all, and the rest is empty) or when all the
+    # target's coefficients vanish: then it has no lift form either, and
+    # stage 2 refuses the run whatever stage 1 drew.
+    # Stage 2's cap is fixed (a lift stage that cannot clear its survivors
+    # would run to FALLBACK_CAP); stage 1 keeps its default.
+    cset, scheme, seed = case
+    base = cset.base
+    looked_up = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moser_tardos, "compile_events",
+                   lambda c, *key: looked_up.append(c) or compile_events(
+                       c, *key))
+        compile_events.cache_clear()
+        got = _outcome(construct_two_stage, base, scheme, cset, seed, None,
+                       200)
+    rejected = compile_events(cset, scheme, "partition").rejected
+    # One compile of the targets, reached by identity; at most the empty
+    # set besides.
+    assert all(c is cset for c in looked_up if len(c))
+    assert compile_events.cache_info().misses == 1 + bool(rejected)
+    want = _outcome(_reference_two_stage, base, scheme, cset, seed, 200)
+    if len(scheme.pattern) == 1 or not rejected:
+        assert got == want
+    else:
+        assert got[0] == want[0] == "lift"
+        zero = {c.key for c in cset if not c.avoidable}
+        assert zero and zero <= set(got[1])
+
+
+def _equal_set_comparisons(monkeypatch, run) -> int:
+    """``CandidateSet.__eq__`` calls made by ``run()``."""
+    calls = []
+    real = CandidateSet.__eq__
+    with monkeypatch.context() as mp:
+        mp.setattr(CandidateSet, "__eq__",
+                   lambda a, b: calls.append(1) or real(a, b))
+        run()
+    return len(calls)
+
+
+@pytest.mark.parametrize("mode", experiments.MODES)
+def test_a_second_equal_study_compares_target_sets_a_fixed_number_of_times(
+        mode, monkeypatch, fresh_compile):
+    # Each study builds its own eliminate set; the first compile keeps the
+    # set it was given, and every trial then reaches it by identity.
+    scheme = CouplingScheme.uniform(3, lifting_degree=61)
+    counts = []
+    for trials in (4, 12):
+        config = ExperimentConfig(3, 4, scheme, mode, trials, 3,
+                                  StructureSpec(4), (StructureSpec(6),))
+        experiments.estimate_mt_shift(config)
+        counts.append(_equal_set_comparisons(
+            monkeypatch, lambda: experiments.estimate_mt_shift(config)))
+    assert counts[0] == counts[1] <= 3
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_a_second_equal_construct_compares_target_sets_a_fixed_number_of_times(
+        m, monkeypatch, fresh_compile):
+    # The call compares its own set with the memoised one once, then runs
+    # both stages on the compile's set (and, at memory 0, stage 1 on a new
+    # empty set, compared with the memoised empty one).
+    base = BaseCode(3, 4)
+    scheme = CouplingScheme.uniform(m, lifting_degree=13)
+    first = enumerate_cycles(base, 4)
+    construct_two_stage(base, scheme, first, 0)
+    again = enumerate_cycles(base, 4)
+    assert again == first and again is not first
+    assert _equal_set_comparisons(
+        monkeypatch,
+        lambda: construct_two_stage(base, scheme, again, 1)) == 1 + (m == 0)
 
 
 def test_certified_stage1_budget_at_the_fallback_value_is_kept(
