@@ -248,7 +248,7 @@ def theorem1_feasibility(cset: CandidateSet, probs: Sequence[Fraction],
     else:
         raise ValueError(f"unknown delta source {delta_source!r}")
 
-    _, w_max = harmful_weight(cset.base, cset)
+    _, w_max = harmful_weight(cset)
     struct_size = max(c.vertex_count for c in cset)
     thresholds = theorem1_thresholds(delta, struct_size, w_max)
     branch = thresholds.branch

@@ -423,9 +423,8 @@ def _run_trials(config: ExperimentConfig, elim: CandidateSet,
     for t in range(config.trials):
         seed_t = seed_sequence(root, STREAM_TRIALS + t)
         if config.mode == "partition-only":
-            partition, run = run_stage_partition(base, scheme, elim, seed_t,
-                                                 config.cap)
-            grids = (partition,)
+            values, run = run_stage_partition(base, scheme, elim, seed_t,
+                                              config.cap)
         else:
             if config.mode == "joint":
                 instance, run = run_joint(base, scheme, elim, seed_t,
@@ -433,10 +432,10 @@ def _run_trials(config: ExperimentConfig, elim: CandidateSet,
             else:
                 instance, run = construct_two_stage(
                     base, scheme, elim, seed_t, config.cap, config.cap)
-            grids = (instance.partition, instance.lift)
+            values = values_from_grids(base, instance.partition,
+                                       instance.lift)
         if run.terminated:
             resample_counts.append(run.total_resamples)
-            values = values_from_grids(base, *grids)
             hits = [h + vanish(fs, values) for h, fs in zip(hits, obs_forms)]
     return hits, resample_counts
 

@@ -515,31 +515,24 @@ class CodeInstance:
     def __post_init__(self) -> None:
         if self.partition.stage != "partition" or self.lift.stage != "lift":
             raise ValueError("assignments passed in the wrong order")
-        _check_partition(self.base, self.scheme, self.partition)
-        _check_cover(self.base, self.lift)
         z = self.scheme.lifting_degree
-        for (i, j), v in self.lift.items():
-            if not 0 <= v < z:
-                raise ValueError(
-                    f"lift shift {v} on edge ({i},{j}) outside [0,{z})")
+        _check_grid(self.base, self.partition, self.scheme.pattern,
+                    "not in pattern")
+        _check_grid(self.base, self.lift, range(z), f"outside [0,{z})")
 
 
-def _check_cover(base: BaseCode, a: Assignment) -> None:
-    """A value on every base edge and on no masked-out position."""
+def _check_grid(base: BaseCode, a: Assignment, allowed,
+                outside: str) -> None:
+    """A value on every base edge, none on a masked-out position, and each
+    in ``allowed``."""
     if not a.covers(base):
         raise ValueError(f"{a.stage} assignment does not cover the base mask")
     for (i, j), v in a.items():
         if not base.mask[i][j]:
             raise ValueError(f"{a.stage} value {v} on masked-out ({i},{j})")
-
-
-def _check_partition(base: BaseCode, scheme: CouplingScheme,
-                     partition: Assignment) -> None:
-    _check_cover(base, partition)
-    for (i, j), v in partition.items():
-        if v not in scheme.pattern:
-            raise ValueError(
-                f"partition value {v} on edge ({i},{j}) not in pattern")
+        if v not in allowed:
+            raise ValueError(f"{a.stage} value {v} on edge ({i},{j}) "
+                             f"{outside}")
 
 
 def assemble_qc(instance: CodeInstance) -> SparseBinaryMatrix:

@@ -14,8 +14,9 @@ dependency neighbourhood (the events sharing a support edge), and on first
 use its Theorem 1 ``certificate``.  A run or study compiles each target
 set once (``compile_events``) and reaches the compile by identity: later
 lookups pass the compiled system's own ``cset``.  Stage 2 picks its
-survivors with the whole set's partition forms and compiles them fresh
-per trial.  ``run_mt`` then only resamples: the Moser-Tardos loop
+survivors with the whole set's partition forms on stage 1's values, kept
+in the stage layout (only a ``CodeInstance`` holds grids), and compiles
+them fresh per trial.  ``run_mt`` then only resamples: the Moser-Tardos loop
 
     while some bad event occurs:
         redraw the variables in scope(least occurring event)
@@ -39,7 +40,7 @@ from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .model import (Assignment, BaseCode, CodeInstance, CouplingScheme,
-                    _check_partition, record)
+                    record)
 from .probability import (Block, Form, SeedLike, draw, recorded_seed, rng,
                           seed_int, seed_sequence, stage_forms, stage_prob,
                           vanish)
@@ -190,6 +191,12 @@ def _normalize_targets(base: BaseCode, targets) -> CandidateSet:
     return CandidateSet(base, tuple(set(targets)))
 
 
+@lru_cache(maxsize=2)
+def _no_targets(base: BaseCode) -> CandidateSet:
+    """One empty target set per base: its compile is reached by identity."""
+    return CandidateSet(base, ())
+
+
 def _cap(rep: Optional[bounds.BoundReport], fallback=FALLBACK_CAP) -> int:
     """1000x ``rep``'s resample bound (or target count) if it certifies."""
     if rep is None or not rep.feasible:
@@ -198,58 +205,63 @@ def _cap(rep: Optional[bounds.BoundReport], fallback=FALLBACK_CAP) -> int:
     return 1000 * max(1, rep.k if bound is None else math.ceil(bound))
 
 
-def _grid_from_values(base: BaseCode, stage: str, values: Sequence[int],
-                      offset: int = 0) -> Assignment:
-    """The stage's grid in one pass: the masked cells, in row-major
-    order, are ``base.edges``, which take ``values[offset:]`` in turn
-    (``Assignment`` makes each row a tuple)."""
-    it = iter(values[offset:])
-    return Assignment(stage, tuple([next(it) if on else None for on in row]
-                                   for row in base.mask))
+def _instance(base: BaseCode, scheme: CouplingScheme, values: Sequence[int],
+              seed: Optional[int]) -> CodeInstance:
+    """The instance of joint-layout ``values``: each stage's masked cells,
+    row-major (``base.edges``), take them in turn, partition first."""
+    it = iter(values)
+    grids = (Assignment(stage, tuple([next(it) if on else None for on in row]
+                                     for row in base.mask))
+             for stage in ("partition", "lift"))
+    return CodeInstance(base, scheme, *grids, seed=seed)
 
 
 def values_from_grids(base: BaseCode, *grids: Assignment) -> list[int]:
-    """An output's values in the stage layout: partition, then lift."""
+    """An instance's values in the stage layout: partition, then lift."""
     return [g.values[i][j] for g in grids for i, j in base.edges]
 
 
 def run_stage_partition(base: BaseCode, scheme: CouplingScheme, targets,
-                        seed: SeedLike,
-                        max_resamples: Optional[int] = None
-                        ) -> tuple[Assignment, MTTrace]:
-    """Draw spreading values until no target survives the integer condition."""
+                        seed: SeedLike, max_resamples: Optional[int] = None
+                        ) -> tuple[list[int], MTTrace]:
+    """Draw spreading values, one per ``base.edges``, until no target
+    survives the integer condition."""
     cset = _normalize_targets(base, targets)
     system = compile_events(cset, scheme, "partition")
     if max_resamples is None:
         max_resamples = _cap(system.certificate)
-    values, trace = run_mt(system, seed, max_resamples)
-    return _grid_from_values(base, "partition", values), trace
+    return run_mt(system, seed, max_resamples)
 
 
 def run_stage_lift(base: BaseCode, scheme: CouplingScheme,
-                   partition: Assignment, targets, seed: SeedLike,
+                   partition: Sequence[int], targets, seed: SeedLike,
                    max_resamples: Optional[int] = None
-                   ) -> tuple[Assignment, MTTrace]:
-    """Draw lift shifts killing the targets that survived the partition.
+                   ) -> tuple[list[int], MTTrace]:
+    """Draw lift shifts, one per ``base.edges``, killing the targets that
+    survived ``partition`` (stage 1's spreading values in that layout).
 
     The survivors are the targets whose partition forms all vanish on
     ``partition`` (a target without forms always survives); only they
     become events.  With none the result is a plain uniform draw with zero
-    resamples.  A partition that does not cover the base or holds a value
-    outside the pattern is a ValueError.
+    resamples.  A partition of another length or with a value outside the
+    pattern is a ValueError.
     """
     cset = _normalize_targets(base, targets)
-    _check_partition(base, scheme, partition)
+    if len(partition) != len(base.edges):
+        raise ValueError(f"partition holds {len(partition)} values for "
+                         f"{len(base.edges)} base edges")
+    for e, v in zip(base.edges, partition):
+        if v not in scheme.pattern:
+            raise ValueError(f"partition value {v} on {e} not in pattern")
     stage1 = compile_events(cset, scheme, "partition")
-    values = values_from_grids(base, partition)
     survivors = CandidateSet(base, tuple(
-        c for c, fs in zip(cset, stage1.forms) if vanish(fs, values)))
+        c for c, fs in zip(cset, stage1.forms) if vanish(fs, partition)))
     system = _compile(survivors, scheme, "lift")
     if max_resamples is None and len(survivors):
         max_resamples = _cap(system.certificate)
     values, trace = run_mt(system, seed, max_resamples)
     trace.metadata["survivors"] = list(system.labels)
-    return _grid_from_values(base, "lift", values), trace
+    return values, trace
 
 
 def run_joint(base: BaseCode, scheme: CouplingScheme, targets,
@@ -262,10 +274,7 @@ def run_joint(base: BaseCode, scheme: CouplingScheme, targets,
     if max_resamples is None:
         max_resamples = _cap(system.certificate)
     values, trace = run_mt(system, seed, max_resamples)
-    partition = _grid_from_values(base, "partition", values)
-    lift = _grid_from_values(base, "lift", values, offset=len(base.edges))
-    instance = CodeInstance(base, scheme, partition, lift, seed=trace.seed)
-    return instance, trace
+    return _instance(base, scheme, values, trace.seed), trace
 
 
 @record
@@ -327,11 +336,10 @@ def construct_two_stage(base: BaseCode, scheme: CouplingScheme, targets,
     s1, s2 = derive_child_seeds(seed, 2)
     if stage1_max is None:
         stage1_max = _cap(whole.certificate, 0)
-    stage1 = CandidateSet(base, ()) if whole.rejected else whole.cset
+    stage1 = _no_targets(base) if whole.rejected else whole.cset
     partition, trace1 = run_stage_partition(base, scheme, stage1, s1,
                                             stage1_max)
     lift, trace2 = run_stage_lift(base, scheme, partition, whole.cset, s2,
                                   stage2_max)
-    instance = CodeInstance(base, scheme, partition, lift,
-                            seed=recorded_seed(seed))
-    return instance, TwoStageReport(trace1, trace2)
+    return (_instance(base, scheme, partition + lift, recorded_seed(seed)),
+            TwoStageReport(trace1, trace2))

@@ -342,11 +342,10 @@ def is_active_lift(cand: WalkCandidate, lift: Assignment, z: int) -> bool:
     return _signed_sum(cand, lift, "lift") % z == 0
 
 
-def harmful_weight(base: BaseCode,
-                   cset: CandidateSet) -> tuple[dict[Edge, int], int]:
+def harmful_weight(cset: CandidateSet) -> tuple[dict[Edge, int], int]:
     """Per-edge counts of the candidates whose support holds the edge (the
-    base-edge cliques) and their maximum W."""
-    counts = {e: 0 for e in base.edges}
+    base-edge cliques of ``cset.base``) and their maximum W."""
+    counts = {e: 0 for e in cset.base.edges}
     for e, members in cset.by_support.items():
         counts[e] = len(members)
     w_max = max(counts.values()) if counts else 0

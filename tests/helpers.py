@@ -6,6 +6,9 @@ rather than in the package:
 * ``from_entries`` builds a ``SparseBinaryMatrix`` from (row, column)
   pairs;
 * ``support_mod`` is a walk's lift-stage support;
+* ``stage_grid`` is the ``Assignment`` grid of one stage's values in the
+  stage layout (one per ``base.edges``), for the grid checks and goldens
+  that read a stage runner's output;
 * ``default_cap`` is the runners' budget rule applied to a candidate set
   and its probabilities (the runners read it off the compiled stage's
   certificate), with any ValueError from Theorem 1 read as no
@@ -40,7 +43,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import scldpc
-from scldpc.model import CouplingScheme, Edge, SparseBinaryMatrix
+from scldpc.model import (Assignment, BaseCode, CouplingScheme, Edge,
+                          SparseBinaryMatrix)
 from scldpc import bounds
 from scldpc.moser_tardos import _cap
 from scldpc.probability import (ActivationProbability, draw, joint_prob,
@@ -57,6 +61,14 @@ def from_entries(nrows: int, ncols: int,
             raise ValueError(f"entry ({r},{c}) out of range")
         cols[c].add(r)
     return SparseBinaryMatrix(nrows, ncols, [sorted(s) for s in cols])
+
+
+def stage_grid(base: BaseCode, stage: str,
+               values: Sequence[int]) -> Assignment:
+    if len(values) != len(base.edges):
+        raise ValueError("one value per base edge expected")
+    return Assignment.from_dict(stage, dict(zip(base.edges, values)),
+                                base.gamma, base.kappa)
 
 
 def support_mod(cand: WalkCandidate, z: int) -> tuple[Edge, ...]:
@@ -201,7 +213,7 @@ def build_base_edge_cover(cset: CandidateSet,
     default weight 1/((W-1) h)."""
     cliques = tuple(members for _, members in sorted(cset.by_support.items()))
     if x is None:
-        _, w = harmful_weight(cset.base, cset)
+        _, w = harmful_weight(cset)
         if w < 2:
             raise ValueError("default weight needs harmful weight >= 2; "
                              "pass x explicitly")

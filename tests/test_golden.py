@@ -37,6 +37,10 @@ with that one rule replaced.  ``run_stage_partition``, ``run_stage_lift``,
 complete); ``construct_two_stage``, ``construct-two-stage`` and
 ``construct-joint`` changed only in ``wall_iterations``, which now equals
 ``total_resamples``.
+The two stage runners return their values in the stage layout (one per
+``base.edges``); their cases hash the grid ``stage_grid`` builds from
+those values, the grid the runners returned when the digests were
+recorded.
 To print the current digests: ``python tests/test_golden.py``.
 """
 
@@ -50,12 +54,12 @@ from pathlib import Path
 
 import pytest
 
-from scldpc import (Assignment, BaseCode, CouplingScheme, ExperimentConfig,
+from scldpc import (BaseCode, CouplingScheme, ExperimentConfig,
                     StructureSpec, construct_two_stage, enumerate_cycles,
                     estimate_baseline, estimate_mt_shift, run_joint,
                     run_stage_lift, run_stage_partition)
 from scldpc.cli import main
-from helpers import HarmfulStructure, mc_structure_prob
+from helpers import HarmfulStructure, mc_structure_prob, stage_grid
 
 
 def _digest(obj) -> str:
@@ -74,14 +78,16 @@ def _partition():
     out = []
     for seed in range(4):
         a, t = run_stage_partition(base, scheme, c4, seed, 150)
-        out.append([a.values, dataclasses.asdict(t)])
+        out.append([stage_grid(base, "partition", a).values,
+                    dataclasses.asdict(t)])
     # Default cap (certified at m=3 on 2x3), and a non-uniform pattern.
     small = BaseCode(2, 3)
     for scheme in (CouplingScheme.uniform(3),
                    CouplingScheme((0, 2, 5), ("1/2", "1/3", "1/6"), 6)):
         a, t = run_stage_partition(small, scheme,
                                    enumerate_cycles(small, 4), 11)
-        out.append([a.values, dataclasses.asdict(t)])
+        out.append([stage_grid(small, "partition", a).values,
+                    dataclasses.asdict(t)])
     return out
 
 
@@ -89,20 +95,21 @@ def _lift():
     out = []
     base = BaseCode(3, 3)
     scheme = CouplingScheme.uniform(0, lifting_degree=5)
-    flat = Assignment.from_dict("partition", {e: 0 for e in base.edges},
-                                3, 3)
+    flat = [0] * len(base.edges)
     c8 = enumerate_cycles(base, 8, "tbc")
     assert any(abs(c) == 2 for cand in c8 for _, c in cand.coeffs)
     for seed in range(3):
         a, t = run_stage_lift(base, scheme, flat, c8, seed, 400)
-        out.append([a.values, dataclasses.asdict(t)])
+        out.append([stage_grid(base, "lift", a).values,
+                    dataclasses.asdict(t)])
     base = BaseCode(3, 5)
     scheme = CouplingScheme.uniform(1, lifting_degree=11)
     targets = _c4_c6(base)
     part, _ = run_stage_partition(base, scheme, targets, 5, 100)
     for seed in range(3):
         a, t = run_stage_lift(base, scheme, part, targets, seed)
-        out.append([a.values, dataclasses.asdict(t)])
+        out.append([stage_grid(base, "lift", a).values,
+                    dataclasses.asdict(t)])
     return out
 
 

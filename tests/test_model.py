@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scldpc import (Assignment, BaseCode, CodeInstance, CouplingScheme,
                     SparseBinaryMatrix, WalkCandidate, assemble_qc,
                     export_alist, girth, parse_alist)
-from scldpc.model import _as_fraction, _check_partition, frac_text
+from scldpc.model import _as_fraction, frac_text
 from dense import to_dense
 from helpers import from_entries
 from test_graphs import _girth_reference
@@ -42,7 +42,8 @@ def assemble_protograph(base: BaseCode, partition: Assignment,
     Replica r contributes, for each base edge (i, j) with component
     k = P(i, j), a one at row (r + k)*gamma + i, column r*kappa + j.
     """
-    _check_partition(base, scheme, partition)
+    # CodeInstance owns the partition check; a zero lift is valid at any Z.
+    CodeInstance(base, scheme, partition, _lift_grid(base, lambda i, j: 0))
     m = scheme.memory
     length = scheme.coupling_length
     nrows = base.gamma * (length + m)
@@ -284,7 +285,7 @@ def test_partition_value_outside_pattern_rejected():
     base = BaseCode(2, 2)
     scheme = CouplingScheme((0, 2), (Fraction(1, 2), Fraction(1, 2)), 3, 1)
     partition = _grid(base, lambda i, j: 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not in pattern"):
         assemble_protograph(base, partition, scheme)
 
 
@@ -292,7 +293,7 @@ def test_partition_must_cover_every_edge():
     base = BaseCode(2, 2)
     scheme = CouplingScheme.uniform(1)
     partition = Assignment("partition", ((0, None), (0, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not cover"):
         assemble_protograph(base, partition, scheme)
 
 
@@ -419,7 +420,8 @@ def test_equal_matrices_from_every_builder_hash_equal(inst):
 def test_instance_validates_lift_range():
     base = BaseCode(1, 1)
     scheme = CouplingScheme.uniform(0, lifting_degree=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^lift value 3 on edge \(0,0\) "
+                                         r"outside \[0,3\)$"):
         CodeInstance(base, scheme,
                      _grid(base, lambda i, j: 0),
                      _lift_grid(base, lambda i, j: 3))

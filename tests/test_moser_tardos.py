@@ -10,21 +10,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scldpc import (AdmissionError, Assignment, BaseCode, CandidateSet,
+from scldpc import (AdmissionError, BaseCode, CandidateSet,
                     CouplingScheme, assemble_qc, cli, construct_two_stage,
                     derive_child_seeds,
                     enumerate_cycles, girth, joint_prob, run_joint,
                     run_stage_lift, run_stage_partition,
                     spreading_prob_exact)
-from scldpc.moser_tardos import MTTrace, compile_events, run_mt
+from scldpc.moser_tardos import (MTTrace, compile_events, run_mt,
+                                 values_from_grids)
 from scldpc.probability import draw, recorded_seed, rng, vanish
 from scldpc.walks import WalkCandidate, is_active_lift, is_active_partition
-from helpers import closed_neighbourhoods, default_cap, support_mod
+from helpers import (closed_neighbourhoods, default_cap, stage_grid,
+                     support_mod)
 
 
-def _flat_partition(base: BaseCode) -> Assignment:
-    return Assignment.from_dict("partition", {e: 0 for e in base.edges},
-                                base.gamma, base.kappa)
+def _flat_partition(base: BaseCode) -> list[int]:
+    return [0] * len(base.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -36,11 +37,11 @@ def test_no_targets_means_plain_sampling():
     scheme = CouplingScheme.uniform(1, lifting_degree=4)
     from scldpc import CandidateSet
     empty = CandidateSet(base, ())
-    assignment, trace = run_stage_partition(base, scheme, empty, seed=3)
+    values, trace = run_stage_partition(base, scheme, empty, seed=3)
     assert trace.terminated
     assert trace.total_resamples == 0
-    assert assignment.covers(base)
-    assert all(v in scheme.pattern for _, v in assignment.items())
+    assert len(values) == len(base.edges)
+    assert all(v in scheme.pattern for v in values)
 
 
 def test_geometric_resample_cost_single_event():
@@ -74,7 +75,8 @@ def test_geometric_resample_cost_lift_event():
         lift, trace = run_stage_lift(base, scheme, partition, targets,
                                      seed=t)
         total += trace.total_resamples
-        assert not is_active_lift(targets[0], lift, 2)
+        assert not is_active_lift(targets[0], stage_grid(base, "lift", lift),
+                                  2)
     assert total / n == pytest.approx(1.0, abs=4 * math.sqrt(2) / math.sqrt(n))
 
 
@@ -272,7 +274,7 @@ def test_coefficients_vanishing_mod_z_rejected():
     ok = CouplingScheme.uniform(1, lifting_degree=4)
     lift, trace = run_stage_lift(base, ok, partition, [doubled], seed=0)
     assert trace.terminated
-    assert not is_active_lift(doubled, lift, 4)
+    assert not is_active_lift(doubled, stage_grid(base, "lift", lift), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +286,8 @@ def test_lift_stage_only_tracks_survivors():
     scheme = CouplingScheme.uniform(1, lifting_degree=4)
     targets = enumerate_cycles(base, 4, "simple")
     # partition that already kills the only 4-cycle: no lift events at all
-    dead = Assignment.from_dict(
-        "partition", {(0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 0}, 2, 2)
+    # (values in the order of base.edges: (0,0), (0,1), (1,0), (1,1))
+    dead = [1, 0, 0, 0]
     lift, trace = run_stage_lift(base, scheme, dead, targets, seed=0)
     assert trace.metadata["survivors"] == []
     assert trace.total_resamples == 0
@@ -295,26 +297,36 @@ def test_lift_stage_only_tracks_survivors():
     assert trace2.metadata["survivors"] == [targets[0].key]
 
 
-def test_lift_stage_rejects_a_partition_that_misses_an_edge():
+def _lift_with_partition(partition: list[int]):
     base = BaseCode(2, 2)
     scheme = CouplingScheme.uniform(1, lifting_degree=4)
-    targets = enumerate_cycles(base, 4, "simple")
-    partial = Assignment.from_dict(
-        "partition", {(0, 0): 0, (0, 1): 0, (1, 0): 0}, 2, 2)
-    with pytest.raises(ValueError, match="does not cover"):
-        run_stage_lift(base, scheme, partial, targets, seed=0)
+    return run_stage_lift(base, scheme, partition,
+                          enumerate_cycles(base, 4, "simple"), seed=0)
+
+
+def test_lift_stage_rejects_a_partition_that_misses_an_edge():
+    with pytest.raises(ValueError,
+                       match="partition holds 3 values for 4 base edges"):
+        _lift_with_partition([0, 0, 0])
+
+
+@pytest.mark.parametrize("n", [0, 5, 8])
+def test_lift_stage_rejects_a_partition_of_another_length(n):
+    with pytest.raises(ValueError,
+                       match=f"partition holds {n} values for 4 base edges"):
+        _lift_with_partition([0] * n)
 
 
 def test_lift_stage_rejects_a_partition_value_outside_the_pattern():
     # A one-value pattern has no partition form, so every target survives
-    # any grid the scheme can draw; a stray value is refused, not read.
+    # any partition the scheme can draw; a stray value is refused, not
+    # read.
     base = BaseCode(2, 2)
     scheme = CouplingScheme.uniform(0, lifting_degree=4)
     targets = enumerate_cycles(base, 4, "simple")
-    stray = Assignment.from_dict(
-        "partition", {(0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 0}, 2, 2)
-    with pytest.raises(ValueError, match="not in pattern"):
-        run_stage_lift(base, scheme, stray, targets, seed=0)
+    with pytest.raises(ValueError,
+                       match=r"value 1 on \(0, 1\) not in pattern"):
+        run_stage_lift(base, scheme, [0, 1, 0, 0], targets, seed=0)
 
 
 @lru_cache(maxsize=None)
@@ -329,8 +341,8 @@ def _survivor_cases(draw):
     """The avoidable c4, c6 or tbc 8-walks of a 3x3 to 3x5 base, a scheme
     with several values, one value or memory 0 (Z odd, so no walk is
     certain to occur at the lift stage), a seed, and a stage-1 cap: an
-    int or None for a two-stage run, "grid" for a random in-pattern
-    partition instead."""
+    int or None for a two-stage run, "grid" for the random in-pattern
+    partition drawn alongside instead."""
     cset = _avoidable_walks(draw(st.integers(3, 5)), *draw(st.sampled_from(
         [(4, "simple"), (6, "simple"), (8, "tbc")])))
     pattern = draw(st.one_of(
@@ -339,12 +351,12 @@ def _survivor_cases(draw):
     n = len(pattern)
     scheme = CouplingScheme(pattern, (Fraction(1, n),) * n,
                             lifting_degree=draw(st.sampled_from((3, 5, 13))))
-    edges = cset.base.edges
-    grid = Assignment.from_dict("partition", dict(zip(edges, draw(st.lists(
-        st.sampled_from(pattern), min_size=len(edges),
-        max_size=len(edges))))), cset.base.gamma, cset.base.kappa)
+    n = len(cset.base.edges)
+    partition = draw(st.lists(st.sampled_from(pattern), min_size=n,
+                              max_size=n))
     stage1_max = draw(st.sampled_from(("grid", 0, 1, 2, None)))
-    return cset, scheme, grid, stage1_max, draw(st.integers(0, 2 ** 32 - 1))
+    return (cset, scheme, partition, stage1_max,
+            draw(st.integers(0, 2 ** 32 - 1)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -357,8 +369,9 @@ def test_lift_survivors_are_the_grid_check_survivors(case):
     if stage1_max != "grid":
         instance, report = construct_two_stage(
             base, scheme, cset, seed, stage1_max=stage1_max, stage2_max=20)
-        partition = instance.partition
-    expected = [c.key for c in cset if is_active_partition(c, partition)]
+        partition = values_from_grids(base, instance.partition)
+    grid = stage_grid(base, "partition", partition)
+    expected = [c.key for c in cset if is_active_partition(c, grid)]
     _, trace = run_stage_lift(base, scheme, partition, cset, seed, 20)
     assert trace.metadata["survivors"] == expected
     if stage1_max != "grid":

@@ -5,12 +5,14 @@ against the runners it calls.
 to ``run_mt`` each replaced copies in the stage runners and the experiment
 harness; the shift harness and the CLI's ``construct``/``verify`` decide
 an output's activity with the stage compile (``probability.stage_forms``)
-over the values ``moser_tardos.values_from_grids`` reads off its grids,
-where they used to check the grids walk by walk.  The old copies are kept
-below as oracles, on c4, c6 and tbc 8-walks (coefficients +-2) under
-uniform, non-uniform and one-value patterns.  The experiment harness owns
-no budget: its trials must equal direct runner calls, counted as each
-finishes, with no earlier trial's output kept alive.  A compiled stage owns
+over the output's values in the stage layout (a stage runner's values as
+returned, an instance's as ``moser_tardos.values_from_grids`` reads them
+off its grids), where they used to check the grids walk by walk.  The
+old copies are kept below as oracles, on c4, c6 and tbc 8-walks
+(coefficients +-2) under uniform, non-uniform and one-value patterns.
+The experiment harness owns no budget: its trials must equal direct
+runner calls, counted as each finishes, with no earlier trial's output
+kept alive.  A compiled stage owns
 its decisions: ``compile_events``' two-entry memo must equal fresh
 computations, hit on equal keys built apart and hold the whole target
 sets across two-stage trials, its ``rejected`` targets are exactly those
@@ -19,7 +21,10 @@ default budget or the harness reads it.  The two-stage pipeline compiles
 the whole target set once and must agree with the rule it replaced (a
 second compile of the targets with partition forms), and a second study
 or construct on an equal set compares target sets a fixed number of
-times, not once per trial.
+times, not once per trial, at memory 0 too.  Stage values stay in the
+stage layout: the two-stage pipeline must equal stage 1's values fed to
+stage 2, its instance must hold them on the base edges' cells, and a
+partition-only study builds no grid.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from scldpc.moser_tardos import (FALLBACK_CAP, TwoStageReport,
                                  compile_events, run_mt, values_from_grids)
 from scldpc.probability import (recorded_seed, seed_sequence, stage_blocks,
                                 stage_forms, stage_prob, vanish)
-from helpers import default_cap
+from helpers import default_cap, stage_grid
 
 SCHEMES = [
     CouplingScheme.uniform(1, lifting_degree=5),
@@ -122,8 +127,7 @@ def _stage_budget(cset, scheme, stage):
     if stage == "partition":
         return _budget(run_stage_partition, base, scheme, cset, 0)
     if stage == "lift":
-        zero = Assignment.from_dict("partition", {e: 0 for e in base.edges},
-                                    base.gamma, base.kappa)
+        zero = [0] * len(base.edges)
         return _budget(run_stage_lift, base, scheme, zero, cset, 0)
     return _budget(run_joint, base, scheme, cset, 0)
 
@@ -166,8 +170,8 @@ def test_stage_cap_equals_default_cap_over_old_list(scheme):
         cleared = CandidateSet(base, tuple(
             c for c in cset if not is_active_partition(c, corner)))
         assert len(cleared)
-        assert _budget(run_stage_lift, base, scheme, corner, cleared,
-                       0) is None
+        assert _budget(run_stage_lift, base, scheme,
+                       values_from_grids(base, corner), cleared, 0) is None
 
 
 @pytest.mark.parametrize("cap", [None, 77])
@@ -195,9 +199,9 @@ def test_run_trials_calls_the_runners_as_they_are(mode, cap, monkeypatch):
     for t in range(config.trials):
         seed_t = seed_sequence(config.seed, experiments.STREAM_TRIALS + t)
         if mode == "partition-only":
-            partition, run = run_stage_partition(base, scheme, elim, seed_t,
-                                                 cap)
-            lift = None
+            values, run = run_stage_partition(base, scheme, elim, seed_t,
+                                              cap)
+            partition, lift = stage_grid(base, "partition", values), None
         else:
             if mode == "joint":
                 instance, run = run_joint(base, scheme, elim, seed_t, cap)
@@ -235,17 +239,18 @@ def test_shift_harness_holds_no_earlier_trial_output(mode, monkeypatch):
     scheme = CouplingScheme.uniform(3, lifting_degree=61)
     config = ExperimentConfig(3, 4, scheme, mode, 6, 3, StructureSpec(4),
                               (StructureSpec(6),))
-    refs: list[list[weakref.ref]] = []  # per trial, its output grids
+    # Per trial, its trace (or report), and its instance where the runner
+    # returns one: a list of values cannot be weakly referenced.
+    refs: list[list[weakref.ref]] = []
 
     def watched(runner):
         def run(*args):
-            alive = [t for t, grids in enumerate(refs[:-1])
-                     if any(r() is not None for r in grids)]
+            alive = [t for t, outs in enumerate(refs[:-1])
+                     if any(r() is not None for r in outs)]
             assert not alive, f"outputs of trials {alive} are still alive"
             out, trace = runner(*args)
-            grids = ([out] if isinstance(out, Assignment)
-                     else [out.partition, out.lift])
-            refs.append([weakref.ref(g) for g in grids])
+            outs = (trace,) if isinstance(out, list) else (out, trace)
+            refs.append([weakref.ref(o) for o in outs])
             return out, trace
         return run
 
@@ -383,7 +388,9 @@ def _reference_two_stage(base, scheme, cset, seed, stage2_max):
     partition, trace1 = run_stage_partition(base, scheme, rest, s1, cap)
     lift, trace2 = run_stage_lift(base, scheme, partition, cset, s2,
                                   stage2_max)
-    return (CodeInstance(base, scheme, partition, lift,
+    return (CodeInstance(base, scheme, stage_grid(base, "partition",
+                                                  partition),
+                         stage_grid(base, "lift", lift),
                          seed=recorded_seed(seed)),
             TwoStageReport(trace1, trace2))
 
@@ -458,6 +465,54 @@ def test_two_stage_equals_the_rule_with_a_second_compile(case):
         assert zero and zero <= set(got[1])
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=_two_stage_cases())
+def test_two_stage_is_its_stage_runners_in_the_stage_layout(case):
+    # Stage 1's values go to stage 2 as the runner returned them; the
+    # instance holds both stages' values on base.edges' cells, partition
+    # first.  Stage 2's cap is fixed, as above.
+    cset, scheme, seed = case
+    base = cset.base
+    whole = compile_events(cset, scheme, "partition")
+    stage1 = CandidateSet(base, ()) if whole.rejected else cset
+    s1, s2 = derive_child_seeds(seed, 2)
+    partition, trace1 = run_stage_partition(
+        base, scheme, stage1, s1, moser_tardos._cap(whole.certificate, 0))
+    try:
+        lift, trace2 = run_stage_lift(base, scheme, partition, cset, s2, 200)
+    except AdmissionError as err:
+        assert _outcome(construct_two_stage, base, scheme, cset, seed, None,
+                        200) == (err.stage, err.labels)
+        return
+    instance, report = construct_two_stage(base, scheme, cset, seed, None,
+                                           200)
+    assert report == TwoStageReport(trace1, trace2)
+    assert instance == CodeInstance(
+        base, scheme, stage_grid(base, "partition", partition),
+        stage_grid(base, "lift", lift), seed=recorded_seed(seed))
+    assert values_from_grids(base, instance.partition, instance.lift) == \
+        partition + lift
+
+
+def test_a_partition_only_study_builds_no_grid(monkeypatch):
+    # Its trials read stage 1's values as the runner returns them.
+    built = []
+    init = Assignment.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Assignment, "__init__", counted)
+    Assignment("partition", ((0,),))
+    assert len(built) == 1
+    config = ExperimentConfig(3, 3, CouplingScheme.uniform(18),
+                              "partition-only", 40, 1, StructureSpec(4),
+                              (StructureSpec(6),))
+    assert experiments.estimate_mt_shift(config).trials_ok == 40
+    assert len(built) == 1
+
+
 def _equal_set_comparisons(monkeypatch, run) -> int:
     """``CandidateSet.__eq__`` calls made by ``run()``."""
     calls = []
@@ -469,12 +524,17 @@ def _equal_set_comparisons(monkeypatch, run) -> int:
     return len(calls)
 
 
-@pytest.mark.parametrize("mode", experiments.MODES)
+@pytest.mark.parametrize("mode, m", [
+    *(pytest.param(mode, 3, id=mode) for mode in experiments.MODES),
+    *(pytest.param(mode, 0, id=f"{mode}-m0")
+      for mode in ("joint", "two-stage"))])
 def test_a_second_equal_study_compares_target_sets_a_fixed_number_of_times(
-        mode, monkeypatch, fresh_compile):
+        mode, m, monkeypatch, fresh_compile):
     # Each study builds its own eliminate set; the first compile keeps the
-    # set it was given, and every trial then reaches it by identity.
-    scheme = CouplingScheme.uniform(3, lifting_degree=61)
+    # set it was given, and every trial then reaches it by identity (at
+    # memory 0, every two-stage trial runs stage 1 on the base's one empty
+    # set).  Memory 0 rejects every partition-only target.
+    scheme = CouplingScheme.uniform(m, lifting_degree=61)
     counts = []
     for trials in (4, 12):
         config = ExperimentConfig(3, 4, scheme, mode, trials, 3,
@@ -489,8 +549,8 @@ def test_a_second_equal_study_compares_target_sets_a_fixed_number_of_times(
 def test_a_second_equal_construct_compares_target_sets_a_fixed_number_of_times(
         m, monkeypatch, fresh_compile):
     # The call compares its own set with the memoised one once, then runs
-    # both stages on the compile's set (and, at memory 0, stage 1 on a new
-    # empty set, compared with the memoised empty one).
+    # both stages on the compile's set (at memory 0, stage 1 on the base's
+    # one empty set, reached by identity).
     base = BaseCode(3, 4)
     scheme = CouplingScheme.uniform(m, lifting_degree=13)
     first = enumerate_cycles(base, 4)
@@ -499,7 +559,7 @@ def test_a_second_equal_construct_compares_target_sets_a_fixed_number_of_times(
     assert again == first and again is not first
     assert _equal_set_comparisons(
         monkeypatch,
-        lambda: construct_two_stage(base, scheme, again, 1)) == 1 + (m == 0)
+        lambda: construct_two_stage(base, scheme, again, 1)) == 1
 
 
 def test_certified_stage1_budget_at_the_fallback_value_is_kept(

@@ -232,7 +232,7 @@ def test_activity_names_the_uncovered_stage():
 def test_harmful_weight_3x7():
     base = BaseCode(3, 7)
     cset = enumerate_cycles(base, 4, "simple")
-    counts, w_max = harmful_weight(base, cset)
+    counts, w_max = harmful_weight(cset)
     assert w_max == 12                     # (gamma-1) * (kappa-1)
     assert all(v == 12 for v in counts.values())
 
@@ -246,7 +246,7 @@ def test_harmful_weight_is_the_largest_base_edge_clique(gamma, kappa, two_g,
     # walk crosses with net coefficient zero does not count for it.
     base = BaseCode(gamma, kappa)
     cset = enumerate_cycles(base, two_g, mode)
-    counts, w_max = harmful_weight(base, cset)
+    counts, w_max = harmful_weight(cset)
     assert counts == {e: len(cset.by_support.get(e, ()))
                       for e in base.edges}
     assert w_max == max(map(len, build_base_edge_cover(cset).cliques))
