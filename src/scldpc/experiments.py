@@ -120,7 +120,7 @@ class StructureSpec:
 class ExperimentConfig:
     """One study: the base, the coupling scheme, the construction mode,
     the trial count and seed, the eliminate and observe specs, and an
-    optional resample cap per run (None: the runners' own budget)."""
+    optional resample cap per run (None: each stage's ``budget()``)."""
 
     gamma: int
     kappa: int
@@ -407,7 +407,7 @@ class ExperimentStats:
 def _run_trials(config: ExperimentConfig, elim: CandidateSet,
                 observe: Sequence[WalkCandidate] = ()
                 ) -> tuple[list[int], list[int]]:
-    """One construction per trial, on the runners' own budgets (as in
+    """One construction per trial, on its stages' own budgets (as in
     ``construct``) unless ``config.cap`` is set.  Each trial that
     terminates is counted as it finishes: the hits of each of ``observe``
     and the total resamples; the other trials hit their cap."""

@@ -120,7 +120,19 @@ def _eq(self, other: object) -> bool:
 
 
 def _hash_fields(self) -> int:
-    return hash(self._record[3](self))
+    # Stored on first use: a frozen record is a memo key, hashed on every
+    # lookup.
+    try:
+        return self._hash
+    except AttributeError:
+        _set(self, "_hash", hash(self._record[3](self)))
+        return self._hash
+
+
+def _getstate(self) -> dict:
+    # A copy or a pickle leaves the stored hash behind: a copy may be given
+    # other field values, and a str hashes differently in another process.
+    return {k: v for k, v in vars(self).items() if k != "_hash"}
 
 
 def _frozen_setattr(self, name: str, value: object) -> None:
@@ -147,9 +159,11 @@ def record(cls=None, /, *, frozen: bool = False):
     the class's field table: ``__init__`` takes the fields by position or
     keyword, ``__repr__`` is the dataclass text, ``__eq__`` compares the
     fields of two instances of one class.  A frozen record hashes its
-    fields and raises ``FrozenInstanceError`` on assignment and deletion
-    (``cached_property`` still works: it writes the instance dict); other
-    records are unhashable.  A method the class defines itself is kept.
+    fields once (the hash is kept as ``_hash``, which copies and pickles
+    leave out) and raises ``FrozenInstanceError`` on assignment and
+    deletion (``cached_property`` still works: it writes the instance
+    dict); other records are unhashable.  A method the class defines
+    itself is kept.
     """
     def wrap(cls):
         # The field table, as dataclasses keeps it, and the shared
@@ -177,7 +191,8 @@ def record(cls=None, /, *, frozen: bool = False):
                    "__hash__": _hash_fields if frozen else None}
         if frozen:
             methods.update(__setattr__=_frozen_setattr,
-                           __delattr__=_frozen_delattr)
+                           __delattr__=_frozen_delattr,
+                           __getstate__=_getstate)
         for name, method in methods.items():
             if name not in cls.__dict__:
                 setattr(cls, name, method)
@@ -428,15 +443,6 @@ class CouplingScheme:
             raise ValueError("coupling length must be at least memory + 1")
         object.__setattr__(self, "pattern", pattern)
         object.__setattr__(self, "probs", probs)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """The record hash of the fields, computed once: a memo key."""
-        return hash((self.pattern, self.probs, self.coupling_length,
-                     self.lifting_degree))
 
     @property
     def memory(self) -> int:

@@ -11,12 +11,14 @@ variables its forms mention; it decides what a resample redraws.
 Each run compiles its targets once into an ``EventSystem``: the layout,
 and per event in canonical candidate order its label, forms, scope and
 dependency neighbourhood (the events sharing a support edge), and on first
-use its Theorem 1 ``certificate``.  A run or study compiles each target
-set once (``compile_events``) and reaches the compile by identity: later
-lookups pass the compiled system's own ``cset``.  Stage 2 picks its
-survivors with the whole set's partition forms on stage 1's values, kept
-in the stage layout (only a ``CodeInstance`` holds grids), and compiles
-them fresh per trial.  ``run_mt`` then only resamples: the Moser-Tardos loop
+use its Theorem 1 ``certificate``, which sets its resample ``budget``.  A
+run or study compiles each target set once (``compile_events``) and
+reaches the compile by identity: later lookups pass the compiled system's
+own ``cset``.  Stage 2 picks its survivors with the whole set's partition
+forms on stage 1's values, kept in the stage layout (only a
+``CodeInstance`` holds grids), and compiles them fresh per trial.
+``run_mt`` then only resamples, up to the budget unless given a cap: the
+Moser-Tardos loop
 
     while some bad event occurs:
         redraw the variables in scope(least occurring event)
@@ -95,6 +97,18 @@ class EventSystem:
             self.cset, [stage_prob(c, self.scheme, self.stage)
                         for c in self.cset], delta_source="observed")
 
+    def budget(self, uncertified: int = FALLBACK_CAP) -> Optional[int]:
+        """The stage's default resample cap: None without events, 1000x
+        the certificate's resample bound (or target count) when it
+        certifies, else ``uncertified``."""
+        if not self.labels:
+            return None
+        rep = self.certificate
+        if rep is None or not rep.feasible:
+            return uncertified
+        bound = rep.resample_bound
+        return 1000 * max(1, rep.k if bound is None else math.ceil(bound))
+
 
 @record
 class MTTrace:
@@ -137,15 +151,17 @@ def run_mt(system: EventSystem, seed: SeedLike,
     """Resample until no event occurs (or the cap is hit).
 
     Each step checks the cap, redraws the scope of the least occurring
-    event and evaluates its neighbours again.  None disables the cap
-    (``run_stage_lift``'s default with no survivors); a negative cap is a
-    ValueError.  Returns the final values and the trace; ``terminated`` is
-    False iff the cap cut the run short, in which case the values are the
-    partial state.
+    event and evaluates its neighbours again.  None means the stage's
+    ``budget()`` (None only without events, which never resample); a
+    negative cap is a ValueError.  Returns the final values and the trace;
+    ``terminated`` is False iff the cap cut the run short, in which case
+    the values are the partial state.
     """
     if system.rejected:
         raise AdmissionError(system.rejected, system.stage)
-    if max_resamples is not None and max_resamples < 0:
+    if max_resamples is None:
+        max_resamples = system.budget()
+    elif max_resamples < 0:
         raise ValueError("resample cap must be non-negative")
     blocks, n_vars, event_forms = system.blocks, system.n, system.forms
     gen = rng(seed)
@@ -153,7 +169,7 @@ def run_mt(system: EventSystem, seed: SeedLike,
     occurring = {t for t, f in enumerate(event_forms) if vanish(f, values)}
     per_event = [0] * len(event_forms)
     total = 0
-    while occurring and (max_resamples is None or total < max_resamples):
+    while occurring and total < max_resamples:
         e = min(occurring)
         draw(gen, blocks, n_vars, values, system.scopes[e])
         total += 1
@@ -197,14 +213,6 @@ def _no_targets(base: BaseCode) -> CandidateSet:
     return CandidateSet(base, ())
 
 
-def _cap(rep: Optional[bounds.BoundReport], fallback=FALLBACK_CAP) -> int:
-    """1000x ``rep``'s resample bound (or target count) if it certifies."""
-    if rep is None or not rep.feasible:
-        return fallback
-    bound = rep.resample_bound
-    return 1000 * max(1, rep.k if bound is None else math.ceil(bound))
-
-
 def _instance(base: BaseCode, scheme: CouplingScheme, values: Sequence[int],
               seed: Optional[int]) -> CodeInstance:
     """The instance of joint-layout ``values``: each stage's masked cells,
@@ -227,10 +235,8 @@ def run_stage_partition(base: BaseCode, scheme: CouplingScheme, targets,
     """Draw spreading values, one per ``base.edges``, until no target
     survives the integer condition."""
     cset = _normalize_targets(base, targets)
-    system = compile_events(cset, scheme, "partition")
-    if max_resamples is None:
-        max_resamples = _cap(system.certificate)
-    return run_mt(system, seed, max_resamples)
+    return run_mt(compile_events(cset, scheme, "partition"), seed,
+                  max_resamples)
 
 
 def run_stage_lift(base: BaseCode, scheme: CouplingScheme,
@@ -257,8 +263,6 @@ def run_stage_lift(base: BaseCode, scheme: CouplingScheme,
     survivors = CandidateSet(base, tuple(
         c for c, fs in zip(cset, stage1.forms) if vanish(fs, partition)))
     system = _compile(survivors, scheme, "lift")
-    if max_resamples is None and len(survivors):
-        max_resamples = _cap(system.certificate)
     values, trace = run_mt(system, seed, max_resamples)
     trace.metadata["survivors"] = list(system.labels)
     return values, trace
@@ -270,10 +274,8 @@ def run_joint(base: BaseCode, scheme: CouplingScheme, targets,
     """Resample spreading values and lift shifts together (one event per
     target, conjunction of both forms)."""
     cset = _normalize_targets(base, targets)
-    system = compile_events(cset, scheme, "joint")
-    if max_resamples is None:
-        max_resamples = _cap(system.certificate)
-    values, trace = run_mt(system, seed, max_resamples)
+    values, trace = run_mt(compile_events(cset, scheme, "joint"), seed,
+                           max_resamples)
     return _instance(base, scheme, values, trace.seed), trace
 
 
@@ -326,16 +328,15 @@ def construct_two_stage(base: BaseCode, scheme: CouplingScheme, targets,
     that compile ``rejected`` some: then either the pattern has one value
     and stage 1 can thin none, or a rejected target's coefficients all
     vanish, so it has no lift form either and stage 2 refuses the run
-    whatever stage 1 drew.  Its cap defaults to the compile's cap when its
-    certificate holds, and to 0 otherwise: without a certificate a capped
-    run guarantees nothing, so stage 1 is the initial draw alone.  Whatever
-    survives goes to the lift stage.
+    whatever stage 1 drew.  Its cap defaults to the compile's ``budget(0)``:
+    without a certificate a capped run guarantees nothing, so stage 1 is
+    the initial draw alone.  Whatever survives goes to the lift stage.
     """
     whole = compile_events(_normalize_targets(base, targets), scheme,
                            "partition")
     s1, s2 = derive_child_seeds(seed, 2)
     if stage1_max is None:
-        stage1_max = _cap(whole.certificate, 0)
+        stage1_max = whole.budget(0)
     stage1 = _no_targets(base) if whole.rejected else whole.cset
     partition, trace1 = run_stage_partition(base, scheme, stage1, s1,
                                             stage1_max)

@@ -238,14 +238,6 @@ class CandidateSet:
                         f"walk {c.key} uses absent base edge ({i},{j})")
         object.__setattr__(self, "candidates", ordered)
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """The record hash of the fields, computed once: a memo key."""
-        return hash((self.base, self.candidates))
-
     def __len__(self) -> int:
         return len(self.candidates)
 

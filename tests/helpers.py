@@ -9,10 +9,10 @@ rather than in the package:
 * ``stage_grid`` is the ``Assignment`` grid of one stage's values in the
   stage layout (one per ``base.edges``), for the grid checks and goldens
   that read a stage runner's output;
-* ``default_cap`` is the runners' budget rule applied to a candidate set
-  and its probabilities (the runners read it off the compiled stage's
-  certificate), with any ValueError from Theorem 1 read as no
-  certificate;
+* ``default_cap`` is the runners' budget rule written out on its own
+  (the runners read it off the compiled stage, ``EventSystem.budget``),
+  applied to a candidate set and its probabilities, with any ValueError
+  from Theorem 1 read as no certificate;
 * ``HarmfulStructure``, ``structure_joint_prob`` and ``mc_structure_prob``
   give the exact and Monte Carlo activation probability of a union of
   cycles;
@@ -46,7 +46,6 @@ import scldpc
 from scldpc.model import (Assignment, BaseCode, CouplingScheme, Edge,
                           SparseBinaryMatrix)
 from scldpc import bounds
-from scldpc.moser_tardos import _cap
 from scldpc.probability import (ActivationProbability, draw, joint_prob,
                                 lift_prob_bound, rng, stage_forms, vanish)
 from scldpc.walks import (CandidateSet, WalkCandidate, dependency_degree,
@@ -78,14 +77,20 @@ def support_mod(cand: WalkCandidate, z: int) -> tuple[Edge, ...]:
     return tuple(e for e, c in cand.coeffs if c % z != 0)
 
 
-def default_cap(cset: CandidateSet, probs) -> int:
-    """1000x Theorem 1's resample bound if it holds, else FALLBACK_CAP."""
+def default_cap(cset: CandidateSet, probs, uncertified: int = 10 ** 6
+                ) -> int:
+    """1000x Theorem 1's resample bound (or the target count when it
+    gives none, at least 1) if it holds, else ``uncertified`` (10**6, the
+    package's FALLBACK_CAP)."""
     try:
         rep = bounds.theorem1_feasibility(cset, probs,
                                           delta_source="observed")
     except ValueError:
-        rep = None
-    return _cap(rep)
+        return uncertified
+    if not rep.feasible:
+        return uncertified
+    bound = rep.k if rep.resample_bound is None else rep.resample_bound
+    return 1000 * max(1, math.ceil(bound))
 
 
 @dataclass(frozen=True)

@@ -366,6 +366,8 @@ def test_lemma2_rejects_uncovered_events():
 
 _C4_3X3 = enumerate_cycles(BaseCode(3, 3), 4)
 _C6_3X3 = enumerate_cycles(BaseCode(3, 3), 6)
+# One of these walks has all coefficients zero.
+_TBC12_2X3 = enumerate_cycles(BaseCode(2, 3), 12, "tbc")
 
 
 @pytest.mark.parametrize("call, message", [
@@ -384,6 +386,13 @@ _C6_3X3 = enumerate_cycles(BaseCode(3, 3), 6)
     pytest.param(lambda: theorem1_feasibility(_C4_3X3, []),
                  "one probability per candidate, in set order",
                  id="theorem1-probs"),
+    pytest.param(lambda: theorem1_feasibility(
+                     CandidateSet(_C4_3X3.base, ()), []),
+                 "empty candidate set", id="theorem1-empty"),
+    pytest.param(lambda: theorem1_feasibility(
+                     _TBC12_2X3, [Fraction(1, 100)] * len(_TBC12_2X3)),
+                 "unavoidable candidates present: "
+                 "c12:v0c0v1c1v2c0v0c1v1c0v2c1", id="theorem1-unavoidable"),
     pytest.param(lambda: theorem1_feasibility(
                      _C6_3X3, [Fraction(1, 100)] * len(_C6_3X3)),
                  "closed-form delta applies only to complete 4-cycle "

@@ -392,6 +392,21 @@ def test_construct_negative_budget_exits_2(construction, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("construction", ["two-stage", "joint"])
+def test_construct_without_targets_records_no_cap(construction, tmp_path,
+                                                  capsys):
+    # A 1x4 base has no cycles: no stage has events, so none has a cap.
+    code = run_cli("construct", "--gamma", "1", "--kappa", "4", "--m", "1",
+                   "--lifting", "3", "--construction", construction,
+                   "--seed", "1", "--out-dir", str(tmp_path))
+    capsys.readouterr()
+    assert code == EXIT_OK
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    runs = ([trace["stage1"], trace["stage2"]]
+            if construction == "two-stage" else [trace["trace"]])
+    assert [run["max_resamples"] for run in runs] == [None] * len(runs)
+
+
 @pytest.mark.parametrize("scheme", [["--m", "0"], ["--pattern", "2"]])
 def test_construct_two_stage_with_one_value_pattern(scheme, tmp_path,
                                                     capsys):

@@ -614,8 +614,9 @@ def _least_occurring_oracle(system, seed, max_resamples=None):
     return values, trace
 
 
-# A cap of None runs as long as the oracle terminates within this; a system
-# it cannot clear that fast runs at this cap instead.
+# A cap of None (the system's budget, at least 1000 resamples when it has
+# events) runs where the oracle terminates within this; a system it cannot
+# clear that fast runs at this cap instead.
 _UNCAPPED_PROBE = 400
 
 # c4 at memory 1, Z=2.  The cap cuts 3x3 seed 0 before its first redraw
@@ -648,6 +649,7 @@ def test_run_mt_equals_the_every_event_loop(targets, stage, seed, cap):
             system, seed, _UNCAPPED_PROBE)[1].terminated:
         cap = _UNCAPPED_PROBE
     values, trace = run_mt(system, seed, cap)
-    oracle_values, oracle_trace = _least_occurring_oracle(system, seed, cap)
+    oracle_values, oracle_trace = _least_occurring_oracle(
+        system, seed, system.budget() if cap is None else cap)
     assert values == oracle_values
     assert asdict(trace) == asdict(oracle_trace)

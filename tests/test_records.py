@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -130,6 +133,28 @@ def test_equality_and_hash(cls, samples):
     assert _outcome(lambda: hash(obj)) == _outcome(lambda: hash(twin))
     if not _frozen(cls):
         assert cls.__hash__ is None
+    # A copy given other field values hashes those, not the hash its
+    # original stored.
+    assert (_outcome(lambda: hash(_changed(obj)) == hash(obj))
+            == _outcome(lambda: hash(_changed(twin)) == hash(twin)))
+
+
+def test_a_pickled_record_hashes_its_fields_in_another_process():
+    # A str hashes differently under another hash seed, so a record's
+    # stored hash must not travel in its pickle.
+    dump = ("import pickle, sys; from scldpc import StructureSpec; "
+            "spec = StructureSpec(6, 'tbc'); hash(spec); "
+            "sys.stdout.buffer.write(pickle.dumps(spec))")
+    load = ("import pickle, sys; from scldpc import StructureSpec; "
+            "spec = pickle.loads(sys.stdin.buffer.read()); "
+            "print(spec in {StructureSpec(6, 'tbc')})")
+    pickled = subprocess.run(
+        [sys.executable, "-c", dump], capture_output=True, check=True,
+        env=dict(os.environ, PYTHONHASHSEED="1")).stdout
+    out = subprocess.run(
+        [sys.executable, "-c", load], input=pickled, capture_output=True,
+        check=True, env=dict(os.environ, PYTHONHASHSEED="2")).stdout
+    assert out.strip() == b"True"
 
 
 @pytest.mark.parametrize("cls", _RECORDS, ids=lambda c: c.__qualname__)

@@ -17,8 +17,10 @@ its decisions: ``compile_events``' two-entry memo must equal fresh
 computations, hit on equal keys built apart and hold the whole target
 sets across two-stage trials, its ``rejected`` targets are exactly those
 certain to occur, and its Theorem 1 certificate is computed only when a
-default budget or the harness reads it.  The two-stage pipeline compiles
-the whole target set once and must agree with the rule it replaced (a
+default budget or the harness reads it.  A run without a cap runs on its
+compiled stage's ``budget()`` and records it, equal to the run with that
+budget passed; a stage without events has no cap.  The two-stage pipeline
+compiles the whole target set once and must agree with the rule it replaced (a
 second compile of the targets with partition forms), and a second study
 or construct on an equal set compares target sets a fixed number of
 times, not once per trial, at memory 0 too.  Stage values stay in the
@@ -108,10 +110,12 @@ class _Handed(Exception):
 
 
 def _budget(runner, *args):
-    """The resample budget ``runner`` hands to ``run_mt``, captured by a
-    stand-in that returns at once (by raising)."""
+    """The resample budget ``runner`` runs ``run_mt`` on, captured by a
+    stand-in that returns at once (by raising): the cap it hands over, or
+    the handed system's own ``budget()`` when it hands None."""
     def handed(system, seed, max_resamples=None):
-        raise _Handed(max_resamples)
+        raise _Handed(system.budget() if max_resamples is None
+                      else max_resamples)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(moser_tardos, "run_mt", handed)
@@ -161,7 +165,7 @@ def test_stage_cap_equals_default_cap_over_old_list(scheme):
                 default_cap(cset, probs)
         # An in-pattern grid, the top pattern value on edge (0,0) and the
         # bottom one elsewhere: none of the targets it clears survives, so
-        # their lift stage is uncapped.
+        # their lift stage has no events and no cap.
         base = cset.base
         lo, hi = scheme.pattern[0], scheme.pattern[-1]
         corner = Assignment.from_dict(
@@ -378,12 +382,12 @@ def test_memory_0_trials_compile_both_whole_sets_once():
 def _reference_two_stage(base, scheme, cset, seed, stage2_max):
     """The two-stage rule this package had before: stage 1 runs on the
     targets with partition forms (a second compile when some are
-    rejected) on that set's certified cap or 0, and stage 2 lifts the
-    survivors among all targets."""
+    rejected) on that set's certified cap or 0 (no cap without targets),
+    and stage 2 lifts the survivors among all targets."""
     forms = compile_events(cset, scheme, "partition").forms
     rest = CandidateSet(base, tuple(c for c, fs in zip(cset, forms) if fs))
-    cap = moser_tardos._cap(
-        compile_events(rest, scheme, "partition").certificate, 0)
+    cap = default_cap(rest, [spreading_prob_exact(c, scheme) for c in rest],
+                      uncertified=0) if len(cset) else None
     s1, s2 = derive_child_seeds(seed, 2)
     partition, trace1 = run_stage_partition(base, scheme, rest, s1, cap)
     lift, trace2 = run_stage_lift(base, scheme, partition, cset, s2,
@@ -476,8 +480,8 @@ def test_two_stage_is_its_stage_runners_in_the_stage_layout(case):
     whole = compile_events(cset, scheme, "partition")
     stage1 = CandidateSet(base, ()) if whole.rejected else cset
     s1, s2 = derive_child_seeds(seed, 2)
-    partition, trace1 = run_stage_partition(
-        base, scheme, stage1, s1, moser_tardos._cap(whole.certificate, 0))
+    partition, trace1 = run_stage_partition(base, scheme, stage1, s1,
+                                            whole.budget(0))
     try:
         lift, trace2 = run_stage_lift(base, scheme, partition, cset, s2, 200)
     except AdmissionError as err:
@@ -626,6 +630,104 @@ def test_no_targets_or_a_rejected_one_is_no_certificate(fresh_compile,
     memory0 = compile_events(enumerate_cycles(base, 4),
                              CouplingScheme.uniform(0), "partition")
     assert memory0.rejected and memory0.certificate is None
+
+
+# A run its probe cap does not finish is left out where the budget passes
+# this: an uncertified stage would spend its 10**6 resamples.
+_BUDGET_PROBE, _PROBED_BUDGET = 400, 10_000
+
+
+@st.composite
+def _budget_cases(draw) -> tuple[CandidateSet, CouplingScheme, int]:
+    """Every 4-, 6- or tbc 8-walk over a random masked 3x3 to 3x5 base, a
+    pattern of 1-3 values, Z in 1..13 and a seed."""
+    two_g, mode = draw(st.sampled_from([(4, "simple"), (6, "simple"),
+                                        (8, "tbc")]))
+    kappa = draw(st.integers(3, 5))
+    cell = st.sampled_from((1, 1, 1, 0)) if draw(st.booleans()) \
+        else st.just(1)
+    mask = draw(st.lists(st.lists(cell, min_size=kappa, max_size=kappa),
+                         min_size=3, max_size=3))
+    base = BaseCode(3, kappa, mask=tuple(map(tuple, mask)))
+    pattern = tuple(sorted(draw(st.sets(st.integers(0, 4), min_size=1,
+                                        max_size=3))))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(pattern),
+                            max_size=len(pattern)))
+    scheme = CouplingScheme(pattern,
+                            tuple(Fraction(w, sum(weights)) for w in weights),
+                            pattern[-1] + 1, draw(st.integers(1, 13)))
+    return (enumerate_cycles(base, two_g, mode), scheme,
+            draw(st.integers(0, 5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_budget_cases())
+@example(case=(enumerate_cycles(BaseCode(2, 3), 4),
+               CouplingScheme.uniform(1, lifting_degree=5), 0))
+def test_each_runner_defaults_to_its_stage_budget(case):
+    # Without a cap a runner runs on its compiled stage's budget (stage 2:
+    # its survivors' compile) and records it, and the run equals the one
+    # with that budget passed.  Stage 2 lifts the survivors of a partition
+    # spread over the pattern.
+    cset, scheme, seed = case
+    base, pattern = cset.base, scheme.pattern
+    partition = [pattern[(seed + i * j) % len(pattern)]
+                 for i, j in base.edges]
+    runs = {
+        "partition": lambda cap: run_stage_partition(base, scheme, cset,
+                                                     seed, cap),
+        "lift": lambda cap: run_stage_lift(base, scheme, partition, cset,
+                                           seed, cap),
+        "joint": lambda cap: run_joint(base, scheme, cset, seed, cap),
+    }
+    for stage, run in runs.items():
+        try:
+            probe = run(_BUDGET_PROBE)[1]
+        except AdmissionError as err:
+            assert _outcome(run, None) == (err.stage, err.labels)
+            continue
+        targets = cset if stage != "lift" else CandidateSet(base, tuple(
+            c for c in cset if c.key in probe.metadata["survivors"]))
+        budget = compile_events(targets, scheme, stage).budget()
+        if not probe.terminated and budget > _PROBED_BUDGET:
+            continue
+        default = run(None)
+        assert default[1].max_resamples == budget
+        assert default == run(budget)
+
+
+@pytest.mark.parametrize("shape, scheme, certified", [
+    ((3, 4), CouplingScheme.uniform(1, lifting_degree=8), False),
+    ((2, 3), CouplingScheme.uniform(1, lifting_degree=5), True),
+])
+def test_run_mt_without_a_cap_runs_on_the_stage_budget(shape, scheme,
+                                                       certified):
+    # Systems that clear at seed 0 after one resample, so a run without a
+    # cap ends whatever cap it takes.
+    system = compile_events(enumerate_cycles(BaseCode(*shape), 4), scheme,
+                            "joint")
+    assert (system.budget() == FALLBACK_CAP) is not certified
+    values, trace = run_mt(system, 0)
+    assert trace.terminated and trace.total_resamples == 1
+    assert trace.max_resamples == system.budget() is not None
+    assert (values, trace) == run_mt(system, 0, system.budget())
+
+
+@pytest.mark.parametrize("targets", [(), CandidateSet(BaseCode(3, 4), ())],
+                         ids=["tuple", "set"])
+def test_no_targets_no_cap(targets):
+    # Every stage without events records no cap, whatever it defaults to
+    # with targets: the two-stage pipeline's stage 1 too.
+    base = BaseCode(3, 4)
+    scheme = CouplingScheme.uniform(1, lifting_degree=3)
+    values, first = run_stage_partition(base, scheme, targets, 0)
+    _, lift = run_stage_lift(base, scheme, values, targets, 1)
+    _, joint = run_joint(base, scheme, targets, 2)
+    _, report = construct_two_stage(base, scheme, targets, 3)
+    for trace in (first, lift, joint, report.partition_trace,
+                  report.lift_trace):
+        assert trace.terminated and trace.total_resamples == 0
+        assert trace.max_resamples is None
 
 
 @st.composite
