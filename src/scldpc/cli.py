@@ -253,8 +253,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
             "construction": "two-stage",
             "stage1": dataclasses.asdict(run.partition_trace),
             "stage2": dataclasses.asdict(run.lift_trace),
-            "stage1_cleared": run.stage1_cleared,
-            "survivors": list(run.survivor_keys),
         }
 
     h, g, active = _audit(instance, targets)

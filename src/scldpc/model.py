@@ -63,12 +63,9 @@ def _bind(cls: type, args: tuple, kwargs: dict) -> list:
                         f"{len(args) + 1} were given")
     values, missing = list(args), []
     for name in names[len(args):]:
-        value = kwargs.pop(name, MISSING)
+        value = kwargs.pop(name, defaults.get(name, MISSING))
         if value is MISSING:
-            if name in defaults:
-                value = defaults[name]()
-            else:
-                missing.append(name)
+            missing.append(name)
         values.append(value)
     for name in kwargs:
         if name in names:
@@ -152,9 +149,9 @@ def record(cls=None, /, *, frozen: bool = False):
     generates nothing), so records fill the dataclass field table here and
     share one set of methods instead.
 
-    Every annotated name is a field; ``field(default=...)``,
-    ``field(default_factory=...)`` and ``__post_init__`` work as in a
-    dataclass, and so do ``dataclasses.fields``, ``asdict``, ``replace``
+    Every annotated name is a field; ``field(default=...)`` and
+    ``__post_init__`` work as in a dataclass (``default_factory`` is not
+    supported), and so do ``dataclasses.fields``, ``asdict``, ``replace``
     and ``is_dataclass``.  The methods are shared by every record and read
     the class's field table: ``__init__`` takes the fields by position or
     keyword, ``__repr__`` is the dataclass text, ``__eq__`` compares the
@@ -167,7 +164,7 @@ def record(cls=None, /, *, frozen: bool = False):
     """
     def wrap(cls):
         # The field table, as dataclasses keeps it, and the shared
-        # methods' view of it: (names, name -> default maker, __post_init__,
+        # methods' view of it: (names, name -> default, __post_init__,
         # field values getter).
         table, defaults = {}, {}
         for name, kind in cls.__dict__.get("__annotations__", {}).items():
@@ -176,12 +173,9 @@ def record(cls=None, /, *, frozen: bool = False):
             # dataclasses.fields() lists a Field only when its kind is
             # the module's _FIELD marker.
             f.name, f.type, f._field_type = name, kind, dataclasses._FIELD
-            if f.default_factory is not MISSING:
-                delattr(cls, name)
-                defaults[name] = f.default_factory
-            elif f.default is not MISSING:
+            if f.default is not MISSING:
                 setattr(cls, name, f.default)
-                defaults[name] = lambda v=f.default: v
+                defaults[name] = f.default
             table[name] = f
         cls.__dataclass_fields__ = table
         names = tuple(table)

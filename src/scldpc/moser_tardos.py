@@ -23,10 +23,11 @@ Moser-Tardos loop
     while some bad event occurs:
         redraw the variables in scope(least occurring event)
 
-where "least" is the canonical candidate order (recorded in trace
-metadata).  A redraw can only change the events sharing a support edge
-with the redrawn one, so only those are evaluated again.  Every run is a
-pure function of (inputs, seed).
+where "least" is the canonical candidate order.  A redraw can only
+change the events sharing a support edge with the redrawn one, so only
+those are evaluated again.  Every run is a pure function of (inputs,
+seed); its trace keys each event's resamples by label, so stage 2's trace
+lists its survivors.
 
 Tautological targets (no forms left: all coefficients zero, a one-value
 pattern, or every coefficient divisible by Z) can never be resampled away:
@@ -37,7 +38,6 @@ AdmissionError naming them before it draws.
 from __future__ import annotations
 
 import math
-from dataclasses import field
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
@@ -114,17 +114,21 @@ class EventSystem:
 class MTTrace:
     """One resampler run: total and per-event resamples, whether it
     terminated (no target left occurring) rather than hit its cap, the
-    seed, the cap and free-form metadata (e.g. stage 2's survivors).
-    ``wall_iterations`` equals ``total_resamples``: each redraw is one
-    iteration of the loop."""
+    seed and the cap.  ``per_event`` has one entry per event, zeros
+    included, in canonical order: its keys are the stage's events, for
+    stage 2 the survivors."""
 
     total_resamples: int
     per_event: dict[str, int]
-    wall_iterations: int
     terminated: bool
     seed: Optional[int]
     max_resamples: Optional[int]
-    metadata: dict = field(default_factory=dict)
+
+    @property
+    def wall_iterations(self) -> int:
+        """``total_resamples``: each redraw is one iteration of the loop.
+        Kept for the benchmark's counter, and deleted with it."""
+        return self.total_resamples
 
 
 def _compile(cset: CandidateSet, scheme: CouplingScheme,
@@ -186,11 +190,9 @@ def run_mt(system: EventSystem, seed: SeedLike,
     trace = MTTrace(
         total_resamples=total,
         per_event=dict(zip(system.labels, per_event)),
-        wall_iterations=total,
         terminated=terminated,
         seed=recorded_seed(seed),
         max_resamples=max_resamples,
-        metadata={"inner_order": "global-least-index"},
     )
     return values, trace
 
@@ -248,9 +250,9 @@ def run_stage_lift(base: BaseCode, scheme: CouplingScheme,
 
     The survivors are the targets whose partition forms all vanish on
     ``partition`` (a target without forms always survives); only they
-    become events.  With none the result is a plain uniform draw with zero
-    resamples.  A partition of another length or with a value outside the
-    pattern is a ValueError.
+    become events (the trace's ``per_event`` keys).  With none the result
+    is a plain uniform draw with zero resamples.  A partition of another
+    length or with a value outside the pattern is a ValueError.
     """
     cset = _normalize_targets(base, targets)
     if len(partition) != len(base.edges):
@@ -262,10 +264,7 @@ def run_stage_lift(base: BaseCode, scheme: CouplingScheme,
     stage1 = compile_events(cset, scheme, "partition")
     survivors = CandidateSet(base, tuple(
         c for c, fs in zip(cset, stage1.forms) if vanish(fs, partition)))
-    system = _compile(survivors, scheme, "lift")
-    values, trace = run_mt(system, seed, max_resamples)
-    trace.metadata["survivors"] = list(system.labels)
-    return values, trace
+    return run_mt(_compile(survivors, scheme, "lift"), seed, max_resamples)
 
 
 def run_joint(base: BaseCode, scheme: CouplingScheme, targets,
@@ -281,20 +280,12 @@ def run_joint(base: BaseCode, scheme: CouplingScheme, targets,
 
 @record
 class TwoStageReport:
-    """The two stages' traces of ``construct_two_stage``."""
+    """The two stages' traces of ``construct_two_stage``; the lift
+    trace's events (its ``per_event`` keys) are the targets stage 1 left
+    occurring."""
 
     partition_trace: MTTrace
     lift_trace: MTTrace
-
-    @property
-    def survivor_keys(self) -> tuple[str, ...]:
-        """The targets stage 1 left occurring, which stage 2 lifted."""
-        return tuple(self.lift_trace.metadata["survivors"])
-
-    @property
-    def stage1_cleared(self) -> bool:
-        """Did stage 1 leave no target occurring?"""
-        return not self.lift_trace.metadata["survivors"]
 
     @property
     def terminated(self) -> bool:
@@ -328,16 +319,17 @@ def construct_two_stage(base: BaseCode, scheme: CouplingScheme, targets,
     that compile ``rejected`` some: then either the pattern has one value
     and stage 1 can thin none, or a rejected target's coefficients all
     vanish, so it has no lift form either and stage 2 refuses the run
-    whatever stage 1 drew.  Its cap defaults to the compile's ``budget(0)``:
-    without a certificate a capped run guarantees nothing, so stage 1 is
-    the initial draw alone.  Whatever survives goes to the lift stage.
+    whatever stage 1 drew; without events stage 1 has no cap by default.
+    Otherwise its cap defaults to the compile's ``budget(0)``: without a
+    certificate a capped run guarantees nothing, so stage 1 is the initial
+    draw alone.  Whatever survives goes to the lift stage.
     """
     whole = compile_events(_normalize_targets(base, targets), scheme,
                            "partition")
     s1, s2 = derive_child_seeds(seed, 2)
-    if stage1_max is None:
-        stage1_max = whole.budget(0)
     stage1 = _no_targets(base) if whole.rejected else whole.cset
+    if stage1_max is None and not whole.rejected:
+        stage1_max = whole.budget(0)
     partition, trace1 = run_stage_partition(base, scheme, stage1, s1,
                                             stage1_max)
     lift, trace2 = run_stage_lift(base, scheme, partition, whole.cset, s2,

@@ -8,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from scldpc import (Assignment, BaseCode, CodeInstance, CouplingScheme,
 from scldpc import bounds, cli
 from scldpc.cli import (EXIT_CAP_EXHAUSTED, EXIT_CHECK_FAILED, EXIT_OK,
                         EXIT_USAGE, main)
+from scldpc.moser_tardos import MTTrace
 
 
 def run_cli(*argv: str) -> int:
@@ -407,18 +409,42 @@ def test_construct_without_targets_records_no_cap(construction, tmp_path,
     assert [run["max_resamples"] for run in runs] == [None] * len(runs)
 
 
-@pytest.mark.parametrize("scheme", [["--m", "0"], ["--pattern", "2"]])
+@pytest.mark.parametrize("scheme", [["--m", "0"], ["--pattern", "2"],
+                                    ["--pattern", "1"]])
 def test_construct_two_stage_with_one_value_pattern(scheme, tmp_path,
                                                     capsys):
+    # Stage 1 has no events, so no cap; stage 2's events are every target.
     code = run_cli("construct", "--gamma", "3", "--kappa", "4", *scheme,
                    "--lifting", "13", "--seed", "1",
                    "--out-dir", str(tmp_path))
     capsys.readouterr()
     assert code == EXIT_OK
     trace = json.loads((tmp_path / "trace.json").read_text())
-    assert trace["stage1_cleared"] is False
-    assert len(trace["survivors"]) == trace["targets"]["count"] == 18
+    assert trace["stage1"]["per_event"] == {}
+    assert trace["stage1"]["max_resamples"] is None
+    assert set(trace["stage2"]["per_event"]) == {
+        c.key for c in enumerate_cycles(BaseCode(3, 4), 4)}
+    assert trace["targets"]["count"] == 18
     assert trace["girth"] >= 6
+
+
+@pytest.mark.parametrize("construction, runs", [
+    ("two-stage", ["stage1", "stage2"]), ("joint", ["trace"])])
+def test_construct_trace_states_each_fact_once(construction, runs, tmp_path,
+                                               capsys):
+    # One record per stage, with MTTrace's fields, and the outcome both
+    # constructions share; a survivor list is stage 2's events.
+    code = run_cli("construct", "--gamma", "3", "--kappa", "4", "--m", "1",
+                   "--lifting", "7", "--construction", construction,
+                   "--seed", "1", "--out-dir", str(tmp_path))
+    capsys.readouterr()
+    assert code == EXIT_OK
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    assert set(trace) == {"construction", *runs, "tool_version", "seed",
+                          "config", "targets", "girth", "active_targets",
+                          "total_resamples", "terminated"}
+    for run in runs:
+        assert set(trace[run]) == {f.name for f in fields(MTTrace)}
 
 
 def test_construct_two_stage_with_no_working_stage_exits_2(tmp_path,

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -101,7 +101,7 @@ def test_determinism_and_seed_sensitivity():
     assert a1.partition == a2.partition and a1.lift == a2.lift
     assert r1.partition_trace.total_resamples == \
         r2.partition_trace.total_resamples
-    assert r1.survivor_keys == r2.survivor_keys
+    assert r1.lift_trace.per_event == r2.lift_trace.per_event
     others = [construct_two_stage(base, scheme, targets, seed=s)[0]
               for s in range(5)]
     assert any(o.lift != a1.lift or o.partition != a1.partition
@@ -114,9 +114,31 @@ def test_trace_bookkeeping():
     targets = enumerate_cycles(base, 4, "simple")
     _, trace = run_joint(base, scheme, targets, seed=2)
     assert trace.total_resamples == sum(trace.per_event.values())
-    assert set(trace.per_event) <= {c.key for c in targets}
-    assert trace.wall_iterations == trace.total_resamples
-    assert trace.metadata["inner_order"] == "global-least-index"
+    assert list(trace.per_event) == [c.key for c in targets]
+
+
+def test_a_trace_records_what_the_run_decided():
+    # Five fields; wall_iterations is a read-only view of total_resamples
+    # (the benchmark's counter reads it), for every runner's trace.
+    assert [f.name for f in fields(MTTrace)] == [
+        "total_resamples", "per_event", "terminated", "seed",
+        "max_resamples"]
+    base = BaseCode(3, 4)
+    scheme = CouplingScheme.uniform(1, lifting_degree=5)
+    targets = enumerate_cycles(base, 4)
+    partition, first = run_stage_partition(base, scheme, targets, 1, 3)
+    _, report = construct_two_stage(base, scheme, targets, 4)
+    traces = [
+        run_mt(compile_events(targets, scheme, "joint"), 0)[1], first,
+        run_stage_lift(base, scheme, partition, targets, 2)[1],
+        run_joint(base, scheme, targets, 3)[1],
+        report.partition_trace, report.lift_trace]
+    assert any(t.total_resamples for t in traces)
+    for trace in traces:
+        assert trace.wall_iterations == trace.total_resamples
+        assert "wall_iterations" not in asdict(trace)
+        with pytest.raises(AttributeError):
+            trace.wall_iterations = 0
 
 
 def test_cap_exhaustion_reports_partial_state():
@@ -289,12 +311,12 @@ def test_lift_stage_only_tracks_survivors():
     # (values in the order of base.edges: (0,0), (0,1), (1,0), (1,1))
     dead = [1, 0, 0, 0]
     lift, trace = run_stage_lift(base, scheme, dead, targets, seed=0)
-    assert trace.metadata["survivors"] == []
+    assert trace.per_event == {}
     assert trace.total_resamples == 0
     # flat partition keeps it alive: one event
     alive, trace2 = run_stage_lift(base, scheme, _flat_partition(base),
                                    targets, seed=0)
-    assert trace2.metadata["survivors"] == [targets[0].key]
+    assert trace2.per_event == {targets[0].key: trace2.total_resamples}
 
 
 def _lift_with_partition(partition: list[int]):
@@ -359,11 +381,20 @@ def _survivor_cases(draw):
             draw(st.integers(0, 2 ** 32 - 1)))
 
 
+_NO_C4_SURVIVES = (_avoidable_walks(3, 4, "simple"),
+                   CouplingScheme.uniform(3, lifting_degree=13))
+
+
 @settings(max_examples=80, deadline=None)
 @given(case=_survivor_cases())
+@example(case=(*_NO_C4_SURVIVES, [0, 0, 0, 0, 1, 2, 0, 2, 1], "grid", 0))
+@example(case=(*_NO_C4_SURVIVES, None, 1, 1))
 def test_lift_survivors_are_the_grid_check_survivors(case):
     # Stage 2 picks its survivors with the partition forms; the grid check
     # walk by walk is the oracle, on random grids and on stage 1's output.
+    # Its trace's events are those survivors, in canonical order.  The
+    # examples leave none: a partition no 4-cycle survives, and a stage 1
+    # that clears them in one resample.
     cset, scheme, partition, stage1_max, seed = case
     base = cset.base
     if stage1_max != "grid":
@@ -373,11 +404,9 @@ def test_lift_survivors_are_the_grid_check_survivors(case):
     grid = stage_grid(base, "partition", partition)
     expected = [c.key for c in cset if is_active_partition(c, grid)]
     _, trace = run_stage_lift(base, scheme, partition, cset, seed, 20)
-    assert trace.metadata["survivors"] == expected
+    assert list(trace.per_event) == expected
     if stage1_max != "grid":
-        assert report.lift_trace.metadata["survivors"] == expected
-        assert report.survivor_keys == tuple(expected)
-        assert report.stage1_cleared == (not expected)
+        assert list(report.lift_trace.per_event) == expected
 
 
 def test_two_stage_composition_produces_girth_six():
@@ -390,9 +419,10 @@ def test_two_stage_composition_produces_girth_six():
         assert report.lift_trace.terminated
         h = assemble_qc(instance)
         assert girth(h) >= 6
-        # survivors recorded in the report are exactly the stage-2 events
-        assert set(report.survivor_keys) == \
-            set(report.lift_trace.metadata["survivors"])
+        # stage 2's events are the targets stage 1 left occurring
+        assert list(report.lift_trace.per_event) == [
+            c.key for c in targets
+            if is_active_partition(c, instance.partition)]
 
 
 @pytest.mark.parametrize("scheme", [
@@ -407,9 +437,11 @@ def test_two_stage_lifts_what_the_partition_cannot_thin(scheme):
     with pytest.raises(AdmissionError):
         run_stage_partition(base, scheme, targets, seed=1)
     instance, report = construct_two_stage(base, scheme, targets, seed=1)
+    # Stage 1 has no events, so no cap; stage 2's events are every target.
     assert report.partition_trace.total_resamples == 0
-    assert report.stage1_cleared is False
-    assert report.survivor_keys == tuple(c.key for c in targets)
+    assert report.partition_trace.per_event == {}
+    assert report.partition_trace.max_resamples is None
+    assert list(report.lift_trace.per_event) == [c.key for c in targets]
     assert report.terminated
     assert girth(assemble_qc(instance)) >= 6
 
@@ -576,7 +608,7 @@ def test_each_target_set_builds_its_graph_once(command, expected,
     elif command == "construct_two_stage":
         _, report = construct_two_stage(
             base, scheme, enumerate_cycles(base, 4, "simple"), seed=1)
-        assert report.survivor_keys
+        assert report.lift_trace.per_event
     else:
         run_joint(base, scheme, enumerate_cycles(base, 4, "simple"), seed=1)
     assert len(builds) == expected
@@ -605,11 +637,9 @@ def _least_occurring_oracle(system, seed, max_resamples=None):
     trace = MTTrace(
         total_resamples=total,
         per_event=dict(zip(system.labels, per_event)),
-        wall_iterations=total,
         terminated=not occurring,
         seed=recorded_seed(seed),
         max_resamples=max_resamples,
-        metadata={"inner_order": "global-least-index"},
     )
     return values, trace
 

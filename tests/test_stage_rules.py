@@ -224,7 +224,7 @@ def test_run_trials_calls_the_runners_as_they_are(mode, cap, monkeypatch):
     lift_caps = set()
     for _, report in reports:
         survivors = CandidateSet(base, tuple(
-            c for c in elim if c.key in report.survivor_keys))
+            c for c in elim if c.key in report.lift_trace.per_event))
         want = cap if cap is not None else (
             default_cap(survivors, [_old_stage_prob(c, scheme, "lift")
                                     for c in survivors])
@@ -382,12 +382,12 @@ def test_memory_0_trials_compile_both_whole_sets_once():
 def _reference_two_stage(base, scheme, cset, seed, stage2_max):
     """The two-stage rule this package had before: stage 1 runs on the
     targets with partition forms (a second compile when some are
-    rejected) on that set's certified cap or 0 (no cap without targets),
-    and stage 2 lifts the survivors among all targets."""
+    rejected) on that set's certified cap or 0 (no cap without them), and
+    stage 2 lifts the survivors among all targets."""
     forms = compile_events(cset, scheme, "partition").forms
     rest = CandidateSet(base, tuple(c for c, fs in zip(cset, forms) if fs))
     cap = default_cap(rest, [spreading_prob_exact(c, scheme) for c in rest],
-                      uncertified=0) if len(cset) else None
+                      uncertified=0) if len(rest) else None
     s1, s2 = derive_child_seeds(seed, 2)
     partition, trace1 = run_stage_partition(base, scheme, rest, s1, cap)
     lift, trace2 = run_stage_lift(base, scheme, partition, cset, s2,
@@ -474,14 +474,15 @@ def test_two_stage_equals_the_rule_with_a_second_compile(case):
 def test_two_stage_is_its_stage_runners_in_the_stage_layout(case):
     # Stage 1's values go to stage 2 as the runner returned them; the
     # instance holds both stages' values on base.edges' cells, partition
-    # first.  Stage 2's cap is fixed, as above.
+    # first.  Stage 1 without events has no cap; stage 2's cap is fixed,
+    # as above.
     cset, scheme, seed = case
     base = cset.base
     whole = compile_events(cset, scheme, "partition")
-    stage1 = CandidateSet(base, ()) if whole.rejected else cset
+    stage1, cap = ((CandidateSet(base, ()), None) if whole.rejected
+                   else (cset, whole.budget(0)))
     s1, s2 = derive_child_seeds(seed, 2)
-    partition, trace1 = run_stage_partition(base, scheme, stage1, s1,
-                                            whole.budget(0))
+    partition, trace1 = run_stage_partition(base, scheme, stage1, s1, cap)
     try:
         lift, trace2 = run_stage_lift(base, scheme, partition, cset, s2, 200)
     except AdmissionError as err:
@@ -687,7 +688,7 @@ def test_each_runner_defaults_to_its_stage_budget(case):
             assert _outcome(run, None) == (err.stage, err.labels)
             continue
         targets = cset if stage != "lift" else CandidateSet(base, tuple(
-            c for c in cset if c.key in probe.metadata["survivors"]))
+            c for c in cset if c.key in probe.per_event))
         budget = compile_events(targets, scheme, stage).budget()
         if not probe.terminated and budget > _PROBED_BUDGET:
             continue
