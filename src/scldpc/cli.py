@@ -240,15 +240,14 @@ def cmd_construct(args: argparse.Namespace) -> int:
     scheme = _scheme_from(args)
     targets = enumerate_cycles(base, args.two_g, args.walk_mode)
 
+    construct = {"joint": run_joint,
+                 "two-stage": construct_two_stage}[args.construction]
+    instance, run = construct(base, scheme, targets, args.seed,
+                              args.max_resamples)
     if args.construction == "joint":
-        instance, run = run_joint(base, scheme, targets, args.seed,
-                                  args.max_resamples)
         doc: dict = {"construction": "joint",
                      "trace": dataclasses.asdict(run)}
     else:
-        instance, run = construct_two_stage(
-            base, scheme, targets, args.seed,
-            stage2_max=args.max_resamples)
         doc = {
             "construction": "two-stage",
             "stage1": dataclasses.asdict(run.partition_trace),
@@ -476,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--mode", choices=EXPERIMENT_MODES)
     p.add_argument("--cap", type=int, default=None,
-                   help="per-trial resample cap override")
+                   help="per-trial cap on the partition or joint run, or "
+                        "the two-stage lift stage (as --max-resamples)")
     p.add_argument("--sweep", choices=("m", "Z", "gamma", "kappa"))
     p.add_argument("--sweep-values", type=_int_list)
     p.add_argument("--out", help="write report here instead of stdout")

@@ -120,7 +120,8 @@ class StructureSpec:
 class ExperimentConfig:
     """One study: the base, the coupling scheme, the construction mode,
     the trial count and seed, the eliminate and observe specs, and an
-    optional resample cap per run (None: each stage's ``budget()``)."""
+    optional resample cap on the partition or joint run, or the two-stage
+    lift stage, as ``construct --max-resamples`` (None: its ``budget()``)."""
 
     gamma: int
     kappa: int
@@ -407,12 +408,15 @@ class ExperimentStats:
 def _run_trials(config: ExperimentConfig, elim: CandidateSet,
                 observe: Sequence[WalkCandidate] = ()
                 ) -> tuple[list[int], list[int]]:
-    """One construction per trial, on its stages' own budgets (as in
-    ``construct``) unless ``config.cap`` is set.  Each trial that
+    """One construction per trial, the one ``config.mode`` names, called
+    as ``construct`` calls it with ``config.cap``.  Each trial that
     terminates is counted as it finishes: the hits of each of ``observe``
     and the total resamples; the other trials hit their cap."""
     base = config.base
     scheme = config.scheme
+    # Looked up per call: a runner replaced on this module is the one run.
+    construct = {"partition-only": run_stage_partition, "joint": run_joint,
+                 "two-stage": construct_two_stage}[config.mode]
     # Every trial reaches the first compile by identity, not by comparing.
     elim = compile_events(elim, scheme, "joint" if config.mode == "joint"
                           else "partition").cset
@@ -422,18 +426,9 @@ def _run_trials(config: ExperimentConfig, elim: CandidateSet,
     root = seed_sequence(config.seed)
     for t in range(config.trials):
         seed_t = seed_sequence(root, STREAM_TRIALS + t)
-        if config.mode == "partition-only":
-            values, run = run_stage_partition(base, scheme, elim, seed_t,
-                                              config.cap)
-        else:
-            if config.mode == "joint":
-                instance, run = run_joint(base, scheme, elim, seed_t,
-                                          config.cap)
-            else:
-                instance, run = construct_two_stage(
-                    base, scheme, elim, seed_t, config.cap, config.cap)
-            values = values_from_grids(base, instance.partition,
-                                       instance.lift)
+        out, run = construct(base, scheme, elim, seed_t, config.cap)
+        values = out if config.mode == "partition-only" else \
+            values_from_grids(base, out.partition, out.lift)
         if run.terminated:
             resample_counts.append(run.total_resamples)
             hits = [h + vanish(fs, values) for h, fs in zip(hits, obs_forms)]

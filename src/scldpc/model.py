@@ -150,8 +150,8 @@ def record(cls=None, /, *, frozen: bool = False):
     share one set of methods instead.
 
     Every annotated name is a field; ``field(default=...)`` and
-    ``__post_init__`` work as in a dataclass (``default_factory`` is not
-    supported), and so do ``dataclasses.fields``, ``asdict``, ``replace``
+    ``__post_init__`` work as in a dataclass (``default_factory`` is a
+    TypeError), and so do ``dataclasses.fields``, ``asdict``, ``replace``
     and ``is_dataclass``.  The methods are shared by every record and read
     the class's field table: ``__init__`` takes the fields by position or
     keyword, ``__repr__`` is the dataclass text, ``__eq__`` compares the
@@ -170,6 +170,9 @@ def record(cls=None, /, *, frozen: bool = False):
         for name, kind in cls.__dict__.get("__annotations__", {}).items():
             value = cls.__dict__.get(name, MISSING)
             f = value if isinstance(value, Field) else field(default=value)
+            if f.default_factory is not MISSING:
+                raise TypeError(f"record {cls.__name__}: field {name!r} "
+                                "has a default_factory")
             # dataclasses.fields() lists a Field only when its kind is
             # the module's _FIELD marker.
             f.name, f.type, f._field_type = name, kind, dataclasses._FIELD

@@ -309,9 +309,7 @@ def derive_child_seeds(seed: SeedLike, n: int) -> list[int]:
 
 
 def construct_two_stage(base: BaseCode, scheme: CouplingScheme, targets,
-                        seed: SeedLike,
-                        stage1_max: Optional[int] = None,
-                        stage2_max: Optional[int] = None
+                        seed: SeedLike, max_resamples: Optional[int] = None
                         ) -> tuple[CodeInstance, TwoStageReport]:
     """Partition stage first (best effort), then lift the survivors.
 
@@ -319,20 +317,19 @@ def construct_two_stage(base: BaseCode, scheme: CouplingScheme, targets,
     that compile ``rejected`` some: then either the pattern has one value
     and stage 1 can thin none, or a rejected target's coefficients all
     vanish, so it has no lift form either and stage 2 refuses the run
-    whatever stage 1 drew; without events stage 1 has no cap by default.
-    Otherwise its cap defaults to the compile's ``budget(0)``: without a
-    certificate a capped run guarantees nothing, so stage 1 is the initial
-    draw alone.  Whatever survives goes to the lift stage.
+    whatever stage 1 drew; without events stage 1 has no cap.  Otherwise
+    its cap is the compile's ``budget(0)``: without a certificate a capped
+    run guarantees nothing, so stage 1 is the initial draw alone.
+    Whatever survives goes to the lift stage, the run ``max_resamples``
+    caps (None: its survivors' ``budget()``), as in ``run_joint``.
     """
     whole = compile_events(_normalize_targets(base, targets), scheme,
                            "partition")
     s1, s2 = derive_child_seeds(seed, 2)
     stage1 = _no_targets(base) if whole.rejected else whole.cset
-    if stage1_max is None and not whole.rejected:
-        stage1_max = whole.budget(0)
-    partition, trace1 = run_stage_partition(base, scheme, stage1, s1,
-                                            stage1_max)
+    partition, trace1 = run_stage_partition(
+        base, scheme, stage1, s1, None if whole.rejected else whole.budget(0))
     lift, trace2 = run_stage_lift(base, scheme, partition, whole.cset, s2,
-                                  stage2_max)
+                                  max_resamples)
     return (_instance(base, scheme, partition + lift, recorded_seed(seed)),
             TwoStageReport(trace1, trace2))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -244,6 +245,25 @@ def test_failed_trials_are_counted_not_dropped():
     for o in stats.observables:
         assert o.hits == 0 and o.p_hat == 0.0 and o.ratio is None
     assert stats.all_checks_pass is False  # nothing terminated to check
+
+
+@pytest.mark.parametrize("kappa, scheme, mode", [
+    (3, CouplingScheme.uniform(2), "partition-only"),
+    (4, CouplingScheme.uniform(1, lifting_degree=8), "joint"),
+    (4, CouplingScheme.uniform(1, lifting_degree=8), "two-stage"),
+])
+def test_a_cap_no_run_reaches_changes_no_study(kappa, scheme, mode):
+    # A study's cap caps what construct --max-resamples caps (the run
+    # whose exhaustion leaves a trial unterminated; stage 1 of a two-stage
+    # run keeps its own budget), so at the uncapped study's largest
+    # resample count it changes no result but the config.
+    uncapped = _config(kappa=kappa, scheme=scheme, mode=mode, trials=40)
+    shift = estimate_mt_shift(uncapped)
+    assert shift.trials_failed == 0 and shift.resamples.max > 0
+    capped = dataclasses.replace(uncapped, cap=shift.resamples.max)
+    assert dataclasses.replace(estimate_mt_shift(capped),
+                               config=uncapped) == shift
+    assert verify_theorem2(capped) == verify_theorem2(uncapped)
 
 
 def test_means_add_left_to_right():

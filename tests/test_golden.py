@@ -54,6 +54,13 @@ those keys deleted equals the new one, and ``instance.json`` and
 ``code.alist`` are byte-identical; the one other change is
 ``construct-two-stage-m0``'s stage-1 ``max_resamples``, 0 before and null
 now (stage 1 has no events there, so no cap).
+Two digests were re-recorded when ``construct_two_stage`` came to take one
+cap, ``max_resamples``, on its lift stage, and stage 1 always ran on its
+compile's ``budget(0)``.  ``construct_two_stage``'s last case dropped its
+explicit stage-1 cap of 200 and equals the earlier code's default call;
+``estimate_mt_shift``'s two-stage ``cap=300`` case equals the earlier
+code with the harness passing no stage-1 cap (``cap`` had capped both
+stages there).
 To print the current digests: ``python tests/test_golden.py``.
 """
 
@@ -150,8 +157,7 @@ def _two_stage():
                     dataclasses.asdict(rep)])
     base = BaseCode(3, 5)
     scheme = CouplingScheme.uniform(1, lifting_degree=13)
-    inst, rep = construct_two_stage(base, scheme, _c4_c6(base), 2,
-                                    stage1_max=200)
+    inst, rep = construct_two_stage(base, scheme, _c4_c6(base), 2)
     out.append([inst.partition.values, inst.lift.values,
                 dataclasses.asdict(rep)])
     return out
@@ -217,11 +223,11 @@ CASES = {
 
 GOLDEN = {
     "construct_two_stage":
-        "d96c019107d80fadba071f72bb2c9b0c2130063563139befce1a5f5e2e059140",
+        "143106d9c11a628cec7259cb316396e72c952335a0a1a32cac96c6ae367bd727",
     "estimate_baseline":
         "0bb40ce5b8d1740bf5392acc7f4084d08598e008aff78b4168d498f71df129b9",
     "estimate_mt_shift":
-        "afed2613d6d362640c2ceee892a1abc09d533f20ed175230c5b10b16a6e06f4a",
+        "2753a061e65d7f000583e2e50bd2e8215ec0734c91551b15fa7009d420b37118",
     "mc_structure_prob":
         "40bb4a63349faa5f3585e6723b960315fa725c8001817831675371e968b84675",
     "run_joint":

@@ -236,9 +236,9 @@ def test_two_stage_report_outcome_and_budget():
     scheme = CouplingScheme.uniform(1, lifting_degree=8)
     c4 = enumerate_cycles(base, 4)
     outcomes = set()
-    for caps in ({}, {"stage1_max": 3, "stage2_max": 0}):
+    for cap in (None, 0):
         for seed in range(4):
-            _, report = construct_two_stage(base, scheme, c4, seed, **caps)
+            _, report = construct_two_stage(base, scheme, c4, seed, cap)
             assert report.terminated is report.lift_trace.terminated
             assert report.total_resamples == (
                 report.partition_trace.total_resamples
@@ -362,9 +362,9 @@ def _avoidable_walks(kappa: int, two_g: int, mode: str) -> CandidateSet:
 def _survivor_cases(draw):
     """The avoidable c4, c6 or tbc 8-walks of a 3x3 to 3x5 base, a scheme
     with several values, one value or memory 0 (Z odd, so no walk is
-    certain to occur at the lift stage), a seed, and a stage-1 cap: an
-    int or None for a two-stage run, "grid" for the random in-pattern
-    partition drawn alongside instead."""
+    certain to occur at the lift stage), a seed, and a stage-1 cap: None
+    for a two-stage run, an int for its stage 1 run on that cap, "grid"
+    for the random in-pattern partition drawn alongside instead."""
     cset = _avoidable_walks(draw(st.integers(3, 5)), *draw(st.sampled_from(
         [(4, "simple"), (6, "simple"), (8, "tbc")])))
     pattern = draw(st.one_of(
@@ -397,15 +397,20 @@ def test_lift_survivors_are_the_grid_check_survivors(case):
     # that clears them in one resample.
     cset, scheme, partition, stage1_max, seed = case
     base = cset.base
-    if stage1_max != "grid":
-        instance, report = construct_two_stage(
-            base, scheme, cset, seed, stage1_max=stage1_max, stage2_max=20)
+    if stage1_max is None:
+        instance, report = construct_two_stage(base, scheme, cset, seed, 20)
         partition = values_from_grids(base, instance.partition)
+    elif stage1_max != "grid":
+        # Stage 1 as the two-stage run draws it, on this cap instead.
+        stage1 = CandidateSet(base, ()) if compile_events(
+            cset, scheme, "partition").rejected else cset
+        partition, _ = run_stage_partition(
+            base, scheme, stage1, derive_child_seeds(seed, 2)[0], stage1_max)
     grid = stage_grid(base, "partition", partition)
     expected = [c.key for c in cset if is_active_partition(c, grid)]
     _, trace = run_stage_lift(base, scheme, partition, cset, seed, 20)
     assert list(trace.per_event) == expected
-    if stage1_max != "grid":
+    if stage1_max is None:
         assert list(report.lift_trace.per_event) == expected
 
 

@@ -22,6 +22,7 @@ from scldpc import (BaseCode, CouplingScheme, ExperimentConfig, StructureSpec,
                     bounds, construct_two_stage, enumerate_cycles,
                     estimate_baseline, estimate_mt_shift, joint_prob,
                     verify_theorem2)
+from scldpc.model import record
 from scldpc.moser_tardos import compile_events
 from scldpc.walks import dependency_degree
 from helpers import record_classes
@@ -193,6 +194,18 @@ def test_argument_errors(cls, samples):
             == message(lambda: type(twin)(*values, **{first: values[0]})))
     for make in (cls, type(twin)):
         assert "not_a_field" in message(lambda: make(*values, not_a_field=1))
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_a_default_factory_is_refused_at_decoration(frozen):
+    # Accepted, it would make the field silently required and leave the
+    # Field object as the class attribute.
+    with pytest.raises(TypeError, match=r"record R: field 'b' has a "
+                                        r"default_factory"):
+        @record(frozen=frozen)
+        class R:
+            a: int
+            b: list = dataclasses.field(default_factory=list)
 
 
 def test_defaults_and_post_init():

@@ -31,6 +31,7 @@ partition-only study builds no grid.
 
 from __future__ import annotations
 
+import json
 import weakref
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -211,7 +212,7 @@ def test_run_trials_calls_the_runners_as_they_are(mode, cap, monkeypatch):
                 instance, run = run_joint(base, scheme, elim, seed_t, cap)
             else:
                 instance, run = construct_two_stage(base, scheme, elim,
-                                                    seed_t, cap, cap)
+                                                    seed_t, cap)
             partition, lift = instance.partition, instance.lift
         if run.terminated:
             for k, c in enumerate(observe):
@@ -266,26 +267,53 @@ def test_shift_harness_holds_no_earlier_trial_output(mode, monkeypatch):
 
 
 def test_two_stage_stage1_cap_is_the_certified_cap_or_zero():
-    # Uncertified partition stage: the default stage 1 is the initial draw.
+    # Uncertified partition stage: stage 1 is the initial draw.
     base = BaseCode(3, 4)
     scheme = CouplingScheme.uniform(1, lifting_degree=8)
     c4 = enumerate_cycles(base, 4)
     assert _stage_budget(c4, scheme, "partition") == FALLBACK_CAP
     for seed in range(4):
-        default = construct_two_stage(base, scheme, c4, seed)
-        assert default == construct_two_stage(base, scheme, c4, seed,
-                                               stage1_max=0)
-        trace = default[1].partition_trace
+        trace = construct_two_stage(base, scheme, c4, seed)[1].partition_trace
+        assert trace == run_stage_partition(
+            base, scheme, c4, derive_child_seeds(seed, 2)[0], 0)[1]
         assert trace.total_resamples == 0 == trace.max_resamples
-    # Certified partition stage: its own default cap.
+    # Certified partition stage: its own budget.
     base = BaseCode(3, 3)
     scheme = CouplingScheme.uniform(18, lifting_degree=7)
     c4 = enumerate_cycles(base, 4)
     cap = _stage_budget(c4, scheme, "partition")
     assert cap == 2000
     for seed in range(4):
-        assert construct_two_stage(base, scheme, c4, seed) == \
-            construct_two_stage(base, scheme, c4, seed, stage1_max=cap)
+        trace = construct_two_stage(base, scheme, c4, seed)[1].partition_trace
+        assert trace == run_stage_partition(
+            base, scheme, c4, derive_child_seeds(seed, 2)[0], cap)[1]
+
+
+@pytest.mark.parametrize("memory, lifting, stage1_cap", [
+    (1, 8, 0), (18, 7, 2000), (0, 13, None)],
+    ids=["uncertified", "certified", "no-events"])
+def test_two_stage_max_resamples_caps_the_lift_stage_alone(
+        memory, lifting, stage1_cap, tmp_path):
+    # Stage 1 runs on its compile's budget(0) (no cap without events)
+    # whatever the construction's cap is, 0 included; the cap is stage 2's,
+    # and construct --max-resamples writes that same stage-1 cap.
+    base = BaseCode(3, 3 if memory == 18 else 4)
+    scheme = CouplingScheme.uniform(memory, lifting_degree=lifting)
+    c4 = enumerate_cycles(base, 4)
+    _, default = construct_two_stage(base, scheme, c4, 1)
+    for cap in (0, 1, 5):
+        _, report = construct_two_stage(base, scheme, c4, 1, cap)
+        assert report.partition_trace == default.partition_trace
+        assert report.partition_trace.max_resamples == stage1_cap
+        assert report.lift_trace.max_resamples == cap
+        out = tmp_path / str(cap)
+        cli.main(["construct", "--gamma", "3", "--kappa",
+                  str(base.kappa), "--m", str(memory), "--lifting",
+                  str(lifting), "--seed", "1", "--out-dir", str(out),
+                  "--max-resamples", str(cap)])
+        trace = json.loads((out / "trace.json").read_text())
+        assert trace["stage1"]["max_resamples"] == stage1_cap
+        assert trace["stage2"]["max_resamples"] == cap
 
 
 def _by_value(system):
@@ -379,7 +407,7 @@ def test_memory_0_trials_compile_both_whole_sets_once():
     assert compile_events.cache_info().misses == 2
 
 
-def _reference_two_stage(base, scheme, cset, seed, stage2_max):
+def _reference_two_stage(base, scheme, cset, seed, max_resamples):
     """The two-stage rule this package had before: stage 1 runs on the
     targets with partition forms (a second compile when some are
     rejected) on that set's certified cap or 0 (no cap without them), and
@@ -391,7 +419,7 @@ def _reference_two_stage(base, scheme, cset, seed, stage2_max):
     s1, s2 = derive_child_seeds(seed, 2)
     partition, trace1 = run_stage_partition(base, scheme, rest, s1, cap)
     lift, trace2 = run_stage_lift(base, scheme, partition, cset, s2,
-                                  stage2_max)
+                                  max_resamples)
     return (CodeInstance(base, scheme, stage_grid(base, "partition",
                                                   partition),
                          stage_grid(base, "lift", lift),
@@ -453,8 +481,7 @@ def test_two_stage_equals_the_rule_with_a_second_compile(case):
                    lambda c, *key: looked_up.append(c) or compile_events(
                        c, *key))
         compile_events.cache_clear()
-        got = _outcome(construct_two_stage, base, scheme, cset, seed, None,
-                       200)
+        got = _outcome(construct_two_stage, base, scheme, cset, seed, 200)
     rejected = compile_events(cset, scheme, "partition").rejected
     # One compile of the targets, reached by identity; at most the empty
     # set besides.
@@ -486,11 +513,10 @@ def test_two_stage_is_its_stage_runners_in_the_stage_layout(case):
     try:
         lift, trace2 = run_stage_lift(base, scheme, partition, cset, s2, 200)
     except AdmissionError as err:
-        assert _outcome(construct_two_stage, base, scheme, cset, seed, None,
+        assert _outcome(construct_two_stage, base, scheme, cset, seed,
                         200) == (err.stage, err.labels)
         return
-    instance, report = construct_two_stage(base, scheme, cset, seed, None,
-                                           200)
+    instance, report = construct_two_stage(base, scheme, cset, seed, 200)
     assert report == TwoStageReport(trace1, trace2)
     assert instance == CodeInstance(
         base, scheme, stage_grid(base, "partition", partition),
@@ -597,10 +623,13 @@ def test_an_explicit_cap_costs_no_certificate(fresh_compile, monkeypatch):
     partition, _ = run_stage_partition(base, scheme, c4, 0, 5)
     run_stage_lift(base, scheme, partition, c4, 1, 5)
     run_joint(base, scheme, c4, 2, 5)
-    construct_two_stage(base, scheme, c4, 3, 5, 5)
     assert calls == []
-    run_joint(base, scheme, c4, 2)  # the default cap reads the certificate
+    # Stage 1 always runs on its budget(0): a capped two-stage run reads
+    # its certificate alone, as construct --max-resamples does.
+    construct_two_stage(base, scheme, c4, 3, 5)
     assert len(calls) == 1
+    run_joint(base, scheme, c4, 2)  # the default cap reads the certificate
+    assert len(calls) == 2
 
 
 def test_a_failing_certificate_is_not_an_uncertified_one(fresh_compile,
