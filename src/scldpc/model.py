@@ -34,66 +34,44 @@ from dataclasses import MISSING, Field, FrozenInstanceError, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
+from types import FunctionType
 from typing import Iterator, Optional
 
 Edge = tuple[int, int]
 
 
-def _quoted(names: Sequence[str]) -> str:
-    """'a', 'a' and 'b', or 'a', 'b', and 'c', as Python's own call
-    errors list argument names."""
-    q = [repr(n) for n in names]
-    if len(q) < 3:
-        return " and ".join(q)
-    return ", ".join(q[:-1]) + ", and " + q[-1]
-
-
-def _bind(cls: type, args: tuple, kwargs: dict) -> list:
-    """The field values, in field order, of a call that does not give
-    every field by position; a missing, extra or duplicate argument is the
-    TypeError Python raises for a function with the fields as parameters."""
-    names, defaults = cls._record[:2]
-    where = cls.__qualname__
-    if len(args) > len(names):
-        least = len(names) - len(defaults) + 1
-        takes = (f"from {least} to " if defaults else "") + (
-            f"{len(names) + 1} positional argument"
-            f"{'s' if defaults or names else ''}")
-        raise TypeError(f"{where}.__init__() takes {takes} but "
-                        f"{len(args) + 1} were given")
-    values, missing = list(args), []
-    for name in names[len(args):]:
-        value = kwargs.pop(name, defaults.get(name, MISSING))
-        if value is MISSING:
-            missing.append(name)
-        values.append(value)
-    for name in kwargs:
-        if name in names:
-            raise TypeError(f"{where}.__init__() got multiple values for "
-                            f"argument {name!r}")
-        raise TypeError(f"{where}.__init__() got an unexpected keyword "
-                        f"argument {name!r}")
-    if missing:
-        raise TypeError(
-            f"{where}.__init__() missing {len(missing)} required positional "
-            f"argument{'s' if len(missing) > 1 else ''}: {_quoted(missing)}")
-    return values
-
-
 _set = object.__setattr__
 
 
-def _init(self, *args, **kwargs) -> None:
-    names, _, post_init, _ = self._record
-    if kwargs or len(args) != len(names):
-        args = _bind(type(self), args, kwargs)
+def _init_template(self):
+    _fill(self, locals())
+
+
+def _fill(self, values: dict) -> None:
+    """Set a record's fields from the locals of its ``__init__`` and run
+    its ``__post_init__``."""
+    names, post_init, _ = self._record
     # One attribute at a time, not through __dict__: that would give the
     # instance a dict of its own, larger and slower to read than the
     # values Python stores inline.
-    for name, value in zip(names, args):
-        _set(self, name, value)
+    for name in names:
+        _set(self, name, values[name])
     if post_init is not None:
         post_init(self)
+
+
+def _init_for(cls: type, names: tuple[str, ...], defaults: tuple):
+    """``cls.__init__``: the template's code with ``names`` as parameters,
+    the last ``len(defaults)`` taking ``defaults``.  The template reads no
+    local but ``self`` before ``locals()``, so its bytecode holds for any
+    names."""
+    code = _init_template.__code__.replace(
+        co_argcount=len(names) + 1, co_nlocals=len(names) + 1,
+        co_varnames=("self", *names), co_name="__init__")
+    init = FunctionType(code, _init_template.__globals__, "__init__",
+                        defaults or None)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
 
 
 def _repr(self) -> str:
@@ -111,7 +89,7 @@ def _values_getter(names: tuple[str, ...]):
 
 def _eq(self, other: object) -> bool:
     if other.__class__ is self.__class__:
-        values = self._record[3]
+        values = self._record[2]
         return values(self) == values(other)
     return NotImplemented
 
@@ -122,7 +100,7 @@ def _hash_fields(self) -> int:
     try:
         return self._hash
     except AttributeError:
-        _set(self, "_hash", hash(self._record[3](self)))
+        _set(self, "_hash", hash(self._record[2](self)))
         return self._hash
 
 
@@ -147,26 +125,28 @@ def record(cls=None, /, *, frozen: bool = False):
     ``dataclass`` compiles the methods it generates from source text at
     every import (from Python 3.13 on, one ``exec`` per class even when it
     generates nothing), so records fill the dataclass field table here and
-    share one set of methods instead.
+    make their methods without compiling source.
 
     Every annotated name is a field; ``field(default=...)`` and
     ``__post_init__`` work as in a dataclass (``default_factory`` is a
-    TypeError), and so do ``dataclasses.fields``, ``asdict``, ``replace``
-    and ``is_dataclass``.  The methods are shared by every record and read
-    the class's field table: ``__init__`` takes the fields by position or
-    keyword, ``__repr__`` is the dataclass text, ``__eq__`` compares the
-    fields of two instances of one class.  A frozen record hashes its
-    fields once (the hash is kept as ``_hash``, which copies and pickles
-    leave out) and raises ``FrozenInstanceError`` on assignment and
-    deletion (``cached_property`` still works: it writes the instance
-    dict); other records are unhashable.  A method the class defines
-    itself is kept.
+    TypeError, and so is a required field after a defaulted one), and so
+    do ``dataclasses.fields``, ``asdict``, ``replace`` and
+    ``is_dataclass``.  Each ``__init__`` is one template's code with the
+    record's fields as its parameters, so Python binds its arguments and
+    ``help()`` and ``inspect.signature`` show them.  The other methods are
+    shared by every record and read the class's field table: ``__repr__``
+    is the dataclass text, ``__eq__`` compares the fields of two instances
+    of one class.  A frozen record hashes its fields once (the hash is
+    kept as ``_hash``, which copies and pickles leave out) and raises
+    ``FrozenInstanceError`` on assignment and deletion
+    (``cached_property`` still works: it writes the instance dict); other
+    records are unhashable.  A method the class defines itself is kept.
     """
     def wrap(cls):
         # The field table, as dataclasses keeps it, and the shared
-        # methods' view of it: (names, name -> default, __post_init__,
-        # field values getter).
-        table, defaults = {}, {}
+        # methods' view of it: (names, __post_init__, field values
+        # getter).
+        table, defaults = {}, []
         for name, kind in cls.__dict__.get("__annotations__", {}).items():
             value = cls.__dict__.get(name, MISSING)
             f = value if isinstance(value, Field) else field(default=value)
@@ -178,13 +158,18 @@ def record(cls=None, /, *, frozen: bool = False):
             f.name, f.type, f._field_type = name, kind, dataclasses._FIELD
             if f.default is not MISSING:
                 setattr(cls, name, f.default)
-                defaults[name] = f.default
+                defaults.append(f.default)
+            elif defaults:
+                # The defaults bind to the last parameters.
+                raise TypeError(f"record {cls.__name__}: non-default "
+                                f"argument {name!r} follows default argument")
             table[name] = f
         cls.__dataclass_fields__ = table
         names = tuple(table)
-        cls._record = (names, defaults, getattr(cls, "__post_init__", None),
+        cls._record = (names, getattr(cls, "__post_init__", None),
                        _values_getter(names))
-        methods = {"__init__": _init, "__repr__": _repr, "__eq__": _eq,
+        methods = {"__init__": _init_for(cls, names, tuple(defaults)),
+                   "__repr__": _repr, "__eq__": _eq,
                    "__hash__": _hash_fields if frozen else None}
         if frozen:
             methods.update(__setattr__=_frozen_setattr,
@@ -355,16 +340,16 @@ class SparseBinaryMatrix:
 
 @record(frozen=True)
 class BaseCode:
-    """A gamma x kappa binary base matrix; all ones unless a mask is given."""
+    """A gamma x kappa binary base matrix; all ones when the mask is None."""
 
     gamma: int
     kappa: int
-    mask: tuple[tuple[int, ...], ...] = field(default=())
+    mask: Optional[tuple[tuple[int, ...], ...]] = None
 
     def __post_init__(self) -> None:
         if self.gamma < 1 or self.kappa < 1:
             raise ValueError("base dimensions must be at least 1x1")
-        if not self.mask:
+        if self.mask is None:
             object.__setattr__(
                 self, "mask",
                 tuple(tuple(1 for _ in range(self.kappa))

@@ -507,7 +507,7 @@ def _instance_doc() -> dict:
 
 @pytest.mark.parametrize("name, cell, value", [
     ("gamma", None, 2.0), ("Z", None, "5"), ("partition", (0, 0), 0.9),
-    ("lift", (0, 1), 3.7), ("partition", (1, 1), 7),
+    ("lift", (0, 1), 3.7), ("partition", (1, 1), 7), ("mask", None, []),
 ])
 def test_verify_and_export_reject_malformed_fields(name, cell, value,
                                                    tmp_path, capsys):

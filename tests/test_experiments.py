@@ -78,8 +78,10 @@ def test_overlapping_observe_and_eliminate_rejected():
 
 def test_empty_eliminate_rejected():
     cfg = _config(eliminate=StructureSpec(4, rows=(0,)))
-    with pytest.raises(ValueError):
-        estimate_baseline(cfg)
+    for study in (estimate_mt_shift, verify_theorem2):
+        with pytest.raises(ValueError,
+                           match="eliminate spec matches no candidates"):
+            study(cfg)
 
 
 # A 2-row base has no 6-cycle; columns 7 and 8 lie outside a 3x3 base.
@@ -106,20 +108,44 @@ def test_sweep_cell_that_observes_nothing_records_the_error():
         "ValueError: observe spec c6 matches no candidates"
 
 
-def test_theorem2_builds_only_the_eliminate_set(monkeypatch):
-    built = []
+@pytest.fixture
+def built(monkeypatch) -> list:
+    """The specs ``StructureSpec.build`` is called on, in call order."""
+    specs = []
     build = StructureSpec.build
 
     def recording_build(spec, base):
-        built.append(spec)
+        specs.append(spec)
         return build(spec, base)
 
     monkeypatch.setattr(StructureSpec, "build", recording_build)
+    return specs
+
+
+def test_theorem2_builds_only_the_eliminate_set(built):
     cfg = _config(gamma=2, kappa=4, trials=5,
                   observe=(StructureSpec(6), StructureSpec(4)))
     rep = verify_theorem2(cfg)
     assert built == [cfg.eliminate]
     assert rep.trials == 5
+
+
+# The baseline eliminates nothing: an eliminate spec matching nothing, or
+# matching the observables, is no error there.
+@pytest.mark.parametrize("doc", [
+    {"gamma": 2, "kappa": 4, "m": 1, "eliminate": {"two_g": 6},
+     "observe": [{"two_g": 4}]},
+    {"gamma": 3, "kappa": 3, "m": 1, "eliminate": {"two_g": 4},
+     "observe": [{"two_g": 4}]},
+], ids=["eliminate-matches-nothing", "eliminate-is-observed"])
+def test_baseline_builds_only_the_observe_sets(doc, built, tmp_path):
+    doc = dict(doc, mode="partition-only", trials=200, seed=1)
+    path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    assert main(["experiment", "--config", str(path), "--op", "baseline",
+                 "--out", str(out)]) == EXIT_OK
+    assert built == list(ExperimentConfig.from_json(doc).observe)
+    assert json.loads(out.read_text())["observables"]
 
 
 def test_structure_spec_labels_and_windows():

@@ -1,4 +1,4 @@
-"""The record types' shared methods behave as ``dataclasses.dataclass``'s.
+"""The record types' methods behave as ``dataclasses.dataclass``'s.
 
 Every record class in ``scldpc`` (``helpers.record_classes``) is compared
 with a twin class that the standard library builds from the same fields
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -92,6 +93,13 @@ def _outcome(fn):
         return fn()
     except Exception as e:  # noqa: BLE001 (the class is compared)
         return type(e)
+
+
+def _message(make) -> str:
+    """The text of the TypeError ``make()`` raises."""
+    with pytest.raises(TypeError) as info:
+        make()
+    return str(info.value)
 
 
 def _changed(obj):
@@ -179,21 +187,56 @@ def test_argument_errors(cls, samples):
     _, twin, values = _pair(cls, samples)
     required = [f for f in dataclasses.fields(cls)
                 if f.default is dataclasses.MISSING]
-
-    def message(make):
-        with pytest.raises(TypeError) as info:
-            make()
-        return str(info.value)
-
     if required:
-        assert message(cls) == message(type(twin))
-    assert (message(lambda: cls(*values, None))
-            == message(lambda: type(twin)(*values, None)))
+        assert _message(cls) == _message(type(twin))
+    assert (_message(lambda: cls(*values, None))
+            == _message(lambda: type(twin)(*values, None)))
     first = dataclasses.fields(cls)[0].name
-    assert (message(lambda: cls(*values, **{first: values[0]}))
-            == message(lambda: type(twin)(*values, **{first: values[0]})))
-    for make in (cls, type(twin)):
-        assert "not_a_field" in message(lambda: make(*values, not_a_field=1))
+    assert (_message(lambda: cls(*values, **{first: values[0]}))
+            == _message(lambda: type(twin)(*values, **{first: values[0]})))
+    assert (_message(lambda: cls(*values, not_a_field=1))
+            == _message(lambda: type(twin)(*values, not_a_field=1)))
+
+
+@pytest.mark.parametrize("cls", _RECORDS, ids=lambda c: c.__qualname__)
+def test_signature(cls):
+    def params(c):
+        return [(p.name, p.kind, p.default)
+                for p in inspect.signature(c).parameters.values()]
+
+    assert params(cls) == params(_twin(cls))
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_a_required_field_after_a_defaulted_one_is_refused(frozen):
+    # Python binds defaults to the last parameters, so accepted, R(5)
+    # would give R(a=5, b=1).
+    with pytest.raises(TypeError, match=r"record R: non-default argument "
+                                        r"'b' follows default argument"):
+        @record(frozen=frozen)
+        class R:
+            a: int = 1
+            b: int
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("names", [(), ("a",)], ids=["no-field", "one-field"])
+def test_records_of_no_field_and_one_field(names, frozen):
+    # Two fields or more are read by one attrgetter; fewer, one at a time.
+    mine = record(type("R", (), {"__annotations__": dict.fromkeys(names)}),
+                  frozen=frozen)
+    twin = dataclasses.make_dataclass("R", names, frozen=frozen)
+
+    def facts(cls):
+        ones = [1] * len(names)
+        one = cls(*ones)
+        return (repr(one), one == cls(*ones), one == cls(*[2] * len(names)),
+                _outcome(lambda: hash(one)),
+                _message(cls) if names else None,
+                _message(lambda: cls(*ones, 9)),
+                _message(lambda: cls(*ones, b=1)))
+
+    assert facts(mine) == facts(twin)
 
 
 @pytest.mark.parametrize("frozen", [False, True])
@@ -209,7 +252,7 @@ def test_a_default_factory_is_refused_at_decoration(frozen):
 
 
 def test_defaults_and_post_init():
-    # A default and __post_init__, through the shared __init__; no record
+    # A default and __post_init__, through the record's __init__; no record
     # field has a default factory (``record`` does not support one).
     assert not [(cls.__qualname__, f.name) for cls in _RECORDS
                 for f in dataclasses.fields(cls)
@@ -217,4 +260,4 @@ def test_defaults_and_post_init():
     assert StructureSpec() == StructureSpec(4, "simple", None, None)
     assert StructureSpec(rows=(2, 0)).rows == (0, 2)
     assert BaseCode(2, 2).mask == ((1, 1), (1, 1))
-    assert BaseCode.mask == ()
+    assert BaseCode.mask is None

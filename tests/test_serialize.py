@@ -75,7 +75,8 @@ def _corrupt(path: str, value) -> str:
 
 
 # Each non-integer is named; the grid cases were read truncated (0.9 as 0,
-# 3.7 as 3) and the masked-out values accepted.
+# 3.7 as 3), the masked-out values accepted and an empty mask read as all
+# ones.
 MALFORMED = [
     ("gamma", 2.0, "gamma"),
     ("Z", "5", "Z"),
@@ -90,6 +91,7 @@ MALFORMED = [
     ("probs", ["1/0", "1/1"], "probs"),
     ("partition.1.1", 7, "masked-out"),
     ("lift.1.1", 3, "masked-out"),
+    ("mask", [], "mask shape"),
 ]
 
 
